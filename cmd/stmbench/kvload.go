@@ -33,7 +33,6 @@ type kvOptions struct {
 	cms          string // comma-separated CM policies, only for self sweeps
 	procs        string // comma-separated GOMAXPROCS values, only for self sweeps
 	walBatches   string // comma-separated WAL fsync batches (-1 = off), only for self sweeps
-	walQueues    string // comma-separated WAL append-queue sizes (0 = pipelined default, -1 = legacy buffered), only for self sweeps
 	walInterval  time.Duration
 	maxInflight  int // self-hosted server txn-concurrency bound (0 = default)
 	benchJSON    string
@@ -124,10 +123,6 @@ func runKVLoad(o kvOptions) error {
 		if err != nil {
 			return err
 		}
-		walQueues, err := parseInts("wal queue", o.walQueues)
-		if err != nil {
-			return err
-		}
 		sw := kvload.Sweep{
 			Designs:      designs,
 			Shards:       shards,
@@ -137,7 +132,6 @@ func runKVLoad(o kvOptions) error {
 			CMs:          cms,
 			WriteBatches: wbatches,
 			WALBatches:   walBatches,
-			WALQueues:    walQueues,
 		}
 		// The mix presets rewrite the operation fractions, so they sweep
 		// here as an outer loop over otherwise-identical grids.
@@ -252,7 +246,7 @@ func printKVTable(points []kvload.GridPoint, lo kvload.Options) {
 		ID: "kvload",
 		Title: fmt.Sprintf("kvload: %d conns, pipeline %d, %.0f%% GET / %.0f%% TRANSFER / %.0f%% INCR / rest SET",
 			lo.Conns, lo.Pipeline, 100*lo.ReadFrac, 100*lo.TransferFrac, 100*lo.IncrFrac),
-		Header: []string{"design", "shards", "dist", "mix", "cm", "batch", "wbatch", "wal", "walq", "procs", "ops", "ops/sec", "p50(us)", "p99(us)", "errs", "busy", "reconn", "commits", "rbatches", "fallbacks", "wbatches", "wfall", "fsyncs", "grp", "cmdefer", "ewma(ppm)"},
+		Header: []string{"design", "shards", "dist", "mix", "cm", "batch", "wbatch", "wal", "procs", "ops", "ops/sec", "p50(us)", "p99(us)", "errs", "busy", "reconn", "commits", "rbatches", "fallbacks", "wbatches", "wfall", "fsyncs", "grp", "cmdefer", "ewma(ppm)"},
 	}
 	for _, p := range points {
 		shards := "-"
@@ -275,19 +269,6 @@ func printKVTable(points []kvload.GridPoint, lo kvload.Options) {
 		if p.WALBatch > 0 {
 			wal = strconv.Itoa(p.WALBatch)
 		}
-		// Append-pipeline setting: "pipe" is the pipelined default queue,
-		// "buf" the legacy write-under-the-shard-lock path.
-		walq := "-"
-		if p.WALBatch > 0 {
-			switch {
-			case p.WALQueue < 0:
-				walq = "buf"
-			case p.WALQueue == 0:
-				walq = "pipe"
-			default:
-				walq = strconv.Itoa(p.WALQueue)
-			}
-		}
 		// Achieved group-commit amortization: records made durable per fsync.
 		grp := "-"
 		if p.WALFsyncs > 0 {
@@ -302,7 +283,6 @@ func printKVTable(points []kvload.GridPoint, lo kvload.Options) {
 			batchLabel(p.MaxBatch),
 			batchLabel(p.MaxWriteBatch),
 			wal,
-			walq,
 			procs,
 			strconv.FormatUint(p.Result.Ops, 10),
 			fmt.Sprintf("%.0f", p.Result.Throughput),
@@ -358,15 +338,6 @@ func writeKVBenchJSON(path string, points []kvload.GridPoint, lo kvload.Options,
 		}
 		if p.WALBatch > 0 {
 			cell += fmt.Sprintf("/wal%d", p.WALBatch)
-			// The pipelined default keeps the historical /walN spelling so
-			// those cells compare against recorded baselines; only explicit
-			// queue settings grow a segment ("qbuf" = legacy buffered path).
-			switch {
-			case p.WALQueue < 0:
-				cell += "/qbuf"
-			case p.WALQueue > 0:
-				cell += fmt.Sprintf("/q%d", p.WALQueue)
-			}
 		}
 		if p.Procs > 0 {
 			cell += fmt.Sprintf("/procs%d", p.Procs)

@@ -64,7 +64,6 @@ func main() {
 		kvCM           = flag.String("kv-cm", "fixed", "contention-management policies to sweep with -kvload self (fixed, adaptive; comma-separated)")
 		kvProcs        = flag.String("kv-procs", "0", "GOMAXPROCS values to sweep with -kvload self (0 = leave the process default)")
 		kvWALBatch     = flag.String("kv-wal-batch", "-1", "WAL group-commit fsync batches to sweep with -kvload self (-1 = durability off; comma-separated)")
-		kvWALQueue     = flag.String("kv-wal-queue", "0", "WAL append-queue sizes to sweep with -kvload self (0 = pipelined default, -1 = legacy buffered appends; comma-separated)")
 		kvWALInterval  = flag.Duration("kv-wal-interval", time.Millisecond, "WAL group-commit fsync interval for -kv-wal-batch cells")
 		kvMaxInflight  = flag.Int("kv-max-inflight", 0, "self-hosted server transaction-concurrency bound (0 = server default)")
 
@@ -100,7 +99,6 @@ func main() {
 			cms:           *kvCM,
 			procs:         *kvProcs,
 			walBatches:    *kvWALBatch,
-			walQueues:     *kvWALQueue,
 			walInterval:   *kvWALInterval,
 			maxInflight:   *kvMaxInflight,
 			benchJSON:     *benchJSON,

@@ -1,9 +1,10 @@
 // Command stmkvd serves a sharded transactional key-value store over TCP.
 //
-// Every command runs as one STM transaction against a single shared
-// transaction manager, so multi-key commands (MGET, MSET, TRANSFER) are
-// atomic across shards. The wire protocol and command set are documented in
-// internal/server.
+// Every command runs as one STM transaction. Each shard owns its own
+// transaction manager: single-key commands commit shard-locally, and
+// multi-key commands (MGET, MSET, TRANSFER) whose keys span shards stay
+// atomic through the store's ascending-order cross-shard commit. The wire
+// protocol and command set are documented in internal/server.
 //
 // Usage:
 //
@@ -19,6 +20,10 @@
 //	stmkvd -wal-dir /var/lib/stmkvd/wal  # durable: log commits, replay on boot
 //	stmkvd -wal-dir wal -wal-fsync-batch 64 -snapshot-every 30s   # tuned group commit
 //	stmkvd -chaos-abort 20000 -chaos-seed 42      # deterministic fault injection
+//
+// With -wal-dir, commits go through the per-shard append pipeline and
+// checkpoints are incremental (dirty keys merged into the previous snapshot,
+// a full scan every 8th checkpoint per shard); neither is configurable.
 //
 // The -chaos-* flags arm the internal fault injector (internal/chaos) at a
 // uniform per-point rate in parts per million; they exist for robustness
@@ -70,10 +75,7 @@ func main() {
 		walBatch      = flag.Int("wal-fsync-batch", 8, "group-commit batch: fsync once per this many records (1 = per commit, 0 = never fsync)")
 		walInterval   = flag.Duration("wal-fsync-interval", time.Millisecond, "max time a commit waits for its group to fill before fsyncing anyway")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "log segment rotation threshold in bytes (0 = 64 MiB)")
-		walQueue      = flag.Int("wal-append-queue", 0, "per-shard append-pipeline depth: records are encoded outside and written off the shard critical section (0 = default 1024, negative = legacy buffered appends under the shard lock)")
 		snapshotEvery = flag.Duration("snapshot-every", time.Minute, "interval between snapshot checkpoints (truncating covered log segments; 0 = never)")
-		walIncrSnaps  = flag.Bool("wal-incremental-snapshots", false, "checkpoint by merging only dirtied keys into the previous snapshot instead of rescanning the shard")
-		walFullEvery  = flag.Int("wal-full-snapshot-every", 0, "with -wal-incremental-snapshots, force a full-scan snapshot every Nth checkpoint per shard (0 = default 8)")
 		walScrubEvery = flag.Duration("wal-scrub-interval", 0, "background scrub period: re-verify sealed log segments and snapshots, quarantining corrupt files (0 = never)")
 
 		chaosSeed     = flag.Uint64("chaos-seed", 1, "fault-injector seed (with any -chaos-* rate > 0)")
@@ -103,10 +105,8 @@ func main() {
 			FsyncBatch:           *walBatch,
 			FsyncInterval:        *walInterval,
 			SegmentBytes:         *walSegBytes,
-			AppendQueue:          *walQueue,
 			SnapshotEvery:        *snapshotEvery,
-			IncrementalSnapshots: *walIncrSnaps,
-			FullSnapshotEvery:    *walFullEvery,
+			IncrementalSnapshots: true,
 			ScrubInterval:        *walScrubEvery,
 		})
 		if err != nil {

@@ -1,8 +1,9 @@
 // Quickstart for the stmkvd serving layer, fully in-process: build a
 // sharded transactional store, serve it on a loopback TCP listener, and
 // drive it with the pipelining protocol client — including a multi-key
-// TRANSFER that is atomic across shards because every shard lives in one
-// shared transaction manager.
+// TRANSFER that is atomic across shards: each shard owns its own transaction
+// manager, and the store commits shard-spanning transactions through an
+// ascending-order two-phase protocol.
 //
 // Run with: go run ./examples/kv
 package main

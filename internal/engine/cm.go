@@ -60,11 +60,11 @@ const (
 )
 
 // CM is a per-engine contention-management controller. Every engine embeds
-// one and exposes it via Engine.CM; the Run/RunCtx retry loops (and the kv
-// store's own commit loops) bind their Backoff to it and feed it attempt
-// outcomes. Under CMFixed it only accounts (the stm_cm_* metrics stay live
-// either way); under CMAdaptive it additionally publishes spin/cap knobs that
-// Backoff consults before every wait.
+// one and exposes it via Engine.CM; the retry driver (Drive) binds its
+// Backoff to it and feeds it attempt outcomes. Under CMFixed it only accounts
+// (the stm_cm_* metrics stay live either way); under CMAdaptive it
+// additionally publishes spin/cap knobs that Backoff consults before every
+// wait.
 //
 // All fields are atomics: outcomes arrive from every worker goroutine and
 // snapshots are taken while transactions are in flight. The EWMA update is a
@@ -265,7 +265,7 @@ func (s CMStats) Add(t CMStats) CMStats {
 
 // KarmaSetter is implemented by transactions that accept a karma priority
 // hint: the number of attempts this logical transaction has already lost.
-// The Run/RunCtx loops (and the kv store's commit loops) set it before every
+// BeginAttempt sets it, from the count Drive hands each attempt, before every
 // re-execution so engines with in-attempt contention-manager wait points can
 // grant repeatedly-aborted transactions more patience.
 type KarmaSetter interface {

@@ -1,6 +1,11 @@
 package engine
 
-import "fmt"
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+)
 
 // Retry is the panic value used by transactional operations to signal that
 // the current transaction attempt has encountered a conflict and must be
@@ -39,12 +44,12 @@ func AbandonCause(cause AbortCause, format string, args ...any) {
 // non-transactional side effects. A non-nil error from the body aborts the
 // transaction and is returned to the caller without retrying.
 func Run(e Engine, body func(tx Txn) error) error {
-	return run(e, body, false)
+	return run(nil, RunOptions{}, e, false, body)
 }
 
 // RunReadOnly is Run for transactions that perform no updates.
 func RunReadOnly(e Engine, body func(tx Txn) error) error {
-	return run(e, body, true)
+	return run(nil, RunOptions{}, e, true, body)
 }
 
 // RunReadOnlyOnce executes body as a single read-only transaction attempt
@@ -57,46 +62,121 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 	return Attempt(e.BeginReadOnly(), body)
 }
 
-func run(e Engine, body func(tx Txn) error, readonly bool) error {
-	cm := e.CM()
+// Drive is the one re-execution loop in this repository: every retrying
+// entry point (Run, RunReadOnly, RunCtx, RunReadOnlyCtx, and the kv store's
+// single-shard and cross-shard runners) is a thin caller, so every engine and
+// every layer retries under the identical policy. It calls attempt until one
+// does not conflict and returns that attempt's error together with the number
+// of conflicted attempts before it; err == nil means the attempt committed.
+//
+// Drive owns the bound checks (ctx cancellation, ctx's deadline,
+// opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
+// backoff between attempts, and the feed of every outcome into cm. attempt
+// receives the ctx and effective deadline to bind into the transactions it
+// begins (see BeginAttempt) and karma, the number of attempts already lost.
+// Locks an attempt needs are the attempt's own business: it takes and
+// releases them inside the callback, so a panic unwinding through Drive
+// cannot leak them.
+//
+// A nil ctx with zero opts is the unbounded fast path: no clock reads, and
+// attempt is handed a nil ctx and zero deadline. A nil ctx with non-zero opts
+// means context.Background().
+func Drive(ctx context.Context, opts RunOptions, cm *CM,
+	attempt func(ctx context.Context, deadline time.Time, karma int) (err error, conflicted bool)) (int, error) {
+
+	bounded := ctx != nil || opts != (RunOptions{})
+	var start, deadline time.Time
+	budgetDeadline := false // the effective deadline came from MaxElapsed
+	if bounded {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		start = time.Now()
+		deadline, _ = ctx.Deadline()
+		if opts.MaxElapsed > 0 {
+			if b := start.Add(opts.MaxElapsed); deadline.IsZero() || b.Before(deadline) {
+				deadline, budgetDeadline = b, true
+			}
+		}
+	}
 	var backoff Backoff
 	backoff.Bind(cm)
 	conflicts := 0
 	for {
-		var tx Txn
-		if readonly {
-			tx = e.BeginReadOnly()
-		} else {
-			tx = e.Begin()
-		}
-		if conflicts > 0 {
-			if ks, ok := tx.(KarmaSetter); ok {
-				ks.SetKarma(conflicts)
+		if bounded {
+			if cerr := ctx.Err(); cerr != nil {
+				op := "canceled"
+				if errors.Is(cerr, context.DeadlineExceeded) {
+					op = "deadline"
+				}
+				return conflicts, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cerr}
+			}
+			if !deadline.IsZero() && !time.Now().Before(deadline) {
+				op, cause := "deadline", error(context.DeadlineExceeded)
+				if budgetDeadline {
+					op, cause = "max-elapsed", ErrRetryBudget
+				}
+				return conflicts, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
 			}
 		}
-		err, conflicted := Attempt(tx, body)
+		err, conflicted := attempt(ctx, deadline, conflicts)
 		cm.ObserveOutcome(conflicted)
-		if conflicted {
-			conflicts++
+		if !conflicted {
+			return conflicts, err
+		}
+		conflicts++
+		if !bounded {
 			backoff.Wait()
 			continue
 		}
-		if err == nil {
-			// The transaction committed; record how many aborted attempts
-			// it took to get there.
-			e.Metrics().ObserveRetries(conflicts)
+		if opts.MaxAttempts > 0 && conflicts >= opts.MaxAttempts {
+			return conflicts, &TimeoutError{Op: "max-attempts", Attempts: conflicts, Elapsed: time.Since(start), cause: ErrRetryBudget}
 		}
-		return err
+		backoff.WaitCtx(ctx, deadline)
 	}
+}
+
+// BeginAttempt begins one transaction attempt on e the way Drive's callers
+// must: bound to ctx and deadline when the engine's transactions can observe
+// them (ctx nil on the unbounded path), and told its karma.
+func BeginAttempt(ctx context.Context, deadline time.Time, karma int, e Engine, readonly bool) Txn {
+	var tx Txn
+	if readonly {
+		tx = e.BeginReadOnly()
+	} else {
+		tx = e.Begin()
+	}
+	if ctx != nil {
+		if cb, ok := tx.(CtxBinder); ok {
+			cb.BindContext(ctx, deadline)
+		}
+	}
+	if karma > 0 {
+		if ks, ok := tx.(KarmaSetter); ok {
+			ks.SetKarma(karma)
+		}
+	}
+	return tx
+}
+
+// run drives body on e: one BeginAttempt + Attempt per Drive iteration, and
+// on commit the retry histogram records how many aborted attempts it took.
+func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body func(tx Txn) error) error {
+	conflicts, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+		return Attempt(BeginAttempt(ctx, deadline, karma, e, readonly), body)
+	})
+	if err == nil {
+		e.Metrics().ObserveRetries(conflicts)
+	}
+	return err
 }
 
 // Attempt runs one execution of the body on an already-begun transaction,
 // translating Retry panics and commit conflicts into conflicted=true. Any
 // other panic propagates after the transaction is rolled back. It is
 // exported for layers that manage their own begin/retry policy around the
-// standard attempt semantics — the kv store's per-shard commit loops hold
-// shard locks across exactly one attempt, which Run's internal loop cannot
-// express.
+// standard attempt semantics — the kv store's runners hold shard gates
+// across exactly one attempt, inside the callback they hand Drive.
 func Attempt(tx Txn, body func(tx Txn) error) (err error, conflicted bool) {
 	return AttemptWith(tx, body, nil)
 }

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// RunOptions bounds RunCtx's retry loop. The zero value applies no bound
+// RunOptions bounds Drive's retry loop. The zero value applies no bound
 // beyond the context's own deadline and cancellation.
 type RunOptions struct {
 	// MaxAttempts caps total attempts (1 means no retry); 0 means unlimited.
 	MaxAttempts int
 	// MaxElapsed caps the total time spent across attempts, measured from
-	// the RunCtx call; 0 means unlimited. It combines with a context
+	// the Drive call; 0 means unlimited. It combines with a context
 	// deadline by taking whichever expires first.
 	MaxElapsed time.Duration
 }
@@ -23,7 +23,7 @@ type RunOptions struct {
 // being canceled or timing out. Returned wrapped in *TimeoutError.
 var ErrRetryBudget = errors.New("engine: retry budget exhausted")
 
-// TimeoutError reports that RunCtx gave up without committing. Unwrap
+// TimeoutError reports that Drive gave up without committing. Unwrap
 // yields context.Canceled, context.DeadlineExceeded, or ErrRetryBudget;
 // Timeout marks it retriable for net.Error-style checks.
 type TimeoutError struct {
@@ -32,7 +32,7 @@ type TimeoutError struct {
 	Op string
 	// Attempts counts how many attempts ran before giving up.
 	Attempts int
-	// Elapsed is the wall-clock time from the RunCtx call to the give-up.
+	// Elapsed is the wall-clock time from the Drive call to the give-up.
 	Elapsed time.Duration
 
 	cause error
@@ -44,14 +44,6 @@ func (e *TimeoutError) Error() string {
 
 func (e *TimeoutError) Unwrap() error { return e.cause }
 
-// NewTimeoutError builds a TimeoutError for retry loops living outside this
-// package (the kv store's per-shard commit loops) that enforce the same
-// bounds as RunCtx. cause should be context.Canceled,
-// context.DeadlineExceeded, or ErrRetryBudget.
-func NewTimeoutError(op string, attempts int, elapsed time.Duration, cause error) *TimeoutError {
-	return &TimeoutError{Op: op, Attempts: attempts, Elapsed: elapsed, cause: cause}
-}
-
 // Timeout reports true: the transaction did not commit but may be retried
 // later.
 func (e *TimeoutError) Timeout() bool { return true }
@@ -59,7 +51,7 @@ func (e *TimeoutError) Timeout() bool { return true }
 // CtxBinder is implemented by transactions that can observe cancellation
 // and deadlines mid-attempt — at contention-manager wait points, where an
 // eager-ownership attempt can otherwise block indefinitely behind a stalled
-// owner. RunCtx binds every transaction it begins whose engine supports it;
+// owner. BeginAttempt binds every transaction it begins whose engine supports it;
 // a bound attempt whose deadline passes at a wait point abandons itself with
 // CauseDeadline and the loop gives up on the next bound check.
 type CtxBinder interface {
@@ -73,76 +65,10 @@ type CtxBinder interface {
 // bound firing it returns a *TimeoutError instead of retrying; a committed
 // attempt or a validated body error returns exactly as Run does.
 func RunCtx(ctx context.Context, e Engine, opts RunOptions, body func(tx Txn) error) error {
-	return runCtx(ctx, e, opts, body, false)
+	return run(ctx, opts, e, false, body)
 }
 
 // RunReadOnlyCtx is RunCtx for transactions that perform no updates.
 func RunReadOnlyCtx(ctx context.Context, e Engine, opts RunOptions, body func(tx Txn) error) error {
-	return runCtx(ctx, e, opts, body, true)
-}
-
-func runCtx(ctx context.Context, e Engine, opts RunOptions, body func(tx Txn) error, readonly bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var deadline time.Time
-	budgetDeadline := false // the effective deadline came from MaxElapsed
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	if opts.MaxElapsed > 0 {
-		if b := start.Add(opts.MaxElapsed); deadline.IsZero() || b.Before(deadline) {
-			deadline, budgetDeadline = b, true
-		}
-	}
-
-	cm := e.CM()
-	var backoff Backoff
-	backoff.Bind(cm)
-	attempts, conflicts := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			op := "canceled"
-			if errors.Is(err, context.DeadlineExceeded) {
-				op = "deadline"
-			}
-			return &TimeoutError{Op: op, Attempts: attempts, Elapsed: time.Since(start), cause: err}
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			if budgetDeadline {
-				return &TimeoutError{Op: "max-elapsed", Attempts: attempts, Elapsed: time.Since(start), cause: ErrRetryBudget}
-			}
-			return &TimeoutError{Op: "deadline", Attempts: attempts, Elapsed: time.Since(start), cause: context.DeadlineExceeded}
-		}
-
-		var tx Txn
-		if readonly {
-			tx = e.BeginReadOnly()
-		} else {
-			tx = e.Begin()
-		}
-		if cb, ok := tx.(CtxBinder); ok {
-			cb.BindContext(ctx, deadline)
-		}
-		if conflicts > 0 {
-			if ks, ok := tx.(KarmaSetter); ok {
-				ks.SetKarma(conflicts)
-			}
-		}
-		attempts++
-		err, conflicted := Attempt(tx, body)
-		cm.ObserveOutcome(conflicted)
-		if !conflicted {
-			if err == nil {
-				e.Metrics().ObserveRetries(conflicts)
-			}
-			return err
-		}
-		conflicts++
-		if opts.MaxAttempts > 0 && attempts >= opts.MaxAttempts {
-			return &TimeoutError{Op: "max-attempts", Attempts: attempts, Elapsed: time.Since(start), cause: ErrRetryBudget}
-		}
-		backoff.WaitCtx(ctx, deadline)
-	}
+	return run(ctx, opts, e, true, body)
 }

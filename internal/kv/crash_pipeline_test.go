@@ -82,10 +82,9 @@ func crashPipeConfig(dir string) DurableConfig {
 		Dir:                  dir,
 		FsyncBatch:           64,
 		FsyncInterval:        5 * time.Millisecond,
-		AppendQueue:          256,
 		SnapshotEvery:        20 * time.Millisecond,
 		IncrementalSnapshots: true,
-		FullSnapshotEvery:    4,
+		fullSnapshotEvery:    4,
 	}
 }
 

@@ -22,9 +22,6 @@ type DurableConfig struct {
 	FsyncBatch    int
 	FsyncInterval time.Duration
 	SegmentBytes  int64
-	// AppendQueue sizes the per-shard append pipeline (see wal.Options):
-	// 0 selects the default, a negative value disables the pipeline.
-	AppendQueue int
 	// SnapshotEvery starts a background checkpointer writing per-shard
 	// snapshots (and truncating covered log segments) on this period.
 	// 0 disables periodic checkpoints; Checkpoint can still be called.
@@ -34,9 +31,6 @@ type DurableConfig struct {
 	// snapshot file; a full-scan snapshot is still taken periodically (and
 	// whenever the dirty set overflows or no previous snapshot exists).
 	IncrementalSnapshots bool
-	// FullSnapshotEvery forces a full-scan snapshot every Nth checkpoint per
-	// shard when IncrementalSnapshots is on. 0 means the default (8).
-	FullSnapshotEvery int
 	// ScrubInterval starts the WAL's background scrubber, re-verifying sealed
 	// segments and snapshots on this period and quarantining anything corrupt.
 	// 0 disables scrubbing.
@@ -45,7 +39,16 @@ type DurableConfig struct {
 	// passthrough; tests substitute walfs.Mem / walfs.Fault for crash-point
 	// exploration and disk-fault injection.
 	FS walfs.FS
+
+	// fullSnapshotEvery overrides fullSnapshotCadence (0 = keep it);
+	// in-package tests use it to pin which checkpoints are full scans.
+	fullSnapshotEvery int
 }
+
+// fullSnapshotCadence forces a full-scan snapshot every Nth checkpoint per
+// shard when IncrementalSnapshots is on, which bounds how long a
+// corrupt-on-disk byte could propagate through merge chains.
+const fullSnapshotCadence = 8
 
 // RecoveryStats reports what replay-on-boot found.
 type RecoveryStats struct {
@@ -535,7 +538,6 @@ func Open(cfg Config, dcfg DurableConfig) (*Store, *RecoveryStats, error) {
 		FsyncBatch:    dcfg.FsyncBatch,
 		FsyncInterval: dcfg.FsyncInterval,
 		SegmentBytes:  dcfg.SegmentBytes,
-		AppendQueue:   dcfg.AppendQueue,
 		FS:            dcfg.FS,
 		ScrubInterval: dcfg.ScrubInterval,
 	}
@@ -568,9 +570,9 @@ func Open(cfg Config, dcfg DurableConfig) (*Store, *RecoveryStats, error) {
 	s.wal = m
 	s.winflight = make(map[uint64][]wal.Part)
 	s.walIncr = dcfg.IncrementalSnapshots
-	s.walFullN = dcfg.FullSnapshotEvery
-	if s.walFullN <= 0 {
-		s.walFullN = 8
+	s.walFullN = fullSnapshotCadence
+	if dcfg.fullSnapshotEvery > 0 {
+		s.walFullN = dcfg.fullSnapshotEvery
 	}
 	if len(s.shards) > 2 {
 		// Shared durability-wait workers for wide cross-shard commits; stores
@@ -626,7 +628,7 @@ func (s *Store) replay(m *wal.Manager, scans []*wal.ShardScan) (*RecoveryStats, 
 				}
 				b := batch
 				batch = batch[:0]
-				return s.runSingle(nil, engine.RunOptions{}, sid, false, func(t *Tx) error {
+				return s.runSingle(nil, engine.RunOptions{}, sid, false, nil, func(t *Tx) error {
 					for _, kv := range b {
 						t.Set(kv[0], kv[1])
 					}
@@ -743,7 +745,7 @@ func (s *Store) replay(m *wal.Manager, scans []*wal.ShardScan) (*RecoveryStats, 
 					end = len(items)
 				}
 				chunk := items[start:end]
-				err := s.runSingle(nil, engine.RunOptions{}, sid, false, func(t *Tx) error {
+				err := s.runSingle(nil, engine.RunOptions{}, sid, false, nil, func(t *Tx) error {
 					for _, it := range chunk {
 						for _, op := range it.ops {
 							if op.Del {
@@ -851,8 +853,7 @@ func (s *Store) Checkpoint() error {
 // checkpointShard writes one shard's checkpoint: incremental (dirty keys
 // merged into the previous snapshot) when the store was opened with
 // IncrementalSnapshots and the dirty set is trustworthy, a full scan
-// otherwise — including every s.walFullN-th checkpoint, which bounds how long
-// a corrupt-on-disk byte could propagate through merge chains.
+// otherwise — including every s.walFullN-th checkpoint (fullSnapshotCadence).
 func (s *Store) checkpointShard(sid int) error {
 	sh := &s.shards[sid]
 	sh.cpmu.Lock()
@@ -908,27 +909,14 @@ func (s *Store) checkpointShard(sid int) error {
 // was fixed and may reflect later records — those stay in the log and replay
 // idempotently.
 func (s *Store) checkpointIncremental(sid int, covered uint64, dirty map[string]struct{}) error {
-	l := s.wal.Log(sid)
 	pairs, err := s.collectDirtyPairs(sid, dirty)
 	if err != nil {
 		return err
 	}
-	// Same durability barrier as the full path (see checkpointFull): the
-	// value reads can observe effects of records appended after covered, so
-	// the log must be durable through everything they could have seen before
-	// the snapshot lands.
-	sh := &s.shards[sid]
-	sh.xmu.RLock()
-	sh.wmu.Lock()
-	observed := l.AppendedLSN()
-	sh.wmu.Unlock()
-	sh.xmu.RUnlock()
-	if err := l.Sync(observed); err != nil {
+	// The value reads can observe effects of records appended after covered.
+	truncTo, err := s.checkpointBarrier(sid, covered)
+	if err != nil {
 		return err
-	}
-	truncTo := covered
-	if min := s.minInflightLSN(sid); min > 0 && min-1 < truncTo {
-		truncTo = min - 1
 	}
 	return s.wal.CheckpointIncremental(sid, covered, truncTo,
 		func(key []byte) bool {
@@ -945,6 +933,43 @@ func (s *Store) checkpointIncremental(sid int, covered uint64, dirty map[string]
 		})
 }
 
+// checkpointBarrier runs after a checkpoint has read shard sid's state and
+// before its snapshot may land: it makes the log durable through every record
+// the reads could have observed, then returns how far the log may be
+// truncated for a snapshot covering covered.
+//
+// The reads can observe effects of records appended *after* covered — and,
+// because engines publish before they append, even effects whose append was
+// still in flight when the reads validated. Before the snapshot becomes
+// durable the log must be durable through every such record, or a crash would
+// recover snapshot state (e.g. one shard's half of a cross-shard TRANSFER)
+// with no durable record backing it anywhere. The barrier: every
+// publish+append runs either under the shard's exclusive gate (cross-shard) or
+// under wmu while holding the gate shared (single-shard), so briefly holding
+// the gate shared plus wmu waits out any section whose publish the reads
+// observed; the AppendedLSN read under both locks then bounds all observed
+// effects, and syncing through it before the snapshot's rename restores the
+// recovery invariant. The minInflightLSN clamp only protects truncation (a
+// peer may still need this shard's copy of an in-flight cross-shard record
+// for a rescue), not this.
+func (s *Store) checkpointBarrier(sid int, covered uint64) (truncTo uint64, err error) {
+	sh := &s.shards[sid]
+	l := s.wal.Log(sid)
+	sh.xmu.RLock()
+	sh.wmu.Lock()
+	observed := l.AppendedLSN()
+	sh.wmu.Unlock()
+	sh.xmu.RUnlock()
+	if err := l.Sync(observed); err != nil {
+		return 0, err
+	}
+	truncTo = covered
+	if min := s.minInflightLSN(sid); min > 0 && min-1 < truncTo {
+		truncTo = min - 1
+	}
+	return truncTo, nil
+}
+
 // checkpointFull writes a full-scan snapshot checkpoint for one shard.
 func (s *Store) checkpointFull(sid int) error {
 	l := s.wal.Log(sid)
@@ -956,31 +981,9 @@ func (s *Store) checkpointFull(sid int) error {
 	if err != nil {
 		return err
 	}
-	// The scan can also observe effects of records appended *after* covered —
-	// and, because engines publish before they append, even effects whose
-	// append was still in flight when the scan validated. Before the snapshot
-	// becomes durable the log must be durable through every record the scan
-	// could have seen, or a crash would recover snapshot state (e.g. one
-	// shard's half of a cross-shard TRANSFER) with no durable record backing
-	// it anywhere. The barrier: every publish+append runs either under the
-	// shard's exclusive gate (cross-shard) or under wmu while holding the gate
-	// shared (single-shard), so briefly holding the gate shared plus wmu waits
-	// out any section whose publish the scan observed; the AppendedLSN read
-	// under both locks then bounds all observed effects, and syncing through
-	// it before WriteSnapshot's rename restores the recovery invariant. The
-	// minInflightLSN clamp below only protects truncation, not this.
-	sh := &s.shards[sid]
-	sh.xmu.RLock()
-	sh.wmu.Lock()
-	observed := l.AppendedLSN()
-	sh.wmu.Unlock()
-	sh.xmu.RUnlock()
-	if err := l.Sync(observed); err != nil {
+	truncTo, err := s.checkpointBarrier(sid, covered)
+	if err != nil {
 		return err
-	}
-	truncTo := covered
-	if min := s.minInflightLSN(sid); min > 0 && min-1 < truncTo {
-		truncTo = min - 1
 	}
 	return s.wal.Checkpoint(sid, covered, truncTo, func(emit func(k, v []byte) error) error {
 		for _, kv := range pairs {
@@ -996,7 +999,7 @@ func (s *Store) checkpointFull(sid int) error {
 // optimistic attempts first, then one attempt under the shard's exclusive
 // gate (which no commit can interleave with). The body must tolerate retry.
 func (s *Store) collectShard(sid int, body func(t *Tx) error) error {
-	err := s.runSingle(nil, engine.RunOptions{MaxAttempts: snapshotAttempts}, sid, true, body)
+	err := s.runSingle(nil, engine.RunOptions{MaxAttempts: snapshotAttempts}, sid, true, nil, body)
 	if err == nil {
 		return nil
 	}
@@ -1007,7 +1010,7 @@ func (s *Store) collectShard(sid int, body func(t *Tx) error) error {
 	sh := &s.shards[sid]
 	sh.xmu.Lock()
 	defer sh.xmu.Unlock()
-	return s.runSingle(nil, engine.RunOptions{MaxAttempts: 2}, sid, true, body)
+	return s.runSingle(nil, engine.RunOptions{MaxAttempts: 2}, sid, true, nil, body)
 }
 
 // collectShardPairs snapshots one shard's full contents.

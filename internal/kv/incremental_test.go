@@ -75,7 +75,7 @@ func TestIncrementalRecoveryMatchesFull(t *testing.T) {
 	dirInc, dirFull := t.TempDir(), t.TempDir()
 	cfg := Config{Shards: 4, Buckets: 64}
 	dcfg := func(dir string, incr bool) DurableConfig {
-		return DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: incr, FullSnapshotEvery: 100}
+		return DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: incr, fullSnapshotEvery: 100}
 	}
 
 	run := func(dir string, incr bool) {
@@ -121,7 +121,7 @@ func TestIncrementalRecoveryMatchesFull(t *testing.T) {
 func TestIncrementalCheckpointSerializesOnlyDirty(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(Config{Shards: 4, Buckets: 64},
-		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, FullSnapshotEvery: 100})
+		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, fullSnapshotEvery: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +194,11 @@ func TestIncrementalCheckpointSerializesOnlyDirty(t *testing.T) {
 }
 
 // TestIncrementalFullCadence verifies the periodic full-scan fallback: with
-// FullSnapshotEvery=2 every other checkpoint per shard must be a full scan.
+// fullSnapshotEvery=2 every other checkpoint per shard must be a full scan.
 func TestIncrementalFullCadence(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(Config{Shards: 2, Buckets: 64},
-		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, FullSnapshotEvery: 2})
+		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, fullSnapshotEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestIncrementalFullCadence(t *testing.T) {
 		t.Fatalf("%d shard checkpoints, want 12", snaps)
 	}
 	if incr != 6 {
-		t.Fatalf("%d incremental checkpoints with FullSnapshotEvery=2, want 6", incr)
+		t.Fatalf("%d incremental checkpoints with fullSnapshotEvery=2, want 6", incr)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestIncrementalFullCadence(t *testing.T) {
 func TestDirtyOverflowFallsBackToFullScan(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(Config{Shards: 1, Buckets: 64},
-		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, FullSnapshotEvery: 100})
+		DurableConfig{Dir: dir, FsyncBatch: 1, IncrementalSnapshots: true, fullSnapshotEvery: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,9 +349,9 @@ func (s *Store) ObsMetrics() []obs.Metric {
 			degraded = 1
 		}
 		ms = append(ms, obs.Metric{
-			Name: "stmkvd_degraded_mode",
-			Help: "1 while the store is read-only because the WAL hit ENOSPC.",
-			Kind: obs.Gauge,
+			Name:  "stmkvd_degraded_mode",
+			Help:  "1 while the store is read-only because the WAL hit ENOSPC.",
+			Kind:  obs.Gauge,
 			Value: degraded,
 		})
 	}
@@ -406,23 +406,7 @@ func (t *Tx) txnFor(sid int) engine.Txn {
 	if t.allowed != nil && !t.allowed[sid] {
 		panic(fmt.Sprintf("kv: key hashes to shard %d outside this transaction's declared shard set", sid))
 	}
-	sh := &t.s.shards[sid]
-	var tx engine.Txn
-	if t.readonly {
-		tx = sh.eng.BeginReadOnly()
-	} else {
-		tx = sh.eng.Begin()
-	}
-	if t.ctx != nil {
-		if cb, ok := tx.(engine.CtxBinder); ok {
-			cb.BindContext(t.ctx, t.deadline)
-		}
-	}
-	if t.karma > 0 {
-		if ks, ok := tx.(engine.KarmaSetter); ok {
-			ks.SetKarma(t.karma)
-		}
-	}
+	tx := engine.BeginAttempt(t.ctx, t.deadline, t.karma, t.s.shards[sid].eng, t.readonly)
 	t.txns[sid] = tx
 	return tx
 }
@@ -636,168 +620,63 @@ func (s *Store) unlockShards(allowed []bool, exclusive bool) {
 	}
 }
 
-// runLoop is the shared retry loop: lock, one attempt, unlock, backoff;
-// bounded by ctx and opts exactly like engine.RunCtx when either is set.
-// observe is called with the conflict count after a successful attempt.
-// The unlock runs under defer so a panic escaping the attempt (the fault
-// injector's ActPanic, or a protocol violation) cannot leak gate locks.
-// cm is the contention-management controller pacing the backoff (and fed
-// every attempt outcome); karma hands the attempt callback the number of
-// attempts already lost, for engines with karma-priority waits.
-func runLoop(ctx context.Context, opts engine.RunOptions, cm *engine.CM,
-	lock, unlock func(),
-	att func(ctx context.Context, deadline time.Time, karma int) (error, bool),
-	observe func(conflicts int)) error {
-
-	runOne := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		lock()
-		defer unlock()
-		err, conflicted := att(ctx, deadline, karma)
-		cm.ObserveOutcome(conflicted)
-		return err, conflicted
-	}
-
-	if ctx == nil && opts.MaxAttempts == 0 && opts.MaxElapsed == 0 {
-		var b engine.Backoff
-		b.Bind(cm)
-		conflicts := 0
-		for {
-			err, conflicted := runOne(nil, time.Time{}, conflicts)
-			if !conflicted {
-				if err == nil {
-					observe(conflicts)
-				}
-				return err
-			}
-			conflicts++
-			b.Wait()
-		}
-	}
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var deadline time.Time
-	budgetDeadline := false
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	if opts.MaxElapsed > 0 {
-		if b := start.Add(opts.MaxElapsed); deadline.IsZero() || b.Before(deadline) {
-			deadline, budgetDeadline = b, true
-		}
-	}
-	var b engine.Backoff
-	b.Bind(cm)
-	attempts, conflicts := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			op := "canceled"
-			if errors.Is(err, context.DeadlineExceeded) {
-				op = "deadline"
-			}
-			return engine.NewTimeoutError(op, attempts, time.Since(start), err)
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			if budgetDeadline {
-				return engine.NewTimeoutError("max-elapsed", attempts, time.Since(start), engine.ErrRetryBudget)
-			}
-			return engine.NewTimeoutError("deadline", attempts, time.Since(start), context.DeadlineExceeded)
-		}
-		attempts++
-		err, conflicted := runOne(ctx, deadline, conflicts)
-		if !conflicted {
-			if err == nil {
-				observe(conflicts)
-			}
-			return err
-		}
-		conflicts++
-		if opts.MaxAttempts > 0 && attempts >= opts.MaxAttempts {
-			return engine.NewTimeoutError("max-attempts", attempts, time.Since(start), engine.ErrRetryBudget)
-		}
-		b.WaitCtx(ctx, deadline)
-	}
-}
-
-func noLock() {}
-
-// runSingle executes body against one shard. Writers hold the shard's gate
-// shared across each attempt so a cross-shard writer's exclusive gate can
-// fence them out of its prepare→publish window; readers run gate-free.
-func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, readonly bool, body func(*Tx) error) error {
-	return s.runSingleSB(ctx, opts, sid, readonly, nil, body)
-}
-
-// runSingleSB is runSingle with an optional deferred-sync target: a non-nil
-// sb absorbs the commit's durability wait (the caller syncs later, before
+// runSingle executes body against one shard through engine.Drive. Writers
+// hold the shard's gate shared across each attempt so a cross-shard writer's
+// exclusive gate can fence them out of its prepare→publish window; readers
+// run gate-free. The gate is released under defer, so a panic escaping the
+// attempt (the fault injector's ActPanic) cannot leak it. A non-nil sb
+// absorbs the commit's durability wait (the caller syncs later, before
 // acknowledging) instead of blocking here.
-func (s *Store) runSingleSB(ctx context.Context, opts engine.RunOptions, sid int, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
+func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
 	sh := &s.shards[sid]
 	t := Tx{s: s, sid: sid, readonly: readonly}
 	wrap := func(engine.Txn) error { return body(&t) }
 
-	lock, unlock := noLock, noLock
-	if !readonly {
-		lock, unlock = sh.xmu.RLock, sh.xmu.RUnlock
-	}
+	durable := s.wal != nil && !readonly
 	var commit func(engine.Txn) error
 	var ws *walScratch
-	if s.wal != nil && !readonly {
+	if durable {
 		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, &t, tx) }
 		ws = t.borrowWALScratch()
 	}
-	att := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		var tx engine.Txn
-		if readonly {
-			tx = sh.eng.BeginReadOnly()
-		} else {
-			tx = sh.eng.Begin()
+	conflicts, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+		if !readonly {
+			sh.xmu.RLock()
+			defer sh.xmu.RUnlock()
 		}
-		if ctx != nil {
-			if cb, ok := tx.(engine.CtxBinder); ok {
-				cb.BindContext(ctx, deadline)
-			}
-		}
-		if karma > 0 {
-			if ks, ok := tx.(engine.KarmaSetter); ok {
-				ks.SetKarma(karma)
-			}
-		}
-		t.raw = tx
+		t.raw = engine.BeginAttempt(ctx, deadline, karma, sh.eng, readonly)
 		t.counts = [NumOps]uint32{}
 		t.effs = t.effs[:0]
-		return engine.AttemptWith(tx, wrap, commit)
-	}
-	err := runLoop(ctx, opts, sh.eng.CM(), lock, unlock, att, func(conflicts int) {
+		return engine.AttemptWith(t.raw, wrap, commit)
+	})
+	if err == nil {
 		sh.eng.Metrics().ObserveRetries(conflicts)
 		s.fold(&t)
-	})
-	// The fsync wait runs after the gate is released, so parked commits never
-	// hold up other transactions; the write is acknowledged only once its log
-	// record (and its whole group) is durable. A SyncBatch defers that wait
-	// to the caller's acknowledgment boundary instead.
-	if s.wal != nil && !readonly {
-		if sb != nil {
-			sb.note(&t)
-		} else if serr := s.walSyncAll(&t); err == nil {
-			err = serr
-		}
-		ws.release(&t)
+	}
+	if durable {
+		err = s.walSettle(&t, ws, sb, err)
 	}
 	return err
 }
 
-// runCross executes body across the declared shard set (nil = every shard)
-// through the two-phase gate protocol.
-func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []bool, readonly bool, body func(*Tx) error) error {
-	return s.runCrossSB(ctx, opts, allowed, readonly, nil, body)
+// walSettle is the durable runners' epilogue. It runs after the gates are
+// released, so parked commits never hold up other transactions: the write is
+// acknowledged only once its log record (and its whole group) is durable,
+// unless a SyncBatch defers that wait to the caller's acknowledgment boundary.
+func (s *Store) walSettle(t *Tx, ws *walScratch, sb *SyncBatch, err error) error {
+	if sb != nil {
+		sb.note(t)
+	} else if serr := s.walSyncAll(t); err == nil {
+		err = serr
+	}
+	ws.release(t)
+	return err
 }
 
-// runCrossSB is runCross with an optional deferred-sync target (see
-// runSingleSB).
-func (s *Store) runCrossSB(ctx context.Context, opts engine.RunOptions, allowed []bool, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
+// runCross executes body across the declared shard set (nil = every shard)
+// through the two-phase gate protocol, one engine.Drive attempt per gate
+// hold; sb is as in runSingle.
+func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []bool, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
 	t := Tx{
 		s:        s,
 		sid:      -1,
@@ -806,18 +685,10 @@ func (s *Store) runCrossSB(ctx context.Context, opts engine.RunOptions, allowed 
 		allowed:  allowed,
 	}
 	exclusive := !readonly
+	durable := s.wal != nil && !readonly
 	var ws *walScratch
-	if s.wal != nil && !readonly {
+	if durable {
 		ws = t.borrowWALScratch()
-	}
-	att := func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		t.ctx, t.deadline = ctx, deadline
-		t.karma = karma
-		err, conflicted := t.crossAttempt(body)
-		if conflicted {
-			s.crossRetries.Add(1)
-		}
-		return err, conflicted
 	}
 	// Cross-shard attempts are paced by the first involved shard's
 	// controller: the set is locked in ascending order, so that shard sees
@@ -829,26 +700,38 @@ func (s *Store) runCrossSB(ctx context.Context, opts engine.RunOptions, allowed 
 			break
 		}
 	}
-	err := runLoop(ctx, opts, s.shards[cmSid].eng.CM(),
-		func() { s.lockShards(allowed, exclusive) },
-		func() { s.unlockShards(allowed, exclusive) },
-		att,
-		func(conflicts int) {
-			for _, sid := range t.committed {
-				s.shards[sid].eng.Metrics().ObserveRetries(conflicts)
-			}
-			s.crossCommits.Add(1)
-			s.fold(&t)
-		})
-	if s.wal != nil && !readonly {
-		if sb != nil {
-			sb.note(&t)
-		} else if serr := s.walSyncAll(&t); err == nil {
-			err = serr
+	conflicts, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+		s.lockShards(allowed, exclusive)
+		defer s.unlockShards(allowed, exclusive)
+		t.ctx, t.deadline, t.karma = ctx, deadline, karma
+		err, conflicted := t.crossAttempt(body)
+		if conflicted {
+			s.crossRetries.Add(1)
 		}
-		ws.release(&t)
+		return err, conflicted
+	})
+	if err == nil {
+		for _, sid := range t.committed {
+			s.shards[sid].eng.Metrics().ObserveRetries(conflicts)
+		}
+		s.crossCommits.Add(1)
+		s.fold(&t)
+	}
+	if durable {
+		err = s.walSettle(&t, ws, sb, err)
 	}
 	return err
+}
+
+// runKeys routes a declared key set: the single-shard fast path when every
+// key co-locates, the cross-shard protocol over exactly the declared shards
+// otherwise.
+func (s *Store) runKeys(ctx context.Context, opts engine.RunOptions, keys [][]byte, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
+	sid, set := s.shardSetOf(keys)
+	if sid >= 0 {
+		return s.runSingle(ctx, opts, sid, readonly, sb, body)
+	}
+	return s.runCross(ctx, opts, set, readonly, sb, body)
 }
 
 // shardSetOf classifies keys: a single shard id (and nil set) when every key
@@ -883,13 +766,13 @@ func (s *Store) shardSetOf(keys [][]byte) (int, []bool) {
 // and is returned unchanged. Per-type op counters fold in only after a
 // successful commit, so retried attempts are not double-counted.
 func (s *Store) Atomic(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, false, body)
+	return s.runCross(nil, engine.RunOptions{}, nil, false, nil, body)
 }
 
 // View runs body as a read-only transaction over the whole store (cheaper
 // protocol; mutating operations panic).
 func (s *Store) View(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, true, body)
+	return s.runCross(nil, engine.RunOptions{}, nil, true, nil, body)
 }
 
 // AtomicCtx is Atomic bounded by ctx and opts (see memtx.TM.AtomicCtx): on
@@ -897,36 +780,37 @@ func (s *Store) View(body func(t *Tx) error) error {
 // an *engine.TimeoutError instead of retrying forever. The store is
 // unchanged when it gives up — the failed attempts all rolled back.
 func (s *Store) AtomicCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, nil, false, body)
+	return s.runCross(ctx, opts, nil, false, nil, body)
 }
 
 // ViewCtx is View bounded by ctx and opts (see AtomicCtx).
 func (s *Store) ViewCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, nil, true, body)
+	return s.runCross(ctx, opts, nil, true, nil, body)
 }
 
 // AtomicKey runs body as a transaction pinned to key's shard — the
 // single-shard fast path. Every key body touches must hash to the same
 // shard; a key outside it panics.
 func (s *Store) AtomicKey(key []byte, body func(t *Tx) error) error {
-	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), false, body)
+	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), false, nil, body)
 }
 
 // ViewKey is AtomicKey's read-only counterpart. It needs no cross-shard
 // coordination at all: a shard's publish is one atomic engine commit, so a
 // single-shard snapshot can never observe a torn cross-shard write.
 func (s *Store) ViewKey(key []byte, body func(t *Tx) error) error {
-	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), true, body)
+	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), true, nil, body)
 }
 
 // AtomicKeyCtx is AtomicKey bounded by ctx and opts (see AtomicCtx).
 func (s *Store) AtomicKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, s.KeyShard(key), false, body)
+	return s.runSingle(ctx, opts, s.KeyShard(key), false, nil, body)
 }
 
-// ViewKeyCtx is ViewKey bounded by ctx and opts (see AtomicCtx).
+// ViewKeyCtx is ViewKey bounded by ctx and opts (see AtomicCtx). A nil ctx
+// with zero opts is ViewKey.
 func (s *Store) ViewKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}, s.KeyShard(key), true, body)
+	return s.runSingle(ctx, opts, s.KeyShard(key), true, nil, body)
 }
 
 // AtomicKeys runs body as one atomic transaction over the shards the given
@@ -934,61 +818,40 @@ func (s *Store) ViewKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte
 // path; otherwise it runs the cross-shard two-phase protocol over exactly
 // the declared shards. Body may touch any key whose shard is declared.
 func (s *Store) AtomicKeys(keys [][]byte, body func(t *Tx) error) error {
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(nil, engine.RunOptions{}, sid, false, body)
-	}
-	return s.runCross(nil, engine.RunOptions{}, set, false, body)
+	return s.runKeys(nil, engine.RunOptions{}, keys, false, nil, body)
 }
 
 // ViewKeys is AtomicKeys' read-only counterpart.
 func (s *Store) ViewKeys(keys [][]byte, body func(t *Tx) error) error {
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(nil, engine.RunOptions{}, sid, true, body)
-	}
-	return s.runCross(nil, engine.RunOptions{}, set, true, body)
+	return s.runKeys(nil, engine.RunOptions{}, keys, true, nil, body)
 }
 
 // AtomicKeysCtx is AtomicKeys bounded by ctx and opts (see AtomicCtx).
 func (s *Store) AtomicKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(ctx, ro, sid, false, body)
-	}
-	return s.runCross(ctx, ro, set, false, body)
+	return s.runKeys(ctx, opts, keys, false, nil, body)
 }
 
-// ViewKeysCtx is ViewKeys bounded by ctx and opts (see AtomicCtx).
+// ViewKeysCtx is ViewKeys bounded by ctx and opts (see AtomicCtx). A nil ctx
+// with zero opts is ViewKeys.
 func (s *Store) ViewKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingle(ctx, ro, sid, true, body)
-	}
-	return s.runCross(ctx, ro, set, true, body)
+	return s.runKeys(ctx, opts, keys, true, nil, body)
 }
 
 // AtomicKeyDefer is AtomicKeyCtx with the commit's durability wait deferred
 // into sb: the transaction commits and its log record is appended, but the
 // call returns without waiting for the fsync. The caller MUST call sb.Wait
-// before acknowledging the write to anyone. A nil ctx is allowed; on a store
-// without a WAL it behaves exactly like AtomicKeyCtx.
+// before acknowledging the write to anyone. A nil ctx with zero opts takes
+// the unbounded path; with a nil sb (a store without a WAL has no other kind)
+// it is exactly AtomicKeyCtx — the one single-key write entry point that
+// subsumes the others.
 func (s *Store) AtomicKeyDefer(ctx context.Context, opts memtx.TxOptions, key []byte, sb *SyncBatch, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	return s.runSingleSB(ctx, ro, s.KeyShard(key), false, sb, body)
+	return s.runSingle(ctx, opts, s.KeyShard(key), false, sb, body)
 }
 
 // AtomicKeysDefer is AtomicKeysCtx with the commit's durability wait
 // deferred into sb (see AtomicKeyDefer).
 func (s *Store) AtomicKeysDefer(ctx context.Context, opts memtx.TxOptions, keys [][]byte, sb *SyncBatch, body func(t *Tx) error) error {
-	ro := engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed}
-	sid, set := s.shardSetOf(keys)
-	if sid >= 0 {
-		return s.runSingleSB(ctx, ro, sid, false, sb, body)
-	}
-	return s.runCrossSB(ctx, ro, set, false, sb, body)
+	return s.runKeys(ctx, opts, keys, false, sb, body)
 }
 
 // Reader is a reusable single-attempt read-only runner bound to one body.

@@ -95,11 +95,6 @@ type Options struct {
 	// WALInterval is the group-commit fsync interval for WAL cells
 	// (default 1ms).
 	WALInterval time.Duration
-	// WALQueue sizes the WAL's per-shard append pipeline for WAL cells, in
-	// the DurableConfig.AppendQueue encoding: 0 = the pipelined default,
-	// negative = the legacy buffered append path (appends write under the
-	// shard critical section).
-	WALQueue int
 	// Chaos, when non-nil, enables the fault injector for the measurement
 	// window of each self-hosted cell (after preload, disabled again before
 	// verification). It has no effect when driving a remote server.
@@ -569,10 +564,6 @@ type GridPoint struct {
 	// WALBatch is the durability setting the cell ran under, in the sweep
 	// flag's encoding: -1 = no WAL, otherwise the group-commit fsync batch.
 	WALBatch int
-	// WALQueue is the append-pipeline setting the cell ran under
-	// (Options.WALQueue encoding: 0 = pipelined default, negative = legacy
-	// buffered appends).
-	WALQueue int
 	// WALAppends, WALFsyncs, and WALGroupRecs are the WAL's append/fsync
 	// counters after the run (zero for -1 cells); GroupRecs / Fsyncs is the
 	// achieved group-commit amortization.
@@ -593,7 +584,6 @@ type Sweep struct {
 	CMs          []memtx.CMPolicy
 	WriteBatches []int // write-batch bounds, Options.MaxWriteBatch encoding
 	WALBatches   []int // durability settings: -1 = no WAL, else fsync batch
-	WALQueues    []int // append-pipeline settings, Options.WALQueue encoding
 }
 
 // RunSelfGrid measures the load mix against in-process servers, one per
@@ -637,9 +627,6 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 		}
 		sw.WALBatches = []int{wb}
 	}
-	if len(sw.WALQueues) == 0 {
-		sw.WALQueues = []int{o.WALQueue}
-	}
 	var points []GridPoint
 	for _, d := range sw.Designs {
 		for _, shards := range sw.Shards {
@@ -649,34 +636,30 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 						for _, cm := range sw.CMs {
 							for _, wbatch := range sw.WriteBatches {
 								for _, wal := range sw.WALBatches {
-									for _, walq := range sw.WALQueues {
-										o.MaxBatch = batch
-										o.MaxWriteBatch = wbatch
-										o.Dist = dist
-										o.CM = cm
-										if wal > 0 {
-											o.WALBatch = wal
-										} else {
-											o.WALBatch = 0
-										}
-										o.WALQueue = walq
-										p, err := runSelfCell(d, shards, np, o)
-										if err != nil {
-											return nil, fmt.Errorf("kvload: design %v shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d walq %d: %w",
-												d, shards, batch, np, dist, cm, wbatch, wal, walq, err)
-										}
-										p.Design = d.String()
-										p.Shards = shards
-										p.MaxBatch = batch
-										p.Procs = np
-										p.MaxWriteBatch = wbatch
-										p.Dist = dist.String()
-										p.Mix = o.Mix
-										p.CM = cm.String()
-										p.WALBatch = wal
-										p.WALQueue = walq
-										points = append(points, p)
+									o.MaxBatch = batch
+									o.MaxWriteBatch = wbatch
+									o.Dist = dist
+									o.CM = cm
+									if wal > 0 {
+										o.WALBatch = wal
+									} else {
+										o.WALBatch = 0
 									}
+									p, err := runSelfCell(d, shards, np, o)
+									if err != nil {
+										return nil, fmt.Errorf("kvload: design %v shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d: %w",
+											d, shards, batch, np, dist, cm, wbatch, wal, err)
+									}
+									p.Design = d.String()
+									p.Shards = shards
+									p.MaxBatch = batch
+									p.Procs = np
+									p.MaxWriteBatch = wbatch
+									p.Dist = dist.String()
+									p.Mix = o.Mix
+									p.CM = cm.String()
+									p.WALBatch = wal
+									points = append(points, p)
 								}
 							}
 						}
@@ -704,7 +687,6 @@ func runSelfCell(d memtx.Design, shards, procs int, o Options) (GridPoint, error
 			Dir:           dir,
 			FsyncBatch:    o.WALBatch,
 			FsyncInterval: o.WALInterval,
-			AppendQueue:   o.WALQueue,
 		})
 		if err != nil {
 			return GridPoint{}, err

@@ -183,16 +183,15 @@ var ErrServerClosed = errors.New("server: closed")
 // Server serves the stmkvd protocol over TCP. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown.
 type Server struct {
-	store         *kv.Store
-	maxFrame      int
-	maxBatch      int // 0 = read batching disabled
-	maxWriteBatch int // 0 = write batching disabled
-	errorLog      *log.Logger
-	sem           chan struct{}
-	cmdDeadline   time.Duration
-	queueTimeout  time.Duration
-	readTimeout   time.Duration
-	writeTimeout  time.Duration
+	store        *kv.Store
+	maxFrame     int
+	read, write  batchMode // the two ways pipelined commands coalesce
+	errorLog     *log.Logger
+	sem          chan struct{}
+	txOpts       memtx.TxOptions // per-command bound: MaxElapsed = CmdDeadline
+	queueTimeout time.Duration
+	readTimeout  time.Duration
+	writeTimeout time.Duration
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -201,25 +200,36 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	connsTotal     atomic.Uint64
-	protoErrors    atomic.Uint64
-	cmds           [NumCmds]atomic.Uint64
-	batches        atomic.Uint64
-	batchedCmds    atomic.Uint64
-	batchFallbacks atomic.Uint64
+	connsTotal  atomic.Uint64
+	protoErrors atomic.Uint64
+	cmds        [NumCmds]atomic.Uint64
+	shed        atomic.Uint64
+	panics      atomic.Uint64
+	deadlines   atomic.Uint64
+	evictions   atomic.Uint64
+	diskFull    atomic.Uint64
+	readOnly    atomic.Uint64
+	active      atomic.Int64
+	queued      atomic.Int64
+	inflight    atomic.Int64
+}
 
-	writeBatches        atomic.Uint64
-	writeBatchedCmds    atomic.Uint64
-	writeBatchFallbacks atomic.Uint64
-	shed                atomic.Uint64
-	panics              atomic.Uint64
-	deadlines           atomic.Uint64
-	evictions           atomic.Uint64
-	diskFull            atomic.Uint64
-	readOnly            atomic.Uint64
-	active              atomic.Int64
-	queued              atomic.Int64
-	inflight            atomic.Int64
+// batchMode is one of the two ways consecutive pipelined commands coalesce
+// into a single transaction: read-only commands into one snapshot, same-shard
+// SET/INCRs into one shard-local write transaction. Collection and execution
+// are shared (collectAndRun, execBatch); a mode supplies only what differs.
+type batchMode struct {
+	max int // most commands per batch; below min this kind of batching is off
+	min int // fewest commands worth a batch transaction; fewer run per command
+	// admit reports whether e — already known to be of this mode — may join
+	// the batch that first started.
+	admit func(first, e *batchEntry) bool
+	// run executes c.batch[:c.n] as the mode's one transaction, appending the
+	// response frames to c.out; false means the batch must fall back to
+	// per-command execution.
+	run func(c *conn) bool
+
+	batches, cmds, fallbacks atomic.Uint64
 }
 
 // New builds a server over store.
@@ -245,19 +255,35 @@ func New(store *kv.Store, cfg Config) *Server {
 	if cfg.ErrorLog == nil {
 		cfg.ErrorLog = log.Default()
 	}
-	return &Server{
-		store:         store,
-		maxFrame:      cfg.MaxFrame,
-		maxBatch:      cfg.MaxBatch,
-		maxWriteBatch: cfg.MaxWriteBatch,
-		errorLog:      cfg.ErrorLog,
-		sem:           make(chan struct{}, cfg.MaxInflight),
-		cmdDeadline:   cfg.CmdDeadline,
-		queueTimeout:  cfg.QueueTimeout,
-		readTimeout:   cfg.ReadTimeout,
-		writeTimeout:  cfg.WriteTimeout,
-		conns:         map[net.Conn]struct{}{},
+	s := &Server{
+		store:        store,
+		maxFrame:     cfg.MaxFrame,
+		errorLog:     cfg.ErrorLog,
+		sem:          make(chan struct{}, cfg.MaxInflight),
+		queueTimeout: cfg.QueueTimeout,
+		readTimeout:  cfg.ReadTimeout,
+		writeTimeout: cfg.WriteTimeout,
+		conns:        map[net.Conn]struct{}{},
 	}
+	if cfg.CmdDeadline > 0 {
+		s.txOpts.MaxElapsed = cfg.CmdDeadline
+	}
+	// Reads coalesce across shards, and even a lone read takes the batch path
+	// (the bound Reader answers it without allocating). Writes coalesce only
+	// within slot 0's shard, and a lone write gains nothing from the batch
+	// machinery.
+	s.read.max, s.read.min = cfg.MaxBatch, 1
+	s.read.admit = func(_, _ *batchEntry) bool { return true }
+	s.read.run = func(c *conn) bool {
+		committed, _ := c.reader.RunOnce()
+		return committed
+	}
+	s.write.max, s.write.min = cfg.MaxWriteBatch, 2
+	s.write.admit = func(first, e *batchEntry) bool { return e.shard == first.shard }
+	s.write.run = func(c *conn) bool {
+		return s.runAtomicKey(c, c.batch[0].cmd.Args[0].B, c.wbody) == nil
+	}
+	return s
 }
 
 // Store returns the server's store.
@@ -269,14 +295,14 @@ func (s *Server) CmdCount(c Cmd) uint64 { return s.cmds[c].Load() }
 // BatchStats returns the read-batching counters: snapshot batches executed
 // and how many of them failed validation and re-ran per command.
 func (s *Server) BatchStats() (batches, fallbacks uint64) {
-	return s.batches.Load(), s.batchFallbacks.Load()
+	return s.read.batches.Load(), s.read.fallbacks.Load()
 }
 
 // WriteBatchStats returns the write-batching counters: shard-local write
 // batches executed, commands answered through them, and batches whose
 // transaction failed and re-ran per command.
 func (s *Server) WriteBatchStats() (batches, cmds, fallbacks uint64) {
-	return s.writeBatches.Load(), s.writeBatchedCmds.Load(), s.writeBatchFallbacks.Load()
+	return s.write.batches.Load(), s.write.cmds.Load(), s.write.fallbacks.Load()
 }
 
 // RobustStats returns the degradation counters: commands shed with BUSY,
@@ -299,12 +325,12 @@ func (s *Server) ObsMetrics() []obs.Metric {
 		{Name: "stmkvd_connections_active", Help: "Currently open client connections.", Kind: obs.Gauge, Value: gauge(s.active.Load())},
 		{Name: "stmkvd_connections_total", Help: "Client connections accepted.", Kind: obs.Counter, Value: s.connsTotal.Load()},
 		{Name: "stmkvd_protocol_errors_total", Help: "Malformed frames and command bodies received.", Kind: obs.Counter, Value: s.protoErrors.Load()},
-		{Name: "stmkvd_read_batches_total", Help: "Read-only snapshot batches executed.", Kind: obs.Counter, Value: s.batches.Load()},
-		{Name: "stmkvd_read_batched_commands_total", Help: "Commands answered through read-only snapshot batches.", Kind: obs.Counter, Value: s.batchedCmds.Load()},
-		{Name: "stmkvd_read_batch_fallbacks_total", Help: "Batches whose snapshot failed validation and re-ran per command.", Kind: obs.Counter, Value: s.batchFallbacks.Load()},
-		{Name: "stmkvd_write_batches_total", Help: "Shard-local write batches executed.", Kind: obs.Counter, Value: s.writeBatches.Load()},
-		{Name: "stmkvd_write_batched_commands_total", Help: "Commands answered through shard-local write batches.", Kind: obs.Counter, Value: s.writeBatchedCmds.Load()},
-		{Name: "stmkvd_write_batch_fallbacks_total", Help: "Write batches whose transaction failed and re-ran per command.", Kind: obs.Counter, Value: s.writeBatchFallbacks.Load()},
+		{Name: "stmkvd_read_batches_total", Help: "Read-only snapshot batches executed.", Kind: obs.Counter, Value: s.read.batches.Load()},
+		{Name: "stmkvd_read_batched_commands_total", Help: "Commands answered through read-only snapshot batches.", Kind: obs.Counter, Value: s.read.cmds.Load()},
+		{Name: "stmkvd_read_batch_fallbacks_total", Help: "Batches whose snapshot failed validation and re-ran per command.", Kind: obs.Counter, Value: s.read.fallbacks.Load()},
+		{Name: "stmkvd_write_batches_total", Help: "Shard-local write batches executed.", Kind: obs.Counter, Value: s.write.batches.Load()},
+		{Name: "stmkvd_write_batched_commands_total", Help: "Commands answered through shard-local write batches.", Kind: obs.Counter, Value: s.write.cmds.Load()},
+		{Name: "stmkvd_write_batch_fallbacks_total", Help: "Write batches whose transaction failed and re-ran per command.", Kind: obs.Counter, Value: s.write.fallbacks.Load()},
 		{Name: "stmkvd_txns_queued", Help: "Commands waiting for an in-flight transaction slot.", Kind: obs.Gauge, Value: gauge(s.queued.Load())},
 		{Name: "stmkvd_txns_inflight", Help: "Store transactions currently executing.", Kind: obs.Gauge, Value: gauge(s.inflight.Load())},
 		{Name: "stmkvd_shed_total", Help: "Commands shed with BUSY after waiting QueueTimeout for a transaction slot.", Kind: obs.Counter, Value: s.shed.Load()},
@@ -432,7 +458,9 @@ type batchEntry struct {
 	frame []byte
 	cmd   wire.Command
 	id    Cmd
-	delta int64 // parsed INCR delta (write batches only)
+	mode  *batchMode // how the command may coalesce; nil = per-command only
+	shard int        // the key's shard (write mode only)
+	delta int64      // parsed INCR delta (write mode only)
 }
 
 // conn is one connection's reusable execution state: response scratch
@@ -441,9 +469,9 @@ type batchEntry struct {
 type conn struct {
 	out      []byte       // response frames accumulated this iteration
 	body     []byte       // response body scratch
-	batch    []batchEntry // command slots; len == max(1, maxBatch, maxWriteBatch)
+	batch    []batchEntry // command slots; len == max(1, read.max, write.max)
 	n        int          // commands collected into the current batch
-	wmark    int          // c.out length at write-batch start (attempt reset point)
+	mark     int          // c.out length at batch start (attempt reset point)
 	keys     [][]byte     // multi-key command scratch (shard routing)
 	reader   *kv.Reader
 	wbody    func(t *kv.Tx) error // bound writeBatchBody, reused across batches
@@ -453,9 +481,9 @@ type conn struct {
 }
 
 func (s *Server) newConn() *conn {
-	slots := s.maxBatch
-	if s.maxWriteBatch > slots {
-		slots = s.maxWriteBatch
+	slots := s.read.max
+	if s.write.max > slots {
+		slots = s.write.max
 	}
 	if slots < 1 {
 		slots = 1
@@ -545,26 +573,20 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		e.frame = frame
 		fatal := false
-		if perr := wire.ParseCommandInto(e.frame, &e.cmd); perr != nil {
+		if perr := s.parseEntry(e); perr != nil {
 			// The frame was well-formed, so the connection is still usable.
 			s.protoErrors.Add(1)
 			c.out = wire.AppendFrame(c.out, c.errBody(perr))
 		} else {
-			e.id = classify(e.cmd.Name)
-			// A command that ends one batch may begin a batch of the other
-			// kind (a write after a read burst, a read after a write burst):
-			// the collectors hand it back in slot 0 and dispatch repeats.
+			// The command that ends a batch comes back in slot 0: it may begin
+			// a batch of its own (a write after a read burst, a read after a
+			// write burst, a write on another shard), so dispatch repeats.
 			for handoff := true; handoff; {
-				handoff = false
-				if s.maxBatch > 0 && batchable(e) {
-					fatal, handoff = s.collectAndRunBatch(c, br)
-				} else if s.maxWriteBatch > 1 && writeBatchable(e) {
-					fatal, handoff = s.collectAndRunWriteBatch(c, br)
-				} else {
-					resp := s.execute(c, &e.cmd, e.id)
-					s.cmds[e.id].Add(1)
-					c.out = wire.AppendFrame(c.out, resp)
+				if e.mode == nil {
+					s.executeOne(c, e)
+					break
 				}
+				fatal, handoff = s.collectAndRun(c, br, e.mode)
 			}
 		}
 		if connChaos(chaos.RespWrite) {
@@ -654,70 +676,93 @@ func (s *Server) writeErr(nc net.Conn, err error) {
 	}
 }
 
-// collectAndRunBatch gathers further batchable commands already sitting in
-// br's buffer into c.batch (slot 0 is parsed), executes the batch, then
-// answers whatever ended collection: a command that can start a write batch
-// is swapped into slot 0 and handed back to the dispatcher (handoff true),
-// any other command runs through the per-command path, a malformed body gets
-// its ERR — always after the batch, preserving arrival order. It never reads
-// from the network: FrameBuffered only admits frames that are fully
-// buffered. fatal reports that framing was lost and the connection must
-// close.
-func (s *Server) collectAndRunBatch(c *conn, br *bufio.Reader) (fatal, handoff bool) {
+// parseEntry parses e.frame into e.cmd and classifies the command once: its
+// id and the batch mode, if any, it may coalesce under — for a write also its
+// key's shard and (via writeBatchable) the INCR delta, so neither the
+// collector nor the dispatcher ever re-derives them.
+func (s *Server) parseEntry(e *batchEntry) error {
+	if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
+		return err
+	}
+	e.id = classify(e.cmd.Name)
+	e.mode = nil
+	switch {
+	case s.read.max >= s.read.min && batchable(e):
+		e.mode = &s.read
+	case s.write.max >= s.write.min && writeBatchable(e):
+		e.mode = &s.write
+		e.shard = s.store.KeyShard(e.cmd.Args[0].B)
+	}
+	return nil
+}
+
+// executeOne runs e through the per-command path and answers it.
+func (s *Server) executeOne(c *conn, e *batchEntry) {
+	resp := s.execute(c, &e.cmd, e.id)
+	s.cmds[e.id].Add(1)
+	c.out = wire.AppendFrame(c.out, resp)
+}
+
+// collectAndRun is the one batch collector. Slot 0 holds a parsed command of
+// mode m; it gathers further commands already sitting in br's buffer that m
+// admits into c.batch, executes the batch, then deals with whatever ended
+// collection — always after the batch, preserving arrival order: a command m
+// did not admit is swapped into slot 0 and handed back to the dispatcher
+// (handoff true), a malformed body gets its ERR, and a framing error gets its
+// ERR and closes the connection (fatal true). It never reads from the
+// network: FrameBuffered only admits frames that are fully buffered, so
+// collection cannot block mid-batch.
+func (s *Server) collectAndRun(c *conn, br *bufio.Reader, m *batchMode) (fatal, handoff bool) {
 	c.n = 1
-	var pending *batchEntry // trailing non-batchable command
-	var pendErr error       // trailing parse error
-	var frameErr error      // framing error: connection closes after the batch
-	for c.n < s.maxBatch && wire.FrameBuffered(br) {
+	var endErr error // parse or framing error that ended collection
+	for c.n < m.max && wire.FrameBuffered(br) {
 		e := &c.batch[c.n]
 		frame, err := wire.ReadFrameInto(br, s.maxFrame, e.frame)
 		if err != nil {
-			frameErr = err
+			endErr, fatal = err, true
 			break
 		}
 		e.frame = frame
-		if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
-			pendErr = err
+		if endErr = s.parseEntry(e); endErr != nil {
 			break
 		}
-		e.id = classify(e.cmd.Name)
-		if !batchable(e) {
-			pending = e
+		if e.mode != m || !m.admit(&c.batch[0], e) {
+			handoff = true
 			break
 		}
 		c.n++
 	}
 	pendIdx := c.n
-	s.execBatch(c)
+	s.execBatch(c, m)
 	switch {
-	case pending != nil:
-		if s.maxWriteBatch > 1 && writeBatchable(pending) {
-			c.batch[0], c.batch[pendIdx] = c.batch[pendIdx], c.batch[0]
-			return false, true
-		}
-		resp := s.execute(c, &pending.cmd, pending.id)
-		s.cmds[pending.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-	case pendErr != nil:
+	case handoff:
+		c.batch[0], c.batch[pendIdx] = c.batch[pendIdx], c.batch[0]
+	case endErr != nil:
 		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(pendErr))
-	case frameErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(frameErr))
-		return true, false
+		c.out = wire.AppendFrame(c.out, c.errBody(endErr))
 	}
-	return false, false
+	return fatal, handoff
 }
 
-// execBatch answers c.batch[:c.n] — all read-only commands — appending one
-// response frame per command to c.out. GET and MGET entries execute inside
-// one read-only snapshot transaction; if its commit-time validation fails
-// the batch's partial output is discarded and every command re-runs through
-// the per-command path. A batch of only PINGs skips the store entirely.
-func (s *Server) execBatch(c *conn) {
+// execBatch answers c.batch[:c.n] — commands of mode m — appending one
+// response frame per command to c.out. The batch runs as m's one
+// transaction, so a pipelined burst pays one begin/validate/commit instead of
+// one per command. If that transaction fails (a read snapshot's commit-time
+// validation, a write's deadline, a panic) the batch's partial output is
+// discarded and every command re-runs through the per-command path, each
+// succeeding or failing on its own. A batch of only PINGs skips the store
+// entirely; a batch smaller than m.min skips the batch machinery.
+func (s *Server) execBatch(c *conn, m *batchMode) {
 	n := c.n
-	s.batches.Add(1)
-	s.batchedCmds.Add(uint64(n))
+	if n < m.min {
+		for i := 0; i < n; i++ {
+			s.executeOne(c, &c.batch[i])
+		}
+		c.n = 0
+		return
+	}
+	m.batches.Add(1)
+	m.cmds.Add(uint64(n))
 	needsTxn := false
 	for i := 0; i < n; i++ {
 		if c.batch[i].id != CmdPing {
@@ -735,12 +780,10 @@ func (s *Server) execBatch(c *conn) {
 			c.out = wire.AppendFrame(c.out, bodyBusy)
 		}
 	} else {
-		mark := len(c.out)
-		committed := s.runBatchSnapshot(c)
-		s.release(c)
-		if !committed {
-			s.batchFallbacks.Add(1)
-			c.out = c.out[:mark]
+		c.mark = len(c.out)
+		if !s.runBatchTxn(c, m) {
+			m.fallbacks.Add(1)
+			c.out = c.out[:c.mark]
 			for i := 0; i < n; i++ {
 				e := &c.batch[i]
 				c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
@@ -753,20 +796,20 @@ func (s *Server) execBatch(c *conn) {
 	c.n = 0
 }
 
-// runBatchSnapshot runs the batch's snapshot attempt with panic
-// containment: a panic inside the snapshot (chaos-injected or real)
-// releases the transaction slot and reports not-committed, so the batch
-// falls back to per-command execution like a validation failure would.
-func (s *Server) runBatchSnapshot(c *conn) (committed bool) {
+// runBatchTxn runs the batch's transaction in the slot acquire claimed, with
+// panic containment: a panic inside it (chaos-injected or real) is counted
+// and reports not-committed, so the batch falls back to per-command execution
+// — where each command gets its own containment — like a validation failure
+// would. The slot is released on every path.
+func (s *Server) runBatchTxn(c *conn, m *batchMode) (committed bool) {
 	defer func() {
+		s.release(c)
 		if r := recover(); r != nil {
-			s.release(c)
 			s.panics.Add(1)
 			committed = false
 		}
 	}()
-	committed, _ = c.reader.RunOnce()
-	return committed
+	return m.run(c)
 }
 
 // snapshotBody answers the collected batch against one read-only snapshot,
@@ -841,119 +884,6 @@ func writeBatchable(e *batchEntry) bool {
 	return false
 }
 
-// collectAndRunWriteBatch is collectAndRunBatch's write-side twin: it
-// gathers further write commands already sitting in br's buffer whose keys
-// hash to slot 0's shard, executes the batch as one shard-local write
-// transaction, then answers whatever ended collection after the batch,
-// preserving arrival order. A trailing command that can itself start a batch
-// — a read, or a write on a different shard — is handed back to the
-// dispatcher in slot 0. Like the read path it never reads from the network,
-// so collection cannot block mid-batch.
-func (s *Server) collectAndRunWriteBatch(c *conn, br *bufio.Reader) (fatal, handoff bool) {
-	c.n = 1
-	shard := s.store.KeyShard(c.batch[0].cmd.Args[0].B)
-	var pending *batchEntry // trailing non-batchable or cross-shard command
-	var pendErr error       // trailing parse error
-	var frameErr error      // framing error: connection closes after the batch
-	for c.n < s.maxWriteBatch && wire.FrameBuffered(br) {
-		e := &c.batch[c.n]
-		frame, err := wire.ReadFrameInto(br, s.maxFrame, e.frame)
-		if err != nil {
-			frameErr = err
-			break
-		}
-		e.frame = frame
-		if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
-			pendErr = err
-			break
-		}
-		e.id = classify(e.cmd.Name)
-		if !writeBatchable(e) || s.store.KeyShard(e.cmd.Args[0].B) != shard {
-			pending = e
-			break
-		}
-		c.n++
-	}
-	pendIdx := c.n
-	s.execWriteBatch(c)
-	switch {
-	case pending != nil:
-		if (s.maxBatch > 0 && batchable(pending)) || writeBatchable(pending) {
-			c.batch[0], c.batch[pendIdx] = c.batch[pendIdx], c.batch[0]
-			return false, true
-		}
-		resp := s.execute(c, &pending.cmd, pending.id)
-		s.cmds[pending.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-	case pendErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(pendErr))
-	case frameErr != nil:
-		s.protoErrors.Add(1)
-		c.out = wire.AppendFrame(c.out, c.errBody(frameErr))
-		return true, false
-	}
-	return false, false
-}
-
-// execWriteBatch answers c.batch[:c.n] — consecutive same-shard SET/INCR
-// commands — appending one response frame per command to c.out. Two or more
-// commands run inside one shard-local write transaction, so a pipelined
-// hot-key burst pays one begin/acquire/commit instead of one per command. If
-// the transaction fails (deadline, panic) the batch's partial output is
-// discarded and every command re-runs through the per-command path, each
-// succeeding or failing on its own. A lone write skips the batch machinery.
-func (s *Server) execWriteBatch(c *conn) {
-	n := c.n
-	if n == 1 {
-		c.n = 0
-		e := &c.batch[0]
-		resp := s.execute(c, &e.cmd, e.id)
-		s.cmds[e.id].Add(1)
-		c.out = wire.AppendFrame(c.out, resp)
-		return
-	}
-	s.writeBatches.Add(1)
-	s.writeBatchedCmds.Add(uint64(n))
-	if !s.acquire(c) {
-		// Shed: every command in the batch gets a retriable BUSY; none ran.
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyBusy)
-		}
-	} else {
-		c.wmark = len(c.out)
-		err := s.runWriteBatchTxn(c)
-		s.release(c)
-		if err != nil {
-			s.writeBatchFallbacks.Add(1)
-			c.out = c.out[:c.wmark]
-			for i := 0; i < n; i++ {
-				e := &c.batch[i]
-				c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.cmds[c.batch[i].id].Add(1)
-	}
-	c.n = 0
-}
-
-// runWriteBatchTxn runs the batch's transaction with panic containment: a
-// panic inside the body (chaos-injected or real) releases the transaction
-// slot, is counted, and reports an error so the batch falls back to
-// per-command execution — where each command gets its own containment.
-func (s *Server) runWriteBatchTxn(c *conn) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.release(c)
-			s.panics.Add(1)
-			err = fmt.Errorf("server: write batch panic: %v", r)
-		}
-	}()
-	return s.runAtomicKey(c, c.batch[0].cmd.Args[0].B, c.wbody)
-}
-
 // writeBatchBody applies the collected batch inside one write transaction,
 // appending response frames to c.out. The body may re-run on conflict, so it
 // truncates c.out back to the batch's start each attempt — output from a
@@ -962,7 +892,7 @@ func (s *Server) runWriteBatchTxn(c *conn) (err error) {
 // alone, so the SETs land and the INCR earns its ERR exactly as an unbatched
 // pipeline would.
 func (c *conn) writeBatchBody(t *kv.Tx) error {
-	c.out = c.out[:c.wmark]
+	c.out = c.out[:c.mark]
 	for i := 0; i < c.n; i++ {
 		e := &c.batch[i]
 		switch e.id {
@@ -1110,50 +1040,24 @@ func (s *Server) release(c *conn) {
 // reaches the wire, so pipelined writes in one window share one group-commit
 // wait per shard instead of parking per command.
 func (s *Server) runAtomicKey(c *conn, key []byte, body func(t *kv.Tx) error) error {
-	opts := memtx.TxOptions{}
-	if s.cmdDeadline > 0 {
-		opts.MaxElapsed = s.cmdDeadline
-	}
-	if c.sb != nil {
-		return s.store.AtomicKeyDefer(nil, opts, key, c.sb, body)
-	}
-	if s.cmdDeadline <= 0 {
-		return s.store.AtomicKey(key, body)
-	}
-	return s.store.AtomicKeyCtx(context.Background(), opts, key, body)
+	return s.store.AtomicKeyDefer(nil, s.txOpts, key, c.sb, body)
 }
 
 // runViewKey is runAtomicKey's read-only twin.
 func (s *Server) runViewKey(key []byte, body func(t *kv.Tx) error) error {
-	if s.cmdDeadline <= 0 {
-		return s.store.ViewKey(key, body)
-	}
-	return s.store.ViewKeyCtx(context.Background(), memtx.TxOptions{MaxElapsed: s.cmdDeadline}, key, body)
+	return s.store.ViewKeyCtx(nil, s.txOpts, key, body)
 }
 
 // runAtomicKeys runs body atomically over the shards keys hash to: locally
 // when they co-locate, through the cross-shard commit path otherwise. Like
 // runAtomicKey it defers the durability wait into c's SyncBatch.
 func (s *Server) runAtomicKeys(c *conn, keys [][]byte, body func(t *kv.Tx) error) error {
-	opts := memtx.TxOptions{}
-	if s.cmdDeadline > 0 {
-		opts.MaxElapsed = s.cmdDeadline
-	}
-	if c.sb != nil {
-		return s.store.AtomicKeysDefer(nil, opts, keys, c.sb, body)
-	}
-	if s.cmdDeadline <= 0 {
-		return s.store.AtomicKeys(keys, body)
-	}
-	return s.store.AtomicKeysCtx(context.Background(), opts, keys, body)
+	return s.store.AtomicKeysDefer(nil, s.txOpts, keys, c.sb, body)
 }
 
 // runViewKeys is runAtomicKeys' read-only twin.
 func (s *Server) runViewKeys(keys [][]byte, body func(t *kv.Tx) error) error {
-	if s.cmdDeadline <= 0 {
-		return s.store.ViewKeys(keys, body)
-	}
-	return s.store.ViewKeysCtx(context.Background(), memtx.TxOptions{MaxElapsed: s.cmdDeadline}, keys, body)
+	return s.store.ViewKeysCtx(nil, s.txOpts, keys, body)
 }
 
 // cmdErr renders a command error, counting deadline/budget exhaustion on

@@ -71,49 +71,69 @@ func TestWriteBatchCoalescesIncrBurst(t *testing.T) {
 }
 
 // TestWriteBatchMixedPipelineOrder checks strict response ordering around
-// batch boundaries when reads and writes alternate, and that the trailing
-// read that ends a write batch still gets to start a read batch (and vice
-// versa) rather than falling through to the per-command path.
+// batch boundaries when reads and writes interleave read→write→read→write in
+// one pipelined window, and that the command that ends a batch of one kind
+// still gets to start a batch of the other (the collector hands it back to
+// the dispatcher) rather than falling through to the per-command path.
 func TestWriteBatchMixedPipelineOrder(t *testing.T) {
 	store := kv.New(kv.Config{Shards: 1, Buckets: 64})
 	srv, ln := startPipeServer(t, store, server.Config{})
 	conn := ln.dial()
 	t.Cleanup(func() { conn.Close() })
 
+	pipeline := []struct{ req, resp string }{
+		{"GET $1:k", "NIL"}, // read batch 1
+		{"PING", "PONG"},
+		{"SET $1:k $2:v1", "OK"}, // write batch 1
+		{"INCR $1:c 1", ":1"},
+		{"GET $1:k", "VAL $2:v1"}, // read batch 2
+		{"GET $1:c", "VAL $1:1"},
+		{"INCR $1:c 2", ":3"}, // write batch 2
+		{"SET $1:k $2:v2", "OK"},
+		{"INCR $1:c 3", ":6"},
+		{"DEL $1:k", ":1"},        // ends the write batch; never batches
+		{"GET $1:k", "NIL"},       // read batch 3
+		{"SET $1:k $2:v3", "OK"},  // a lone write runs per-command
+		{"GET $1:k", "VAL $2:v3"}, // read batch 4
+	}
 	var burst []byte
-	for _, body := range []string{
-		"SET $1:k $2:v1",
-		"INCR $1:c 1",
-		"GET $1:k",
-		"SET $1:k $2:v2",
-		"GET $1:k",
-	} {
-		burst = wire.AppendFrame(burst, []byte(body))
+	for _, p := range pipeline {
+		burst = wire.AppendFrame(burst, []byte(p.req))
 	}
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	want := []string{"OK", ":1", "VAL $2:v1", "OK", "VAL $2:v2"}
-	for i, w := range want {
+	for i, p := range pipeline {
 		body, err := wire.ReadFrame(br, 0)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		if string(body) != w {
-			t.Fatalf("response %d = %q, want %q", i, body, w)
+		if string(body) != p.resp {
+			t.Fatalf("response %d (%s) = %q, want %q", i, p.req, body, p.resp)
 		}
 	}
-	// [SET INCR] coalesced; the lone trailing SET runs per-command, so only
-	// one batch of two commands is counted.
-	if got := metricValue(t, srv, "stmkvd_write_batches_total"); got != 1 {
-		t.Errorf("write batches = %d, want 1", got)
+	for _, m := range []struct {
+		name string
+		want uint64
+	}{
+		{"stmkvd_read_batches_total", 4},
+		{"stmkvd_read_batched_commands_total", 6},
+		{"stmkvd_read_batch_fallbacks_total", 0},
+		{"stmkvd_write_batches_total", 2},
+		{"stmkvd_write_batched_commands_total", 5},
+		{"stmkvd_write_batch_fallbacks_total", 0},
+	} {
+		if got := metricValue(t, srv, m.name); got != m.want {
+			t.Errorf("%s = %d, want %d", m.name, got, m.want)
+		}
 	}
-	if got := metricValue(t, srv, "stmkvd_write_batched_commands_total"); got != 2 {
-		t.Errorf("write batched commands = %d, want 2", got)
-	}
-	if got := metricValue(t, srv, "stmkvd_read_batched_commands_total"); got != 2 {
-		t.Errorf("read batched commands = %d, want 2 (handoff reads must still batch)", got)
+	for cmd, want := range map[server.Cmd]uint64{
+		server.CmdGet: 5, server.CmdPing: 1, server.CmdSet: 3, server.CmdIncr: 3, server.CmdDel: 1,
+	} {
+		if got := srv.CmdCount(cmd); got != want {
+			t.Errorf("%v commands counted = %d, want %d", cmd, got, want)
+		}
 	}
 }
 

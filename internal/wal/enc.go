@@ -8,9 +8,8 @@ import (
 // Enc is a pooled, pre-encoded log record: one complete frame whose payload
 // body is rendered by the committer *before* it enters any critical section.
 // The LSN field is stamped when the record is reserved (under the log mutex)
-// and the CRC is sealed by whoever writes the frame — the appender goroutine
-// in pipeline mode — so the commit critical section carries none of the
-// encoding or checksum cost.
+// and the CRC is sealed by the appender goroutine that writes the frame, so
+// the commit critical section carries none of the encoding or checksum cost.
 type Enc struct {
 	buf []byte // frame header (unsealed) | lsn (unstamped) | kind | body
 }

@@ -31,13 +31,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// 0 means the 64 MiB default.
 	SegmentBytes int64
-	// AppendQueue sizes the append pipeline: appends reserve an LSN and
-	// enqueue a pre-encoded record under the log mutex, and a per-shard
-	// appender goroutine drains the queue in LSN order with vectored batch
-	// writes. 0 selects the default capacity (1024); a negative value
-	// disables the pipeline, making appends encode into the shared buffer
-	// synchronously as in the pre-pipeline path.
-	AppendQueue int
 	// FS is the storage layer all WAL file I/O goes through. Nil selects the
 	// OS passthrough; tests substitute walfs.Mem / walfs.Fault for crash-point
 	// exploration and disk-fault injection.
@@ -49,7 +42,9 @@ type Options struct {
 
 const (
 	defaultSegmentBytes = 64 << 20
-	defaultAppendQueue  = 1024
+	// appendQueueCap bounds the records reserved but not yet written per
+	// shard; a full queue blocks the appending transaction (back-pressure).
+	appendQueueCap = 1024
 	// iovMax caps records per vectored write: linux guarantees IOV_MAX >= 1024.
 	iovMax = 1024
 )
@@ -66,16 +61,6 @@ func (o Options) fs() walfs.FS {
 		return walfs.OS()
 	}
 	return o.FS
-}
-
-func (o Options) queueCap() int {
-	if o.AppendQueue < 0 {
-		return 0
-	}
-	if o.AppendQueue == 0 {
-		return defaultAppendQueue
-	}
-	return o.AppendQueue
 }
 
 const segSuffix = ".seg"
@@ -98,14 +83,13 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// Log is one shard's write-ahead log: segmented files fed either by an append
-// pipeline (the default) or a shared in-memory buffer, with leader-based
-// group commit on top.
+// Log is one shard's write-ahead log: segmented files fed by an append
+// pipeline, with leader-based group commit on top.
 //
-// In pipeline mode an append only reserves the next LSN and enqueues a
-// pre-encoded record under a short mutex; a dedicated appender goroutine
-// drains the queue in LSN order, seals CRCs, and writes whole batches with
-// one vectored write each. The appender owns all file I/O — segment writes,
+// An append only reserves the next LSN and enqueues a pre-encoded record
+// under a short mutex; a dedicated appender goroutine drains the queue in LSN
+// order, seals CRCs, and writes whole batches with one vectored write each.
+// The appender owns all file I/O — segment writes,
 // rotation, and fsyncs — so group-commit leaders post durability requests
 // and wait instead of touching the file themselves. Commit critical sections
 // therefore never wait on I/O; only Sync does.
@@ -115,19 +99,20 @@ type Log struct {
 	fs    walfs.FS
 	shard int
 
-	// mu guards the append state: LSNs, the queue (or buffer), the rotation
-	// decision, and the pipeline's request/progress fields.
+	// mu guards the append state: LSNs, the queue, the rotation decision,
+	// and the pipeline's request/progress fields.
 	mu       sync.Mutex
 	f        walfs.File
 	segSize  int64
-	buf      []byte // buffered mode only
 	nextLSN  uint64 // LSN the next append will take
 	appended uint64 // last LSN handed out (0 = none yet)
 	pending  int    // records appended but not yet covered by a flush/sync
 	failed   error  // sticky first write/fsync error; the log is wedged after
 
-	// Append pipeline state (queueCap > 0). The appender goroutine is the
-	// only writer of written/fsynced and the only party doing file I/O.
+	// Append pipeline state. The appender goroutine is the only writer of
+	// written/fsynced and the only party doing file I/O. queueCap is
+	// appendQueueCap; it is a field only so in-package tests can shrink it
+	// (under mu, before appending) to force back-pressure.
 	queueCap     int
 	queue        []*Enc     // records reserved but not yet written, LSN order
 	qspare       []*Enc     // double-buffer for queue swaps
@@ -185,7 +170,7 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 		appended:  nextLSN - 1,
 		written:   nextLSN - 1,
 		fsynced:   nextLSN - 1,
-		queueCap:  opts.queueCap(),
+		queueCap:  appendQueueCap,
 		batchFull: make(chan struct{}, 1),
 	}
 	l.gcond = sync.NewCond(&l.gmu)
@@ -193,18 +178,13 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 	if err := l.openSegment(nextLSN); err != nil {
 		return nil, err
 	}
-	if l.pipelined() {
-		l.acond = sync.NewCond(&l.mu)
-		l.pcond = sync.NewCond(&l.mu)
-		l.spaceCond = sync.NewCond(&l.mu)
-		l.appenderDone = make(chan struct{})
-		go l.appendLoop()
-	}
+	l.acond = sync.NewCond(&l.mu)
+	l.pcond = sync.NewCond(&l.mu)
+	l.spaceCond = sync.NewCond(&l.mu)
+	l.appenderDone = make(chan struct{})
+	go l.appendLoop()
 	return l, nil
 }
-
-// pipelined reports whether the append pipeline is enabled.
-func (l *Log) pipelined() bool { return l.queueCap > 0 }
 
 // openSegment creates a new active segment whose records will all have
 // LSN >= first. Called with l.mu held (or before the log is shared).
@@ -268,8 +248,7 @@ func (l *Log) Wedged() bool { return l.stickyErr() != nil }
 // Failed returns the sticky error that wedged the log, or nil.
 func (l *Log) Failed() error { return l.stickyErr() }
 
-// QueueDepth returns the number of records reserved but not yet written
-// (always 0 in buffered mode).
+// QueueDepth returns the number of records reserved but not yet written.
 func (l *Log) QueueDepth() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -277,8 +256,8 @@ func (l *Log) QueueDepth() int {
 }
 
 // Append appends a pre-encoded record at the next LSN and returns it. The
-// record is reserved (and, in pipeline mode, queued), not yet durable; call
-// Sync(lsn) to wait for it. The log owns e afterwards.
+// record is reserved and queued, not yet durable; call Sync(lsn) to wait for
+// it. The log owns e afterwards.
 func (l *Log) Append(e *Enc) (uint64, error) {
 	return l.appendEnc(e, 0, false, false)
 }
@@ -291,16 +270,13 @@ func (l *Log) AppendAt(lsn uint64, e *Enc) error {
 	return err
 }
 
-// appendEnc stamps the record's LSN and hands it to the log: queued for the
-// appender in pipeline mode, sealed and copied into the shared buffer in
-// buffered mode. gapOK permits an explicit LSN past nextLSN (recovery
-// re-appending rescued records).
+// appendEnc stamps the record's LSN and queues it for the appender. gapOK
+// permits an explicit LSN past nextLSN (recovery re-appending rescued
+// records).
 func (l *Log) appendEnc(e *Enc, lsn uint64, explicit, gapOK bool) (uint64, error) {
 	l.mu.Lock()
-	if l.pipelined() {
-		for len(l.queue) >= l.queueCap && l.failed == nil {
-			l.spaceCond.Wait()
-		}
+	for len(l.queue) >= l.queueCap && l.failed == nil {
+		l.spaceCond.Wait()
 	}
 	if l.failed != nil {
 		err := l.failed
@@ -327,19 +303,10 @@ func (l *Log) appendEnc(e *Enc, lsn uint64, explicit, gapOK bool) (uint64, error
 		}
 	}
 	e.stamp(lsn)
-	nbytes := len(e.buf)
-	if l.pipelined() {
-		l.queue = append(l.queue, e)
-		l.noteAppend(lsn, nbytes)
-		l.acond.Signal()
-		l.mu.Unlock()
-		return lsn, nil
-	}
-	e.seal()
-	l.buf = append(l.buf, e.buf...)
-	l.noteAppend(lsn, nbytes)
+	l.queue = append(l.queue, e)
+	l.noteAppend(lsn, len(e.buf))
+	l.acond.Signal()
 	l.mu.Unlock()
-	e.Release()
 	return lsn, nil
 }
 
@@ -406,9 +373,8 @@ func (l *Log) chaosAppend() {
 
 // Sync blocks until the record at lsn is durable (or written, when fsync is
 // disabled). One waiter at a time leads: it forms a group — waiting up to
-// FsyncInterval for FsyncBatch records — then flushes (buffered mode) or
-// posts a durability request to the appender (pipeline mode) and wakes
-// everyone the sync covered.
+// FsyncInterval for FsyncBatch records — then posts a durability request to
+// the appender and wakes everyone the sync covered.
 func (l *Log) Sync(lsn uint64) error {
 	for {
 		if l.synced.Load() >= lsn {
@@ -428,12 +394,7 @@ func (l *Log) Sync(lsn uint64) error {
 		l.gmu.Unlock()
 
 		l.waitGroup(lsn)
-		var err error
-		if l.pipelined() {
-			err = l.syncPipelined(false)
-		} else {
-			err = l.flush(l.opts.FsyncBatch != 0)
-		}
+		err := l.syncPipelined(false)
 
 		l.gmu.Lock()
 		l.leading = false
@@ -509,7 +470,7 @@ func (l *Log) workLocked() bool {
 
 // appendLoop is the per-shard appender goroutine: it drains the queue in LSN
 // order, writes each drained batch with vectored writes, and fsyncs when a
-// group leader asked for durability. It owns all file I/O in pipeline mode.
+// group leader asked for durability. It owns all file I/O.
 func (l *Log) appendLoop() {
 	defer close(l.appenderDone)
 	for {
@@ -620,7 +581,7 @@ func (l *Log) writeBatch(batch []*Enc) error {
 			n++
 		}
 		chunk := batch[i : i+n]
-		if err := l.writeChunk(chunk, nbytes); err != nil {
+		if err := l.writeChunk(chunk); err != nil {
 			return err
 		}
 		l.noteWritev(n)
@@ -660,70 +621,6 @@ func (l *Log) noteWritev(n int) {
 	}
 }
 
-// flush writes the buffered records and (optionally) fsyncs, then advances
-// synced. Buffered mode only; the group leader (or Close, after appends have
-// stopped) calls it, so file writes never race.
-func (l *Log) flush(fsync bool) error {
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	buf := l.buf
-	l.buf = nil
-	target := l.appended
-	recs := l.pending
-	l.pending = 0
-	rotateAt := uint64(0)
-	if l.segSize+int64(len(buf)) >= l.opts.segmentBytes() {
-		rotateAt = l.nextLSN
-	}
-	l.segSize += int64(len(buf))
-	f := l.f
-	l.mu.Unlock()
-
-	if recs == 0 && !fsync {
-		return nil
-	}
-	// Close set l.f to nil after the final flush; an empty re-flush (a second
-	// Close, or Flush on a closed log) has nothing left to make durable.
-	if f == nil && len(buf) == 0 {
-		return nil
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			return l.fail(err)
-		}
-	}
-	if fsync {
-		if in := chaos.Active(); in != nil {
-			if _, delay := in.Decide(chaos.WALFsync); delay > 0 {
-				time.Sleep(delay)
-			}
-		}
-		if err := f.Sync(); err != nil {
-			return l.fail(err)
-		}
-		l.fsyncs.Add(1)
-	}
-	l.flushedRecs.Add(uint64(recs))
-	for {
-		max := l.maxGroup.Load()
-		if uint64(recs) <= max || l.maxGroup.CompareAndSwap(max, uint64(recs)) {
-			break
-		}
-	}
-	l.synced.Store(target)
-
-	if rotateAt > 0 {
-		if err := l.rotate(rotateAt, f); err != nil {
-			return l.fail(err)
-		}
-	}
-	return nil
-}
-
 // rotate fsyncs and closes the full segment, then opens a fresh one whose
 // records will all have LSN >= next. The old-segment fsync before the new
 // segment exists is what keeps durability prefix-shaped across files.
@@ -749,13 +646,11 @@ func (l *Log) fail(err error) error {
 		l.failed = fmt.Errorf("wal: shard %d log failed: %w", l.shard, err)
 	}
 	err = l.failed
-	if l.pipelined() {
-		// Wake everyone parked on pipeline conditions so they observe the
-		// sticky error instead of sleeping forever.
-		l.pcond.Broadcast()
-		l.spaceCond.Broadcast()
-		l.acond.Signal()
-	}
+	// Wake everyone parked on pipeline conditions so they observe the sticky
+	// error instead of sleeping forever.
+	l.pcond.Broadcast()
+	l.spaceCond.Broadcast()
+	l.acond.Signal()
 	l.mu.Unlock()
 	return err
 }
@@ -771,12 +666,7 @@ func (l *Log) Flush() error {
 	l.leading = true
 	l.gmu.Unlock()
 
-	var err error
-	if l.pipelined() {
-		err = l.syncPipelined(true)
-	} else {
-		err = l.flush(true)
-	}
+	err := l.syncPipelined(true)
 
 	l.gmu.Lock()
 	l.leading = false
@@ -789,15 +679,13 @@ func (l *Log) Flush() error {
 // closes the active segment. The log must not be appended to afterwards.
 func (l *Log) Close() error {
 	err := l.Flush()
-	if l.pipelined() {
-		l.mu.Lock()
-		if !l.closing {
-			l.closing = true
-			l.acond.Signal()
-		}
-		l.mu.Unlock()
-		<-l.appenderDone
+	l.mu.Lock()
+	if !l.closing {
+		l.closing = true
+		l.acond.Signal()
 	}
+	l.mu.Unlock()
+	<-l.appenderDone
 	l.mu.Lock()
 	f := l.f
 	l.f = nil
@@ -850,7 +738,7 @@ func segNames(fsys walfs.FS, dir string) ([]uint64, error) {
 // writeChunk writes every frame in chunk to the active segment with one
 // vectored write. Appender only — l.f is stable for the duration (rotation
 // happens between chunks, on the same goroutine).
-func (l *Log) writeChunk(chunk []*Enc, total int) error {
+func (l *Log) writeChunk(chunk []*Enc) error {
 	vecs := l.vecs[:0]
 	for _, e := range chunk {
 		if len(e.buf) != 0 {
@@ -864,6 +752,5 @@ func (l *Log) writeChunk(chunk []*Enc, total int) error {
 		vecs[i] = nil
 	}
 	l.vecs = vecs[:0]
-	_ = total
 	return err
 }

@@ -37,8 +37,10 @@ func TestPipelineLSNOrderMatchesReservation(t *testing.T) {
 		FsyncBatch:    4,
 		FsyncInterval: time.Millisecond,
 		SegmentBytes:  512,
-		AppendQueue:   8,
 	})
+	l.mu.Lock()
+	l.queueCap = 8 // tiny queue: enqueuers hit back-pressure
+	l.mu.Unlock()
 
 	const (
 		workers = 8
@@ -116,7 +118,7 @@ func TestPipelineSyncCoversQueue(t *testing.T) {
 	pipelineChaos(t, 0xdeadbeefcafe)
 	dir := t.TempDir()
 	// A huge batch target and no interval: nothing fsyncs until a Sync asks.
-	l := openTestLog(t, Options{Dir: dir, FsyncBatch: 1 << 20, AppendQueue: 256})
+	l := openTestLog(t, Options{Dir: dir, FsyncBatch: 1 << 20})
 
 	const n = 300
 	var last uint64
@@ -146,34 +148,5 @@ func TestPipelineSyncCoversQueue(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPipelineDisabledStillWorks exercises the legacy buffered path behind a
-// negative AppendQueue, so the fallback stays honest.
-func TestPipelineDisabledStillWorks(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestLog(t, Options{Dir: dir, FsyncBatch: 1, AppendQueue: -1})
-	if l.pipelined() {
-		t.Fatal("negative AppendQueue did not disable the pipeline")
-	}
-	for i := 0; i < 20; i++ {
-		lsn, err := l.AppendCommit(testOps(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Sync(lsn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := ScanShard(walfs.OS(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Records) != 20 {
-		t.Fatalf("scan found %d records, want 20", len(sc.Records))
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"strconv"
-	"time"
 
 	"memtx/internal/core"
 	"memtx/internal/engine"
@@ -218,16 +217,12 @@ func (tm *TM) ReadOnly(body func(tx *Tx) error) error {
 	})
 }
 
-// TxOptions bounds a context-aware transaction (AtomicCtx/ReadOnlyCtx). The
-// zero value applies no bound beyond the context's own deadline.
-type TxOptions struct {
-	// MaxAttempts caps total attempts (1 means no retry); 0 means unlimited.
-	MaxAttempts int
-	// MaxElapsed caps the total time spent across attempts; 0 means
-	// unlimited. Whichever of MaxElapsed and the context deadline expires
-	// first wins.
-	MaxElapsed time.Duration
-}
+// TxOptions bounds a context-aware transaction (AtomicCtx/ReadOnlyCtx):
+// MaxAttempts caps total attempts (1 means no retry), MaxElapsed caps the
+// total time across attempts; whichever of MaxElapsed and the context
+// deadline expires first wins. The zero value applies no bound beyond the
+// context's own deadline.
+type TxOptions = engine.RunOptions
 
 // AtomicCtx is Atomic bounded by ctx and opts. Between attempts — and, on
 // the direct-update engine, at contention-manager waits inside an attempt —
@@ -236,20 +231,16 @@ type TxOptions struct {
 // (unwrapping to context.Canceled, context.DeadlineExceeded, or
 // engine.ErrRetryBudget) instead of retrying forever.
 func (tm *TM) AtomicCtx(ctx context.Context, opts TxOptions, body func(tx *Tx) error) error {
-	return engine.RunCtx(ctx, tm.eng,
-		engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed},
-		func(etx engine.Txn) error {
-			return body(&Tx{tm: tm, tx: etx})
-		})
+	return engine.RunCtx(ctx, tm.eng, opts, func(etx engine.Txn) error {
+		return body(&Tx{tm: tm, tx: etx})
+	})
 }
 
 // ReadOnlyCtx is ReadOnly bounded by ctx and opts (see AtomicCtx).
 func (tm *TM) ReadOnlyCtx(ctx context.Context, opts TxOptions, body func(tx *Tx) error) error {
-	return engine.RunReadOnlyCtx(ctx, tm.eng,
-		engine.RunOptions{MaxAttempts: opts.MaxAttempts, MaxElapsed: opts.MaxElapsed},
-		func(etx engine.Txn) error {
-			return body(&Tx{tm: tm, tx: etx})
-		})
+	return engine.RunReadOnlyCtx(ctx, tm.eng, opts, func(etx engine.Txn) error {
+		return body(&Tx{tm: tm, tx: etx})
+	})
 }
 
 // AbortError, returned from an Atomic body, rolls the transaction back
