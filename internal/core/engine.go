@@ -8,44 +8,15 @@ import (
 )
 
 // Each Engine hands out its own object ids and transaction ids from a
-// per-engine counter (Engine.idSrc). Transaction ids double as allocation
+// per-engine counter (Engine.ids). Transaction ids double as allocation
 // fingerprints (Obj.creator) and are never reused, which makes stale
 // ownership records and stale creator tags harmless. Ids are only ever
 // compared for equality within one engine — handles never legally cross
 // engines — so independent engines (one per kv shard) may reuse the same
 // numeric ids without ambiguity, and no process-global counter is needed.
 //
-// The counter is consumed in blocks of idBlockStride (see idAlloc): every
-// transaction and every engine holds a private block and refills it from the
-// engine counter only once per stride, so Alloc-heavy transactions on
-// different cores stop ping-ponging this cache line. Blocks abandoned by
-// pooled transactions leave gaps in the id space; gaps are harmless because
-// ids are only ever compared for equality, never for adjacency, and are
-// never reused.
-
-// idBlockStride is the number of ids reserved per refill. 1024 keeps
-// per-engine contention at one atomic add per ~1k allocations while wasting
-// at most ~8 KiB of id space (out of 2^64) per idle pooled transaction.
-const idBlockStride = 1024
-
-// idAlloc is a private block of pre-reserved ids refilled from src (the
-// owning engine's counter). The zero value is unusable; bind src before the
-// first take. It is not safe for concurrent use; each transaction (and each
-// engine, mutex-guarded) owns one.
-type idAlloc struct {
-	src         *atomic.Uint64
-	next, limit uint64
-}
-
-func (a *idAlloc) take() uint64 {
-	if a.next == a.limit {
-		hi := a.src.Add(idBlockStride)
-		a.next, a.limit = hi-idBlockStride+1, hi+1
-	}
-	id := a.next
-	a.next++
-	return id
-}
+// The counter is an engine.IDSource, consumed in private per-transaction
+// blocks.
 
 // Engine is the direct-update STM engine. Create one with New; the zero
 // value is not usable.
@@ -70,14 +41,8 @@ type Engine struct {
 	// per-entry validation can be skipped (the read-only fast path).
 	valSeq atomic.Uint64
 
-	// idSrc is this engine's id counter (see the idAlloc commentary above);
-	// every transaction block and the engine's own block refill from it.
-	idSrc atomic.Uint64
-
-	// idMu guards ids, the engine's id block for non-transactional NewObj
-	// calls. Transactions allocate from their own unguarded blocks.
-	idMu sync.Mutex
-	ids  idAlloc
+	// ids is this engine's id counter (see the commentary above).
+	ids engine.IDSource
 }
 
 // engineStats holds cumulative counters, updated with atomics when folding in
@@ -141,7 +106,6 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	e.ids.src = &e.idSrc
 	e.pool.New = func() any { return newTxn(e) }
 	e.signal.init()
 	return e
@@ -152,10 +116,7 @@ func (e *Engine) Name() string { return "direct" }
 
 // NewObj allocates a shared object outside any transaction, at version 1.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
-	e.idMu.Lock()
-	id := e.ids.take()
-	e.idMu.Unlock()
-	return newObj(id, 0, nwords, nrefs)
+	return newObj(e.ids.Take(), 0, nwords, nrefs)
 }
 
 // versionOne is the initial STM word shared by every freshly allocated

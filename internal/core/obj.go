@@ -39,7 +39,7 @@ type Obj struct {
 
 // ID returns the object's unique identity. IDs are drawn from per-allocator
 // blocks of a global counter and never reused; ids may have gaps but are
-// always unique (see idAlloc).
+// always unique (see engine.IDAlloc).
 func (o *Obj) ID() uint64 { return o.id }
 
 // NumWords returns the number of scalar fields.

@@ -56,7 +56,7 @@ type Txn struct {
 
 	// ids is this transaction's private block of pre-reserved object ids;
 	// it persists across pool reuse.
-	ids idAlloc
+	ids engine.IDAlloc
 
 	// scratch is Compact's deduplication set, reused across calls.
 	scratch map[uint64]struct{}
@@ -79,7 +79,7 @@ type Txn struct {
 const slabChunk = 64
 
 func newTxn(e *Engine) *Txn {
-	t := &Txn{eng: e, ids: idAlloc{src: &e.idSrc}}
+	t := &Txn{eng: e, ids: e.ids.Block()}
 	if e.checked {
 		t.opened = make(map[uint64]bool)
 	}
@@ -87,7 +87,7 @@ func newTxn(e *Engine) *Txn {
 }
 
 func (t *Txn) start(readonly bool) {
-	t.id = t.ids.take()
+	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
 	t.began = time.Now()
@@ -413,7 +413,7 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 // paper's transaction-local allocation optimization). If the transaction
 // aborts, the object is unreachable garbage; no rollback is needed.
 func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
-	return newObj(t.ids.take(), t.id, nwords, nrefs)
+	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
 
 var _ engine.Txn = (*Txn)(nil)

@@ -171,7 +171,7 @@ func TestRetryDriverConformance(t *testing.T) {
 				run: func(ctx context.Context, opts engine.RunOptions, readonly bool, body func(func()) error) error {
 					wrap := func(tx *Tx) error { return body(func() { tx.Get(keyA) }) }
 					if readonly {
-						return s.ViewKeyCtx(ctx, opts, keyA, wrap)
+						return s.ViewKeysCtx(ctx, opts, [][]byte{keyA}, wrap)
 					}
 					return s.AtomicKeyDefer(ctx, opts, keyA, nil, wrap)
 				},

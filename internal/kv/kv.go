@@ -376,7 +376,7 @@ type Tx struct {
 	txns    []engine.Txn // multi-shard: lazily-begun per-shard transactions
 	allowed []bool       // multi-shard: declared shard set; nil = all shards
 
-	ctx      context.Context // non-nil on Ctx paths: bound into each begun txn
+	ctx      context.Context // non-nil on bounded paths: bound into each begun txn
 	deadline time.Time
 	karma    int // attempts already lost; threaded into each begun txn
 
@@ -775,19 +775,6 @@ func (s *Store) View(body func(t *Tx) error) error {
 	return s.runCross(nil, engine.RunOptions{}, nil, true, nil, body)
 }
 
-// AtomicCtx is Atomic bounded by ctx and opts (see memtx.TM.AtomicCtx): on
-// cancellation, deadline expiry, or retry-budget exhaustion it gives up with
-// an *engine.TimeoutError instead of retrying forever. The store is
-// unchanged when it gives up — the failed attempts all rolled back.
-func (s *Store) AtomicCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, opts, nil, false, nil, body)
-}
-
-// ViewCtx is View bounded by ctx and opts (see AtomicCtx).
-func (s *Store) ViewCtx(ctx context.Context, opts memtx.TxOptions, body func(t *Tx) error) error {
-	return s.runCross(ctx, opts, nil, true, nil, body)
-}
-
 // AtomicKey runs body as a transaction pinned to key's shard — the
 // single-shard fast path. Every key body touches must hash to the same
 // shard; a key outside it panics.
@@ -800,17 +787,6 @@ func (s *Store) AtomicKey(key []byte, body func(t *Tx) error) error {
 // single-shard snapshot can never observe a torn cross-shard write.
 func (s *Store) ViewKey(key []byte, body func(t *Tx) error) error {
 	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), true, nil, body)
-}
-
-// AtomicKeyCtx is AtomicKey bounded by ctx and opts (see AtomicCtx).
-func (s *Store) AtomicKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, opts, s.KeyShard(key), false, nil, body)
-}
-
-// ViewKeyCtx is ViewKey bounded by ctx and opts (see AtomicCtx). A nil ctx
-// with zero opts is ViewKey.
-func (s *Store) ViewKeyCtx(ctx context.Context, opts memtx.TxOptions, key []byte, body func(t *Tx) error) error {
-	return s.runSingle(ctx, opts, s.KeyShard(key), true, nil, body)
 }
 
 // AtomicKeys runs body as one atomic transaction over the shards the given
@@ -826,30 +802,28 @@ func (s *Store) ViewKeys(keys [][]byte, body func(t *Tx) error) error {
 	return s.runKeys(nil, engine.RunOptions{}, keys, true, nil, body)
 }
 
-// AtomicKeysCtx is AtomicKeys bounded by ctx and opts (see AtomicCtx).
-func (s *Store) AtomicKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	return s.runKeys(ctx, opts, keys, false, nil, body)
-}
-
-// ViewKeysCtx is ViewKeys bounded by ctx and opts (see AtomicCtx). A nil ctx
-// with zero opts is ViewKeys.
+// ViewKeysCtx is ViewKeys bounded by ctx and opts (see memtx.TM.AtomicCtx): on
+// cancellation, deadline expiry, or retry-budget exhaustion it gives up with
+// an *engine.TimeoutError instead of retrying forever. A nil ctx with zero
+// opts is ViewKeys.
 func (s *Store) ViewKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
 	return s.runKeys(ctx, opts, keys, true, nil, body)
 }
 
-// AtomicKeyDefer is AtomicKeyCtx with the commit's durability wait deferred
-// into sb: the transaction commits and its log record is appended, but the
-// call returns without waiting for the fsync. The caller MUST call sb.Wait
-// before acknowledging the write to anyone. A nil ctx with zero opts takes
-// the unbounded path; with a nil sb (a store without a WAL has no other kind)
-// it is exactly AtomicKeyCtx — the one single-key write entry point that
-// subsumes the others.
+// AtomicKeyDefer is AtomicKey bounded by ctx and opts like ViewKeysCtx — the
+// store is unchanged when it gives up, the failed attempts all rolled back —
+// and with the commit's durability wait deferred into sb: the transaction
+// commits and its log record is appended, but the call returns without
+// waiting for the fsync. The caller MUST call sb.Wait before acknowledging the
+// write to anyone. A nil ctx with zero opts takes the unbounded path; a nil sb
+// (a store without a WAL has no other kind) waits for durability before
+// returning, as AtomicKey does.
 func (s *Store) AtomicKeyDefer(ctx context.Context, opts memtx.TxOptions, key []byte, sb *SyncBatch, body func(t *Tx) error) error {
 	return s.runSingle(ctx, opts, s.KeyShard(key), false, sb, body)
 }
 
-// AtomicKeysDefer is AtomicKeysCtx with the commit's durability wait
-// deferred into sb (see AtomicKeyDefer).
+// AtomicKeysDefer is AtomicKeys bounded by ctx and opts with the commit's
+// durability wait deferred into sb (see AtomicKeyDefer).
 func (s *Store) AtomicKeysDefer(ctx context.Context, opts memtx.TxOptions, keys [][]byte, sb *SyncBatch, body func(t *Tx) error) error {
 	return s.runKeys(ctx, opts, keys, false, sb, body)
 }

@@ -21,32 +21,8 @@ import (
 )
 
 // Each Engine hands out object and transaction ids from its own counter
-// (Engine.idSrc). As in the direct engine, the counter is consumed in
-// blocks of idBlockStride through per-transaction (and per-engine) idAlloc
-// blocks. Ids are only compared for equality within one engine, so
-// independent engines may repeat numeric ids; gaps from abandoned blocks
-// are harmless because ids are unique per engine, never reused, and only
-// compared for equality.
-
-const idBlockStride = 1024
-
-// idAlloc is a private block of pre-reserved ids refilled from src (the
-// owning engine's counter); bind src before the first take. Not safe for
-// concurrent use.
-type idAlloc struct {
-	src         *atomic.Uint64
-	next, limit uint64
-}
-
-func (a *idAlloc) take() uint64 {
-	if a.next == a.limit {
-		hi := a.src.Add(idBlockStride)
-		a.next, a.limit = hi-idBlockStride+1, hi+1
-	}
-	id := a.next
-	a.next++
-	return id
-}
+// (Engine.ids, an engine.IDSource). Ids are only compared for equality within
+// one engine, so independent engines may repeat numeric ids.
 
 // Obj is a transactional object under the buffered object engine. meta packs
 // version<<1 | lockedBit.
@@ -76,13 +52,8 @@ type Engine struct {
 	// skipped.
 	valSeq atomic.Uint64
 
-	// idSrc is this engine's id counter; every transaction block and the
-	// engine's own block refill from it.
-	idSrc atomic.Uint64
-
-	// idMu guards ids, the engine's block for non-transactional NewObj.
-	idMu sync.Mutex
-	ids  idAlloc
+	// ids is this engine's id counter.
+	ids engine.IDSource
 }
 
 type stats struct {
@@ -95,9 +66,8 @@ type stats struct {
 // New returns an object-based buffered-update engine.
 func New() *Engine {
 	e := &Engine{}
-	e.ids.src = &e.idSrc
 	e.pool.New = func() any {
-		return &Txn{eng: e, shadows: make(map[*Obj]*shadow), ids: idAlloc{src: &e.idSrc}}
+		return &Txn{eng: e, shadows: make(map[*Obj]*shadow), ids: e.ids.Block()}
 	}
 	return e
 }
@@ -107,10 +77,7 @@ func (e *Engine) Name() string { return "ostm" }
 
 // NewObj implements engine.Engine.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
-	e.idMu.Lock()
-	id := e.ids.take()
-	e.idMu.Unlock()
-	return newObj(id, 0, nwords, nrefs)
+	return newObj(e.ids.Take(), 0, nwords, nrefs)
 }
 
 func newObj(id, creator uint64, nwords, nrefs int) *Obj {
@@ -190,7 +157,7 @@ type Txn struct {
 	roSeq uint64
 
 	// ids is this transaction's private id block; persists across reuse.
-	ids idAlloc
+	ids engine.IDAlloc
 
 	// shadowFree recycles shadow records across attempts. Shadows never
 	// escape the transaction (commit copies them back field by field), so —
@@ -209,7 +176,7 @@ type Txn struct {
 }
 
 func (t *Txn) start(readonly bool) {
-	t.id = t.ids.take()
+	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
 	t.began = time.Now()
@@ -405,7 +372,7 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 
 // Alloc implements engine.Txn.
 func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
-	return newObj(t.ids.take(), t.id, nwords, nrefs)
+	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
 
 // Validate implements engine.Txn.

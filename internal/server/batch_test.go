@@ -191,7 +191,7 @@ func TestBatchedReadsUnderWrites(t *testing.T) {
 }
 
 // TestBatchingDisabled pins the opt-out: with MaxBatch < 0 every command
-// runs through the per-command path and the batch counters stay zero.
+// runs as a batch of one and the batch counters stay zero.
 func TestBatchingDisabled(t *testing.T) {
 	store := kv.New(kv.Config{Shards: 2, Buckets: 16})
 	store.Set([]byte("k"), []byte("v"))

@@ -9,31 +9,38 @@
 // syscall counts low under pipelining without adding latency to lone
 // requests.
 //
-// Read-only commands (GET, MGET, PING) take a batched fast path: when a
-// pipelining client has left several of them sitting in the connection's
-// input buffer, up to Config.MaxBatch consecutive ones are coalesced into a
-// single read-only snapshot transaction — one begin/validate/commit covers
-// the whole batch instead of one per command. Responses are assembled
-// directly into per-connection scratch buffers (reused frame, body, and
-// output buffers plus a bound kv.Reader), so the steady-state read path does
-// not allocate. If the snapshot fails commit-time validation the batch's
-// partial output is discarded and every command re-runs through the
-// per-command path, so per-command semantics are unchanged. A write command
-// or malformed body ends the batch and executes after it, in arrival order,
-// preserving strict response ordering.
+// # Dispatch
 //
-// Write commands get the mirror-image treatment: up to Config.MaxWriteBatch
-// consecutive buffered SET/INCR commands whose keys hash to the same shard
-// coalesce into a single shard-local write transaction — the shape a hot-key
-// pipelined increment burst takes under a skewed workload, where per-command
-// execution would pay one begin/acquire/commit per increment on the same
-// contended object. Strict in-order pipelining makes the coalescing
-// invisible: no other command from this connection can interleave with the
-// burst, so executing it as one atomic step produces byte-identical
-// responses. The transaction body rebuilds the batch's responses from
-// scratch on every attempt, and if the transaction fails outright (deadline,
-// injected panic) the batch's output is discarded and every command re-runs
-// through the per-command path, each succeeding or failing on its own.
+// Every command is defined once, as an entry of the commands table: its
+// arity, a prep step that validates and parses numeric arguments once, the
+// keys it touches, and one apply function that performs the store operations
+// inside whatever transaction it is handed and appends the response frame.
+// The server never re-states what a command does; it only chooses where the
+// transaction around a run of commands begins and commits. There are three
+// such boundaries, and all of them run the same connection body (applyRun)
+// through the one runner (runTxn):
+//
+//   - A read batch: up to Config.MaxBatch consecutive read-only commands (GET,
+//     MGET, PING) already sitting in the connection's input buffer run in one
+//     read-only snapshot (kv.Reader.RunOnce) — one begin/validate/commit for
+//     the whole burst, assembled into per-connection scratch buffers, so the
+//     steady-state read path does not allocate.
+//   - A write batch: up to Config.MaxWriteBatch consecutive buffered SET/INCR
+//     commands whose keys hash to the same shard run in one shard-local write
+//     transaction — the shape a hot-key pipelined increment burst takes under
+//     a skewed workload. Strict in-order pipelining makes the coalescing
+//     invisible: no other command from this connection can interleave with
+//     the burst, so the responses are byte-identical.
+//   - A batch of one: everything else — lone commands, commands that never
+//     coalesce (DEL, CAS, TRANSFER, MSET), batching disabled — is the same
+//     body over a single command, in a transaction over exactly its keys.
+//
+// The body rebuilds its responses from scratch on every attempt. If a batch's
+// transaction fails (a snapshot's commit-time validation, a deadline, an
+// injected panic, an INCR over a non-integer value) its output is discarded
+// and every command re-runs as a batch of one, each succeeding or failing on
+// its own. A command of another kind or a malformed body ends the batch and
+// executes after it, in arrival order, preserving strict response ordering.
 //
 // Commands that run transactions pass through a semaphore bounding the
 // number of in-flight store transactions across all connections
@@ -53,8 +60,8 @@
 //   - Command deadlines: with Config.CmdDeadline set, each command's
 //     transactional execution is bounded; a command that exhausts its
 //     deadline (e.g. stuck behind a contended object) gets an ERR response
-//     instead of holding its connection forever. The batched read path is a
-//     single optimistic attempt by construction and is not affected.
+//     instead of holding its connection forever. A read batch is a single
+//     optimistic attempt by construction and is not affected.
 //   - Slow clients: Config.ReadTimeout bounds how long a client may sit
 //     mid-frame (idle connections are never evicted); Config.WriteTimeout
 //     bounds each response write. Either expiring evicts the connection.
@@ -118,12 +125,8 @@ const (
 	NumCmds
 )
 
-var cmdNames = [NumCmds]string{
-	"ping", "get", "set", "del", "cas", "incr", "transfer", "mget", "mset", "unknown",
-}
-
 // String returns the label used in metric export.
-func (c Cmd) String() string { return cmdNames[c] }
+func (c Cmd) String() string { return commands[c].name }
 
 // DefaultMaxBatch is the read-batching bound used when Config.MaxBatch is 0.
 // A batch's read set grows with its size, and a larger read set is both more
@@ -148,8 +151,8 @@ type Config struct {
 	MaxFrame int
 	// MaxBatch bounds how many consecutive buffered read-only commands
 	// (GET/MGET/PING) are coalesced into one read-only snapshot
-	// transaction. 0 selects DefaultMaxBatch; negative values disable
-	// batching and route every command through the per-command path.
+	// transaction. 0 selects DefaultMaxBatch; negative values disable read
+	// batching: every read runs as a batch of one.
 	MaxBatch int
 	// MaxWriteBatch bounds how many consecutive buffered same-shard write
 	// commands (SET/INCR) are coalesced into one shard-local write
@@ -160,9 +163,9 @@ type Config struct {
 	// log package's standard logger).
 	ErrorLog *log.Logger
 	// CmdDeadline bounds each command's transactional execution; past it the
-	// transaction is abandoned and the client gets an ERR response. The
-	// batched read path is a single optimistic attempt by construction, so
-	// only the per-command path is bounded. 0 disables.
+	// transaction is abandoned and the client gets an ERR response. A read
+	// batch is a single optimistic attempt by construction, so only retrying
+	// transactions are bounded. 0 disables.
 	CmdDeadline time.Duration
 	// QueueTimeout bounds how long a command waits for an in-flight
 	// transaction slot before it is shed with a retriable BUSY response.
@@ -217,17 +220,14 @@ type Server struct {
 // batchMode is one of the two ways consecutive pipelined commands coalesce
 // into a single transaction: read-only commands into one snapshot, same-shard
 // SET/INCRs into one shard-local write transaction. Collection and execution
-// are shared (collectAndRun, execBatch); a mode supplies only what differs.
+// are shared (collectAndRun, execBatch); a mode supplies only its bounds and
+// its admission rule.
 type batchMode struct {
 	max int // most commands per batch; below min this kind of batching is off
-	min int // fewest commands worth a batch transaction; fewer run per command
+	min int // fewest commands worth a batch transaction; fewer run one by one
 	// admit reports whether e — already known to be of this mode — may join
 	// the batch that first started.
 	admit func(first, e *batchEntry) bool
-	// run executes c.batch[:c.n] as the mode's one transaction, appending the
-	// response frames to c.out; false means the batch must fall back to
-	// per-command execution.
-	run func(c *conn) bool
 
 	batches, cmds, fallbacks atomic.Uint64
 }
@@ -274,15 +274,8 @@ func New(store *kv.Store, cfg Config) *Server {
 	// machinery.
 	s.read.max, s.read.min = cfg.MaxBatch, 1
 	s.read.admit = func(_, _ *batchEntry) bool { return true }
-	s.read.run = func(c *conn) bool {
-		committed, _ := c.reader.RunOnce()
-		return committed
-	}
 	s.write.max, s.write.min = cfg.MaxWriteBatch, 2
 	s.write.admit = func(first, e *batchEntry) bool { return e.shard == first.shard }
-	s.write.run = func(c *conn) bool {
-		return s.runAtomicKey(c, c.batch[0].cmd.Args[0].B, c.wbody) == nil
-	}
 	return s
 }
 
@@ -458,23 +451,25 @@ type batchEntry struct {
 	frame []byte
 	cmd   wire.Command
 	id    Cmd
-	mode  *batchMode // how the command may coalesce; nil = per-command only
+	err   error      // refusal decided at parse time (arity, malformed integer); the store is never touched
+	num   int64      // the command's parsed integer argument (INCR delta, TRANSFER amount)
+	mode  *batchMode // how the command may coalesce; nil = always a batch of one
 	shard int        // the key's shard (write mode only)
-	delta int64      // parsed INCR delta (write mode only)
 }
 
 // conn is one connection's reusable execution state: response scratch
-// buffers, parsed-command slots for batch collection, and a snapshot reader
-// bound once so repeated batches run without allocating.
+// buffers, parsed-command slots for batch collection, and the transaction
+// body bound once so repeated runs execute without allocating.
 type conn struct {
-	out      []byte       // response frames accumulated this iteration
-	body     []byte       // response body scratch
-	batch    []batchEntry // command slots; len == max(1, read.max, write.max)
-	n        int          // commands collected into the current batch
-	mark     int          // c.out length at batch start (attempt reset point)
-	keys     [][]byte     // multi-key command scratch (shard routing)
-	reader   *kv.Reader
-	wbody    func(t *kv.Tx) error // bound writeBatchBody, reused across batches
+	out      []byte               // response frames accumulated this iteration
+	body     []byte               // response body scratch
+	batch    []batchEntry         // command slots; len == max(1, read.max, write.max)
+	n        int                  // commands collected into the current batch
+	run      []batchEntry         // the commands the current transaction covers
+	mark     int                  // c.out length at the run's start (attempt reset point)
+	keys     [][]byte             // the run's key set (shard routing)
+	txBody   func(t *kv.Tx) error // bound applyRun, reused across runs
+	reader   *kv.Reader           // txBody as a single-attempt snapshot
 	slotHeld bool                 // this connection holds a transaction slot
 	qt       *time.Timer          // queue-timeout timer, reused across sheds
 	sb       *kv.SyncBatch        // deferred WAL syncs (nil without durability)
@@ -489,8 +484,8 @@ func (s *Server) newConn() *conn {
 		slots = 1
 	}
 	c := &conn{batch: make([]batchEntry, slots)}
-	c.reader = s.store.NewReader(c.snapshotBody)
-	c.wbody = c.writeBatchBody
+	c.txBody = c.applyRun
+	c.reader = s.store.NewReader(c.txBody)
 	c.sb = s.store.NewSyncBatch()
 	return c
 }
@@ -583,7 +578,8 @@ func (s *Server) serveConn(nc net.Conn) {
 			// write burst, a write on another shard), so dispatch repeats.
 			for handoff := true; handoff; {
 				if e.mode == nil {
-					s.executeOne(c, e)
+					c.n = 1
+					s.execBatch(c, nil)
 					break
 				}
 				fatal, handoff = s.collectAndRun(c, br, e.mode)
@@ -676,31 +672,36 @@ func (s *Server) writeErr(nc net.Conn, err error) {
 	}
 }
 
-// parseEntry parses e.frame into e.cmd and classifies the command once: its
-// id and the batch mode, if any, it may coalesce under — for a write also its
-// key's shard and (via writeBatchable) the INCR delta, so neither the
-// collector nor the dispatcher ever re-derives them.
+// parseEntry parses e.frame into e.cmd and classifies the command once
+// against its table entry: its id, any refusal the arguments alone decide
+// (arity, a malformed integer — e.err, answered later in arrival order), its
+// parsed integer argument, and the batch mode, if any, it may coalesce under —
+// for a write also its key's shard. Neither the collector nor the runner ever
+// re-derives them. The returned error is a malformed body only.
 func (s *Server) parseEntry(e *batchEntry) error {
 	if err := wire.ParseCommandInto(e.frame, &e.cmd); err != nil {
 		return err
 	}
 	e.id = classify(e.cmd.Name)
-	e.mode = nil
+	cmd := &commands[e.id]
+	e.mode, e.err = nil, nil
 	switch {
-	case s.read.max >= s.read.min && batchable(e):
+	case !cmd.arity(len(e.cmd.Args)):
+		e.err = errArity
+	case cmd.prep != nil:
+		e.err = cmd.prep(e)
+	}
+	if e.err != nil {
+		return nil
+	}
+	switch {
+	case cmd.batch == batchRead && s.read.max >= s.read.min:
 		e.mode = &s.read
-	case s.write.max >= s.write.min && writeBatchable(e):
+	case cmd.batch == batchWrite && s.write.max >= s.write.min:
 		e.mode = &s.write
 		e.shard = s.store.KeyShard(e.cmd.Args[0].B)
 	}
 	return nil
-}
-
-// executeOne runs e through the per-command path and answers it.
-func (s *Server) executeOne(c *conn, e *batchEntry) {
-	resp := s.execute(c, &e.cmd, e.id)
-	s.cmds[e.id].Add(1)
-	c.out = wire.AppendFrame(c.out, resp)
 }
 
 // collectAndRun is the one batch collector. Slot 0 holds a parsed command of
@@ -744,85 +745,205 @@ func (s *Server) collectAndRun(c *conn, br *bufio.Reader, m *batchMode) (fatal, 
 	return fatal, handoff
 }
 
-// execBatch answers c.batch[:c.n] — commands of mode m — appending one
-// response frame per command to c.out. The batch runs as m's one
+// execBatch answers c.batch[:c.n], appending one response frame per command
+// to c.out. Given a mode and at least its minimum of commands, they run as one
 // transaction, so a pipelined burst pays one begin/validate/commit instead of
 // one per command. If that transaction fails (a read snapshot's commit-time
-// validation, a write's deadline, a panic) the batch's partial output is
-// discarded and every command re-runs through the per-command path, each
-// succeeding or failing on its own. A batch of only PINGs skips the store
-// entirely; a batch smaller than m.min skips the batch machinery.
+// validation, a write's deadline, a panic) the batch's output is discarded and
+// the batch falls back: like a run too small to batch, or a command that never
+// batches (m nil), every command runs as a batch of one, each succeeding or
+// failing on its own.
 func (s *Server) execBatch(c *conn, m *batchMode) {
-	n := c.n
-	if n < m.min {
-		for i := 0; i < n; i++ {
-			s.executeOne(c, &c.batch[i])
-		}
-		c.n = 0
-		return
-	}
-	m.batches.Add(1)
-	m.cmds.Add(uint64(n))
-	needsTxn := false
-	for i := 0; i < n; i++ {
-		if c.batch[i].id != CmdPing {
-			needsTxn = true
-			break
-		}
-	}
-	if !needsTxn {
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyPong)
-		}
-	} else if !s.acquire(c) {
-		// Shed: every command in the batch gets a retriable BUSY; none ran.
-		for i := 0; i < n; i++ {
-			c.out = wire.AppendFrame(c.out, bodyBusy)
-		}
-	} else {
-		c.mark = len(c.out)
-		if !s.runBatchTxn(c, m) {
-			m.fallbacks.Add(1)
-			c.out = c.out[:c.mark]
-			for i := 0; i < n; i++ {
-				e := &c.batch[i]
-				c.out = wire.AppendFrame(c.out, s.execute(c, &e.cmd, e.id))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.cmds[c.batch[i].id].Add(1)
-	}
+	run := c.batch[:c.n]
 	c.n = 0
+	batched := m != nil && len(run) >= m.min
+	if batched {
+		m.batches.Add(1)
+		m.cmds.Add(uint64(len(run)))
+	}
+	if !batched || !s.answer(c, run, true) {
+		if batched {
+			m.fallbacks.Add(1)
+		}
+		for i := range run {
+			s.answer(c, run[i:i+1], false)
+		}
+	}
+	for i := range run {
+		s.cmds[run[i].id].Add(1)
+	}
 }
 
-// runBatchTxn runs the batch's transaction in the slot acquire claimed, with
-// panic containment: a panic inside it (chaos-injected or real) is counted
-// and reports not-committed, so the batch falls back to per-command execution
-// — where each command gets its own containment — like a validation failure
-// would. The slot is released on every path.
-func (s *Server) runBatchTxn(c *conn, m *batchMode) (committed bool) {
+// answer runs the commands of run as one transaction and leaves exactly their
+// response frames appended to c.out. A shed run answers every command with a
+// retriable BUSY; none ran. Any other failure of a batch of one is that
+// command's own ERR (or typed refusal); of a batched run it reports false with
+// nothing appended, and the caller falls back.
+func (s *Server) answer(c *conn, run []batchEntry, batched bool) bool {
+	err := s.runTxn(c, run, batched)
+	if err == nil {
+		return true
+	}
+	c.out = c.out[:c.mark]
+	switch {
+	case err == errShed:
+		for range run {
+			c.out = wire.AppendFrame(c.out, bodyBusy)
+		}
+	case batched:
+		return false
+	default:
+		c.out = wire.AppendFrame(c.out, s.cmdErr(c, err))
+	}
+	return true
+}
+
+var (
+	errShed     = errors.New("server: no transaction slot within QueueTimeout")
+	errSnapshot = errors.New("server: batch snapshot did not validate")
+)
+
+// runTxn is the one place the server runs commands: c.applyRun over run
+// inside one transaction, choosing only where that transaction begins and
+// commits. A batched read-only run is a single optimistic snapshot attempt on
+// the connection's bound Reader; everything else is a transaction over exactly
+// the run's keys — shard-local when they co-locate, the cross-shard commit
+// path otherwise; read-only when every command is — retried until CmdDeadline.
+// On a durable store a write's fsync wait is deferred into c's SyncBatch:
+// serveConn syncs before any response reaches the wire, so pipelined writes in
+// one window share one group-commit wait per shard. A run that touches no key
+// (PINGs, refused commands) needs neither a slot nor a transaction.
+//
+// A panic inside it (chaos-injected or real) is counted and returned as the
+// run's error on a still-usable connection; the slot is released on every path.
+func (s *Server) runTxn(c *conn, run []batchEntry, batched bool) (err error) {
+	c.run, c.mark = run, len(c.out)
 	defer func() {
 		s.release(c)
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			committed = false
+			err = fmt.Errorf("server: handler panic: %v", r)
 		}
 	}()
-	return m.run(c)
+	// The handler point fires once per command run on its own; a batched
+	// command meets it only if its batch falls back.
+	if in := chaos.Active(); in != nil && !batched {
+		in.Step(chaos.Handler)
+	}
+	c.keys = c.keys[:0]
+	readonly := true
+	for i := range run {
+		if e := &run[i]; e.err == nil {
+			cmd := &commands[e.id]
+			c.keys = cmd.keys(e.cmd.Args, c.keys)
+			readonly = readonly && cmd.readonly
+		}
+	}
+	if len(c.keys) == 0 {
+		return c.applyRun(nil)
+	}
+	if !s.acquire(c) {
+		return errShed
+	}
+	switch {
+	case batched && readonly:
+		if committed, _ := c.reader.RunOnce(); !committed {
+			return errSnapshot
+		}
+		return nil
+	case readonly:
+		return s.store.ViewKeysCtx(nil, s.txOpts, c.keys, c.txBody)
+	default:
+		return s.store.AtomicKeysDefer(nil, s.txOpts, c.keys, c.sb, c.txBody)
+	}
 }
 
-// snapshotBody answers the collected batch against one read-only snapshot,
-// appending response frames to c.out. The snapshot may be doomed when this
-// runs — RunOnce discards the output on validation failure — but it can
-// never tear a value: published byte records are immutable.
-func (c *conn) snapshotBody(t *kv.Tx) error {
-	for i := 0; i < c.n; i++ {
-		e := &c.batch[i]
-		switch e.id {
-		case CmdPing:
+// applyRun is the transaction body of every execution form: it applies each
+// command of c.run through its table entry, appending response frames to
+// c.out. It may re-run on conflict, and a snapshot may be doomed when it runs,
+// so each attempt truncates c.out back to the run's start — a failed attempt's
+// output never reaches the client (nor can it tear a value: published byte
+// records are immutable). A command's error aborts the whole transaction.
+func (c *conn) applyRun(t *kv.Tx) error {
+	c.out = c.out[:c.mark]
+	for i := range c.run {
+		e := &c.run[i]
+		if e.err != nil {
+			c.out = wire.AppendFrame(c.out, c.errBody(e.err))
+		} else if err := commands[e.id].apply(c, t, e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// batchKind names the pipelined neighbours a command may share one
+// transaction with.
+type batchKind uint8
+
+const (
+	batchNone  batchKind = iota // always a transaction of its own
+	batchRead                   // other reads, in one read-only snapshot
+	batchWrite                  // same-shard writes, in one shard-local transaction
+)
+
+// command is the single definition of one protocol command. Everything the
+// server knows about what a command means is here; parseEntry, runTxn and
+// applyRun only interpret the table.
+type command struct {
+	name string // the wire name, matched in any letter case; lowercase, it is the metric label
+	// arity reports whether a command with nargs arguments is well-formed.
+	arity func(nargs int) bool
+	// prep validates the arguments beyond their count and parses the integer
+	// one into e.num, once; nil when there is nothing to parse. Its error is
+	// the command's ERR response, given without touching the store.
+	prep func(e *batchEntry) error
+	// keys appends the arguments that are keys to dst: the transaction is
+	// declared over exactly their shards.
+	keys     func(args []wire.Arg, dst [][]byte) [][]byte
+	readonly bool
+	batch    batchKind
+	// apply performs the command's store operations inside t — whichever
+	// transaction the runner chose — and appends its response frame to c.out.
+	// It may run more than once (conflict retries, batch fallback), so it keeps
+	// no state outside c.out and c.body. A returned error aborts t. t is nil
+	// for a command with no keys.
+	apply func(c *conn, t *kv.Tx, e *batchEntry) error
+}
+
+// exactly is the arity rule of a fixed-argument command.
+func exactly(k int) func(int) bool { return func(nargs int) bool { return nargs == k } }
+
+// keyArgs selects every step-th argument among the first n as keys; n < 0
+// means among all of them.
+func keyArgs(n, step int) func([]wire.Arg, [][]byte) [][]byte {
+	return func(args []wire.Arg, dst [][]byte) [][]byte {
+		if n >= 0 {
+			args = args[:n]
+		}
+		for i := 0; i < len(args); i += step {
+			dst = append(dst, args[i].B)
+		}
+		return dst
+	}
+}
+
+var (
+	errArity    = errors.New("server: wrong number of arguments")
+	errNegative = errors.New("server: negative transfer amount")
+)
+
+var commands = [NumCmds]command{
+	CmdPing: {
+		name: "ping", arity: exactly(0), keys: keyArgs(0, 1), readonly: true, batch: batchRead,
+		apply: func(c *conn, _ *kv.Tx, _ *batchEntry) error {
 			c.out = wire.AppendFrame(c.out, bodyPong)
-		case CmdGet:
+			return nil
+		},
+	},
+	CmdGet: {
+		name: "get", arity: exactly(1), keys: keyArgs(1, 1), readonly: true, batch: batchRead,
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
 			c.body = append(c.body[:0], "VAL "...)
 			if b, ok := t.AppendGetBlob(c.body, e.cmd.Args[0].B); ok {
 				c.body = b
@@ -830,7 +951,80 @@ func (c *conn) snapshotBody(t *kv.Tx) error {
 			} else {
 				c.out = wire.AppendFrame(c.out, bodyNil)
 			}
-		case CmdMGet:
+			return nil
+		},
+	},
+	CmdSet: {
+		name: "set", arity: exactly(2), keys: keyArgs(1, 1), batch: batchWrite,
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			t.Set(e.cmd.Args[0].B, e.cmd.Args[1].B)
+			c.out = wire.AppendFrame(c.out, bodyOK)
+			return nil
+		},
+	},
+	CmdDel: {
+		name: "del", arity: exactly(1), keys: keyArgs(1, 1),
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			c.out = wire.AppendFrame(c.out, boolBody(t.Delete(e.cmd.Args[0].B)))
+			return nil
+		},
+	},
+	CmdCAS: {
+		name: "cas", arity: exactly(3), keys: keyArgs(1, 1),
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			swapped := t.CompareAndSet(e.cmd.Args[0].B, e.cmd.Args[1].B, e.cmd.Args[2].B)
+			c.out = wire.AppendFrame(c.out, boolBody(swapped))
+			return nil
+		},
+	},
+	CmdIncr: {
+		name: "incr", arity: exactly(2), keys: keyArgs(1, 1), batch: batchWrite,
+		prep: func(e *batchEntry) (err error) {
+			e.num, err = kv.ParseInt(e.cmd.Args[1].B)
+			return err
+		},
+		// An INCR over a non-integer value aborts the transaction: alone that
+		// is its ERR; in a write batch the fallback re-runs each command alone,
+		// so the batch's SETs land and the INCR earns its ERR exactly as an
+		// unbatched pipeline would.
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			after, err := t.Add(e.cmd.Args[0].B, e.num)
+			if err != nil {
+				return err
+			}
+			c.out = wire.AppendFrame(c.out, c.intBody(after))
+			return nil
+		},
+	},
+	CmdTransfer: {
+		name: "transfer", arity: exactly(3), keys: keyArgs(2, 1),
+		prep: func(e *batchEntry) (err error) {
+			if e.num, err = kv.ParseInt(e.cmd.Args[2].B); err == nil && e.num < 0 {
+				err = errNegative
+			}
+			return err
+		},
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			src, dst, amount := e.cmd.Args[0].B, e.cmd.Args[1].B, e.num
+			have, err := t.Int(src)
+			if err != nil {
+				return err
+			}
+			if have >= amount { // else insufficient funds: commit unchanged
+				t.SetInt(src, have-amount)
+				to, err := t.Int(dst)
+				if err != nil {
+					return err
+				}
+				t.SetInt(dst, to+amount)
+			}
+			c.out = wire.AppendFrame(c.out, boolBody(have >= amount))
+			return nil
+		},
+	},
+	CmdMGet: {
+		name: "mget", arity: func(nargs int) bool { return nargs >= 1 }, keys: keyArgs(-1, 1), readonly: true, batch: batchRead,
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
 			c.body = append(c.body[:0], "VALS"...)
 			for _, a := range e.cmd.Args {
 				c.body = append(c.body, ' ')
@@ -841,104 +1035,35 @@ func (c *conn) snapshotBody(t *kv.Tx) error {
 				}
 			}
 			c.out = wire.AppendFrame(c.out, c.body)
-		}
-	}
-	return nil
-}
-
-// batchable reports whether e may join a read-only snapshot batch: a
-// read-only command with valid arity. Wrong-arity spellings go through the
-// per-command path for their ERR.
-func batchable(e *batchEntry) bool {
-	switch e.id {
-	case CmdPing:
-		return len(e.cmd.Args) == 0
-	case CmdGet:
-		return len(e.cmd.Args) == 1
-	case CmdMGet:
-		return len(e.cmd.Args) >= 1
-	}
-	return false
-}
-
-// writeBatchable reports whether e may join a shard-local write batch: a
-// single-key unconditional write with valid arity and, for INCR, a parseable
-// delta (stashed in e.delta). Everything else — including a malformed delta,
-// which earns its ERR without touching the store — goes through the
-// per-command path.
-func writeBatchable(e *batchEntry) bool {
-	switch e.id {
-	case CmdSet:
-		return len(e.cmd.Args) == 2
-	case CmdIncr:
-		if len(e.cmd.Args) != 2 {
-			return false
-		}
-		d, err := kv.ParseInt(e.cmd.Args[1].B)
-		if err != nil {
-			return false
-		}
-		e.delta = d
-		return true
-	}
-	return false
-}
-
-// writeBatchBody applies the collected batch inside one write transaction,
-// appending response frames to c.out. The body may re-run on conflict, so it
-// truncates c.out back to the batch's start each attempt — output from a
-// doomed attempt is never visible to the client. An INCR over a non-integer
-// value aborts the whole transaction; the fallback then re-runs each command
-// alone, so the SETs land and the INCR earns its ERR exactly as an unbatched
-// pipeline would.
-func (c *conn) writeBatchBody(t *kv.Tx) error {
-	c.out = c.out[:c.mark]
-	for i := 0; i < c.n; i++ {
-		e := &c.batch[i]
-		switch e.id {
-		case CmdSet:
-			t.Set(e.cmd.Args[0].B, e.cmd.Args[1].B)
-			c.out = wire.AppendFrame(c.out, bodyOK)
-		case CmdIncr:
-			after, err := t.Add(e.cmd.Args[0].B, e.delta)
-			if err != nil {
-				return err
+			return nil
+		},
+	},
+	CmdMSet: {
+		name: "mset", arity: func(nargs int) bool { return nargs >= 2 && nargs%2 == 0 }, keys: keyArgs(-1, 2),
+		apply: func(c *conn, t *kv.Tx, e *batchEntry) error {
+			for i := 0; i < len(e.cmd.Args); i += 2 {
+				t.Set(e.cmd.Args[i].B, e.cmd.Args[i+1].B)
 			}
-			c.out = wire.AppendFrame(c.out, c.intBody(after))
-		}
-	}
-	return nil
+			c.out = wire.AppendFrame(c.out, bodyOK)
+			return nil
+		},
+	},
+	// A name classify does not know is refused at parse time; apply never runs.
+	CmdUnknown: {
+		name: "unknown", arity: func(int) bool { return true }, keys: keyArgs(0, 1),
+		prep: func(e *batchEntry) error { return errors.New("server: unknown command " + e.cmd.Name) },
+	},
 }
 
-// classify maps a command name to its Cmd. The canonical upper- and
-// lowercase spellings match without allocating (their names are interned by
-// the parser); mixed-case spellings pay one ToUpper allocation.
+// classify maps a command name, in any letter case, to its Cmd by looking it
+// up in the table. It never allocates.
 func classify(name string) Cmd {
-	switch name {
-	case "PING", "ping":
-		return CmdPing
-	case "GET", "get":
-		return CmdGet
-	case "SET", "set":
-		return CmdSet
-	case "DEL", "del":
-		return CmdDel
-	case "CAS", "cas":
-		return CmdCAS
-	case "INCR", "incr":
-		return CmdIncr
-	case "TRANSFER", "transfer":
-		return CmdTransfer
-	case "MGET", "mget":
-		return CmdMGet
-	case "MSET", "mset":
-		return CmdMSet
-	default:
-		if up := strings.ToUpper(name); up != name {
-			return classify(up)
+	for id := range commands[:CmdUnknown] {
+		if strings.EqualFold(name, commands[id].name) {
+			return Cmd(id)
 		}
-		return CmdUnknown
 	}
+	return CmdUnknown
 }
 
 // Response bodies reused across commands. BUSY is the retriable shed
@@ -969,6 +1094,14 @@ func (c *conn) errBody(err error) []byte {
 	return c.body
 }
 
+// boolBody is the protocol's boolean: ":1" or ":0".
+func boolBody(ok bool) []byte {
+	if ok {
+		return bodyInt1
+	}
+	return bodyInt0
+}
+
 // intBody renders ":v" into c's scratch; 0 and 1 — the booleans of the
 // protocol — come from static bodies.
 func (c *conn) intBody(v int64) []byte {
@@ -982,8 +1115,6 @@ func (c *conn) intBody(v int64) []byte {
 	c.body = strconv.AppendInt(c.body, v, 10)
 	return c.body
 }
-
-var errArity = errors.New("server: wrong number of arguments")
 
 // acquire claims an in-flight transaction slot for c, waiting at most
 // QueueTimeout when the server is saturated. It reports false when the
@@ -1033,33 +1164,6 @@ func (s *Server) release(c *conn) {
 	<-s.sem
 }
 
-// runAtomicKey runs body as one write transaction pinned to key's shard,
-// bounded by CmdDeadline when one is configured. Single-key commands never
-// touch any state outside that shard. On a durable store the commit's fsync
-// wait is deferred into c's SyncBatch — serveConn syncs before any response
-// reaches the wire, so pipelined writes in one window share one group-commit
-// wait per shard instead of parking per command.
-func (s *Server) runAtomicKey(c *conn, key []byte, body func(t *kv.Tx) error) error {
-	return s.store.AtomicKeyDefer(nil, s.txOpts, key, c.sb, body)
-}
-
-// runViewKey is runAtomicKey's read-only twin.
-func (s *Server) runViewKey(key []byte, body func(t *kv.Tx) error) error {
-	return s.store.ViewKeyCtx(nil, s.txOpts, key, body)
-}
-
-// runAtomicKeys runs body atomically over the shards keys hash to: locally
-// when they co-locate, through the cross-shard commit path otherwise. Like
-// runAtomicKey it defers the durability wait into c's SyncBatch.
-func (s *Server) runAtomicKeys(c *conn, keys [][]byte, body func(t *kv.Tx) error) error {
-	return s.store.AtomicKeysDefer(nil, s.txOpts, keys, c.sb, body)
-}
-
-// runViewKeys is runAtomicKeys' read-only twin.
-func (s *Server) runViewKeys(keys [][]byte, body func(t *kv.Tx) error) error {
-	return s.store.ViewKeysCtx(nil, s.txOpts, keys, body)
-}
-
 // cmdErr renders a command error, counting deadline/budget exhaustion on
 // the way through. Disk-health refusals from the store become the typed
 // retriable bodies DISKFULL and READONLY instead of generic ERR, so clients
@@ -1078,238 +1182,4 @@ func (s *Server) cmdErr(c *conn, err error) []byte {
 		s.deadlines.Add(1)
 	}
 	return c.errBody(err)
-}
-
-// execute runs one command through the per-command path — the only path for
-// writes, and the fallback for reads whose batch failed validation. It
-// contains handler panics: the transaction slot is released, the panic
-// counted, and the client answered with ERR on a still-usable connection.
-// The returned body may be backed by c's scratch and is valid only until
-// c's next use.
-func (s *Server) execute(c *conn, cmd *wire.Command, id Cmd) (resp []byte) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.release(c)
-			s.panics.Add(1)
-			resp = c.errBody(fmt.Errorf("server: handler panic: %v", r))
-		}
-	}()
-	if in := chaos.Active(); in != nil {
-		in.Step(chaos.Handler)
-	}
-	return s.executeCmd(c, cmd, id)
-}
-
-func (s *Server) executeCmd(c *conn, cmd *wire.Command, id Cmd) []byte {
-	args := cmd.Args
-	switch id {
-	case CmdPing:
-		if len(args) != 0 {
-			return c.errBody(errArity)
-		}
-		return bodyPong
-
-	case CmdGet:
-		if len(args) != 1 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		var v []byte
-		var ok bool
-		err := s.runViewKey(args[0].B, func(t *kv.Tx) error {
-			v, ok = t.Get(args[0].B)
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		if !ok {
-			return bodyNil
-		}
-		c.body = wire.AppendCommand(c.body[:0], "VAL", wire.Blob(v))
-		return c.body
-
-	case CmdSet:
-		if len(args) != 2 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
-			t.Set(args[0].B, args[1].B)
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		return bodyOK
-
-	case CmdDel:
-		if len(args) != 1 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		removed := false
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
-			removed = t.Delete(args[0].B)
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		if removed {
-			return bodyInt1
-		}
-		return bodyInt0
-
-	case CmdCAS:
-		if len(args) != 3 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		swapped := false
-		err := s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
-			swapped = t.CompareAndSet(args[0].B, args[1].B, args[2].B)
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		if swapped {
-			return bodyInt1
-		}
-		return bodyInt0
-
-	case CmdIncr:
-		if len(args) != 2 {
-			return c.errBody(errArity)
-		}
-		delta, err := kv.ParseInt(args[1].B)
-		if err != nil {
-			return c.errBody(err)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		var after int64
-		err = s.runAtomicKey(c, args[0].B, func(t *kv.Tx) error {
-			var err error
-			after, err = t.Add(args[0].B, delta)
-			return err
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		return c.intBody(after)
-
-	case CmdTransfer:
-		if len(args) != 3 {
-			return c.errBody(errArity)
-		}
-		amount, err := kv.ParseInt(args[2].B)
-		if err != nil {
-			return c.errBody(err)
-		}
-		if amount < 0 {
-			return c.errBody(errors.New("server: negative transfer amount"))
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		ok := false
-		c.keys = append(c.keys[:0], args[0].B, args[1].B)
-		err = s.runAtomicKeys(c, c.keys, func(t *kv.Tx) error {
-			ok = false
-			src, err := t.Int(args[0].B)
-			if err != nil {
-				return err
-			}
-			if src < amount {
-				return nil // insufficient funds: commit unchanged
-			}
-			t.SetInt(args[0].B, src-amount)
-			dst, err := t.Int(args[1].B)
-			if err != nil {
-				return err
-			}
-			t.SetInt(args[1].B, dst+amount)
-			ok = true
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		if ok {
-			return bodyInt1
-		}
-		return bodyInt0
-
-	case CmdMGet:
-		if len(args) == 0 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		vals := make([]wire.Arg, len(args))
-		c.keys = c.keys[:0]
-		for _, a := range args {
-			c.keys = append(c.keys, a.B)
-		}
-		err := s.runViewKeys(c.keys, func(t *kv.Tx) error {
-			for i, a := range args {
-				if v, ok := t.Get(a.B); ok {
-					vals[i] = wire.Blob(v)
-				} else {
-					vals[i] = wire.Bare("NIL")
-				}
-			}
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		c.body = wire.AppendCommand(c.body[:0], "VALS", vals...)
-		return c.body
-
-	case CmdMSet:
-		if len(args) == 0 || len(args)%2 != 0 {
-			return c.errBody(errArity)
-		}
-		if !s.acquire(c) {
-			return bodyBusy
-		}
-		c.keys = c.keys[:0]
-		for i := 0; i < len(args); i += 2 {
-			c.keys = append(c.keys, args[i].B)
-		}
-		err := s.runAtomicKeys(c, c.keys, func(t *kv.Tx) error {
-			for i := 0; i < len(args); i += 2 {
-				t.Set(args[i].B, args[i+1].B)
-			}
-			return nil
-		})
-		s.release(c)
-		if err != nil {
-			return s.cmdErr(c, err)
-		}
-		return bodyOK
-
-	default:
-		return c.errBody(errors.New("server: unknown command " + cmd.Name))
-	}
 }

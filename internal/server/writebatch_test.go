@@ -74,7 +74,7 @@ func TestWriteBatchCoalescesIncrBurst(t *testing.T) {
 // batch boundaries when reads and writes interleave read→write→read→write in
 // one pipelined window, and that the command that ends a batch of one kind
 // still gets to start a batch of the other (the collector hands it back to
-// the dispatcher) rather than falling through to the per-command path.
+// the dispatcher) rather than running alone.
 func TestWriteBatchMixedPipelineOrder(t *testing.T) {
 	store := kv.New(kv.Config{Shards: 1, Buckets: 64})
 	srv, ln := startPipeServer(t, store, server.Config{})

@@ -21,39 +21,21 @@ const maxPooledEnc = 64 << 10
 
 var encPool = sync.Pool{New: func() any { return new(Enc) }}
 
-// EncodeCommit renders a single-shard commit record into a pooled Enc.
+// EncodeCommit renders a single-shard commit record into a pooled Enc, its
+// LSN zero until stamped at reservation.
 func EncodeCommit(ops []Op) *Enc {
 	e := encPool.Get().(*Enc)
 	b, _ := beginFrame(e.buf[:0])
-	b = binary.LittleEndian.AppendUint64(b, 0) // LSN: stamped at reservation
-	b = append(b, byte(KindCommit))
-	b = binary.AppendUvarint(b, uint64(len(ops)))
-	for _, op := range ops {
-		b = appendOp(b, op)
-	}
-	e.buf = b
+	e.buf = appendCommitPayload(b, 0, ops)
 	return e
 }
 
 // EncodeXCommit renders one participant's copy of a cross-shard commit
-// record into a pooled Enc. Every participant's copy carries the identical
-// xid, participant table, and op list; only the stamped LSN differs.
+// record into a pooled Enc, its LSN zero until stamped at reservation.
 func EncodeXCommit(xid uint64, parts []Part, ops []Op) *Enc {
 	e := encPool.Get().(*Enc)
 	b, _ := beginFrame(e.buf[:0])
-	b = binary.LittleEndian.AppendUint64(b, 0) // LSN: stamped at reservation
-	b = append(b, byte(KindXCommit))
-	b = binary.LittleEndian.AppendUint64(b, xid)
-	b = binary.AppendUvarint(b, uint64(len(parts)))
-	for _, p := range parts {
-		b = binary.AppendUvarint(b, uint64(p.Shard))
-		b = binary.LittleEndian.AppendUint64(b, p.LSN)
-	}
-	b = binary.AppendUvarint(b, uint64(len(ops)))
-	for _, op := range ops {
-		b = appendOp(b, op)
-	}
-	e.buf = b
+	e.buf = appendXCommitPayload(b, 0, xid, parts, ops)
 	return e
 }
 

@@ -132,23 +132,19 @@ func appendOp(dst []byte, op Op) []byte {
 	return append(dst, op.Val...)
 }
 
-// AppendCommitRecord appends one framed single-shard commit record to dst.
-func AppendCommitRecord(dst []byte, lsn uint64, ops []Op) []byte {
-	dst, start := beginFrame(dst)
+// appendCommitPayload is the one encoder of a single-shard commit record's
+// payload: lsn | kind | op list.
+func appendCommitPayload(dst []byte, lsn uint64, ops []Op) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	dst = append(dst, byte(KindCommit))
-	dst = binary.AppendUvarint(dst, uint64(len(ops)))
-	for _, op := range ops {
-		dst = appendOp(dst, op)
-	}
-	return sealFrame(dst, start)
+	return appendOps(dst, ops)
 }
 
-// AppendXCommitRecord appends one framed cross-shard commit record to dst,
-// stamped with lsn (this copy's position in its own shard's log). The
-// participant table and op list are identical across every copy.
-func AppendXCommitRecord(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []byte {
-	dst, start := beginFrame(dst)
+// appendXCommitPayload is the one encoder of a cross-shard commit record's
+// payload: lsn | kind | xid | participant table | op list. The xid,
+// participant table and op list are identical across every participant's
+// copy; only lsn (the copy's position in its own shard's log) differs.
+func appendXCommitPayload(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	dst = append(dst, byte(KindXCommit))
 	dst = binary.LittleEndian.AppendUint64(dst, xid)
@@ -157,11 +153,28 @@ func AppendXCommitRecord(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []
 		dst = binary.AppendUvarint(dst, uint64(p.Shard))
 		dst = binary.LittleEndian.AppendUint64(dst, p.LSN)
 	}
+	return appendOps(dst, ops)
+}
+
+func appendOps(dst []byte, ops []Op) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for _, op := range ops {
 		dst = appendOp(dst, op)
 	}
-	return sealFrame(dst, start)
+	return dst
+}
+
+// AppendCommitRecord appends one framed single-shard commit record to dst.
+func AppendCommitRecord(dst []byte, lsn uint64, ops []Op) []byte {
+	dst, start := beginFrame(dst)
+	return sealFrame(appendCommitPayload(dst, lsn, ops), start)
+}
+
+// AppendXCommitRecord appends one framed cross-shard commit record to dst,
+// stamped with lsn.
+func AppendXCommitRecord(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []byte {
+	dst, start := beginFrame(dst)
+	return sealFrame(appendXCommitPayload(dst, lsn, xid, parts, ops), start)
 }
 
 // NextFrame splits b into the first frame's payload and the rest. A clean end

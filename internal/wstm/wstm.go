@@ -28,33 +28,9 @@ import (
 const DefaultStripes = 1 << 20
 
 // Each Engine hands out object and transaction ids from its own counter
-// (Engine.idSrc). As in the direct engine, the counter is consumed in
-// blocks of idBlockStride through per-transaction (and per-engine, for
-// non-transactional NewObj) idAlloc blocks, so the hot allocation paths
-// touch the engine's cache line once per ~1k ids. Ids are only compared for
-// equality within one engine, so independent engines may repeat numeric
-// ids; gaps from abandoned blocks are harmless: ids are unique per engine,
-// never reused, and only compared for equality.
-
-const idBlockStride = 1024
-
-// idAlloc is a private block of pre-reserved ids refilled from src (the
-// owning engine's counter); bind src before the first take. Not safe for
-// concurrent use.
-type idAlloc struct {
-	src         *atomic.Uint64
-	next, limit uint64
-}
-
-func (a *idAlloc) take() uint64 {
-	if a.next == a.limit {
-		hi := a.src.Add(idBlockStride)
-		a.next, a.limit = hi-idBlockStride+1, hi+1
-	}
-	id := a.next
-	a.next++
-	return id
-}
+// (Engine.ids, an engine.IDSource), so the hot allocation paths touch the
+// engine's cache line once per ~1k ids. Ids are only compared for equality
+// within one engine, so independent engines may repeat numeric ids.
 
 // Obj is a transactional object under the word-based engine. Fields are
 // atomics because optimistic readers race with commit-time write-back.
@@ -75,13 +51,8 @@ type Engine struct {
 	metrics engine.Metrics
 	cm      engine.CM
 
-	// idSrc is this engine's id counter; every transaction block and the
-	// engine's own block refill from it.
-	idSrc atomic.Uint64
-
-	// idMu guards ids, the engine's block for non-transactional NewObj.
-	idMu sync.Mutex
-	ids  idAlloc
+	// ids is this engine's id counter.
+	ids engine.IDSource
 }
 
 // paddedStripe avoids false sharing between adjacent versioned locks.
@@ -123,9 +94,8 @@ func New(opts ...Option) *Engine {
 		e.stripes = make([]paddedStripe, DefaultStripes)
 		e.mask = DefaultStripes - 1
 	}
-	e.ids.src = &e.idSrc
 	e.pool.New = func() any {
-		return &Txn{eng: e, writes: make(map[wkey]wval), ids: idAlloc{src: &e.idSrc}}
+		return &Txn{eng: e, writes: make(map[wkey]wval), ids: e.ids.Block()}
 	}
 	return e
 }
@@ -135,10 +105,7 @@ func (e *Engine) Name() string { return "wstm" }
 
 // NewObj implements engine.Engine.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
-	e.idMu.Lock()
-	id := e.ids.take()
-	e.idMu.Unlock()
-	return newObj(id, 0, nwords, nrefs)
+	return newObj(e.ids.Take(), 0, nwords, nrefs)
 }
 
 func newObj(id, creator uint64, nwords, nrefs int) *Obj {
@@ -223,7 +190,7 @@ type Txn struct {
 	worder []wkey // write-back order (deterministic)
 
 	// ids is this transaction's private id block; persists across reuse.
-	ids idAlloc
+	ids engine.IDAlloc
 
 	// lockScratch is the commit-time stripe list, reused across attempts so
 	// commit performs no allocation.
@@ -238,7 +205,7 @@ type readEntry struct {
 }
 
 func (t *Txn) start(readonly bool) {
-	t.id = t.ids.take()
+	t.id = t.ids.Take()
 	t.rv = t.eng.clock.Load()
 	t.readonly = readonly
 	t.done = false
@@ -410,7 +377,7 @@ func (t *Txn) bufferWrite(k wkey, v wval) {
 
 // Alloc implements engine.Txn.
 func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
-	return newObj(t.ids.take(), t.id, nwords, nrefs)
+	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
 
 // Validate implements engine.Txn: every read stripe must still be unlocked at
