@@ -64,9 +64,9 @@ const (
 	// log buffer. The transaction is already committed in memory, so only
 	// delays are legal — New clamps abort and panic rates to zero.
 	WALAppend
-	// WALFsync fires in the group-commit leader just before the fsync, while
-	// followers are parked on it. Delay-only, like WALAppend: the records
-	// being flushed are committed state.
+	// WALFsync fires in the shard's appender goroutine just before a group's
+	// fsync, while the group's waiters are parked on it. Delay-only, like
+	// WALAppend: the records being flushed are committed state.
 	WALFsync
 	// SnapshotWrite fires at the start of a snapshot checkpoint attempt; an
 	// injected abort skips the attempt (a later one retries), and a panic is
@@ -236,6 +236,17 @@ func Enable(in *Injector) { active.Store(in) }
 // Disable removes the process-wide injector; instrumented sites revert to
 // their no-op fast path.
 func Disable() { active.Store(nil) }
+
+// Delay sleeps if the enabled injector draws a delay at p; with no injector
+// it is a single atomic load. For the delay-only points (WALAppend, WALFsync),
+// where any other action is clamped away by New.
+func Delay(p Point) {
+	if in := Active(); in != nil {
+		if _, d := in.Decide(p); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
 
 // mix64 is a splitmix64-style finalizer: a bijective scramble good enough to
 // turn (seed, seq, point) into independent-looking uniform draws.

@@ -142,17 +142,6 @@ func (t *Tx) encodeEffs(sid int) []wal.Op {
 	return t.encOps
 }
 
-// chaosWALAppend is the WALAppend fault point, injected at record encoding —
-// before the shard's wmu — so chaos delays exercise the pipeline's reorder
-// window without artificially stretching the commit critical section.
-func chaosWALAppend() {
-	if in := chaos.Active(); in != nil {
-		if _, delay := in.Decide(chaos.WALAppend); delay > 0 {
-			time.Sleep(delay)
-		}
-	}
-}
-
 // durableCommitSingle is the commit hook for single-shard writers: it couples
 // the engine commit and the WAL LSN reservation under the shard's wmu, so the
 // log's record order matches the engine's commit order. The record is encoded
@@ -174,7 +163,10 @@ func (s *Store) durableCommitSingle(sid int, t *Tx, tx engine.Txn) error {
 		return herr
 	}
 	enc := wal.EncodeCommit(t.encodeEffs(sid))
-	chaosWALAppend()
+	// The WALAppend fault point sits at record encoding — before the shard's
+	// wmu — so chaos delays exercise the pipeline's reorder window without
+	// artificially stretching the commit critical section.
+	chaos.Delay(chaos.WALAppend)
 	sh := &s.shards[sid]
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
@@ -324,94 +316,43 @@ func (t *Tx) walAppendCross() error {
 	return firstErr
 }
 
-// walSyncWorkers caps the store's shared durability-wait worker pool (one
-// worker can usefully wait per shard; beyond a handful the waits just join
-// the same group commits).
-const walSyncWorkers = 8
-
-// walSyncReq asks a sync worker to make one (log, LSN) durable.
-type walSyncReq struct {
-	l   *wal.Log
-	lsn uint64
-	err *error
-	wg  *sync.WaitGroup
-}
-
-// walSyncWorker drains one durability-wait queue. The channel is passed in
-// rather than read from the store: Close nils s.wsync after closing it, and a
-// worker that is first scheduled after that would otherwise range over nil.
-func (s *Store) walSyncWorker(reqs <-chan walSyncReq) {
-	defer s.walWG.Done()
-	for req := range reqs {
-		*req.err = req.l.Sync(req.lsn)
-		req.wg.Done()
+// awaitDurable is the store's one durability wait. It posts a request to every
+// (shard, LSN) pair's log before waiting on any, then waits for each in turn
+// on the calling goroutine: the shards' appenders run their group commits in
+// parallel, so the wait costs the slowest shard's cycle rather than the sum.
+// Runs after the gates are released, so a parked wait never holds up other
+// transactions' commits. The first error wins.
+//
+// On success it retires the in-flight registrations xids (0 = a commit that
+// registered nothing). A failed wait means some participant's xcommit copy
+// may never become durable; leaving the registrations pinned keeps
+// minInflightLSN clamping checkpoint truncation on the healthy peers, so the
+// surviving durable copies a post-crash rescue needs cannot be deleted. The
+// log is sticky-wedged, so the pin is permanent — by design.
+func (s *Store) awaitDurable(syncs []walSync, xids ...uint64) error {
+	for _, ws := range syncs {
+		s.wal.Log(ws.sid).PostSync(ws.lsn)
 	}
-}
-
-// syncMany blocks until every (shard, LSN) pair is durable and returns the
-// first error. One or two participants — the overwhelmingly common cases —
-// sync sequentially on the calling goroutine: a goroutine handoff costs more
-// than the second group-commit wait it could overlap. Wider fan-outs park on
-// the store's small worker set instead of spawning a goroutine per
-// participant per commit (the last participant is synced inline, so the
-// caller always does useful waiting too).
-func (s *Store) syncMany(syncs []walSync) error {
-	if len(syncs) <= 2 || s.wsync == nil {
-		var first error
-		for _, ws := range syncs {
-			if err := s.wal.Log(ws.sid).Sync(ws.lsn); err != nil && first == nil {
-				first = err
+	var first error
+	for _, ws := range syncs {
+		if err := s.wal.Log(ws.sid).WaitSync(ws.lsn); err != nil && first == nil {
+			first = err
+		}
+	}
+	s.noteWALErr(first)
+	if first == nil {
+		for _, xid := range xids {
+			if xid != 0 {
+				s.doneInflight(xid)
 			}
 		}
-		s.noteWALErr(first)
-		return first
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(syncs)-1)
-	for i, ws := range syncs[:len(syncs)-1] {
-		wg.Add(1)
-		s.wsync <- walSyncReq{l: s.wal.Log(ws.sid), lsn: ws.lsn, err: &errs[i], wg: &wg}
-	}
-	last := syncs[len(syncs)-1]
-	err := s.wal.Log(last.sid).Sync(last.lsn)
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			if err == nil {
-				err = e
-			}
-			break
-		}
-	}
-	s.noteWALErr(err)
-	return err
-}
-
-// walSyncAll blocks until every (shard, LSN) the attempt appended is durable,
-// then — on success — retires the in-flight registration. Runs after the
-// gates are released, so parked syncs never hold up other transactions'
-// commits.
-func (s *Store) walSyncAll(t *Tx) error {
-	err := s.syncMany(t.syncs)
-	if t.xid != 0 {
-		// Retire only on success. A failed Sync means some participant's
-		// xcommit copy may never become durable; leaving the registration
-		// pinned keeps minInflightLSN clamping checkpoint truncation on the
-		// healthy peers, so the surviving durable copies a post-crash rescue
-		// needs cannot be deleted. The log is sticky-wedged, so the pin is
-		// permanent — by design.
-		if err == nil {
-			s.doneInflight(t.xid)
-		}
-		t.xid = 0
-	}
-	t.syncs = t.syncs[:0]
-	return err
+	return first
 }
 
 // SyncBatch accumulates the durability waits of a pipelined window. Each
 // deferred commit notes its appended (shard, LSN) pairs here instead of
-// blocking in walSyncAll; Wait then syncs every touched shard's high-water
+// blocking in awaitDurable; Wait then syncs every touched shard's high-water
 // LSN once. A window of N same-shard writes pays one group-commit wait
 // instead of N sequential ones, and — because the issuing goroutine keeps
 // executing instead of parking per command — concurrent windows stack far
@@ -461,9 +402,9 @@ func (b *SyncBatch) note(t *Tx) {
 func (b *SyncBatch) Pending() bool { return b != nil && b.dirty }
 
 // Wait blocks until every record noted since the last Wait is durable, then
-// (on success) retires the deferred in-flight registrations. Shards sync in
-// parallel; the first error wins (a failed Wait means the acknowledgments
-// gated on it must not be released — the log is wedged).
+// (on success) retires the deferred in-flight registrations — see
+// awaitDurable. A failed Wait means the acknowledgments gated on it must not
+// be released: the log is wedged.
 func (b *SyncBatch) Wait() error {
 	if b == nil || !b.dirty {
 		return nil
@@ -474,17 +415,7 @@ func (b *SyncBatch) Wait() error {
 			b.scratch = append(b.scratch, walSync{sid: sid, lsn: lsn})
 		}
 	}
-	err := b.s.syncMany(b.scratch)
-	// Retire the deferred registrations only when every shard synced: after a
-	// failed Sync a participant's xcommit copy may never be durable, and the
-	// still-pinned registrations stop checkpoints on the healthy peers from
-	// truncating the surviving copies a post-crash rescue would need (the
-	// wedged log makes the pin permanent — see walSyncAll).
-	if err == nil {
-		for _, xid := range b.xids {
-			b.s.doneInflight(xid)
-		}
-	}
+	err := b.s.awaitDurable(b.scratch, b.xids...)
 	b.xids = b.xids[:0]
 	for i := range b.lsn {
 		b.lsn[i] = 0
@@ -573,19 +504,6 @@ func Open(cfg Config, dcfg DurableConfig) (*Store, *RecoveryStats, error) {
 	s.walFullN = fullSnapshotCadence
 	if dcfg.fullSnapshotEvery > 0 {
 		s.walFullN = dcfg.fullSnapshotEvery
-	}
-	if len(s.shards) > 2 {
-		// Shared durability-wait workers for wide cross-shard commits; stores
-		// with <= 2 shards always sync inline (see syncMany).
-		workers := len(s.shards)
-		if workers > walSyncWorkers {
-			workers = walSyncWorkers
-		}
-		s.wsync = make(chan walSyncReq, len(s.shards))
-		for i := 0; i < workers; i++ {
-			s.walWG.Add(1)
-			go s.walSyncWorker(s.wsync)
-		}
 	}
 	if dcfg.SnapshotEvery > 0 {
 		s.walStop = make(chan struct{})
@@ -854,13 +772,12 @@ func (s *Store) Checkpoint() error {
 // merged into the previous snapshot) when the store was opened with
 // IncrementalSnapshots and the dirty set is trustworthy, a full scan
 // otherwise — including every s.walFullN-th checkpoint (fullSnapshotCadence).
+// A shard with nothing appended since the snapshot already on disk is left
+// alone.
 func (s *Store) checkpointShard(sid int) error {
 	sh := &s.shards[sid]
 	sh.cpmu.Lock()
 	defer sh.cpmu.Unlock()
-	if !s.walIncr {
-		return s.checkpointFull(sid)
-	}
 
 	// Take the dirty set atomically with the covered LSN, under the same
 	// locks every LSN reservation runs under (shared gate + wmu covers
@@ -868,11 +785,13 @@ func (s *Store) checkpointShard(sid int) error {
 	// with LSN <= covered therefore either predates a previous take (its key
 	// is in an already-written snapshot) or is in this taken set; keys
 	// dirtied after the take stay in sh.dirty for the next checkpoint.
-	l := s.wal.Log(sid)
+	// covered is fixed before any state is read: the snapshot is then a
+	// superset of records <= covered, and replaying the (covered, tail] suffix
+	// over it is idempotent because effects are absolute.
 	sh.xmu.RLock()
 	sh.wmu.Lock()
 	sh.dmu.Lock()
-	covered := l.AppendedLSN()
+	covered := s.wal.Log(sid).AppendedLSN()
 	taken := sh.dirty
 	takenOver := sh.dirtyOver
 	sh.dirty = nil
@@ -881,8 +800,24 @@ func (s *Store) checkpointShard(sid int) error {
 	sh.wmu.Unlock()
 	sh.xmu.RUnlock()
 
-	if !takenOver && sh.snapSince+1 < s.walFullN {
-		err := s.checkpointIncremental(sid, covered, taken)
+	// The snapshot directory, not a remembered LSN, is the authority: a
+	// snapshot the scrubber quarantined must be rewritten.
+	if len(taken) == 0 && !takenOver {
+		if snap, ok := s.wal.LatestSnapshotLSN(sid); ok && snap == covered {
+			return nil
+		}
+	}
+
+	if s.walIncr && !takenOver && sh.snapSince+1 < s.walFullN {
+		// The previous snapshot minus the dirty keys, plus the dirty keys'
+		// live values (dirty keys since deleted are dropped).
+		pairs, err := s.collectDirtyPairs(sid, taken)
+		if err == nil {
+			err = s.writeCheckpoint(sid, covered, pairs, func(key []byte) bool {
+				_, isDirty := taken[string(key)]
+				return isDirty
+			})
+		}
 		if err == nil {
 			sh.snapSince++
 			return nil
@@ -893,7 +828,11 @@ func (s *Store) checkpointShard(sid int) error {
 		}
 		// No previous snapshot to merge into — fall through to a full scan.
 	}
-	if err := s.checkpointFull(sid); err != nil {
+	pairs, err := s.collectShardPairs(sid)
+	if err == nil {
+		err = s.writeCheckpoint(sid, covered, pairs, nil)
+	}
+	if err != nil {
 		// The full scan would have covered everything the taken set named;
 		// now that it failed, those keys must survive for the next attempt.
 		sh.mergeDirtyBack(taken, takenOver)
@@ -903,34 +842,24 @@ func (s *Store) checkpointShard(sid int) error {
 	return nil
 }
 
-// checkpointIncremental writes a snapshot at covered consisting of the
-// previous snapshot minus the dirty keys, plus the dirty keys' live values
-// (dirty keys since deleted are dropped). The values are read after covered
-// was fixed and may reflect later records — those stay in the log and replay
-// idempotently.
-func (s *Store) checkpointIncremental(sid int, covered uint64, dirty map[string]struct{}) error {
-	pairs, err := s.collectDirtyPairs(sid, dirty)
-	if err != nil {
-		return err
-	}
-	// The value reads can observe effects of records appended after covered.
+// writeCheckpoint is the tail both collectors feed: pass the barrier, then
+// write pairs as shard sid's snapshot at covered (merged into the previous
+// snapshot when skip is non-nil; see wal.Manager.Checkpoint) and truncate the
+// log. The pairs were read after covered was fixed and may reflect later
+// records — those stay in the log and replay idempotently.
+func (s *Store) writeCheckpoint(sid int, covered uint64, pairs [][2][]byte, skip func(key []byte) bool) error {
 	truncTo, err := s.checkpointBarrier(sid, covered)
 	if err != nil {
 		return err
 	}
-	return s.wal.CheckpointIncremental(sid, covered, truncTo,
-		func(key []byte) bool {
-			_, isDirty := dirty[string(key)]
-			return isDirty
-		},
-		func(emit func(k, v []byte) error) error {
-			for _, kv := range pairs {
-				if err := emit(kv[0], kv[1]); err != nil {
-					return err
-				}
+	return s.wal.Checkpoint(sid, covered, truncTo, skip, func(emit func(k, v []byte) error) error {
+		for _, kv := range pairs {
+			if err := emit(kv[0], kv[1]); err != nil {
+				return err
 			}
-			return nil
-		})
+		}
+		return nil
+	})
 }
 
 // checkpointBarrier runs after a checkpoint has read shard sid's state and
@@ -968,31 +897,6 @@ func (s *Store) checkpointBarrier(sid int, covered uint64) (truncTo uint64, err 
 		truncTo = min - 1
 	}
 	return truncTo, nil
-}
-
-// checkpointFull writes a full-scan snapshot checkpoint for one shard.
-func (s *Store) checkpointFull(sid int) error {
-	l := s.wal.Log(sid)
-	// Read the covered LSN before the scan begins: the snapshot state is a
-	// superset of records <= covered, and replaying the (covered, tail]
-	// suffix over it is idempotent because effects are absolute.
-	covered := l.AppendedLSN()
-	pairs, err := s.collectShardPairs(sid)
-	if err != nil {
-		return err
-	}
-	truncTo, err := s.checkpointBarrier(sid, covered)
-	if err != nil {
-		return err
-	}
-	return s.wal.Checkpoint(sid, covered, truncTo, func(emit func(k, v []byte) error) error {
-		for _, kv := range pairs {
-			if err := emit(kv[0], kv[1]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // collectShard runs a read-only collection body on one shard: a few
@@ -1072,13 +976,9 @@ func (s *Store) Close() error {
 	if s.walStop != nil {
 		close(s.walStop)
 	}
-	if s.wsync != nil {
-		close(s.wsync)
-	}
-	// Nil the fields only after the workers are gone: the checkpointer still
-	// selects on walStop until it observes the close.
+	// Nil the field only after the checkpointer is gone: it still selects on
+	// walStop until it observes the close.
 	s.walWG.Wait()
 	s.walStop = nil
-	s.wsync = nil
 	return s.wal.Close()
 }

@@ -179,7 +179,6 @@ type Store struct {
 	wal       *wal.Manager
 	walStop   chan struct{} // closes to stop the checkpointer
 	walWG     sync.WaitGroup
-	wsync     chan walSyncReq // shared durability-wait worker pool
 	wimu      sync.Mutex
 	winflight map[uint64][]wal.Part // cross-shard appends not yet fully durable
 	walIncr   bool                  // incremental snapshot checkpoints enabled
@@ -666,7 +665,7 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 func (s *Store) walSettle(t *Tx, ws *walScratch, sb *SyncBatch, err error) error {
 	if sb != nil {
 		sb.note(t)
-	} else if serr := s.walSyncAll(t); err == nil {
+	} else if serr := s.awaitDurable(t.syncs, t.xid); err == nil {
 		err = serr
 	}
 	ws.release(t)

@@ -18,15 +18,16 @@ import (
 type Options struct {
 	// Dir is the WAL root; each shard logs under Dir/shard-NNNN/.
 	Dir string
-	// FsyncBatch is the target group-commit size: a group leader fsyncs as
-	// soon as this many records are pending, or FsyncInterval elapses,
-	// whichever is first. 1 fsyncs every commit; 0 disables fsync entirely
-	// (records are still written, so a clean shutdown loses nothing, but a
-	// crash can lose the OS-buffered tail).
+	// FsyncBatch is the target group-commit size: once a durability request
+	// is outstanding, the shard's appender fsyncs as soon as this many records
+	// are appended but not yet durable, or FsyncInterval elapses, whichever is
+	// first. 1 fsyncs every commit; 0 disables fsync entirely (records are
+	// still written, so a clean shutdown loses nothing, but a crash can lose
+	// the OS-buffered tail).
 	FsyncBatch int
-	// FsyncInterval bounds how long a group leader waits for FsyncBatch
-	// records to accumulate. 0 flushes immediately, so groups form only from
-	// commits that arrive while a previous fsync is in flight.
+	// FsyncInterval bounds how long the appender holds a group open waiting
+	// for FsyncBatch records to accumulate. 0 fsyncs immediately, so groups
+	// form only from commits that arrive while a previous fsync is in flight.
 	FsyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// 0 means the 64 MiB default.
@@ -84,60 +85,60 @@ func parseSegName(name string) (uint64, bool) {
 }
 
 // Log is one shard's write-ahead log: segmented files fed by an append
-// pipeline, with leader-based group commit on top.
+// pipeline whose appender goroutine is also the group-commit scheduler.
 //
 // An append only reserves the next LSN and enqueues a pre-encoded record
-// under a short mutex; a dedicated appender goroutine drains the queue in LSN
-// order, seals CRCs, and writes whole batches with one vectored write each.
-// The appender owns all file I/O — segment writes,
-// rotation, and fsyncs — so group-commit leaders post durability requests
-// and wait instead of touching the file themselves. Commit critical sections
-// therefore never wait on I/O; only Sync does.
+// under a short mutex; the appender drains the queue in LSN order, seals
+// CRCs, and writes whole batches with one vectored write each. A durability
+// wait is two steps: PostSync raises the requested LSN (never blocks) and
+// WaitSync parks until the appender's fsync covers it — so a caller can post
+// to many logs before waiting on any. The appender alone forms the group: it
+// opens a window when an unsatisfied request exists, keeps writing arrivals
+// while the window is open, and fsyncs once FsyncBatch records are waiting or
+// FsyncInterval has passed. It owns all file I/O — segment writes, rotation,
+// and fsyncs — so commit critical sections never wait on I/O; only WaitSync
+// does.
 type Log struct {
 	dir   string
 	opts  Options
 	fs    walfs.FS
 	shard int
 
-	// mu guards the append state: LSNs, the queue, the rotation decision,
-	// and the pipeline's request/progress fields.
+	// mu guards everything below up to synced: LSNs, the queue, the rotation
+	// decision, and the durability requests and progress.
 	mu       sync.Mutex
 	f        walfs.File
 	segSize  int64
 	nextLSN  uint64 // LSN the next append will take
 	appended uint64 // last LSN handed out (0 = none yet)
-	pending  int    // records appended but not yet covered by a flush/sync
 	failed   error  // sticky first write/fsync error; the log is wedged after
 
-	// Append pipeline state. The appender goroutine is the only writer of
-	// written/fsynced and the only party doing file I/O. queueCap is
-	// appendQueueCap; it is a field only so in-package tests can shrink it
-	// (under mu, before appending) to force back-pressure.
+	// The appender goroutine is the only writer of written/fsynced/synced and
+	// the only party doing file I/O. queueCap is appendQueueCap; it is a field
+	// only so in-package tests can shrink it (under mu, before appending) to
+	// force back-pressure.
 	queueCap     int
-	queue        []*Enc     // records reserved but not yet written, LSN order
-	qspare       []*Enc     // double-buffer for queue swaps
-	acond        *sync.Cond // appender wakeup: work queued, sync request, close
-	pcond        *sync.Cond // sync waiters: written/fsynced/failed progressed
-	spaceCond    *sync.Cond // enqueuers blocked on a full queue
-	written      uint64     // last LSN written to the segment file
-	fsynced      uint64     // last LSN covered by a real fsync
-	unsynced     int        // records written but not yet covered by a sync
-	syncReq      uint64     // highest LSN a leader asked to make durable
-	syncForce    bool       // fsync even when FsyncBatch == 0 (Flush/Close)
+	queue        []*Enc      // records reserved but not yet written, LSN order
+	qspare       []*Enc      // double-buffer for queue swaps
+	acond        *sync.Cond  // appender wakeup: work queued, request posted, window timer, close
+	pcond        *sync.Cond  // sync waiters: synced/fsynced/failed progressed
+	spaceCond    *sync.Cond  // enqueuers blocked on a full queue
+	written      uint64      // last LSN written to the segment file
+	fsynced      uint64      // last LSN covered by a real fsync
+	syncReq      uint64      // highest LSN a waiter asked to make durable
+	syncForce    bool        // fsync now, even when FsyncBatch == 0 (Flush/Close)
+	windowEnd    time.Time   // when the open group window closes (zero = no window open)
+	timer        *time.Timer // wakes the appender at windowEnd; one per log, re-armed per window
 	closing      bool
-	vecs         [][]byte // appender's reusable writev buffer table
 	appenderDone chan struct{}
 
-	// batchFull is signalled (capacity 1, non-blocking) when pending reaches
-	// FsyncBatch, so a waiting group leader can flush early.
-	batchFull chan struct{}
+	// synced is the last durable LSN (last written LSN when fsync is
+	// disabled). Stored under mu; loaded lock-free by SyncedLSN and PostSync.
+	synced atomic.Uint64
 
-	// Group-commit leadership. synced is the last durable LSN (last written
-	// LSN when fsync is disabled).
-	gmu     sync.Mutex
-	gcond   *sync.Cond
-	leading bool
-	synced  atomic.Uint64
+	// Appender-private: touched by no other goroutine.
+	vecs     [][]byte // reusable writev buffer table
+	unsynced int      // records written since the last completed sync
 
 	appends       atomic.Uint64
 	appendBytes   atomic.Uint64
@@ -162,18 +163,16 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 		return nil, err
 	}
 	l := &Log{
-		dir:       dir,
-		opts:      opts,
-		fs:        fsys,
-		shard:     shard,
-		nextLSN:   nextLSN,
-		appended:  nextLSN - 1,
-		written:   nextLSN - 1,
-		fsynced:   nextLSN - 1,
-		queueCap:  appendQueueCap,
-		batchFull: make(chan struct{}, 1),
+		dir:      dir,
+		opts:     opts,
+		fs:       fsys,
+		shard:    shard,
+		nextLSN:  nextLSN,
+		appended: nextLSN - 1,
+		written:  nextLSN - 1,
+		fsynced:  nextLSN - 1,
+		queueCap: appendQueueCap,
 	}
-	l.gcond = sync.NewCond(&l.gmu)
 	l.synced.Store(nextLSN - 1)
 	if err := l.openSegment(nextLSN); err != nil {
 		return nil, err
@@ -317,7 +316,7 @@ func (l *Log) AppendCommit(ops []Op) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l.chaosAppend()
+	chaos.Delay(chaos.WALAppend)
 	return lsn, nil
 }
 
@@ -327,7 +326,7 @@ func (l *Log) AppendXCommit(lsn, xid uint64, parts []Part, ops []Op) error {
 	if err := l.AppendAt(lsn, EncodeXCommit(xid, parts, ops)); err != nil {
 		return err
 	}
-	l.chaosAppend()
+	chaos.Delay(chaos.WALAppend)
 	return nil
 }
 
@@ -352,58 +351,46 @@ func (l *Log) AppendRecord(rec Record) error {
 func (l *Log) noteAppend(lsn uint64, nbytes int) {
 	l.appended = lsn
 	l.nextLSN = lsn + 1
-	l.pending++
 	l.appends.Add(1)
 	l.appendBytes.Add(uint64(nbytes))
-	if l.opts.FsyncBatch > 0 && l.pending >= l.opts.FsyncBatch {
-		select {
-		case l.batchFull <- struct{}{}:
-		default:
-		}
-	}
 }
 
-func (l *Log) chaosAppend() {
-	if in := chaos.Active(); in != nil {
-		if _, delay := in.Decide(chaos.WALAppend); delay > 0 {
-			time.Sleep(delay)
-		}
+// PostSync asks the appender to make the record at lsn durable and returns
+// at once; WaitSync collects the result. An lsn that is already durable posts
+// nothing and does not wake the appender.
+func (l *Log) PostSync(lsn uint64) {
+	if l.synced.Load() >= lsn {
+		return
 	}
+	l.mu.Lock()
+	if lsn > l.syncReq {
+		l.syncReq = lsn
+		l.acond.Signal()
+	}
+	l.mu.Unlock()
 }
 
-// Sync blocks until the record at lsn is durable (or written, when fsync is
-// disabled). One waiter at a time leads: it forms a group — waiting up to
-// FsyncInterval for FsyncBatch records — then posts a durability request to
-// the appender and wakes everyone the sync covered.
+// WaitSync blocks until the record at lsn is durable (or written, when fsync
+// is disabled) or the log is wedged, and returns the sticky error if any. It
+// must follow a PostSync covering lsn — waiting moves nothing by itself.
+func (l *Log) WaitSync(lsn uint64) error { return l.wait(lsn, false) }
+
+// Sync blocks until the record at lsn is durable: PostSync, then WaitSync.
 func (l *Log) Sync(lsn uint64) error {
-	for {
-		if l.synced.Load() >= lsn {
-			return l.stickyErr()
-		}
-		l.gmu.Lock()
-		if l.synced.Load() >= lsn {
-			l.gmu.Unlock()
-			return l.stickyErr()
-		}
-		if l.leading {
-			l.gcond.Wait()
-			l.gmu.Unlock()
-			continue
-		}
-		l.leading = true
-		l.gmu.Unlock()
+	l.PostSync(lsn)
+	return l.WaitSync(lsn)
+}
 
-		l.waitGroup(lsn)
-		err := l.syncPipelined(false)
-
-		l.gmu.Lock()
-		l.leading = false
-		l.gcond.Broadcast()
-		l.gmu.Unlock()
-		if err != nil {
-			return err
-		}
+// wait parks until synced reaches lsn — and, for a flush, until a real fsync
+// covers it, which matters when FsyncBatch is 0 and synced advances on write
+// alone.
+func (l *Log) wait(lsn uint64, flush bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.failed == nil && (l.synced.Load() < lsn || (flush && l.fsynced < lsn)) {
+		l.pcond.Wait()
 	}
+	return l.failed
 }
 
 func (l *Log) stickyErr() error {
@@ -412,71 +399,67 @@ func (l *Log) stickyErr() error {
 	return l.failed
 }
 
-// waitGroup lets the group grow: return early once FsyncBatch records are
-// pending, else after FsyncInterval.
-func (l *Log) waitGroup(lsn uint64) {
-	if l.opts.FsyncBatch <= 1 || l.opts.FsyncInterval <= 0 {
-		return
-	}
+// postFlush asks the appender for an unconditional fsync of everything
+// appended so far, closing any open group window, and returns the LSN to
+// wait for. When a real fsync already covers the last append there is
+// nothing to ask for.
+func (l *Log) postFlush() uint64 {
 	l.mu.Lock()
-	full := l.pending >= l.opts.FsyncBatch
-	// Drain a stale signal from a previous group so it cannot cut this
-	// group's wait short.
-	select {
-	case <-l.batchFull:
-	default:
-	}
-	full = full || l.pending >= l.opts.FsyncBatch
-	l.mu.Unlock()
-	if full {
-		return
-	}
-	timer := time.NewTimer(l.opts.FsyncInterval)
-	defer timer.Stop()
-	select {
-	case <-l.batchFull:
-	case <-timer.C:
-	}
-}
-
-// syncPipelined posts a durability request to the appender and waits until it
-// is satisfied. A plain request waits for synced to reach everything appended
-// so far (which implies an fsync when fsync is enabled); a forced request
-// (Flush/Close) additionally waits for a real fsync covering it, which
-// matters when FsyncBatch is 0 and synced advances on write alone.
-func (l *Log) syncPipelined(force bool) error {
-	l.mu.Lock()
-	target := l.appended
-	if target > l.syncReq {
-		l.syncReq = target
-	}
-	if force {
+	defer l.mu.Unlock()
+	if l.fsynced < l.appended {
+		l.syncReq = l.appended
 		l.syncForce = true
+		l.acond.Signal()
 	}
-	l.acond.Signal()
-	for l.failed == nil && (l.synced.Load() < target || (force && l.fsynced < target)) {
-		l.pcond.Wait()
-	}
-	err := l.failed
-	l.mu.Unlock()
-	return err
+	return l.appended
 }
 
-// workLocked reports whether the appender has anything to do. l.mu held.
-func (l *Log) workLocked() bool {
-	return l.failed != nil || l.closing || len(l.queue) > 0 || l.syncForce ||
-		l.syncReq > l.synced.Load()
+// syncDueLocked reports whether the appender should fsync now: a flush was
+// posted, or a request is unsatisfied and its group window has closed — the
+// batch filled, the interval ran out, or the options rule out lingering. The
+// first unsatisfied request opens the window and arms the timer. l.mu held.
+func (l *Log) syncDueLocked() bool {
+	if l.syncForce {
+		return true
+	}
+	synced := l.synced.Load()
+	if l.syncReq <= synced {
+		return false
+	}
+	if l.opts.FsyncBatch <= 1 || l.opts.FsyncInterval <= 0 || l.closing ||
+		l.appended-synced >= uint64(l.opts.FsyncBatch) {
+		return true
+	}
+	if l.windowEnd.IsZero() {
+		l.windowEnd = time.Now().Add(l.opts.FsyncInterval)
+		if l.timer == nil {
+			l.timer = time.AfterFunc(l.opts.FsyncInterval, l.wakeAppender)
+		} else {
+			l.timer.Reset(l.opts.FsyncInterval)
+		}
+		return false
+	}
+	return !time.Now().Before(l.windowEnd)
+}
+
+// wakeAppender is the window timer's callback.
+func (l *Log) wakeAppender() {
+	l.mu.Lock()
+	l.acond.Signal()
+	l.mu.Unlock()
 }
 
 // appendLoop is the per-shard appender goroutine: it drains the queue in LSN
-// order, writes each drained batch with vectored writes, and fsyncs when a
-// group leader asked for durability. It owns all file I/O.
+// order, writes each drained batch with vectored writes, and fsyncs when the
+// group window closes. It owns all file I/O.
 func (l *Log) appendLoop() {
 	defer close(l.appenderDone)
 	for {
 		l.mu.Lock()
-		for !l.workLocked() {
+		syncNow := l.syncDueLocked()
+		for !syncNow && l.failed == nil && !l.closing && len(l.queue) == 0 {
 			l.acond.Wait()
+			syncNow = l.syncDueLocked()
 		}
 		if l.failed != nil {
 			for i, e := range l.queue {
@@ -492,10 +475,17 @@ func (l *Log) appendLoop() {
 		batch := l.queue
 		l.queue = l.qspare[:0]
 		l.qspare = batch
-		req := l.syncReq
-		force := l.syncForce
-		l.syncForce = false
-		done := l.closing && len(batch) == 0 && !force && req <= l.synced.Load()
+		// The queue is drained in the same critical section that decided to
+		// sync, so the fsync below covers every LSN requested so far.
+		fsync := syncNow && (l.syncForce || l.opts.FsyncBatch != 0)
+		if syncNow {
+			l.syncForce = false
+			if !l.windowEnd.IsZero() {
+				l.windowEnd = time.Time{}
+				l.timer.Stop()
+			}
+		}
+		done := l.closing && len(batch) == 0 && !syncNow
 		if len(batch) > 0 {
 			l.spaceCond.Broadcast()
 		}
@@ -510,43 +500,30 @@ func (l *Log) appendLoop() {
 				continue
 			}
 		}
-
-		l.mu.Lock()
-		written := l.written
-		needFsync := force || (l.opts.FsyncBatch != 0 && req > l.synced.Load())
-		f := l.f
-		l.mu.Unlock()
-		if needFsync && f != nil {
-			if in := chaos.Active(); in != nil {
-				if _, delay := in.Decide(chaos.WALFsync); delay > 0 {
-					time.Sleep(delay)
-				}
-			}
-			if err := f.Sync(); err != nil {
+		if fsync {
+			chaos.Delay(chaos.WALFsync)
+			if err := l.f.Sync(); err != nil {
 				l.fail(err)
 				continue
 			}
 			l.fsyncs.Add(1)
 		}
-		if needFsync || l.opts.FsyncBatch == 0 {
-			l.completeSync(written, needFsync)
+		if fsync || l.opts.FsyncBatch == 0 {
+			l.completeSync(fsync)
 		}
 	}
 }
 
 // completeSync advances synced (and fsynced, after a real fsync) to written
 // and wakes sync waiters. Appender only.
-func (l *Log) completeSync(written uint64, fsynced bool) {
-	l.mu.Lock()
+func (l *Log) completeSync(fsynced bool) {
 	recs := l.unsynced
 	l.unsynced = 0
-	l.pending -= recs
-	if fsynced && written > l.fsynced {
-		l.fsynced = written
+	l.mu.Lock()
+	if fsynced {
+		l.fsynced = l.written
 	}
-	if written > l.synced.Load() {
-		l.synced.Store(written)
-	}
+	l.synced.Store(l.written)
 	l.pcond.Broadcast()
 	l.mu.Unlock()
 	if recs > 0 {
@@ -586,10 +563,10 @@ func (l *Log) writeBatch(batch []*Enc) error {
 		}
 		l.noteWritev(n)
 		last := chunk[n-1].lsn()
+		l.unsynced += n
 		l.mu.Lock()
 		l.segSize += int64(nbytes)
 		l.written = last
-		l.unsynced += n
 		rotate := l.segSize >= segMax
 		f := l.f
 		l.mu.Unlock()
@@ -658,22 +635,7 @@ func (l *Log) fail(err error) error {
 // Flush makes everything appended so far durable (an unconditional fsync,
 // even when FsyncBatch is 0). Drain and Close use it so a graceful shutdown
 // never loses acknowledged writes.
-func (l *Log) Flush() error {
-	l.gmu.Lock()
-	for l.leading {
-		l.gcond.Wait()
-	}
-	l.leading = true
-	l.gmu.Unlock()
-
-	err := l.syncPipelined(true)
-
-	l.gmu.Lock()
-	l.leading = false
-	l.gcond.Broadcast()
-	l.gmu.Unlock()
-	return err
-}
+func (l *Log) Flush() error { return l.wait(l.postFlush(), true) }
 
 // Close flushes and fsyncs outstanding records, stops the appender, and
 // closes the active segment. The log must not be appended to afterwards.

@@ -166,39 +166,33 @@ func (m *Manager) NoteReplay(records, rescued, pairs uint64) {
 // LSN <= covered, then truncates segments up to truncTo (<= covered: the
 // store clamps truncation below any cross-shard record whose peer copies are
 // not yet durable, since a peer may need this shard's copy for a rescue).
+//
+// With a nil skip, pairs emits the shard's full contents. With a non-nil skip
+// the checkpoint is incremental: the previous snapshot's pairs are carried
+// over unchanged — except keys for which skip returns true — and pairs emits
+// only the live values of the dirty keys; ErrNoPrevSnapshot (not counted as a
+// skip) then reports that there is no valid previous snapshot, and the caller
+// falls back to a full checkpoint.
+//
 // An injected chaos fault — ErrSnapshotSkipped or an InjectedPanic, which is
 // recovered here — is counted and returned; nothing was written.
-func (m *Manager) Checkpoint(shard int, covered, truncTo uint64, pairs func(emit func(key, val []byte) error) error) (err error) {
+func (m *Manager) Checkpoint(shard int, covered, truncTo uint64, skip func(key []byte) bool, pairs func(emit func(key, val []byte) error) error) (err error) {
 	defer m.recoverSnapshotPanic(&err)
 	start := time.Now()
-	st, err := writeSnapshotFile(m.fs, ShardDir(m.opts.Dir, shard), covered, pairs)
-	if err != nil {
-		m.snapshotSkips.Add(1)
-		return err
+	dir := ShardDir(m.opts.Dir, shard)
+	var st snapStats
+	if skip == nil {
+		st, err = writeSnapshotFile(m.fs, dir, covered, pairs)
+	} else {
+		st, err = writeSnapshotMerge(m.fs, dir, covered, skip, pairs)
 	}
-	m.noteSnapshot(st, false, start)
-	if truncTo > covered {
-		truncTo = covered
-	}
-	return m.logs[shard].Truncate(truncTo)
-}
-
-// CheckpointIncremental is Checkpoint's incremental variant: the previous
-// snapshot's pairs are carried over unchanged — except keys for which skip
-// returns true — and pairs emits only the live values of the dirty keys.
-// Returns ErrNoPrevSnapshot (not counted as a skip) when there is no valid
-// previous snapshot; the caller falls back to a full checkpoint.
-func (m *Manager) CheckpointIncremental(shard int, covered, truncTo uint64, skip func(key []byte) bool, pairs func(emit func(key, val []byte) error) error) (err error) {
-	defer m.recoverSnapshotPanic(&err)
-	start := time.Now()
-	st, err := writeSnapshotMerge(m.fs, ShardDir(m.opts.Dir, shard), covered, skip, pairs)
 	if err != nil {
 		if err != ErrNoPrevSnapshot {
 			m.snapshotSkips.Add(1)
 		}
 		return err
 	}
-	m.noteSnapshot(st, true, start)
+	m.noteSnapshot(st, skip != nil, start)
 	if truncTo > covered {
 		truncTo = covered
 	}
@@ -242,14 +236,21 @@ func (m *Manager) LatestSnapshotLSN(shard int) (lsn uint64, ok bool) {
 	return names[len(names)-1], true
 }
 
-// Flush makes every shard's appended records durable.
+// Flush makes every shard's appended records durable: the flush is posted to
+// every log before any is waited on, so the shards' fsyncs overlap.
 func (m *Manager) Flush() error {
+	targets := make([]uint64, len(m.logs))
+	for i, l := range m.logs {
+		if l != nil {
+			targets[i] = l.postFlush()
+		}
+	}
 	var first error
-	for _, l := range m.logs {
+	for i, l := range m.logs {
 		if l == nil {
 			continue
 		}
-		if err := l.Flush(); err != nil && first == nil {
+		if err := l.wait(targets[i], true); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -259,7 +260,7 @@ func (m *Manager) Flush() error {
 // Close stops the scrubber, then flushes and closes every shard log.
 func (m *Manager) Close() error {
 	m.StopScrubber()
-	var first error
+	first := m.Flush()
 	for _, l := range m.logs {
 		if l == nil {
 			continue
