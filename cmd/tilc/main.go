@@ -8,6 +8,7 @@
 //	tilc -level full prog.til                     # compile & dump IR
 //	tilc -level cse -stats prog.til               # static barrier counts
 //	tilc -run main -arg 1000 -engine direct x.til # compile and execute
+//	tilc -run f -arg 10 -arg 3 x.til              # one -arg per parameter, in order
 //	tilc -kernel sieve -level naive -run sieve -arg 2000   # built-in kernel
 //
 // Levels: naive, cse, upgrade, hoist, full. Engines: raw, direct, wstm,
@@ -18,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"memtx/internal/core"
 	"memtx/internal/engine"
@@ -33,13 +36,19 @@ import (
 )
 
 func main() {
+	var args []interp.Value
+	var shown []string
+	flag.Func("arg", "word argument of -run; repeat once per parameter, in order", func(s string) error {
+		w, err := strconv.ParseUint(s, 0, 64)
+		args, shown = append(args, interp.Word(w)), append(shown, strconv.FormatUint(w, 10))
+		return err
+	})
 	var (
 		levelName = flag.String("level", "full", "optimization level: naive|cse|upgrade|hoist|full")
 		dump      = flag.Bool("dump", false, "print the module after compilation")
 		dot       = flag.String("dot", "", "print the named function's CFG in Graphviz dot syntax")
 		stats     = flag.Bool("stats", false, "print static barrier counts and pass results")
 		run       = flag.String("run", "", "function to execute after compilation")
-		arg       = flag.Uint64("arg", 0, "word argument passed to -run (one per -arg use)")
 		engName   = flag.String("engine", "direct", "engine for -run: raw|direct|wstm|ostm")
 		kernel    = flag.String("kernel", "", "use a built-in kernel instead of a source file")
 	)
@@ -111,15 +120,14 @@ func main() {
 		if fn < 0 {
 			fail("no function %q", *run)
 		}
-		var args []interp.Value
-		for i := 0; i < m.Funcs[fn].NParams; i++ {
-			args = append(args, interp.Word(*arg))
+		if want := m.Funcs[fn].NParams; len(args) != want {
+			fail("%s has %d parameters, but %d -arg values were given", *run, want, len(args))
 		}
 		v, err := mach.Call(*run, args...)
 		if err != nil {
 			fail("run: %v", err)
 		}
-		fmt.Printf("%s(%d) = %d\n", *run, *arg, v.W)
+		fmt.Printf("%s(%s) = %d\n", *run, strings.Join(shown, ", "), v.W)
 		fmt.Printf("dynamic: steps=%d opensR=%d opensU=%d undos=%d loads=%d stores=%d txns=%d\n",
 			mach.Stats.Steps, mach.Stats.OpensR, mach.Stats.OpensU,
 			mach.Stats.Undos, mach.Stats.Loads, mach.Stats.Stores, mach.Stats.Txns)

@@ -102,6 +102,55 @@ func TestOptimizationMonotonicity(t *testing.T) {
 	}
 }
 
+// TestKernelStatsExact pins every interp.Stats counter of the six kernels at
+// every level on the direct engine at TestSize. The table was recorded from
+// the block-walking interpreter the lowered one replaced, so it holds the
+// rewrite to the same work, counter for counter.
+func TestKernelStatsExact(t *testing.T) {
+	want := []struct {
+		kernel string
+		level  passes.Level
+		stats  interp.Stats
+	}{
+		{"sieve", passes.LevelNaive, interp.Stats{Steps: 37469, OpensR: 2041, OpensU: 3004, Undos: 3004, Loads: 2041, Stores: 3004, Allocs: 0, Calls: 0, Txns: 1, ImplicitTxns: 0}},
+		{"sieve", passes.LevelCSE, interp.Stats{Steps: 37469, OpensR: 2041, OpensU: 3004, Undos: 3004, Loads: 2041, Stores: 3004, Allocs: 0, Calls: 0, Txns: 1, ImplicitTxns: 0}},
+		{"sieve", passes.LevelUpgrade, interp.Stats{Steps: 37469, OpensR: 2041, OpensU: 3004, Undos: 3004, Loads: 2041, Stores: 3004, Allocs: 0, Calls: 0, Txns: 1, ImplicitTxns: 0}},
+		{"sieve", passes.LevelHoist, interp.Stats{Steps: 32425, OpensR: 0, OpensU: 1, Undos: 3004, Loads: 2041, Stores: 3004, Allocs: 0, Calls: 0, Txns: 1, ImplicitTxns: 0}},
+		{"sieve", passes.LevelFull, interp.Stats{Steps: 32425, OpensR: 0, OpensU: 1, Undos: 3004, Loads: 2041, Stores: 3004, Allocs: 0, Calls: 0, Txns: 1, ImplicitTxns: 0}},
+		{"bst", passes.LevelNaive, interp.Stats{Steps: 114352, OpensR: 16774, OpensU: 796, Undos: 796, Loads: 16774, Stores: 796, Allocs: 398, Calls: 1600, Txns: 800, ImplicitTxns: 0}},
+		{"bst", passes.LevelCSE, interp.Stats{Steps: 106566, OpensR: 8988, OpensU: 796, Undos: 796, Loads: 16774, Stores: 796, Allocs: 398, Calls: 1600, Txns: 800, ImplicitTxns: 0}},
+		{"bst", passes.LevelUpgrade, interp.Stats{Steps: 106566, OpensR: 8988, OpensU: 796, Undos: 796, Loads: 16774, Stores: 796, Allocs: 398, Calls: 1600, Txns: 800, ImplicitTxns: 0}},
+		{"bst", passes.LevelHoist, interp.Stats{Steps: 106566, OpensR: 8988, OpensU: 796, Undos: 796, Loads: 16774, Stores: 796, Allocs: 398, Calls: 1600, Txns: 800, ImplicitTxns: 0}},
+		{"bst", passes.LevelFull, interp.Stats{Steps: 105770, OpensR: 8988, OpensU: 398, Undos: 398, Loads: 16774, Stores: 796, Allocs: 398, Calls: 1600, Txns: 800, ImplicitTxns: 0}},
+		{"hash", passes.LevelNaive, interp.Stats{Steps: 45497, OpensR: 4216, OpensU: 1910, Undos: 1910, Loads: 4216, Stores: 1910, Allocs: 470, Calls: 2000, Txns: 1000, ImplicitTxns: 0}},
+		{"hash", passes.LevelCSE, interp.Stats{Steps: 42729, OpensR: 2388, OpensU: 970, Undos: 1910, Loads: 4216, Stores: 1910, Allocs: 470, Calls: 2000, Txns: 1000, ImplicitTxns: 0}},
+		{"hash", passes.LevelUpgrade, interp.Stats{Steps: 42729, OpensR: 2388, OpensU: 970, Undos: 1910, Loads: 4216, Stores: 1910, Allocs: 470, Calls: 2000, Txns: 1000, ImplicitTxns: 0}},
+		{"hash", passes.LevelHoist, interp.Stats{Steps: 42729, OpensR: 2388, OpensU: 970, Undos: 1910, Loads: 4216, Stores: 1910, Allocs: 470, Calls: 2000, Txns: 1000, ImplicitTxns: 0}},
+		{"hash", passes.LevelFull, interp.Stats{Steps: 40849, OpensR: 2388, OpensU: 500, Undos: 500, Loads: 4216, Stores: 1910, Allocs: 470, Calls: 2000, Txns: 1000, ImplicitTxns: 0}},
+		{"sort", passes.LevelNaive, interp.Stats{Steps: 130637, OpensR: 10713, OpensU: 10521, Undos: 10521, Loads: 10713, Stores: 10521, Allocs: 0, Calls: 202, Txns: 2, ImplicitTxns: 0}},
+		{"sort", passes.LevelCSE, interp.Stats{Steps: 120323, OpensR: 399, OpensU: 10521, Undos: 10521, Loads: 10713, Stores: 10521, Allocs: 0, Calls: 202, Txns: 2, ImplicitTxns: 0}},
+		{"sort", passes.LevelUpgrade, interp.Stats{Steps: 110002, OpensR: 200, OpensU: 399, Undos: 10521, Loads: 10713, Stores: 10521, Allocs: 0, Calls: 202, Txns: 2, ImplicitTxns: 0}},
+		{"sort", passes.LevelHoist, interp.Stats{Steps: 109405, OpensR: 0, OpensU: 2, Undos: 10521, Loads: 10713, Stores: 10521, Allocs: 0, Calls: 202, Txns: 2, ImplicitTxns: 0}},
+		{"sort", passes.LevelFull, interp.Stats{Steps: 109405, OpensR: 0, OpensU: 2, Undos: 10521, Loads: 10713, Stores: 10521, Allocs: 0, Calls: 202, Txns: 2, ImplicitTxns: 0}},
+		{"matmul", passes.LevelNaive, interp.Stats{Steps: 9438, OpensR: 1088, OpensU: 192, Undos: 192, Loads: 1088, Stores: 192, Allocs: 0, Calls: 2, Txns: 2, ImplicitTxns: 0}},
+		{"matmul", passes.LevelCSE, interp.Stats{Steps: 9438, OpensR: 1088, OpensU: 192, Undos: 192, Loads: 1088, Stores: 192, Allocs: 0, Calls: 2, Txns: 2, ImplicitTxns: 0}},
+		{"matmul", passes.LevelUpgrade, interp.Stats{Steps: 9438, OpensR: 1088, OpensU: 192, Undos: 192, Loads: 1088, Stores: 192, Allocs: 0, Calls: 2, Txns: 2, ImplicitTxns: 0}},
+		{"matmul", passes.LevelHoist, interp.Stats{Steps: 8163, OpensR: 2, OpensU: 3, Undos: 192, Loads: 1088, Stores: 192, Allocs: 0, Calls: 2, Txns: 2, ImplicitTxns: 0}},
+		{"matmul", passes.LevelFull, interp.Stats{Steps: 8163, OpensR: 2, OpensU: 3, Undos: 192, Loads: 1088, Stores: 192, Allocs: 0, Calls: 2, Txns: 2, ImplicitTxns: 0}},
+		{"list", passes.LevelNaive, interp.Stats{Steps: 193367, OpensR: 32900, OpensU: 433, Undos: 433, Loads: 32900, Stores: 433, Allocs: 145, Calls: 600, Txns: 300, ImplicitTxns: 0}},
+		{"list", passes.LevelCSE, interp.Stats{Steps: 182499, OpensR: 22175, OpensU: 290, Undos: 433, Loads: 32900, Stores: 433, Allocs: 145, Calls: 600, Txns: 300, ImplicitTxns: 0}},
+		{"list", passes.LevelUpgrade, interp.Stats{Steps: 182499, OpensR: 22175, OpensU: 290, Undos: 433, Loads: 32900, Stores: 433, Allocs: 145, Calls: 600, Txns: 300, ImplicitTxns: 0}},
+		{"list", passes.LevelHoist, interp.Stats{Steps: 182499, OpensR: 22175, OpensU: 290, Undos: 433, Loads: 32900, Stores: 433, Allocs: 145, Calls: 600, Txns: 300, ImplicitTxns: 0}},
+		{"list", passes.LevelFull, interp.Stats{Steps: 182066, OpensR: 22175, OpensU: 145, Undos: 145, Loads: 32900, Stores: 433, Allocs: 145, Calls: 600, Txns: 300, ImplicitTxns: 0}},
+	}
+	for _, w := range want {
+		k, _ := ByName(w.kernel)
+		if _, got := runKernel(t, k, w.level, core.New(), k.TestSize); got != w.stats {
+			t.Errorf("%s/%s:\n got %+v\nwant %+v", w.kernel, w.level, got, w.stats)
+		}
+	}
+}
+
 // TestSievePrimeCount pins the sieve's semantics with a known value:
 // there are 303 primes below 2000.
 func TestSievePrimeCount(t *testing.T) {

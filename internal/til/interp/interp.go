@@ -4,6 +4,13 @@
 // Machines are per-goroutine executors sharing the Program, so concurrent
 // workloads run one Machine per worker thread against the same heap.
 //
+// Load lowers each verified function once into a flat array of compact
+// instructions (code) shared read-only by the Program's Machines: blocks laid
+// end to end with jump targets resolved to pcs, int32 register operands, and
+// one instruction for each immediate/indexed memory pair. exec runs that
+// array in one loop on a Machine-owned value stack, each call's register
+// window stacked on its caller's, so calls allocate nothing.
+//
 // Transaction semantics mirror the paper's runtime:
 //
 //   - calling an atomic function outside a transaction starts one, executing
@@ -15,7 +22,14 @@
 //   - the interpreter is zombie-tolerant: because the direct-update engine
 //     is not opaque, a doomed transaction may read inconsistent data and
 //     fault or loop; faults trigger validation-then-retry, and a step
-//     watchdog validates periodically inside long transactions.
+//     watchdog — a countdown to the next step that must validate or enforce
+//     MaxSteps — validates periodically inside long transactions.
+//
+// Inside a transaction, barriers and memory accesses call the engine's Txn
+// directly. An engine panic that is neither a conflict nor a trap (a bounds
+// panic on a zombie-computed index) is caught by the one recover of the
+// transaction body, which validates, then retries or traps; outside any
+// transaction, Call's recover reports it as a trap.
 //
 // Barrier instructions on nil references are no-ops (so speculative code
 // motion is always safe); data accesses through nil are faults.
@@ -24,6 +38,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"memtx/internal/engine"
 	"memtx/internal/til"
@@ -61,19 +76,106 @@ type Program struct {
 	Mod     *til.Module
 	Eng     engine.Engine
 	Globals []engine.Handle
+
+	fns []fn // Mod.Funcs, lowered
 }
 
-// Load allocates the module's globals on the engine and returns a Program.
+// fn is a lowered til.Func.
+type fn struct {
+	f    *til.Func
+	code []code
+	src  []*til.Instr // the instruction each code was lowered from, for traps
+	args []int32      // argument registers of every OpCall, in code order
+	size int          // register window: NRegs plus the zero slot
+}
+
+// code is one lowered instruction. It keeps the til.Op of its source, except
+// that an indexed memory op takes the op of its immediate form: the field
+// index is always imm plus register idx, which is the zero slot for the
+// immediate form. Register operands are offsets into the frame's window; an
+// absent operand (-1 in til.Instr, except a call's Dst) names the zero slot,
+// whose value is always Value{}. x and y hold New's class, Global's global,
+// Call's callee and the offset of its first argument in fn.args, Jmp's pc,
+// and Br's pcs for A != 0 and A == 0 — blocks are laid end to end.
+type code struct {
+	op        til.Op
+	bin       til.BinKind
+	dst, a, b int32
+	obj, idx  int32 // object and field-index registers of memory ops
+	x, y      int32
+	imm       uint64 // ConstW: the word; memory ops: the immediate field index
+}
+
+// indexed maps each indexed memory op to the immediate form it is lowered to.
+var indexed = map[til.Op]til.Op{
+	til.OpLoadWI: til.OpLoadW, til.OpStoreWI: til.OpStoreW,
+	til.OpLoadRI: til.OpLoadR, til.OpStoreRI: til.OpStoreR,
+	til.OpUndoWI: til.OpUndoW, til.OpUndoRI: til.OpUndoR,
+}
+
+// Load verifies the module, lowers its functions, and allocates its globals
+// on the engine.
 func Load(m *til.Module, e engine.Engine) (*Program, error) {
 	if err := til.Verify(m); err != nil {
 		return nil, err
 	}
-	p := &Program{Mod: m, Eng: e}
+	p := &Program{Mod: m, Eng: e, fns: make([]fn, len(m.Funcs))}
+	for i, f := range m.Funcs {
+		p.fns[i] = lower(f)
+	}
 	for _, g := range m.Globals {
 		c := &m.Classes[g.Class]
 		p.Globals = append(p.Globals, e.NewObj(c.NWords, c.NRefs))
 	}
 	return p, nil
+}
+
+// lower translates a verified function.
+func lower(f *til.Func) fn {
+	pcs := make([]int32, len(f.Blocks))
+	n := 0
+	for i, blk := range f.Blocks {
+		pcs[i] = int32(n)
+		n += len(blk.Instrs)
+	}
+	zero := int32(f.NRegs)
+	reg := func(r int) int32 {
+		if r < 0 {
+			return zero
+		}
+		return int32(r)
+	}
+	l := fn{f: f, code: make([]code, 0, n), src: make([]*til.Instr, 0, n), size: f.NRegs + 1}
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			in := &blk.Instrs[i]
+			c := code{op: in.Op, bin: in.Bin, dst: int32(in.Dst), a: reg(in.A), b: reg(in.B),
+				obj: reg(in.Obj), idx: zero, imm: uint64(in.Idx)}
+			switch in.Op {
+			case til.OpConstW:
+				c.imm = in.Imm
+			case til.OpNew:
+				c.x = int32(in.Class)
+			case til.OpGlobal:
+				c.x = int32(in.Idx)
+			case til.OpCall:
+				c.x, c.y = int32(in.Callee), int32(len(l.args))
+				for _, r := range in.Args {
+					l.args = append(l.args, int32(r))
+				}
+			case til.OpJmp:
+				c.x = pcs[in.Then]
+			case til.OpBr:
+				c.x, c.y = pcs[in.Then], pcs[in.Else]
+			}
+			if op, ok := indexed[in.Op]; ok {
+				c.op, c.idx, c.imm = op, int32(in.Idx), 0
+			}
+			l.code = append(l.code, c)
+			l.src = append(l.src, in)
+		}
+	}
+	return l
 }
 
 // Machine executes functions of one Program. Not safe for concurrent use;
@@ -93,13 +195,21 @@ type Machine struct {
 
 	Stats Stats
 
-	stepsInTxn int
-	depth      int
+	stack []Value // register windows of the active frames
+	depth int
+
+	// The watchdog countdown: left steps until watch must run, out of armed.
+	// Stats.Steps is brought up to date from them by flush.
+	left, armed int
+	txBase      uint64 // Stats.Steps when the current transaction attempt began
 }
+
+// idle arms the countdown outside transactions, where the watchdog is off.
+const idle = math.MaxInt
 
 // NewMachine returns an executor for the program.
 func (p *Program) NewMachine() *Machine {
-	return &Machine{prog: p, ValidateEvery: 50_000, MaxSteps: 1 << 30, MaxDepth: 4096}
+	return &Machine{prog: p, ValidateEvery: 50_000, MaxSteps: 1 << 30, MaxDepth: 4096, left: idle, armed: idle}
 }
 
 // trap is an interpreter fault (nil dereference, bad index, division by
@@ -114,66 +224,93 @@ func (t *trap) Error() string { return "til: trap: " + t.msg }
 // Call invokes the named function. Atomic functions are wrapped in a
 // transaction (with retry); plain functions execute directly, and any memory
 // operations they perform run as implicit single-operation transactions.
-func (m *Machine) Call(name string, args ...Value) (Value, error) {
+func (m *Machine) Call(name string, args ...Value) (ret Value, err error) {
 	fi := m.prog.Mod.FuncByName(name)
 	if fi < 0 {
 		return Value{}, fmt.Errorf("til: no function %q", name)
 	}
-	return m.CallIndex(fi, args...)
-}
-
-// CallIndex is Call by function index.
-func (m *Machine) CallIndex(fi int, args ...Value) (ret Value, err error) {
+	f := &m.prog.fns[fi]
+	if len(args) != f.f.NParams {
+		return Value{}, &trap{fmt.Sprintf("call %s: %d args, want %d", name, len(args), f.f.NParams)}
+	}
 	defer func() {
 		r := recover()
-		if r == nil {
-			return
-		}
+		m.tx, m.depth = nil, 0
+		m.arm(idle)
 		if t, ok := r.(*trap); ok {
 			ret, err = Value{}, t
-			return
+		} else if r != nil { // an engine panic outside any transaction
+			ret, err = Value{}, &trap{fmt.Sprint(r)}
 		}
-		panic(r)
 	}()
-	return m.call(fi, args), nil
+	copy(m.window(0, len(args)), args)
+	return m.call(f, 0), nil
 }
 
-// call dispatches one function invocation, handling transaction entry.
-func (m *Machine) call(fi int, args []Value) Value {
-	f := m.prog.Mod.Funcs[fi]
-	if len(args) != f.NParams {
-		panic(&trap{fmt.Sprintf("call %s: %d args, want %d", f.Name, len(args), f.NParams)})
+// call invokes f with its arguments at the bottom of the window at base,
+// starting a transaction when f is atomic and none is running.
+func (m *Machine) call(f *fn, base int) Value {
+	if !f.f.Atomic || m.tx != nil {
+		return m.exec(f, base)
 	}
-	if !f.Atomic || m.tx != nil {
-		return m.exec(f, args)
+	t := f
+	if f.f.Instrumented >= 0 {
+		t = &m.prog.fns[f.f.Instrumented]
 	}
-
-	// Transaction entry: run the instrumented clone when one exists.
-	target := f
-	if f.Instrumented >= 0 {
-		target = m.prog.Mod.Funcs[f.Instrumented]
-	}
+	np, depth := f.f.NParams, m.depth
 	var ret Value
 	body := func(tx engine.Txn) error {
-		m.tx = tx
-		m.stepsInTxn = 0
+		defer m.contain()
+		m.tx, m.depth = tx, depth
 		m.Stats.Txns++
-		defer func() { m.tx = nil }()
-		ret = m.exec(target, args)
+		m.arm(m.next(0))
+		m.txBase = m.Stats.Steps
+		// The body may overwrite its parameter registers, so every attempt
+		// starts from a copy of the arguments.
+		w := m.window(base+np, np)
+		copy(w, m.stack[base:base+np])
+		ret = m.exec(t, base+np)
 		return nil
 	}
 	var err error
-	if target.ReadOnly {
+	if t.f.ReadOnly {
 		err = engine.RunReadOnly(m.prog.Eng, body)
 	} else {
 		err = engine.Run(m.prog.Eng, body)
 	}
+	m.tx = nil
+	m.arm(idle)
 	if err != nil {
 		// engine.Run only returns the body's error, and our body returns nil;
 		// anything else is a bug.
-		panic(&trap{fmt.Sprintf("transaction %s: %v", f.Name, err)})
+		panic(&trap{fmt.Sprintf("transaction %s: %v", f.f.Name, err)})
 	}
 	return ret
+}
+
+// contain is the transaction body's recover. Conflicts and traps pass
+// through; any other panic — an engine's bounds panic on a zombie-computed
+// index — becomes a fault while the transaction can still validate.
+func (m *Machine) contain() {
+	switch r := recover().(type) {
+	case nil:
+	case *trap, *engine.Retry:
+		panic(r)
+	default:
+		m.fault("%v", r)
+	}
+}
+
+// window returns the n stack slots from base, growing the stack if needed. A
+// frame keeps the window it was given even if a callee grows the stack: it
+// only ever touches its own slots and copies arguments into the next window.
+func (m *Machine) window(base, n int) []Value {
+	if base+n > len(m.stack) {
+		s := make([]Value, 2*(base+n))
+		copy(s, m.stack)
+		m.stack = s
+	}
+	return m.stack[base : base+n : base+n]
 }
 
 // fault raises a trap; inside a transaction it first validates, converting
@@ -187,297 +324,219 @@ func (m *Machine) fault(format string, args ...any) {
 	panic(&trap{fmt.Sprintf(format, args...)})
 }
 
-// tick advances the step counters and runs the zombie watchdog.
-func (m *Machine) tick() {
-	m.Stats.Steps++
-	if m.tx == nil {
-		return
+// flush adds the steps counted down since the last flush to Stats.Steps.
+func (m *Machine) flush() {
+	m.Stats.Steps += uint64(m.armed - m.left)
+	m.armed = m.left
+}
+
+// arm flushes the countdown and restarts it at n.
+func (m *Machine) arm(n int) {
+	m.flush()
+	m.left, m.armed = n, n
+}
+
+// watch is the watchdog, run by exec when the countdown reaches zero inside
+// a transaction: it validates every ValidateEvery steps, traps past
+// MaxSteps, and re-arms for whichever comes next.
+func (m *Machine) watch() {
+	m.flush()
+	s := int(m.Stats.Steps - m.txBase)
+	if m.ValidateEvery > 0 && s%m.ValidateEvery == 0 && m.tx.Validate() != nil {
+		engine.AbandonCause(engine.CauseValidation, "watchdog validation failed")
 	}
-	m.stepsInTxn++
-	if m.ValidateEvery > 0 && m.stepsInTxn%m.ValidateEvery == 0 {
-		if m.tx.Validate() != nil {
-			engine.AbandonCause(engine.CauseValidation, "watchdog validation failed")
-		}
-	}
-	max := m.MaxSteps
-	if max <= 0 {
-		max = 1 << 30
-	}
-	if m.stepsInTxn > max {
+	if max := orDefault(m.MaxSteps, 1<<30); s > max {
 		m.fault("transaction exceeded %d steps", max)
 	}
+	m.arm(m.next(s))
 }
 
-// withTxn runs op inside the current transaction, or an implicit one-shot
-// transaction when outside (non-atomic code touching shared memory).
-func (m *Machine) withTxn(op func(tx engine.Txn)) {
-	if m.tx != nil {
-		op(m.tx)
+// next returns how many steps after the s-th of a transaction the watchdog
+// must run again.
+func (m *Machine) next(s int) int {
+	n := min(orDefault(m.MaxSteps, 1<<30), math.MaxInt-1) + 1 - s
+	if v := m.ValidateEvery; v > 0 && v-s%v < n {
+		n = v - s%v
+	}
+	return n
+}
+
+// orDefault returns v, or def when v <= 0.
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// exec interprets f in the register window at base, whose first NParams
+// slots hold the arguments, and returns f's result. A call recurses into
+// exec with the callee's window stacked on top of this one.
+func (m *Machine) exec(f *fn, base int) Value {
+	if m.depth++; m.depth > orDefault(m.MaxDepth, 4096) {
+		m.fault("call depth exceeded in %s", f.f.Name)
+	}
+	regs := m.window(base, f.size)
+	clear(regs[f.f.NParams:])
+	// A transaction started by a callee ends before the call returns, so the
+	// frame's transaction is fixed.
+	tx := m.tx
+	for pc := 0; ; pc++ {
+		c := &f.code[pc]
+		if m.left--; m.left == 0 {
+			m.watch()
+		}
+		switch c.op {
+		case til.OpConstW:
+			regs[c.dst] = Word(c.imm)
+		case til.OpConstNil:
+			regs[c.dst] = Ref(nil)
+		case til.OpMov:
+			regs[c.dst] = regs[c.a]
+		case til.OpBin:
+			a, b := regs[c.a].W, regs[c.b].W
+			var r uint64
+			switch c.bin {
+			case til.BinAdd:
+				r = a + b
+			case til.BinSub:
+				r = a - b
+			case til.BinMul:
+				r = a * b
+			case til.BinDiv:
+				if b == 0 {
+					m.fault("division by zero")
+				}
+				r = a / b
+			case til.BinMod:
+				if b == 0 {
+					m.fault("modulo by zero")
+				}
+				r = a % b
+			case til.BinAnd:
+				r = a & b
+			case til.BinOr:
+				r = a | b
+			case til.BinXor:
+				r = a ^ b
+			case til.BinShl:
+				r = a << (b & 63)
+			case til.BinShr:
+				r = a >> (b & 63)
+			case til.BinLt:
+				r = b2w(a < b)
+			case til.BinLe:
+				r = b2w(a <= b)
+			case til.BinEq:
+				r = b2w(a == b)
+			case til.BinNe:
+				r = b2w(a != b)
+			case til.BinGt:
+				r = b2w(a > b)
+			case til.BinGe:
+				r = b2w(a >= b)
+			default:
+				m.fault("invalid binop %d", c.bin)
+			}
+			regs[c.dst] = Word(r)
+		case til.OpIsNil:
+			regs[c.dst] = Word(b2w(regs[c.a].R == nil))
+		case til.OpRefEq:
+			regs[c.dst] = Word(b2w(regs[c.a].R == regs[c.b].R))
+		case til.OpNew:
+			cl := &m.prog.Mod.Classes[c.x]
+			m.Stats.Allocs++
+			if tx != nil {
+				regs[c.dst] = Ref(tx.Alloc(cl.NWords, cl.NRefs))
+			} else {
+				regs[c.dst] = Ref(m.prog.Eng.NewObj(cl.NWords, cl.NRefs))
+			}
+		case til.OpGlobal:
+			regs[c.dst] = Ref(m.prog.Globals[c.x])
+
+		case til.OpLoadW, til.OpStoreW, til.OpLoadR, til.OpStoreR, til.OpOpenR, til.OpOpenU, til.OpUndoW, til.OpUndoR:
+			if regs[c.obj].R == nil {
+				if f.src[pc].IsBarrier() {
+					break // barrier on nil is a no-op (speculative motion safety)
+				}
+				m.fault("nil reference in %s: %s", f.f.Name, til.FormatInstr(m.prog.Mod, f.f, f.src[pc]))
+			}
+			switch c.op {
+			case til.OpLoadW, til.OpLoadR:
+				m.Stats.Loads++
+			case til.OpStoreW, til.OpStoreR:
+				m.Stats.Stores++
+			case til.OpOpenR:
+				m.Stats.OpensR++
+			case til.OpOpenU:
+				m.Stats.OpensU++
+			default:
+				m.Stats.Undos++
+			}
+			m.access(tx, c, regs)
+		case til.OpValidate:
+			if tx != nil && tx.Validate() != nil {
+				engine.AbandonCause(engine.CauseValidation, "explicit validate failed")
+			}
+
+		case til.OpCall:
+			m.Stats.Calls++
+			g := &m.prog.fns[c.x]
+			top := base + f.size
+			args := m.window(top, g.f.NParams)
+			for k, r := range f.args[c.y : int(c.y)+len(args)] {
+				args[k] = regs[r]
+			}
+			if r := m.call(g, top); c.dst >= 0 {
+				regs[c.dst] = r
+			}
+		case til.OpJmp:
+			pc = int(c.x) - 1
+		case til.OpBr:
+			if regs[c.a].W != 0 {
+				pc = int(c.x) - 1
+			} else {
+				pc = int(c.y) - 1
+			}
+		case til.OpRet:
+			m.depth--
+			return regs[c.a]
+		}
+	}
+}
+
+// access runs memory instruction or barrier c on tx; non-atomic code (tx
+// nil) runs it as a transaction of its own.
+func (m *Machine) access(tx engine.Txn, c *code, regs []Value) {
+	if tx == nil {
+		m.Stats.ImplicitTxns++
+		if err := engine.Run(m.prog.Eng, func(tx engine.Txn) error {
+			m.access(tx, c, regs)
+			return nil
+		}); err != nil {
+			m.fault("implicit transaction: %v", err)
+		}
 		return
 	}
-	m.Stats.ImplicitTxns++
-	if err := engine.Run(m.prog.Eng, func(tx engine.Txn) error {
-		op(tx)
-		return nil
-	}); err != nil {
-		m.fault("implicit transaction: %v", err)
+	h, i := regs[c.obj].R, int(c.imm+regs[c.idx].W)
+	switch c.op {
+	case til.OpLoadW:
+		regs[c.dst] = Word(tx.LoadWord(h, i))
+	case til.OpStoreW:
+		tx.StoreWord(h, i, regs[c.a].W)
+	case til.OpLoadR:
+		regs[c.dst] = Ref(tx.LoadRef(h, i))
+	case til.OpStoreR:
+		tx.StoreRef(h, i, regs[c.a].R)
+	case til.OpOpenR:
+		tx.OpenForRead(h)
+	case til.OpOpenU:
+		tx.OpenForUpdate(h)
+	case til.OpUndoW:
+		tx.LogForUndoWord(h, i)
+	case til.OpUndoR:
+		tx.LogForUndoRef(h, i)
 	}
-}
-
-// exec interprets one function body.
-func (m *Machine) exec(f *til.Func, args []Value) Value {
-	if m.depth++; m.depth > m.maxDepth() {
-		m.depth--
-		m.fault("call depth exceeded in %s", f.Name)
-	}
-	defer func() { m.depth-- }()
-
-	regs := make([]Value, f.NRegs)
-	copy(regs, args)
-
-	ref := func(r int) engine.Handle {
-		if r < 0 {
-			return nil
-		}
-		return regs[r].R
-	}
-	mustObj := func(r int, what string) engine.Handle {
-		h := regs[r].R
-		if h == nil {
-			m.fault("%s: nil reference in %s (reg %s)", what, f.Name, f.RegNames[r])
-		}
-		return h
-	}
-
-	bi := 0
-	for {
-		blk := f.Blocks[bi]
-		next := -1
-	instrs:
-		for ii := 0; ii < len(blk.Instrs); ii++ {
-			in := &blk.Instrs[ii]
-			m.tick()
-			switch in.Op {
-			case til.OpConstW:
-				regs[in.Dst] = Word(in.Imm)
-			case til.OpConstNil:
-				regs[in.Dst] = Ref(nil)
-			case til.OpMov:
-				regs[in.Dst] = regs[in.A]
-			case til.OpBin:
-				regs[in.Dst] = Word(m.binop(in.Bin, regs[in.A].W, regs[in.B].W))
-			case til.OpIsNil:
-				regs[in.Dst] = Word(b2w(regs[in.A].R == nil))
-			case til.OpRefEq:
-				regs[in.Dst] = Word(b2w(regs[in.A].R == regs[in.B].R))
-			case til.OpNew:
-				c := &m.prog.Mod.Classes[in.Class]
-				m.Stats.Allocs++
-				if m.tx != nil {
-					regs[in.Dst] = Ref(m.tx.Alloc(c.NWords, c.NRefs))
-				} else {
-					regs[in.Dst] = Ref(m.prog.Eng.NewObj(c.NWords, c.NRefs))
-				}
-			case til.OpGlobal:
-				regs[in.Dst] = Ref(m.prog.Globals[in.Idx])
-
-			case til.OpLoadW:
-				m.loadW(regs, in, in.Idx, mustObj(in.Obj, "loadw"))
-			case til.OpLoadWI:
-				m.loadW(regs, in, int(regs[in.Idx].W), mustObj(in.Obj, "loadw"))
-			case til.OpStoreW:
-				m.storeW(regs, in, in.Idx, mustObj(in.Obj, "storew"))
-			case til.OpStoreWI:
-				m.storeW(regs, in, int(regs[in.Idx].W), mustObj(in.Obj, "storew"))
-			case til.OpLoadR:
-				m.loadR(regs, in, in.Idx, mustObj(in.Obj, "loadr"))
-			case til.OpLoadRI:
-				m.loadR(regs, in, int(regs[in.Idx].W), mustObj(in.Obj, "loadr"))
-			case til.OpStoreR:
-				m.storeR(regs, in, in.Idx, mustObj(in.Obj, "storer"))
-			case til.OpStoreRI:
-				m.storeR(regs, in, int(regs[in.Idx].W), mustObj(in.Obj, "storer"))
-
-			case til.OpOpenR:
-				if h := ref(in.Obj); h != nil {
-					m.Stats.OpensR++
-					m.withTxn(func(tx engine.Txn) { tx.OpenForRead(h) })
-				}
-			case til.OpOpenU:
-				if h := ref(in.Obj); h != nil {
-					m.Stats.OpensU++
-					m.withTxn(func(tx engine.Txn) { tx.OpenForUpdate(h) })
-				}
-			case til.OpUndoW:
-				m.undo(regs, in, in.Idx, false)
-			case til.OpUndoWI:
-				m.undo(regs, in, int(regs[in.Idx].W), false)
-			case til.OpUndoR:
-				m.undo(regs, in, in.Idx, true)
-			case til.OpUndoRI:
-				m.undo(regs, in, int(regs[in.Idx].W), true)
-			case til.OpValidate:
-				if m.tx != nil {
-					if m.tx.Validate() != nil {
-						engine.AbandonCause(engine.CauseValidation, "explicit validate failed")
-					}
-				}
-
-			case til.OpCall:
-				m.Stats.Calls++
-				callArgs := make([]Value, len(in.Args))
-				for i, a := range in.Args {
-					callArgs[i] = regs[a]
-				}
-				r := m.call(in.Callee, callArgs)
-				if in.Dst >= 0 {
-					regs[in.Dst] = r
-				}
-
-			case til.OpJmp:
-				next = in.Then
-				break instrs
-			case til.OpBr:
-				if regs[in.A].W != 0 {
-					next = in.Then
-				} else {
-					next = in.Else
-				}
-				break instrs
-			case til.OpRet:
-				if in.A >= 0 {
-					return regs[in.A]
-				}
-				return Value{}
-			default:
-				m.fault("invalid opcode %d in %s", in.Op, f.Name)
-			}
-		}
-		if next < 0 {
-			m.fault("block %s fell through in %s", blk.Name, f.Name)
-		}
-		bi = next
-	}
-}
-
-func (m *Machine) maxDepth() int {
-	if m.MaxDepth <= 0 {
-		return 4096
-	}
-	return m.MaxDepth
-}
-
-// guardIdx converts engine slice-bounds panics into interpreter faults (which
-// validate first, so zombie-computed indices retry instead of crashing).
-func (m *Machine) guardIdx(what string, op func()) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(*engine.Retry); ok {
-			panic(r)
-		}
-		if _, ok := r.(*trap); ok {
-			panic(r)
-		}
-		m.fault("%s: %v", what, r)
-	}()
-	op()
-}
-
-func (m *Machine) loadW(regs []Value, in *til.Instr, idx int, h engine.Handle) {
-	m.Stats.Loads++
-	m.guardIdx("loadw", func() {
-		m.withTxn(func(tx engine.Txn) { regs[in.Dst] = Word(tx.LoadWord(h, idx)) })
-	})
-}
-
-func (m *Machine) storeW(regs []Value, in *til.Instr, idx int, h engine.Handle) {
-	m.Stats.Stores++
-	m.guardIdx("storew", func() {
-		m.withTxn(func(tx engine.Txn) { tx.StoreWord(h, idx, regs[in.A].W) })
-	})
-}
-
-func (m *Machine) loadR(regs []Value, in *til.Instr, idx int, h engine.Handle) {
-	m.Stats.Loads++
-	m.guardIdx("loadr", func() {
-		m.withTxn(func(tx engine.Txn) { regs[in.Dst] = Ref(tx.LoadRef(h, idx)) })
-	})
-}
-
-func (m *Machine) storeR(regs []Value, in *til.Instr, idx int, h engine.Handle) {
-	m.Stats.Stores++
-	m.guardIdx("storer", func() {
-		var src engine.Handle
-		if in.A >= 0 {
-			src = regs[in.A].R
-		}
-		m.withTxn(func(tx engine.Txn) { tx.StoreRef(h, idx, src) })
-	})
-}
-
-func (m *Machine) undo(regs []Value, in *til.Instr, idx int, isRef bool) {
-	h := regs[in.Obj].R
-	if h == nil {
-		return // barrier on nil is a no-op (speculative motion safety)
-	}
-	m.Stats.Undos++
-	m.guardIdx("undo", func() {
-		m.withTxn(func(tx engine.Txn) {
-			if isRef {
-				tx.LogForUndoRef(h, idx)
-			} else {
-				tx.LogForUndoWord(h, idx)
-			}
-		})
-	})
-}
-
-func (m *Machine) binop(k til.BinKind, a, b uint64) uint64 {
-	switch k {
-	case til.BinAdd:
-		return a + b
-	case til.BinSub:
-		return a - b
-	case til.BinMul:
-		return a * b
-	case til.BinDiv:
-		if b == 0 {
-			m.fault("division by zero")
-		}
-		return a / b
-	case til.BinMod:
-		if b == 0 {
-			m.fault("modulo by zero")
-		}
-		return a % b
-	case til.BinAnd:
-		return a & b
-	case til.BinOr:
-		return a | b
-	case til.BinXor:
-		return a ^ b
-	case til.BinShl:
-		return a << (b & 63)
-	case til.BinShr:
-		return a >> (b & 63)
-	case til.BinLt:
-		return b2w(a < b)
-	case til.BinLe:
-		return b2w(a <= b)
-	case til.BinEq:
-		return b2w(a == b)
-	case til.BinNe:
-		return b2w(a != b)
-	case til.BinGt:
-		return b2w(a > b)
-	case til.BinGe:
-		return b2w(a >= b)
-	}
-	m.fault("invalid binop %d", k)
-	return 0
 }
 
 func b2w(b bool) uint64 {
