@@ -21,9 +21,10 @@
 //	stmkvd -wal-dir wal -wal-fsync-batch 64 -snapshot-every 30s   # tuned group commit
 //	stmkvd -chaos-abort 20000 -chaos-seed 42      # deterministic fault injection
 //
-// With -wal-dir, commits go through the per-shard append pipeline and
-// checkpoints are incremental (dirty keys merged into the previous snapshot,
-// a full scan every 8th checkpoint per shard); neither is configurable.
+// With -wal-dir, every commit goes through one store-wide log and append
+// pipeline, and checkpoints are per-shard incremental snapshots (dirty keys
+// merged into the previous snapshot, a full scan every 8th checkpoint per
+// shard); neither is configurable.
 //
 // The -chaos-* flags arm the internal fault injector (internal/chaos) at a
 // uniform per-point rate in parts per million; they exist for robustness
@@ -72,8 +73,8 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 0, "max time per response write before the client is evicted (0 = unbounded)")
 
 		walDir        = flag.String("wal-dir", "", "write-ahead-log directory; enables durability (replay on boot, log on commit)")
-		walBatch      = flag.Int("wal-fsync-batch", 8, "group-commit batch: fsync once per this many records (1 = per commit, 0 = never fsync)")
-		walInterval   = flag.Duration("wal-fsync-interval", time.Millisecond, "max time a commit waits for its group to fill before fsyncing anyway")
+		walBatch      = flag.Int("wal-fsync-batch", 8, "group-commit size: an open group fsyncs once this many records await durability, or as soon as every appended record has asked for it (1 = fsync per commit, 0 = fsync only on shutdown)")
+		walInterval   = flag.Duration("wal-fsync-interval", time.Millisecond, "max time an open group waits for an appended record whose commit has not yet asked for durability (0 = fsync at once)")
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "log segment rotation threshold in bytes (0 = 64 MiB)")
 		snapshotEvery = flag.Duration("snapshot-every", time.Minute, "interval between snapshot checkpoints (truncating covered log segments; 0 = never)")
 		walScrubEvery = flag.Duration("wal-scrub-interval", 0, "background scrub period: re-verify sealed log segments and snapshots, quarantining corrupt files (0 = never)")
@@ -112,9 +113,9 @@ func main() {
 		if err != nil {
 			logger.Fatalf("wal recovery: %v", err)
 		}
-		logger.Printf("wal: recovered %s in %v (%d snapshot pairs, %d records, %d rescued, %d torn tails)",
+		logger.Printf("wal: recovered %s in %v (%d snapshot pairs, %d records, torn tail %v)",
 			*walDir, time.Since(bootStart).Round(time.Millisecond),
-			stats.SnapshotPairs, stats.Records, stats.Rescued, stats.TornTails)
+			stats.SnapshotPairs, stats.Records, stats.TornTail)
 	} else {
 		store = kv.New(cfg)
 	}

@@ -11,14 +11,14 @@ import (
 // because the WAL hit ENOSPC. It is retriable in the protocol sense: the
 // write was rejected before any engine commit, nothing diverged, and a retry
 // succeeds once the operator frees space and restarts the store (the wedged
-// shard logs cannot be resurrected in-process — a failed fsync's dropped
+// log cannot be resurrected in-process — a failed fsync's dropped
 // pages make "retry and hope" indistinguishable from silent data loss).
 var ErrDiskFull = errors.New("kv: wal disk full; store is read-only")
 
-// ErrWALQuarantined is returned to writers on a shard whose log is wedged by
-// a non-space disk error (EIO and friends). The shard serves reads; writes
-// are rejected before any engine commit.
-var ErrWALQuarantined = errors.New("kv: shard wal failed; shard is read-only")
+// ErrWALQuarantined is returned to writers once the log is wedged by a
+// non-space disk error (EIO and friends). The store serves reads; writes are
+// rejected before any engine commit.
+var ErrWALQuarantined = errors.New("kv: wal failed; store is read-only")
 
 // Degraded reports whether the store has latched read-only degraded mode
 // (WAL ENOSPC). Reads are unaffected; writes fail with ErrDiskFull.
@@ -39,19 +39,19 @@ func (s *Store) noteWALErr(err error) {
 // publishing an engine commit so a store whose WAL can no longer accept the
 // record rejects the write cleanly — memory and log never diverge, and the
 // client sees a typed, retriable error instead of a dropped connection.
-func (s *Store) walHealthErr(sid int) error {
+func (s *Store) walHealthErr() error {
 	if s.wal == nil {
 		return nil
 	}
 	if s.walDegraded.Load() {
 		return ErrDiskFull
 	}
-	if ferr := s.wal.Log(sid).Failed(); ferr != nil {
+	if ferr := s.wal.Log().Failed(); ferr != nil {
 		if walfs.IsNoSpace(ferr) {
 			s.walDegraded.Store(true)
 			return ErrDiskFull
 		}
-		return fmt.Errorf("%w (shard %d): %v", ErrWALQuarantined, sid, ferr)
+		return fmt.Errorf("%w: %v", ErrWALQuarantined, ferr)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"memtx/internal/enginetest"
 	"memtx/internal/obs"
+	"memtx/internal/wal"
 	"memtx/internal/wal/walfs"
 )
 
@@ -116,11 +117,12 @@ func TestDiskFullDegradesReadOnly(t *testing.T) {
 	}
 }
 
-// TestFsyncFailureQuarantinesShard is the fsyncgate drill at the store level:
-// one shard's fsync fails with EIO (pages dropped), that shard alone is
-// quarantined — its writes refused with ErrWALQuarantined — while other
-// shards keep accepting writes and the whole store keeps serving reads.
-func TestFsyncFailureQuarantinesShard(t *testing.T) {
+// TestFsyncFailureQuarantinesStore is the fsyncgate drill at the store level:
+// the log's fsync fails with EIO (pages dropped), which wedges the one log —
+// every later write, on any shard and cross-shard, is refused with the typed
+// ErrWALQuarantined before the engine commits — while the whole store keeps
+// serving reads. EIO is not ENOSPC: degraded mode stays off.
+func TestFsyncFailureQuarantinesStore(t *testing.T) {
 	mem := walfs.NewMem()
 	flt := walfs.NewFault(mem)
 	s := openFaultStore(t, flt)
@@ -130,7 +132,7 @@ func TestFsyncFailureQuarantinesShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flt.FailNextSync("shard-", syscall.EIO, true)
+	flt.FailNextSync(wal.LogDir("wal"), syscall.EIO, true)
 	err := trySet(s, "victim", "v")
 	if err == nil {
 		t.Fatal("write through failing fsync returned nil")
@@ -139,66 +141,133 @@ func TestFsyncFailureQuarantinesShard(t *testing.T) {
 		t.Fatalf("first failing write error %v does not unwrap to EIO", err)
 	}
 	if s.Degraded() {
-		t.Fatal("EIO must quarantine one shard, not latch store-wide degraded mode")
+		t.Fatal("EIO must quarantine the log, not latch ENOSPC degraded mode")
+	}
+	if !s.WAL().Log().Wedged() {
+		t.Fatal("log not wedged after fsync failure")
 	}
 
-	wedged := -1
-	for i := 0; i < s.Shards(); i++ {
-		if s.WAL().Log(i).Wedged() {
-			if wedged >= 0 {
-				t.Fatalf("shards %d and %d both wedged; want exactly one", wedged, i)
-			}
-			wedged = i
-		}
-	}
-	if wedged < 0 {
-		t.Fatal("no shard wedged after fsync failure")
-	}
-
-	// Probe keys across shards: writes landing on the wedged shard get the
-	// typed refusal, the rest succeed.
-	quarantined, healthy := 0, 0
+	// Probe keys across every shard: each write gets the typed refusal and
+	// leaves no trace in memory.
+	probed := make([]bool, s.Shards())
 	for i := 0; i < 64; i++ {
-		err := trySet(s, fmt.Sprintf("probe-%d", i), "v")
-		switch {
-		case err == nil:
-			healthy++
-		case errors.Is(err, ErrWALQuarantined):
-			quarantined++
-		default:
-			t.Fatalf("probe %d: unexpected error %v", i, err)
+		key := fmt.Sprintf("probe-%d", i)
+		if err := trySet(s, key, "v"); !errors.Is(err, ErrWALQuarantined) {
+			t.Fatalf("probe %d: %v, want ErrWALQuarantined", i, err)
+		}
+		if _, ok := s.Get([]byte(key)); ok {
+			t.Fatalf("refused probe %d is visible in memory", i)
+		}
+		probed[s.KeyShard([]byte(key))] = true
+	}
+	for sid, ok := range probed {
+		if !ok {
+			t.Fatalf("no probe landed on shard %d", sid)
 		}
 	}
-	if quarantined == 0 || healthy == 0 {
-		t.Fatalf("probes: %d refused, %d accepted; want both behaviors (one wedged shard of %d)",
-			quarantined, healthy, s.Shards())
+	keys := [][]byte{[]byte("probe-0"), []byte("probe-1"), []byte("probe-2")}
+	err = s.AtomicKeys(keys, func(tx *Tx) error {
+		for _, k := range keys {
+			tx.Set(k, []byte("w"))
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrWALQuarantined) {
+		t.Fatalf("multi-key write on a wedged log: %v, want ErrWALQuarantined", err)
 	}
 
-	// The failure is visible in the WAL metrics: exactly one shard reports
-	// cause=eio.
+	// The failure is visible in the WAL metrics: cause=eio is set.
 	eio := 0
 	for _, m := range s.WAL().ObsMetrics() {
 		if m.Name != "stmkvd_wal_failed" {
 			continue
 		}
-		cause := ""
-		for _, l := range m.Labels {
-			if l.Key == "cause" {
-				cause = l.Value
-			}
+		if len(m.Labels) != 1 || m.Labels[0].Key != "cause" {
+			t.Fatalf("stmkvd_wal_failed labels %v, want cause only", m.Labels)
 		}
-		if cause == "eio" && m.Value != 0 {
+		if m.Labels[0].Value == "eio" && m.Value != 0 {
 			eio++
 		}
 	}
 	if eio != 1 {
-		t.Fatalf("stmkvd_wal_failed{cause=eio} set on %d shards, want 1", eio)
+		t.Fatalf("stmkvd_wal_failed{cause=eio} set on %d series, want 1", eio)
 	}
 
-	// Reads still serve everywhere.
+	// Reads still serve.
 	if v, ok := s.Get([]byte("pre")); !ok || string(v) != "v" {
 		t.Fatalf("read pre: (%q, %v)", v, ok)
 	}
+}
+
+// TestSnapshotDirSyncFailureKeepsLog is the failed-directory-fsync drill: a
+// checkpoint renames shard 1's snapshot into place but the fsync of shard 1's
+// directory fails, so the disk may not keep that snapshot. Neither that
+// checkpoint nor a later one that finds shard 1 idle may truncate the log past
+// shard 1's last durable snapshot: after a crash at either point, every
+// acknowledged key recovers.
+func TestSnapshotDirSyncFailureKeepsLog(t *testing.T) {
+	mem := walfs.NewRecordingMem()
+	flt := walfs.NewFault(mem)
+	cfg := Config{Shards: 2, Buckets: 64}
+	s, _, err := Open(cfg, DurableConfig{Dir: "wal", FS: flt, FsyncBatch: 1, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeStore(t, s)
+
+	acked := map[string]string{}
+	next := 0
+	// write acknowledges n new keys, on shard only when it is >= 0. A
+	// 512-byte segment holds about a dozen records, so every call rotates
+	// the log and its directory fsync makes earlier truncations durable.
+	write := func(n, shard int) {
+		t.Helper()
+		for n > 0 {
+			k := fmt.Sprintf("key-%04d", next)
+			next++
+			if shard >= 0 && s.KeyShard([]byte(k)) != shard {
+				continue
+			}
+			if err := trySet(s, k, k); err != nil {
+				t.Fatal(err)
+			}
+			acked[k] = k
+			n--
+		}
+	}
+	checkCrash := func(when string) {
+		t.Helper()
+		c, _, err := Open(cfg, DurableConfig{Dir: "wal", FS: walfs.CrashState(mem.Journal()), FsyncBatch: 1})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", when, err)
+		}
+		defer closeStore(t, c)
+		for k, want := range acked {
+			if v, ok := c.Get([]byte(k)); !ok || string(v) != want {
+				t.Fatalf("%s: acknowledged key %s on shard %d = (%q, %v) after a crash", when, k, c.KeyShard([]byte(k)), v, ok)
+			}
+		}
+	}
+
+	write(40, -1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	write(40, -1)
+	flt.FailNextSyncDir(wal.ShardDir("wal", 1), syscall.EIO)
+	if err := s.Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("checkpoint with shard 1's directory fsync failing: %v, want EIO", err)
+	}
+	write(40, 0)
+	checkCrash("after the failed checkpoint")
+
+	// Shard 1 has had no write since: its next checkpoint must still not
+	// count the undurable snapshot as covering it.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	write(40, 0)
+	checkCrash("after the next checkpoint")
 }
 
 // TestDurableMetricSourceConformance runs the obs conformance suite against a
@@ -217,7 +286,7 @@ func TestDurableMetricSourceConformance(t *testing.T) {
 		}
 		s.Checkpoint()
 		s.WAL().ScrubOnce()
-		flt.FailNextSync("shard-", syscall.EIO, true)
+		flt.FailNextSync(wal.LogDir("wal"), syscall.EIO, true)
 		trySet(s, "eio-casualty", "v")
 		flt.SetWriteBudget(0)
 		trySet(s, "enospc-casualty", "v") // flips degraded_mode mid-run
@@ -258,15 +327,21 @@ func TestDurableMetricSourceConformance(t *testing.T) {
 	t.Run("wal-manager", func(t *testing.T) {
 		enginetest.RunMetricSource(t, s.WAL(), drive)
 		want := map[string]bool{
-			"stmkvd_wal_scrub_passes_total":     false,
-			"stmkvd_wal_scrub_segments_total":   false,
-			"stmkvd_wal_quarantined":            false,
-			"stmkvd_wal_rescued_segments_total": false,
-			"stmkvd_wal_failed":                 false,
+			"stmkvd_wal_scrub_passes_total":   false,
+			"stmkvd_wal_scrub_segments_total": false,
+			"stmkvd_wal_quarantined":          false,
+			"stmkvd_wal_durable_lsn":          false,
+			"stmkvd_wal_failed":               false,
 		}
 		for _, m := range s.WAL().ObsMetrics() {
 			if _, ok := want[m.Name]; ok {
 				want[m.Name] = true
+			}
+			// One store-wide log: no WAL series is per shard.
+			for _, l := range m.Labels {
+				if l.Key == "shard" {
+					t.Fatalf("%s carries a shard label", m.Name)
+				}
 			}
 		}
 		for name, ok := range want {

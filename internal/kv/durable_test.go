@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -117,83 +116,6 @@ func TestDurableCrossShardReopen(t *testing.T) {
 	}
 }
 
-// sumAll totals every acct- key's integer value.
-func sumAll(t *testing.T, s *Store, keys [][]byte) int64 {
-	t.Helper()
-	var sum int64
-	err := s.View(func(tx *Tx) error {
-		sum = 0
-		for _, k := range keys {
-			v, err := tx.Int(k)
-			if err != nil {
-				return err
-			}
-			sum += v
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum
-}
-
-func TestDurableCrossShardRescue(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir)
-	a, b := crossPair(t, s)
-	s.Set(a, []byte("1000"))
-	s.Set(b, []byte("1000"))
-	for i := 0; i < 30; i++ {
-		err := s.AtomicKeys([][]byte{a, b}, func(t *Tx) error {
-			if _, err := t.Add(a, -2); err != nil {
-				return err
-			}
-			_, err := t.Add(b, 2)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	closeStore(t, s)
-
-	// Simulate a crash that lost the tail of one participant's log: chop
-	// bytes off shard A's last segment. The torn/missing xcommit records must
-	// be rescued from shard B's log on reboot.
-	sidA := s.KeyShard(a)
-	shardDir := wal.ShardDir(dir, sidA)
-	segs, err := filepath.Glob(filepath.Join(shardDir, "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s: %v", shardDir, err)
-	}
-	sort.Strings(segs)
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop half the segment: tears the tail record and drops whole records
-	// before it.
-	if err := os.Truncate(last, fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, stats := openTestStore(t, dir)
-	defer closeStore(t, s2)
-	if stats.Rescued == 0 {
-		t.Fatalf("expected rescued records, got %+v", stats)
-	}
-	if sum := sumAll(t, s2, [][]byte{a, b}); sum != 2000 {
-		t.Fatalf("sum %d after rescue, want 2000", sum)
-	}
-	va, _ := s2.Get(a)
-	vb, _ := s2.Get(b)
-	if string(va) != "940" || string(vb) != "1060" {
-		t.Fatalf("rescued state %s/%s, want 940/1060", va, vb)
-	}
-}
-
 func TestDurableCheckpointTruncatesAndReplays(t *testing.T) {
 	dir := t.TempDir()
 	s, err := func() (*Store, error) {
@@ -255,12 +177,10 @@ func TestDurableSnapshotNewerThanLogTail(t *testing.T) {
 	// Delete every log segment, leaving only snapshots: the snapshot covers
 	// LSNs past the (now empty) log tail, and recovery must come up at the
 	// snapshot's LSN rather than replaying from scratch.
-	for sid := 0; sid < s.Shards(); sid++ {
-		segs, _ := filepath.Glob(filepath.Join(wal.ShardDir(dir, sid), "*.seg"))
-		for _, seg := range segs {
-			if err := os.Remove(seg); err != nil {
-				t.Fatal(err)
-			}
+	segs, _ := filepath.Glob(filepath.Join(wal.LogDir(dir), "*.seg"))
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -336,8 +256,7 @@ func TestDurablePeriodicCheckpointer(t *testing.T) {
 }
 
 // TestDeferredSyncBatch drives writes through the deferred-durability path:
-// commits return before their records are durable, Wait makes them so, and
-// the deferred cross-shard registrations retire so truncation is not pinned.
+// commits return before their records are durable, and Wait makes them so.
 func TestDeferredSyncBatch(t *testing.T) {
 	dir := t.TempDir()
 	// Nothing syncs a log until someone calls Sync, so durability advances
@@ -379,21 +298,9 @@ func TestDeferredSyncBatch(t *testing.T) {
 	if !sb.Pending() {
 		t.Fatal("SyncBatch not pending after deferred commits")
 	}
-	behind := false
-	for i := 0; i < s.Shards(); i++ {
-		l := s.WAL().Log(i)
-		if l.SyncedLSN() < l.AppendedLSN() {
-			behind = true
-		}
-	}
-	if !behind {
+	l := s.WAL().Log()
+	if l.SyncedLSN() >= l.AppendedLSN() {
 		t.Fatal("every record already durable before Wait; deferral did not defer")
-	}
-	s.wimu.Lock()
-	inflight := len(s.winflight)
-	s.wimu.Unlock()
-	if inflight == 0 {
-		t.Fatal("cross-shard deferred commit left no in-flight registration")
 	}
 
 	if err := sb.Wait(); err != nil {
@@ -402,17 +309,8 @@ func TestDeferredSyncBatch(t *testing.T) {
 	if sb.Pending() {
 		t.Fatal("SyncBatch still pending after Wait")
 	}
-	for i := 0; i < s.Shards(); i++ {
-		l := s.WAL().Log(i)
-		if l.SyncedLSN() != l.AppendedLSN() {
-			t.Fatalf("shard %d: synced %d != appended %d after Wait", i, l.SyncedLSN(), l.AppendedLSN())
-		}
-	}
-	s.wimu.Lock()
-	inflight = len(s.winflight)
-	s.wimu.Unlock()
-	if inflight != 0 {
-		t.Fatalf("%d in-flight registrations survive Wait; truncation would be pinned", inflight)
+	if l.SyncedLSN() != l.AppendedLSN() {
+		t.Fatalf("synced %d != appended %d after Wait", l.SyncedLSN(), l.AppendedLSN())
 	}
 	// A second Wait with nothing noted is a no-op.
 	if err := sb.Wait(); err != nil {
@@ -485,14 +383,8 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	behind := false
-	for i := 0; i < s.Shards(); i++ {
-		l := s.WAL().Log(i)
-		if l.SyncedLSN() < l.AppendedLSN() {
-			behind = true
-		}
-	}
-	if !behind {
+	l := s.WAL().Log()
+	if l.SyncedLSN() >= l.AppendedLSN() {
 		t.Fatal("every record already durable before the checkpoint; nothing to test")
 	}
 
@@ -500,59 +392,12 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Quiescent store: the scan observed every published effect, so the log
-	// must now be durable through each shard's full appended prefix.
-	for i := 0; i < s.Shards(); i++ {
-		l := s.WAL().Log(i)
-		if l.SyncedLSN() < l.AppendedLSN() {
-			t.Fatalf("shard %d: snapshot written with synced %d < appended %d — snapshot may hold non-durable effects",
-				i, l.SyncedLSN(), l.AppendedLSN())
-		}
+	// must now be durable through its full appended prefix.
+	if l.SyncedLSN() < l.AppendedLSN() {
+		t.Fatalf("snapshot written with synced %d < appended %d — snapshot may hold non-durable effects",
+			l.SyncedLSN(), l.AppendedLSN())
 	}
 	if err := sb.Wait(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestFailedSyncKeepsInflightPinned pins the wedged-log truncation guard: a
-// cross-shard commit whose durability wait fails must keep its in-flight
-// registration (and so its minInflightLSN truncation pin) forever — with one
-// participant's xcommit copy possibly never durable, a checkpoint on a
-// healthy peer must not delete the surviving copy a post-crash rescue needs.
-func TestFailedSyncKeepsInflightPinned(t *testing.T) {
-	dir := t.TempDir()
-	// SegmentBytes 1 forces a rotation on every flush; deleting a shard's log
-	// directory then wedges that log at the next Sync (the rotation cannot
-	// create the next segment), without disturbing the already-open file.
-	s, _, err := Open(Config{Shards: 4, Buckets: 64},
-		DurableConfig{Dir: dir, FsyncBatch: 1, SegmentBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sb := s.NewSyncBatch()
-	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
-		tx.Set(a, []byte("1"))
-		tx.Set(b, []byte("2"))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidA, sidB := s.KeyShard(a), s.KeyShard(b)
-	if s.minInflightLSN(sidA) == 0 || s.minInflightLSN(sidB) == 0 {
-		t.Fatal("deferred cross-shard commit not registered in-flight")
-	}
-	if err := os.RemoveAll(wal.ShardDir(dir, sidA)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Wait(); err == nil {
-		t.Fatal("Wait succeeded with shard A's log directory gone")
-	}
-	// The registration must survive the failed Wait on every participant:
-	// shard B's checkpoints stay clamped below the xcommit record.
-	if s.minInflightLSN(sidA) == 0 || s.minInflightLSN(sidB) == 0 {
-		t.Fatal("failed Wait retired the in-flight registration; a healthy peer could truncate the only durable xcommit copy")
-	}
-	_ = s.Close() // the wedged log fails the final flush; that is the point
 }

@@ -135,12 +135,19 @@ type shard struct {
 	xmu sync.RWMutex
 
 	// wmu serializes {engine commit; WAL append} for single-shard writers
-	// when a WAL is attached, so the log's record order matches the engine's
-	// commit order. Two single-shard writers both hold xmu shared and could
-	// otherwise interleave their commits and appends in opposite orders.
-	// Cross-shard writers skip it: their exclusive xmu already excludes every
-	// single-shard committer. Untouched when the store has no WAL.
+	// when a WAL is attached, so the order of the shard's records in the log
+	// matches the engine's commit order. Two single-shard writers both hold
+	// xmu shared and could otherwise interleave their commits and appends in
+	// opposite orders. Cross-shard writers skip it: their exclusive xmu
+	// already excludes every single-shard committer. Untouched when the store
+	// has no WAL.
 	wmu sync.Mutex
+
+	// lastLSN is the LSN of the newest log record with an op on this shard,
+	// stored inside the critical section that appended it (under wmu, or the
+	// exclusive gate for cross-shard commits). A checkpoint reading it under
+	// gate+wmu knows whether the shard changed since its snapshot.
+	lastLSN atomic.Uint64
 
 	// Incremental-checkpoint dirty-key tracking (used only when the store
 	// was opened with IncrementalSnapshots). dmu guards dirty/dirtyOver;
@@ -154,6 +161,15 @@ type shard struct {
 	dirty     map[string]struct{}
 	dirtyOver bool
 	snapSince int // checkpoints since the last full-scan snapshot
+
+	// snapLSN is the LSN of the shard's newest snapshot known durable: the
+	// one recovery loaded or the last one a checkpoint finished writing.
+	// coveredLSN is the coverage the shard's last successful checkpoint
+	// reported. Neither is read back from the snapshot directory: a failed
+	// checkpoint can leave a newer snapshot renamed into place whose directory
+	// fsync never landed. Guarded by cpmu.
+	snapLSN    uint64
+	coveredLSN uint64
 
 	// cpmu serializes checkpoints of this shard: taking the dirty set and
 	// bumping snapSince are single-owner operations.
@@ -176,13 +192,11 @@ type Store struct {
 	readerFallbacks atomic.Uint64 // Reader.RunOnce gate acquisitions abandoned
 
 	// Durability (nil / zero unless the store was built with Open).
-	wal       *wal.Manager
-	walStop   chan struct{} // closes to stop the checkpointer
-	walWG     sync.WaitGroup
-	wimu      sync.Mutex
-	winflight map[uint64][]wal.Part // cross-shard appends not yet fully durable
-	walIncr   bool                  // incremental snapshot checkpoints enabled
-	walFullN  int                   // full-scan snapshot every Nth checkpoint
+	wal      *wal.Manager
+	walStop  chan struct{} // closes to stop the checkpointer
+	walWG    sync.WaitGroup
+	walIncr  bool // incremental snapshot checkpoints enabled
+	walFullN int  // full-scan snapshot every Nth checkpoint
 
 	// walDegraded latches read-only degraded mode once the WAL hits ENOSPC:
 	// writes fail fast with ErrDiskFull at the pre-commit health gate, reads
@@ -318,10 +332,10 @@ func (s *Store) ObsMetrics() []obs.Metric {
 		if s.wal != nil {
 			ms = append(ms, obs.Metric{
 				Name:   "stmkv_shard_lsn",
-				Help:   "Last committed (appended) WAL LSN, by shard.",
+				Help:   "LSN of the newest WAL record with an op on the shard, by shard.",
 				Kind:   obs.Gauge,
 				Labels: shardLbl,
-				Value:  s.wal.Log(i).AppendedLSN(),
+				Value:  s.shards[i].lastLSN.Load(),
 			})
 		}
 	}
@@ -383,11 +397,9 @@ type Tx struct {
 	counts    [NumOps]uint32
 
 	// WAL state (populated only when the store has a log attached).
-	effs        []walEff   // captured write effects, in execution order
-	encOps      []wal.Op   // encode scratch, reused across appends
-	syncs       []walSync  // (shard, LSN) pairs to make durable before ack
-	partScratch []wal.Part // cross-shard participant table scratch
-	xid         uint64     // in-flight cross-shard id; 0 when none
+	effs   []walEff // captured write effects, in execution order
+	encOps []wal.Op // encode scratch, reused across appends
+	lsn    uint64   // the commit's record, to make durable before ack; 0 = none
 }
 
 // txnFor returns the transaction for shard sid, beginning it lazily in
@@ -533,20 +545,15 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 		}
 	}
 
-	// Health gate before any engine commit publishes: if a participating
-	// shard's WAL can no longer log the write-set, reject the transaction
-	// while every shard txn is still open — nothing diverges, and the caller
-	// gets the same typed refusal single-shard writers get.
-	if t.s.wal != nil && !t.readonly && len(t.effs) > 0 {
-		for sid := 0; sid < len(t.txns); sid++ {
-			if t.txns[sid] == nil {
-				continue
-			}
-			if herr := t.s.walHealthErr(sid); herr != nil {
-				t.abortFrom(0, engine.CauseExplicit)
-				finished = true
-				return herr, false
-			}
+	// Health gate before any engine commit publishes: if the WAL can no
+	// longer log the write-set, reject the transaction while every shard txn
+	// is still open — nothing diverges, and the caller gets the same typed
+	// refusal single-shard writers get.
+	if !t.readonly && len(t.effs) > 0 {
+		if herr := t.s.walHealthErr(); herr != nil {
+			t.abortFrom(0, engine.CauseExplicit)
+			finished = true
+			return herr, false
 		}
 	}
 
@@ -576,9 +583,9 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 		t.txns[sid] = nil
 	}
 	// Log the committed write-set while the exclusive gates are still held:
-	// they serialize these appends against single-shard committers, so each
-	// participant log's record order matches its engine's commit order. The
-	// appends only buffer; the caller syncs after the gates are released.
+	// they serialize the append against single-shard committers, so each
+	// participant's records stay in its engine's commit order. The append
+	// only buffers; the caller syncs after the gates are released.
 	if t.s.wal != nil && !t.readonly && len(t.effs) > 0 {
 		if werr := t.walAppendCross(); werr != nil {
 			finished = true
@@ -665,7 +672,7 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 func (s *Store) walSettle(t *Tx, ws *walScratch, sb *SyncBatch, err error) error {
 	if sb != nil {
 		sb.note(t)
-	} else if serr := s.awaitDurable(t.syncs, t.xid); err == nil {
+	} else if serr := s.awaitDurable(t.lsn); err == nil {
 		err = serr
 	}
 	ws.release(t)

@@ -505,13 +505,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 32<<10)
 	bw := bufio.NewWriterSize(nc, 32<<10)
 	c := s.newConn()
-	// Retire deferred durability waits even on an abrupt exit (write error,
-	// injected connection kill): the records are already appended, and a
-	// successfully-synced cross-shard registration left behind would pin log
-	// truncation for no reason. No response rides on this Wait — the client
-	// saw no ACK. (On a failed Wait the registrations deliberately stay
-	// pinned; see kv.SyncBatch.Wait.)
-	defer func() { _ = c.sb.Wait() }()
 	for {
 		// During a drain, serve the requests already buffered (they were
 		// received before the drain) and stop once the buffer is empty.
@@ -811,7 +804,7 @@ var (
 // path otherwise; read-only when every command is — retried until CmdDeadline.
 // On a durable store a write's fsync wait is deferred into c's SyncBatch:
 // serveConn syncs before any response reaches the wire, so pipelined writes in
-// one window share one group-commit wait per shard. A run that touches no key
+// one window share one group-commit wait. A run that touches no key
 // (PINGs, refused commands) needs neither a slot nor a transaction.
 //
 // A panic inside it (chaos-injected or real) is counted and returned as the

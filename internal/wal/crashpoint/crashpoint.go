@@ -18,14 +18,15 @@
 //     balance-conserving cross-shard transfers must recover to the state
 //     after some prefix of the transfer sequence — never a half-applied
 //     transfer.
-//   - Monotone durability: each shard's highest recovered LSN never
-//     decreases as the crash point moves later.
+//   - Monotone durability: the log's highest recovered LSN never decreases
+//     as the crash point moves later.
 //   - The recovered store works: it accepts a write and serves it back.
 package crashpoint
 
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"memtx/internal/kv"
 	"memtx/internal/wal/walfs"
@@ -38,7 +39,8 @@ type Config struct {
 	// Buckets is hash buckets per shard (0 = 64).
 	Buckets int
 	// SegmentBytes is the log rotation threshold; small values force
-	// rotations mid-workload (0 = 2048).
+	// rotations, and so checkpoint truncation, inside the explored journal
+	// (0 = 2048).
 	SegmentBytes int64
 	// TornStride is the byte stride for torn-final-write variants
 	// (0 = walfs.SectorSize).
@@ -55,6 +57,10 @@ type Stats struct {
 	States int
 	// TornStates is the number of additional sector-torn states recovered.
 	TornStates int
+	// SegmentCreates and SegmentRemoves count the log segments the workload
+	// created (boot plus rotations) and truncated, so a caller can check that
+	// both fall inside the explored journal.
+	SegmentCreates, SegmentRemoves int
 }
 
 // ackedOp is one client operation with its journal footprint: the journal
@@ -124,24 +130,32 @@ func Explore(cfg Config) (Stats, error) {
 		return Stats{}, fmt.Errorf("crashpoint: workload failed: %w", err)
 	}
 	st := Stats{JournalOps: len(tr.ops)}
-	logf("crashpoint: recorded %d filesystem ops, %d acked ops, %d transfers",
-		len(tr.ops), len(tr.acks), len(tr.vectors)-1)
+	for _, op := range tr.ops {
+		if strings.HasSuffix(op.Path, ".seg") {
+			switch op.Kind {
+			case walfs.OpCreate:
+				st.SegmentCreates++
+			case walfs.OpRemove:
+				st.SegmentRemoves++
+			}
+		}
+	}
+	logf("crashpoint: recorded %d filesystem ops (%d segments created, %d truncated), %d acked ops, %d transfers",
+		len(tr.ops), st.SegmentCreates, st.SegmentRemoves, len(tr.acks), len(tr.vectors)-1)
 
-	prevLSN := make([]uint64, cfg.Shards)
+	prevLSN := uint64(0)
 	for n := 0; n <= len(tr.ops); n++ {
-		lsns, err := verifyState(cfg, tr, n, walfs.CrashState(tr.ops[:n]))
+		lsn, err := verifyState(cfg, tr, n, walfs.CrashState(tr.ops[:n]))
 		if err != nil {
 			return st, fmt.Errorf("crash at prefix %d/%d: %w", n, len(tr.ops), err)
 		}
-		// Monotone durability: moving the crash later never shrinks what a
-		// shard recovers.
-		for sid, lsn := range lsns {
-			if lsn < prevLSN[sid] {
-				return st, fmt.Errorf("crash at prefix %d/%d: shard %d recovered LSN %d < %d at the previous prefix",
-					n, len(tr.ops), sid, lsn, prevLSN[sid])
-			}
-			prevLSN[sid] = lsn
+		// Monotone durability: moving the crash later never shrinks what the
+		// log recovers.
+		if lsn < prevLSN {
+			return st, fmt.Errorf("crash at prefix %d/%d: recovered LSN %d < %d at the previous prefix",
+				n, len(tr.ops), lsn, prevLSN)
 		}
+		prevLSN = lsn
 		st.States++
 		// Sector-torn variants of a trailing content write: the crash kept
 		// only the first keep bytes of the final write.
@@ -301,15 +315,15 @@ func record(cfg Config) (*trace, error) {
 }
 
 // verifyState recovers the store from one crash state and checks every
-// durability invariant at journal prefix n. It returns each shard's highest
-// recovered LSN for the monotonicity check.
-func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) ([]uint64, error) {
+// durability invariant at journal prefix n. It returns the highest recovered
+// LSN for the monotonicity check.
+func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) (uint64, error) {
 	store, stats, err := kv.Open(
 		kv.Config{Shards: cfg.Shards, Buckets: cfg.Buckets},
 		kv.DurableConfig{Dir: "wal", FS: fsys, FsyncBatch: 1, SegmentBytes: cfg.SegmentBytes},
 	)
 	if err != nil {
-		return nil, fmt.Errorf("recovery failed: %w", err)
+		return 0, fmt.Errorf("recovery failed: %w", err)
 	}
 	defer store.Close()
 
@@ -345,7 +359,7 @@ func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) ([]uint64, error
 			}
 		}
 		if !matched {
-			return nil, fmt.Errorf("key %q: recovered (%q, present=%v) matches no state in op window [%d,%d] (acked floor seq %v)",
+			return 0, fmt.Errorf("key %q: recovered (%q, present=%v) matches no state in op window [%d,%d] (acked floor seq %v)",
 				key, val, ok, floor, ceil, opSeq(ops, floor))
 		}
 	}
@@ -360,17 +374,17 @@ func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) ([]uint64, error
 		for i := 0; i < nbanks; i++ {
 			val, ok := store.Get(bankKey(i))
 			if !ok {
-				return nil, fmt.Errorf("bank%d: funded key missing after recovery", i)
+				return 0, fmt.Errorf("bank%d: funded key missing after recovery", i)
 			}
 			v, err := strconv.Atoi(string(val))
 			if err != nil {
-				return nil, fmt.Errorf("bank%d: recovered garbage %q", i, val)
+				return 0, fmt.Errorf("bank%d: recovered garbage %q", i, val)
 			}
 			got[i] = v
 			sum += v
 		}
 		if sum != nbanks*bankInitial {
-			return nil, fmt.Errorf("bank sum %d != %d: torn cross-shard commit (balances %v)", sum, nbanks*bankInitial, got)
+			return 0, fmt.Errorf("bank sum %d != %d: torn cross-shard commit (balances %v)", sum, nbanks*bankInitial, got)
 		}
 		lo, hi := 0, 0
 		for m := 1; m < len(tr.vectors); m++ {
@@ -389,7 +403,7 @@ func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) ([]uint64, error
 			}
 		}
 		if match < 0 {
-			return nil, fmt.Errorf("bank balances %v match no transfer prefix in [%d,%d] (lost or reordered transfer)", got, lo, hi)
+			return 0, fmt.Errorf("bank balances %v match no transfer prefix in [%d,%d] (lost or reordered transfer)", got, lo, hi)
 		}
 	}
 
@@ -399,10 +413,10 @@ func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) ([]uint64, error
 		t.Set(probe, []byte("ok"))
 		return nil
 	}); err != nil {
-		return nil, fmt.Errorf("recovered store rejected a write: %w", err)
+		return 0, fmt.Errorf("recovered store rejected a write: %w", err)
 	}
 	if v, ok := store.Get(probe); !ok || string(v) != "ok" {
-		return nil, fmt.Errorf("recovered store lost the probe write (got %q, %v)", v, ok)
+		return 0, fmt.Errorf("recovered store lost the probe write (got %q, %v)", v, ok)
 	}
 	return stats.LastLSN, nil
 }

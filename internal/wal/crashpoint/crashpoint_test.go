@@ -24,6 +24,10 @@ func TestExplore(t *testing.T) {
 	if st.TornStates == 0 {
 		t.Fatalf("no torn-write states explored; workload writes should span sectors")
 	}
+	if st.SegmentCreates < 2 || st.SegmentRemoves == 0 {
+		t.Fatalf("journal holds %d segment creates and %d removes; rotation and checkpoint truncation must both fall inside it",
+			st.SegmentCreates, st.SegmentRemoves)
+	}
 }
 
 // TestSnapshotHalfRename drives the snapshot commit protocol (tmp + fsync +

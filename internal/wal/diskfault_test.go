@@ -28,8 +28,8 @@ func countSyncs(ops []walfs.Op) int {
 func TestFsyncFailureWedgesLog(t *testing.T) {
 	inner := walfs.NewRecordingMem()
 	flt := walfs.NewFault(inner)
-	dir := filepath.Join("wal", "shard-0000")
-	l, err := openLog(dir, 0, 1, Options{FS: flt, FsyncBatch: 1})
+	dir := LogDir("wal")
+	l, err := openLog(dir, 1, Options{FS: flt, FsyncBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFsyncFailureWedgesLog(t *testing.T) {
 	}
 	syncsBefore := countSyncs(inner.Journal())
 
-	flt.FailNextSync("shard-0000", syscall.EIO, true)
+	flt.FailNextSync(dir, syscall.EIO, true)
 	lsn2, err := l.AppendCommit(testOps(2))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFsyncFailureWedgesLog(t *testing.T) {
 
 	// Recovery sees exactly the pre-failure durable state: record 1 only —
 	// record 2's pages were dropped with the failed fsync.
-	sc, err := ScanShard(inner, dir)
+	sc, err := ScanLog(inner, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestFsyncFailureWedgesLog(t *testing.T) {
 func TestFsyncFailureFailsGroupOnce(t *testing.T) {
 	inner := walfs.NewMem()
 	flt := walfs.NewFault(inner)
-	dir := filepath.Join("wal", "shard-0000")
+	dir := LogDir("wal")
 	const group = 4
-	l, err := openLog(dir, 0, 1, Options{FS: flt, FsyncBatch: group, FsyncInterval: time.Hour})
+	l, err := openLog(dir, 1, Options{FS: flt, FsyncBatch: group, FsyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt.FailNextSync("shard-0000", syscall.EIO, true)
+	flt.FailNextSync(dir, syscall.EIO, true)
 
 	errs := make(chan error, group)
 	for i := 0; i < group; i++ {
@@ -149,8 +149,8 @@ func TestFsyncFailureFailsGroupOnce(t *testing.T) {
 // corrupted file keeps its size, and the scrubber flags the same segment.
 func TestMidLogCorruptionStopsReplay(t *testing.T) {
 	mem := walfs.NewMem()
-	dir := filepath.Join("wal", "shard-0000")
-	l, err := openLog(dir, 0, 1, Options{FS: mem, FsyncBatch: 1, SegmentBytes: 1})
+	dir := LogDir("wal")
+	l, err := openLog(dir, 1, Options{FS: mem, FsyncBatch: 1, SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 	}
 	sizeBefore, _ := mem.Size(victim)
 
-	_, err = ScanShard(mem, dir)
+	_, err = ScanLog(mem, dir)
 	if err == nil {
 		t.Fatal("replay over a corrupt sealed segment returned nil")
 	}
@@ -199,63 +199,44 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantineAndRescue corrupts a sealed segment whose records are
-// cross-shard commits, then runs a scrub pass: the bad file must be
-// quarantined (moved aside, bytes intact) and a rescue segment rebuilt in its
-// place from the peer shard's copies, after which replay succeeds with no
-// record lost.
-func TestScrubQuarantineAndRescue(t *testing.T) {
+// TestScrubQuarantinesCorruptSegment corrupts a sealed segment of a live log
+// and runs a scrub pass: the bad file must be quarantined (moved aside, bytes
+// intact, the active segment untouched), replay must then succeed over the
+// remaining segments, and a second pass must find nothing new.
+func TestScrubQuarantinesCorruptSegment(t *testing.T) {
 	mem := walfs.NewMem()
 	opts := Options{Dir: "wal", FS: mem, FsyncBatch: 1, SegmentBytes: 1}
-	m, scans, err := Recover(opts, 2)
+	m, sc, err := Recover(opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := make([]uint64, 2)
-	for i, sc := range scans {
-		next[i] = sc.LastLSN + 1
-	}
-	if err := m.Start(next, 0); err != nil {
+	if err := m.Start(sc.LastLSN + 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Every record is a cross-shard commit appended to both shards, so every
-	// shard-0 record has a peer copy to rescue from.
+	// SegmentBytes 1 seals a segment per record.
 	for i := 0; i < 6; i++ {
-		l0, l1 := m.Log(0), m.Log(1)
-		lsn0, lsn1 := l0.NextLSN(), l1.NextLSN()
-		xid := m.NextXID()
-		parts := []Part{{Shard: 0, LSN: lsn0}, {Shard: 1, LSN: lsn1}}
-		ops := testOps(i)
-		if err := l0.AppendXCommit(lsn0, xid, parts, ops); err != nil {
+		lsn, err := m.Log().AppendCommit(testOps(i))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l1.AppendXCommit(lsn1, xid, parts, ops); err != nil {
-			t.Fatal(err)
-		}
-		if err := l0.Sync(lsn0); err != nil {
-			t.Fatal(err)
-		}
-		if err := l1.Sync(lsn1); err != nil {
+		if err := m.Log().Sync(lsn); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	dir0 := ShardDir("wal", 0)
-	names, err := segNames(mem, dir0)
+	dir := LogDir("wal")
+	names, err := segNames(mem, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) < 4 {
-		t.Fatalf("only %d segments on shard 0", len(names))
+		t.Fatalf("only %d segments", len(names))
 	}
-	victimFirst := names[1]
-	victim := filepath.Join(dir0, segName(victimFirst))
+	victim := filepath.Join(dir, segName(names[1]))
 	b, err := mem.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := append([]byte(nil), b...)
 	b[len(b)/2] ^= 0x40
 	if err := mem.WriteFile(victim, b); err != nil {
 		t.Fatal(err)
@@ -273,30 +254,20 @@ func TestScrubQuarantineAndRescue(t *testing.T) {
 	if string(q) != string(b) {
 		t.Fatal("quarantined file does not hold the corrupt bytes")
 	}
-
-	// The rescue segment replays clean with every cross-shard record restored.
-	sc, err := ScanShard(mem, dir0)
-	if err != nil {
-		t.Fatalf("replay after rescue: %v", err)
-	}
-	if len(sc.Records) != 6 {
-		t.Fatalf("recovered %d records after rescue, want all 6", len(sc.Records))
-	}
-	rb, err := mem.ReadFile(victim)
-	if err != nil {
-		t.Fatalf("rescue segment missing: %v", err)
-	}
-	if string(rb) == string(orig) || string(rb) == string(b) {
-		// The rescue is re-encoded from the peer's records; byte equality
-		// with either old form is not required, only decodability (checked
-		// above) — but it must not be the corrupt bytes.
-		if string(rb) == string(b) {
-			t.Fatal("rescue segment still holds corrupt bytes")
-		}
+	if _, err := mem.ReadFile(victim); !walfs.IsNotExist(err) {
+		t.Fatalf("corrupt segment still under its segment name: %v", err)
 	}
 
-	// A second pass finds nothing new and the metrics reflect exactly one
-	// quarantine.
+	// Replay skips the quarantined file and loses exactly its record.
+	after, err := ScanLog(mem, dir)
+	if err != nil {
+		t.Fatalf("replay after quarantine: %v", err)
+	}
+	if len(after.Records) != 5 {
+		t.Fatalf("recovered %d records after quarantining one segment, want 5", len(after.Records))
+	}
+
+	// A second pass finds nothing new.
 	if got := m.ScrubOnce(); got != 0 {
 		t.Fatalf("second ScrubOnce found %d corrupt files, want 0", got)
 	}

@@ -21,21 +21,12 @@ const maxPooledEnc = 64 << 10
 
 var encPool = sync.Pool{New: func() any { return new(Enc) }}
 
-// EncodeCommit renders a single-shard commit record into a pooled Enc, its
-// LSN zero until stamped at reservation.
+// EncodeCommit renders a commit record into a pooled Enc, its LSN zero until
+// stamped at reservation.
 func EncodeCommit(ops []Op) *Enc {
 	e := encPool.Get().(*Enc)
 	b, _ := beginFrame(e.buf[:0])
 	e.buf = appendCommitPayload(b, 0, ops)
-	return e
-}
-
-// EncodeXCommit renders one participant's copy of a cross-shard commit
-// record into a pooled Enc, its LSN zero until stamped at reservation.
-func EncodeXCommit(xid uint64, parts []Part, ops []Op) *Enc {
-	e := encPool.Get().(*Enc)
-	b, _ := beginFrame(e.buf[:0])
-	e.buf = appendXCommitPayload(b, 0, xid, parts, ops)
 	return e
 }
 

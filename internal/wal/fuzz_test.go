@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -11,7 +12,10 @@ import (
 // too strict: varints admit non-minimal encodings a fuzzer could discover.)
 func FuzzWALRecord(f *testing.F) {
 	f.Add(AppendCommitRecord(nil, 1, sampleOps()))
-	f.Add(AppendXCommitRecord(nil, 9, 42, []Part{{Shard: 1, LSN: 9}, {Shard: 2, LSN: 4}}, sampleOps()))
+	// A CRC-valid frame of the retired kind 2 must be rejected, not decoded.
+	retired, start := beginFrame(nil)
+	retired = append(binary.LittleEndian.AppendUint64(retired, 9), 2)
+	f.Add(sealFrame(append(retired, 0), start))
 	f.Add(AppendCommitRecord(nil, 1<<40, nil))
 	// Mutated seeds: truncations and bit flips of a valid frame.
 	base := AppendCommitRecord(nil, 77, sampleOps())
@@ -43,13 +47,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			return // malformed but CRC-valid payloads are rejected, not fatal
 		}
-		var reenc []byte
-		switch rec.Kind {
-		case KindCommit:
-			reenc = AppendCommitRecord(nil, rec.LSN, rec.Ops)
-		case KindXCommit:
-			reenc = AppendXCommitRecord(nil, rec.LSN, rec.XID, rec.Parts, rec.Ops)
-		}
+		reenc := AppendCommitRecord(nil, rec.LSN, rec.Ops)
 		payload2, rest2, ok2, err2 := NextFrame(reenc)
 		if err2 != nil || !ok2 || len(rest2) != 0 {
 			t.Fatalf("re-encoded frame invalid: ok=%v err=%v", ok2, err2)
@@ -58,14 +56,8 @@ func FuzzWALRecord(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("re-encoded record undecodable: %v", err2)
 		}
-		if rec2.LSN != rec.LSN || rec2.Kind != rec.Kind || rec2.XID != rec.XID ||
-			len(rec2.Parts) != len(rec.Parts) || len(rec2.Ops) != len(rec.Ops) {
+		if rec2.LSN != rec.LSN || len(rec2.Ops) != len(rec.Ops) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", rec, rec2)
-		}
-		for i := range rec.Parts {
-			if rec2.Parts[i] != rec.Parts[i] {
-				t.Fatalf("part %d mismatch", i)
-			}
 		}
 		for i := range rec.Ops {
 			if rec2.Ops[i].Del != rec.Ops[i].Del ||

@@ -14,20 +14,23 @@ import (
 	"memtx/internal/wal/walfs"
 )
 
-// Options configures a shard log (and, via the Manager, all of them).
+// Options configures the store's log (via the Manager).
 type Options struct {
-	// Dir is the WAL root; each shard logs under Dir/shard-NNNN/.
+	// Dir is the WAL root: the log's segments live under Dir/log/, each
+	// shard's snapshots under Dir/shard-NNNN/.
 	Dir string
-	// FsyncBatch is the target group-commit size: once a durability request
-	// is outstanding, the shard's appender fsyncs as soon as this many records
-	// are appended but not yet durable, or FsyncInterval elapses, whichever is
-	// first. 1 fsyncs every commit; 0 disables fsync entirely (records are
-	// still written, so a clean shutdown loses nothing, but a crash can lose
-	// the OS-buffered tail).
+	// FsyncBatch is the target group-commit size. Once a durability request
+	// is outstanding, the appender fsyncs as soon as this many records are
+	// appended but not yet durable, or every appended record has been
+	// requested (no writer it can see is left to wait for), or FsyncInterval
+	// elapses — whichever is first. 1 fsyncs every commit; 0 never fsyncs
+	// except in Flush and Close (records are still written, so a clean
+	// shutdown loses nothing, but a crash can lose the OS-buffered tail).
 	FsyncBatch int
-	// FsyncInterval bounds how long the appender holds a group open waiting
-	// for FsyncBatch records to accumulate. 0 fsyncs immediately, so groups
-	// form only from commits that arrive while a previous fsync is in flight.
+	// FsyncInterval bounds how long the appender holds a group open for a
+	// record that was appended but whose durability nobody has requested yet.
+	// 0 fsyncs immediately, so groups form only from commits that arrive
+	// while a previous fsync is in flight.
 	FsyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// 0 means the 64 MiB default.
@@ -43,8 +46,8 @@ type Options struct {
 
 const (
 	defaultSegmentBytes = 64 << 20
-	// appendQueueCap bounds the records reserved but not yet written per
-	// shard; a full queue blocks the appending transaction (back-pressure).
+	// appendQueueCap bounds the records reserved but not yet written; a full
+	// queue blocks the appending transaction (back-pressure).
 	appendQueueCap = 1024
 	// iovMax caps records per vectored write: linux guarantees IOV_MAX >= 1024.
 	iovMax = 1024
@@ -84,33 +87,30 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// Log is one shard's write-ahead log: segmented files fed by an append
+// Log is the store's write-ahead log: segmented files fed by an append
 // pipeline whose appender goroutine is also the group-commit scheduler.
 //
 // An append only reserves the next LSN and enqueues a pre-encoded record
 // under a short mutex; the appender drains the queue in LSN order, seals
 // CRCs, and writes whole batches with one vectored write each. A durability
-// wait is two steps: PostSync raises the requested LSN (never blocks) and
-// WaitSync parks until the appender's fsync covers it — so a caller can post
-// to many logs before waiting on any. The appender alone forms the group: it
-// opens a window when an unsatisfied request exists, keeps writing arrivals
-// while the window is open, and fsyncs once FsyncBatch records are waiting or
-// FsyncInterval has passed. It owns all file I/O — segment writes, rotation,
-// and fsyncs — so commit critical sections never wait on I/O; only WaitSync
-// does.
+// wait (Sync) raises the requested LSN and parks until the appender's fsync
+// covers it. The appender alone forms the group: it opens a window when an
+// unsatisfied request exists, keeps writing arrivals while the window is
+// open, and fsyncs once FsyncBatch records are waiting, every appended record
+// is requested, or FsyncInterval has passed. It owns all file I/O — segment
+// writes, rotation, and fsyncs — so commit critical sections never wait on
+// I/O; only Sync does.
 type Log struct {
-	dir   string
-	opts  Options
-	fs    walfs.FS
-	shard int
+	dir  string
+	opts Options
+	fs   walfs.FS
 
 	// mu guards everything below up to synced: LSNs, the queue, the rotation
 	// decision, and the durability requests and progress.
 	mu       sync.Mutex
 	f        walfs.File
 	segSize  int64
-	nextLSN  uint64 // LSN the next append will take
-	appended uint64 // last LSN handed out (0 = none yet)
+	appended uint64 // last LSN handed out (0 = none yet); the next append takes appended+1
 	failed   error  // sticky first write/fsync error; the log is wedged after
 
 	// The appender goroutine is the only writer of written/fsynced/synced and
@@ -133,7 +133,7 @@ type Log struct {
 	appenderDone chan struct{}
 
 	// synced is the last durable LSN (last written LSN when fsync is
-	// disabled). Stored under mu; loaded lock-free by SyncedLSN and PostSync.
+	// disabled). Stored under mu; loaded lock-free by SyncedLSN.
 	synced atomic.Uint64
 
 	// Appender-private: touched by no other goroutine.
@@ -152,12 +152,12 @@ type Log struct {
 	writevMaxRecs atomic.Uint64
 }
 
-// openLog opens a shard log for appending. Recovery has already scanned the
-// directory; nextLSN is one past the last durable (or rescued) record.
+// openLog opens the log for appending. Recovery has already scanned the
+// directory; nextLSN is one past the last recovered record or snapshot.
 // Appends always go to a fresh segment — existing segments are never
 // reopened for writing, which keeps the torn-tail rule simple (only the last
 // segment may tear).
-func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) {
+func openLog(dir string, nextLSN uint64, opts Options) (*Log, error) {
 	fsys := opts.fs()
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
@@ -166,8 +166,6 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 		dir:      dir,
 		opts:     opts,
 		fs:       fsys,
-		shard:    shard,
-		nextLSN:  nextLSN,
 		appended: nextLSN - 1,
 		written:  nextLSN - 1,
 		fsynced:  nextLSN - 1,
@@ -188,7 +186,7 @@ func openLog(dir string, shard int, nextLSN uint64, opts Options) (*Log, error) 
 // openSegment creates a new active segment whose records will all have
 // LSN >= first. Called with l.mu held (or before the log is shared).
 //
-// A segment with this exact name can already exist: a shard that saw no
+// A segment with this exact name can already exist: a log that saw no
 // appends since its last boot reopens at the same nextLSN. Segment names are
 // first-LSN lower bounds and nextLSN is one past the highest scanned record,
 // so the colliding segment cannot contain any record — it is safe to replace,
@@ -222,14 +220,6 @@ func (l *Log) openSegment(first uint64) error {
 	return nil
 }
 
-// NextLSN returns the LSN the next append will take. Cross-shard commits
-// read this under the shard gates to reserve their participant LSNs.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
 // AppendedLSN returns the last LSN handed out (0 if none).
 func (l *Log) AppendedLSN() uint64 {
 	l.mu.Lock()
@@ -258,21 +248,6 @@ func (l *Log) QueueDepth() int {
 // record is reserved and queued, not yet durable; call Sync(lsn) to wait for
 // it. The log owns e afterwards.
 func (l *Log) Append(e *Enc) (uint64, error) {
-	return l.appendEnc(e, 0, false, false)
-}
-
-// AppendAt appends a pre-encoded record at the LSN previously reserved for
-// this shard (cross-shard commits reserve via NextLSN under the shard gates,
-// so the reservation cannot be stolen; a mismatch is a protocol bug).
-func (l *Log) AppendAt(lsn uint64, e *Enc) error {
-	_, err := l.appendEnc(e, lsn, true, false)
-	return err
-}
-
-// appendEnc stamps the record's LSN and queues it for the appender. gapOK
-// permits an explicit LSN past nextLSN (recovery re-appending rescued
-// records).
-func (l *Log) appendEnc(e *Enc, lsn uint64, explicit, gapOK bool) (uint64, error) {
 	l.mu.Lock()
 	for len(l.queue) >= l.queueCap && l.failed == nil {
 		l.spaceCond.Wait()
@@ -283,34 +258,19 @@ func (l *Log) appendEnc(e *Enc, lsn uint64, explicit, gapOK bool) (uint64, error
 		e.Release()
 		return 0, err
 	}
-	switch {
-	case !explicit:
-		lsn = l.nextLSN
-	case gapOK:
-		if lsn < l.nextLSN {
-			next := l.nextLSN
-			l.mu.Unlock()
-			e.Release()
-			return 0, fmt.Errorf("wal: shard %d append at lsn %d behind next %d", l.shard, lsn, next)
-		}
-	default:
-		if lsn != l.nextLSN {
-			next := l.nextLSN
-			l.mu.Unlock()
-			e.Release()
-			panic(fmt.Sprintf("wal: shard %d xcommit at lsn %d but next is %d", l.shard, lsn, next))
-		}
-	}
+	l.appended++
+	lsn := l.appended
 	e.stamp(lsn)
 	l.queue = append(l.queue, e)
-	l.noteAppend(lsn, len(e.buf))
+	l.appends.Add(1)
+	l.appendBytes.Add(uint64(len(e.buf)))
 	l.acond.Signal()
 	l.mu.Unlock()
 	return lsn, nil
 }
 
-// AppendCommit appends a single-shard commit record and returns its LSN. The
-// record is not yet durable; call Sync(lsn) to wait for it.
+// AppendCommit appends a commit record and returns its LSN. The record is not
+// yet durable; call Sync(lsn) to wait for it.
 func (l *Log) AppendCommit(ops []Op) (uint64, error) {
 	lsn, err := l.Append(EncodeCommit(ops))
 	if err != nil {
@@ -320,73 +280,25 @@ func (l *Log) AppendCommit(ops []Op) (uint64, error) {
 	return lsn, nil
 }
 
-// AppendXCommit appends a cross-shard commit record at the LSN previously
-// reserved for this shard in parts.
-func (l *Log) AppendXCommit(lsn, xid uint64, parts []Part, ops []Op) error {
-	if err := l.AppendAt(lsn, EncodeXCommit(xid, parts, ops)); err != nil {
-		return err
-	}
-	chaos.Delay(chaos.WALAppend)
-	return nil
-}
-
-// AppendRecord re-appends an already-decoded record at an explicit LSN —
-// recovery uses it to persist rescued cross-shard records into the shard's
-// own log. The LSN may leave a gap; it must not go backwards.
-func (l *Log) AppendRecord(rec Record) error {
-	var e *Enc
-	switch rec.Kind {
-	case KindCommit:
-		e = EncodeCommit(rec.Ops)
-	case KindXCommit:
-		e = EncodeXCommit(rec.XID, rec.Parts, rec.Ops)
-	default:
-		return fmt.Errorf("wal: cannot re-append record kind %d", rec.Kind)
-	}
-	_, err := l.appendEnc(e, rec.LSN, true, true)
-	return err
-}
-
-// noteAppend advances the LSN state after an append. Called with l.mu held.
-func (l *Log) noteAppend(lsn uint64, nbytes int) {
-	l.appended = lsn
-	l.nextLSN = lsn + 1
-	l.appends.Add(1)
-	l.appendBytes.Add(uint64(nbytes))
-}
-
-// PostSync asks the appender to make the record at lsn durable and returns
-// at once; WaitSync collects the result. An lsn that is already durable posts
-// nothing and does not wake the appender.
-func (l *Log) PostSync(lsn uint64) {
-	if l.synced.Load() >= lsn {
-		return
-	}
+// Sync blocks until the record at lsn is durable (or written, when fsync is
+// disabled) or the log is wedged, and returns the sticky error if any. It
+// raises the requested LSN and wakes the appender only when the request is
+// new, so re-syncing an lsn that is already durable never opens a group
+// window.
+func (l *Log) Sync(lsn uint64) error {
 	l.mu.Lock()
-	if lsn > l.syncReq {
+	defer l.mu.Unlock()
+	if lsn > l.syncReq && lsn > l.synced.Load() {
 		l.syncReq = lsn
 		l.acond.Signal()
 	}
-	l.mu.Unlock()
+	return l.waitLocked(lsn, false)
 }
 
-// WaitSync blocks until the record at lsn is durable (or written, when fsync
-// is disabled) or the log is wedged, and returns the sticky error if any. It
-// must follow a PostSync covering lsn — waiting moves nothing by itself.
-func (l *Log) WaitSync(lsn uint64) error { return l.wait(lsn, false) }
-
-// Sync blocks until the record at lsn is durable: PostSync, then WaitSync.
-func (l *Log) Sync(lsn uint64) error {
-	l.PostSync(lsn)
-	return l.WaitSync(lsn)
-}
-
-// wait parks until synced reaches lsn — and, for a flush, until a real fsync
-// covers it, which matters when FsyncBatch is 0 and synced advances on write
-// alone.
-func (l *Log) wait(lsn uint64, flush bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// waitLocked parks until synced reaches lsn — and, for a flush, until a real
+// fsync covers it, which matters when FsyncBatch is 0 and synced advances on
+// write alone. l.mu held.
+func (l *Log) waitLocked(lsn uint64, flush bool) error {
 	for l.failed == nil && (l.synced.Load() < lsn || (flush && l.fsynced < lsn)) {
 		l.pcond.Wait()
 	}
@@ -399,25 +311,16 @@ func (l *Log) stickyErr() error {
 	return l.failed
 }
 
-// postFlush asks the appender for an unconditional fsync of everything
-// appended so far, closing any open group window, and returns the LSN to
-// wait for. When a real fsync already covers the last append there is
-// nothing to ask for.
-func (l *Log) postFlush() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.fsynced < l.appended {
-		l.syncReq = l.appended
-		l.syncForce = true
-		l.acond.Signal()
-	}
-	return l.appended
-}
-
 // syncDueLocked reports whether the appender should fsync now: a flush was
 // posted, or a request is unsatisfied and its group window has closed — the
-// batch filled, the interval ran out, or the options rule out lingering. The
-// first unsatisfied request opens the window and arms the timer. l.mu held.
+// batch filled, every appended record is requested, the interval ran out, or
+// the options rule out lingering. The first unsatisfied request opens the
+// window and arms the timer. l.mu held.
+//
+// A window lingers only for writers it can see: once syncReq reaches
+// appended, no record lies past the highest requested LSN, so no appended
+// commit is left to join the group and waiting longer only delays the ones
+// already in it.
 func (l *Log) syncDueLocked() bool {
 	if l.syncForce {
 		return true
@@ -427,7 +330,7 @@ func (l *Log) syncDueLocked() bool {
 		return false
 	}
 	if l.opts.FsyncBatch <= 1 || l.opts.FsyncInterval <= 0 || l.closing ||
-		l.appended-synced >= uint64(l.opts.FsyncBatch) {
+		l.appended-synced >= uint64(l.opts.FsyncBatch) || l.syncReq >= l.appended {
 		return true
 	}
 	if l.windowEnd.IsZero() {
@@ -449,9 +352,9 @@ func (l *Log) wakeAppender() {
 	l.mu.Unlock()
 }
 
-// appendLoop is the per-shard appender goroutine: it drains the queue in LSN
-// order, writes each drained batch with vectored writes, and fsyncs when the
-// group window closes. It owns all file I/O.
+// appendLoop is the appender goroutine: it drains the queue in LSN order,
+// writes each drained batch with vectored writes, and fsyncs when the group
+// window closes. It owns all file I/O.
 func (l *Log) appendLoop() {
 	defer close(l.appenderDone)
 	for {
@@ -571,8 +474,8 @@ func (l *Log) writeBatch(batch []*Enc) error {
 		f := l.f
 		l.mu.Unlock()
 		if rotate {
-			// last+1 (not nextLSN, which may be ahead of what is written) is
-			// the correct first-LSN lower bound for the remaining records.
+			// last+1 (not appended+1, which may be ahead of what is written)
+			// is the correct first-LSN lower bound for the remaining records.
 			if err := l.rotate(last+1, f); err != nil {
 				return err
 			}
@@ -620,7 +523,7 @@ func (l *Log) rotate(next uint64, old walfs.File) error {
 func (l *Log) fail(err error) error {
 	l.mu.Lock()
 	if l.failed == nil {
-		l.failed = fmt.Errorf("wal: shard %d log failed: %w", l.shard, err)
+		l.failed = fmt.Errorf("wal: log failed: %w", err)
 	}
 	err = l.failed
 	// Wake everyone parked on pipeline conditions so they observe the sticky
@@ -632,10 +535,22 @@ func (l *Log) fail(err error) error {
 	return err
 }
 
-// Flush makes everything appended so far durable (an unconditional fsync,
-// even when FsyncBatch is 0). Drain and Close use it so a graceful shutdown
-// never loses acknowledged writes.
-func (l *Log) Flush() error { return l.wait(l.postFlush(), true) }
+// Flush makes everything appended so far durable with an unconditional fsync
+// — even when FsyncBatch is 0 — that closes any open group window; when a
+// real fsync already covers the last append there is nothing to ask for.
+// Drain and Close use it so a graceful shutdown never loses acknowledged
+// writes.
+func (l *Log) Flush() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	target := l.appended
+	if l.fsynced < target {
+		l.syncReq = target
+		l.syncForce = true
+		l.acond.Signal()
+	}
+	return l.waitLocked(target, true)
+}
 
 // Close flushes and fsyncs outstanding records, stops the appender, and
 // closes the active segment. The log must not be appended to afterwards.
@@ -660,10 +575,11 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Truncate deletes every non-active segment fully covered by a checkpoint at
-// covered: segment i can go once the next segment's first LSN is <= covered+1
-// (all of i's records are <= covered). A segment the scrubber quarantined
-// concurrently is already gone and is skipped.
+// Truncate deletes every non-active segment whose records are all <= covered,
+// which the caller must make the lowest snapshot coverage over every shard:
+// segment i can go once the next segment's first LSN is <= covered+1. A
+// segment the scrubber quarantined concurrently is already gone and is
+// skipped.
 func (l *Log) Truncate(covered uint64) error {
 	names, err := segNames(l.fs, l.dir)
 	if err != nil {

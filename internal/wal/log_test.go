@@ -18,7 +18,7 @@ func openTestLog(t *testing.T, opts Options) *Log {
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
 	}
-	l, err := openLog(opts.Dir, 0, 1, opts)
+	l, err := openLog(opts.Dir, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestLogAppendSyncScan(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLogNoFsyncMode(t *testing.T) {
 	if l.fsyncs.Load() == 0 {
 		t.Fatal("Close did not fsync")
 	}
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLogRotationAndTruncate(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScanShard(walfs.OS(), dir); err != nil {
+	if _, err := ScanLog(walfs.OS(), dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -200,60 +200,11 @@ func TestLogTruncatePartialCoverage(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Records[0].LSN != names[2] || sc.LastLSN != 20 {
 		t.Fatalf("post-truncate scan: first %d last %d", sc.Records[0].LSN, sc.LastLSN)
 	}
-}
-
-func TestLogAppendRecordGap(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestLog(t, Options{Dir: dir, FsyncBatch: 1})
-	if _, err := l.AppendCommit(testOps(1)); err != nil {
-		t.Fatal(err)
-	}
-	// A rescued record lands past the tail, leaving a gap.
-	rescued := Record{LSN: 5, Kind: KindXCommit, XID: 9,
-		Parts: []Part{{Shard: 0, LSN: 5}, {Shard: 1, LSN: 3}},
-		Ops:   []Op{{Key: []byte("a"), Val: []byte("1")}}}
-	if err := l.AppendRecord(rescued); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.NextLSN(); got != 6 {
-		t.Fatalf("next lsn %d, want 6", got)
-	}
-	// Going backwards is rejected.
-	if err := l.AppendRecord(Record{LSN: 2, Kind: KindCommit}); err == nil {
-		t.Fatal("backwards AppendRecord succeeded")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := ScanShard(walfs.OS(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Records) != 2 || sc.Records[1].LSN != 5 || sc.Records[1].XID != 9 {
-		t.Fatalf("scan after gap: %+v", sc.Records)
-	}
-}
-
-func TestLogXCommitReservation(t *testing.T) {
-	l := openTestLog(t, Options{FsyncBatch: 1})
-	lsn := l.NextLSN()
-	parts := []Part{{Shard: 0, LSN: lsn}}
-	if err := l.AppendXCommit(lsn, 1, parts, testOps(0)); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale reservation did not panic")
-		}
-		l.Close()
-	}()
-	// Re-using the consumed reservation is a protocol bug and must panic.
-	_ = l.AppendXCommit(lsn, 2, parts, testOps(1))
 }

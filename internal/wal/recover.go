@@ -13,8 +13,8 @@ import (
 // silently truncating; the scrubber quarantines the segment that carries it.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// ShardScan is the result of scanning one shard's log directory.
-type ShardScan struct {
+// Scan is the result of scanning the log directory.
+type Scan struct {
 	// Records holds every decoded record, in LSN order. Ops alias the
 	// segment buffers held alive by the scan; apply them before dropping it.
 	Records []Record
@@ -26,22 +26,15 @@ type ShardScan struct {
 	TornTail bool
 }
 
-// ScanShard reads every log segment in dir, in order, validating frames and
+// ScanLog reads every log segment in dir, in order, validating frames and
 // enforcing strictly increasing LSNs across the whole log (gaps are legal —
-// cross-shard reservations and rescues leave them). A bad frame at the tail
-// of the *last* segment is the normal crash artifact: it is truncated from
-// the file and the scan succeeds. A bad frame anywhere else, or a
-// non-monotonic LSN, is corruption (ErrCorrupt) and fails the scan.
-func ScanShard(fsys walfs.FS, dir string) (*ShardScan, error) {
-	return scanShard(fsys, dir, true)
-}
-
-// scanShard is ScanShard with the tail repair optional: the scrubber reads
-// peer shards with repairTail false so a read-only verification pass can
-// never truncate a log it does not own (the peer may be live, its "torn
-// tail" a write still in flight).
-func scanShard(fsys walfs.FS, dir string, repairTail bool) (*ShardScan, error) {
-	sc := &ShardScan{}
+// a reboot over a snapshot newer than the log tail leaves one, and so does a
+// segment the scrubber quarantined). A bad frame
+// at the tail of the *last* segment is the normal crash artifact: it is
+// truncated from the file and the scan succeeds. A bad frame anywhere else,
+// or a non-monotonic LSN, is corruption (ErrCorrupt) and fails the scan.
+func ScanLog(fsys walfs.FS, dir string) (*Scan, error) {
+	sc := &Scan{}
 	names, err := segNames(fsys, dir)
 	if err != nil {
 		if walfs.IsNotExist(err) {
@@ -65,10 +58,8 @@ func scanShard(fsys walfs.FS, dir string, repairTail bool) (*ShardScan, error) {
 				}
 				sc.TornBytes = int64(len(b) - off)
 				sc.TornTail = true
-				if repairTail {
-					if err := fsys.Truncate(path, int64(off)); err != nil {
-						return nil, err
-					}
+				if err := fsys.Truncate(path, int64(off)); err != nil {
+					return nil, err
 				}
 				break
 			}

@@ -12,7 +12,7 @@ import (
 // writeSegment writes records to a fresh log and returns the dir.
 func writeRecords(t *testing.T, dir string, n int) {
 	t.Helper()
-	l, err := openLog(dir, 0, 1, Options{Dir: dir, FsyncBatch: 1})
+	l, err := openLog(dir, 1, Options{Dir: dir, FsyncBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestScanTornTailTruncated(t *testing.T) {
 	writeRecords(t, dir, 10)
 	// Chop a few bytes off the last record: a mid-write crash artifact.
 	chopTail(t, lastSegment(t, dir), 5)
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestScanTornTailTruncated(t *testing.T) {
 		t.Fatalf("scan kept %d records, last %d", len(sc.Records), sc.LastLSN)
 	}
 	// The tear was truncated from the file: a second scan is clean.
-	sc2, err := ScanShard(walfs.OS(), dir)
+	sc2, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestScanTruncatedCRC(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestScanEmptySegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(100)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ScanShard(walfs.OS(), dir)
+	sc, err := ScanLog(walfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestScanEmptySegment(t *testing.T) {
 }
 
 func TestScanEmptyDir(t *testing.T) {
-	sc, err := ScanShard(walfs.OS(), filepath.Join(t.TempDir(), "nope"))
+	sc, err := ScanLog(walfs.OS(), filepath.Join(t.TempDir(), "nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestScanEmptyDir(t *testing.T) {
 
 func TestScanMidLogCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, 0, 1, Options{Dir: dir, FsyncBatch: 1, SegmentBytes: 128})
+	l, err := openLog(dir, 1, Options{Dir: dir, FsyncBatch: 1, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestScanMidLogCorruptionFails(t *testing.T) {
 	// A tear in a non-last segment is not a crash artifact — rotation fsyncs
 	// the old segment before the new one exists — so it must hard-fail.
 	chopTail(t, filepath.Join(dir, segName(names[0])), 3)
-	if _, err := ScanShard(walfs.OS(), dir); err == nil {
+	if _, err := ScanLog(walfs.OS(), dir); err == nil {
 		t.Fatal("mid-log corruption scanned clean")
 	}
 }

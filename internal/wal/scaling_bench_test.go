@@ -28,10 +28,10 @@ func TestGroupCommitScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Start([]uint64{1}, 0); err != nil {
+		if err := m.Start(1); err != nil {
 			t.Fatal(err)
 		}
-		l := m.Log(0)
+		l := m.Log()
 		var ops atomic.Uint64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"memtx/internal/chaos"
@@ -17,9 +16,9 @@ import (
 const quarantineSuffix = ".quarantined"
 
 // StartScrubber launches the background verification loop: every interval it
-// re-reads each shard's sealed segments and snapshot files, validating CRCs,
-// record framing, and LSN order, and quarantines anything corrupt. Start
-// calls it when Options.ScrubInterval is set.
+// re-reads the log's sealed segments and every shard's snapshot files,
+// validating CRCs, record framing, and LSN order, and quarantines anything
+// corrupt. Start calls it when Options.ScrubInterval is set.
 func (m *Manager) StartScrubber(interval time.Duration) {
 	if m.scrubStop != nil {
 		return
@@ -65,57 +64,60 @@ func (m *Manager) scrubPass() {
 	m.ScrubOnce()
 }
 
-// ScrubOnce verifies every shard once and returns the number of corrupt
-// files found (and quarantined) during this pass.
+// ScrubOnce verifies the log and every shard's snapshots once and returns the
+// number of corrupt files found (and quarantined) during this pass.
 func (m *Manager) ScrubOnce() int {
-	corrupt := 0
+	corrupt := m.scrubLog()
 	for i := 0; i < m.nshards; i++ {
-		corrupt += m.ScrubShard(i)
+		corrupt += m.scrubShardSnapshots(ShardDir(m.opts.Dir, i))
 	}
 	m.scrubPasses.Add(1)
 	return corrupt
 }
 
-// ScrubShard verifies shard i's sealed segments and snapshots. The active
-// (highest-named) segment is skipped — the appender owns it and a mid-write
-// read would see a legitimate torn tail. A corrupt segment is quarantined
-// and, when peer shards hold cross-shard copies of its records, a rescue
-// segment is rebuilt in its place.
-func (m *Manager) ScrubShard(i int) int {
-	dir := ShardDir(m.opts.Dir, i)
-	corrupt := 0
-
+// scrubLog verifies the log's sealed segments. The active (highest-named)
+// segment is skipped — the appender owns it and a mid-write read would see a
+// legitimate torn tail. A corrupt segment is quarantined: its records have no
+// other copy, so those no snapshot covers yet are lost, which the corruption
+// metrics surface.
+func (m *Manager) scrubLog() int {
+	dir := LogDir(m.opts.Dir)
 	names, err := segNames(m.fs, dir)
-	if err == nil {
-		for j := 0; j+1 < len(names); j++ {
-			first := names[j]
-			// The segment is sealed: its record LSNs are < the next segment's
-			// first-LSN lower bound.
-			if err := m.verifySegment(dir, first, names[j+1]); err != nil {
-				corrupt++
-				m.scrubCorrupt.Add(1)
-				if m.quarantine(filepath.Join(dir, segName(first))) {
-					m.rescueSegment(i, first, names[j+1]-1)
-				}
-			}
-			m.scrubSegments.Add(1)
-		}
+	if err != nil {
+		return 0
 	}
-
-	snaps, err := snapNames(m.fs, dir)
-	if err == nil {
-		for _, lsn := range snaps {
-			path := filepath.Join(dir, snapName(lsn))
-			if _, err := readSnapshot(m.fs, path, lsn, func(_, _ []byte) error { return nil }); err != nil {
-				if walfs.IsNotExist(err) {
-					continue // checkpointer removed it mid-pass
-				}
-				corrupt++
-				m.scrubCorrupt.Add(1)
-				m.quarantine(path)
-			}
-			m.scrubSnapshots.Add(1)
+	corrupt := 0
+	for j := 0; j+1 < len(names); j++ {
+		// The segment is sealed: its record LSNs are < the next segment's
+		// first-LSN lower bound.
+		if err := m.verifySegment(dir, names[j], names[j+1]); err != nil {
+			corrupt++
+			m.scrubCorrupt.Add(1)
+			m.quarantine(filepath.Join(dir, segName(names[j])))
 		}
+		m.scrubSegments.Add(1)
+	}
+	return corrupt
+}
+
+// scrubShardSnapshots verifies the snapshot files in one shard's directory.
+func (m *Manager) scrubShardSnapshots(dir string) int {
+	snaps, err := snapNames(m.fs, dir)
+	if err != nil {
+		return 0
+	}
+	corrupt := 0
+	for _, lsn := range snaps {
+		path := filepath.Join(dir, snapName(lsn))
+		if _, err := readSnapshot(m.fs, path, lsn, func(_, _ []byte) error { return nil }); err != nil {
+			if walfs.IsNotExist(err) {
+				continue // checkpointer removed it mid-pass
+			}
+			corrupt++
+			m.scrubCorrupt.Add(1)
+			m.quarantine(path)
+		}
+		m.scrubSnapshots.Add(1)
 	}
 	return corrupt
 }
@@ -154,89 +156,12 @@ func (m *Manager) verifySegment(dir string, first, limit uint64) error {
 	}
 }
 
-// quarantine moves a corrupt file aside. Reports whether the rename landed
-// (the file may already be gone, removed by concurrent truncation).
-func (m *Manager) quarantine(path string) bool {
+// quarantine moves a corrupt file aside (unless concurrent truncation already
+// removed it).
+func (m *Manager) quarantine(path string) {
 	if err := m.fs.Rename(path, path+quarantineSuffix); err != nil {
-		return false
+		return
 	}
 	m.fs.SyncDir(filepath.Dir(path))
 	m.quarantined.Add(1)
-	return true
-}
-
-// rescueSegment rebuilds what it can of shard i's quarantined segment
-// [lo, hi] from peer shards' logs: every cross-shard commit is appended
-// identically to all participants, so a peer's copy names this shard's LSN in
-// its parts table and carries the full op list. Single-shard commits in the
-// lost range have no other copy; they are gone, which the corruption metrics
-// surface. Peer logs are scanned read-only (no tail repair — the peer's
-// appender owns its active segment).
-func (m *Manager) rescueSegment(i int, lo, hi uint64) {
-	found := map[uint64]Record{}
-	for j := 0; j < m.nshards; j++ {
-		if j == i {
-			continue
-		}
-		sc, err := scanShard(m.fs, ShardDir(m.opts.Dir, j), false)
-		if err != nil {
-			continue
-		}
-		for _, rec := range sc.Records {
-			if rec.Kind != KindXCommit {
-				continue
-			}
-			for _, p := range rec.Parts {
-				if p.Shard == i && p.LSN >= lo && p.LSN <= hi {
-					if _, ok := found[p.LSN]; !ok {
-						found[p.LSN] = Record{LSN: p.LSN, Kind: KindXCommit, XID: rec.XID, Parts: rec.Parts, Ops: rec.Ops}
-					}
-				}
-			}
-		}
-	}
-	if len(found) == 0 {
-		return
-	}
-	lsns := make([]uint64, 0, len(found))
-	for lsn := range found {
-		lsns = append(lsns, lsn)
-	}
-	sort.Slice(lsns, func(a, b int) bool { return lsns[a] < lsns[b] })
-
-	// Write the rescue under a tmp name and rename it into the quarantined
-	// segment's slot only once fully durable, so a crash mid-rescue can never
-	// leave a half-written segment with a valid name.
-	dir := ShardDir(m.opts.Dir, i)
-	final := filepath.Join(dir, segName(lo))
-	tmp := final + ".rescue"
-	f, err := m.fs.Create(tmp, false)
-	if err != nil {
-		return
-	}
-	var buf []byte
-	for _, lsn := range lsns {
-		rec := found[lsn]
-		buf = AppendXCommitRecord(buf[:0], rec.LSN, rec.XID, rec.Parts, rec.Ops)
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			m.fs.Remove(tmp)
-			return
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		m.fs.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		m.fs.Remove(tmp)
-		return
-	}
-	if err := m.fs.Rename(tmp, final); err != nil {
-		m.fs.Remove(tmp)
-		return
-	}
-	m.fs.SyncDir(dir)
-	m.rescues.Add(uint64(len(lsns)))
 }

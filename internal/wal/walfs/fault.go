@@ -1,6 +1,7 @@
 package walfs
 
 import (
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,16 +16,18 @@ import (
 //     same partial state a full device leaves behind.
 //   - Sync failure: the next fsync of a matching file fails, optionally
 //     dropping the unsynced pages (fsyncgate). The WAL must wedge the log —
-//     never re-sync and report durable.
+//     never re-sync and report durable. A directory fsync can fail alone
+//     too, leaving that directory's renames and removes undurable.
 //   - Path fault: every write-side operation on matching paths fails
-//     persistently (a dying device under one shard), driving quarantine.
+//     persistently (a dying device under the log), driving quarantine.
 type Fault struct {
 	inner FS
 
-	mu         sync.Mutex
-	budget     int64 // remaining write bytes; <0 = unlimited
-	syncFaults []syncFault
-	pathFaults []pathFault
+	mu            sync.Mutex
+	budget        int64 // remaining write bytes; <0 = unlimited
+	syncFaults    []syncFault
+	pathFaults    []pathFault
+	dirSyncFaults map[string]error // one-shot SyncDir failures, by directory
 }
 
 type syncFault struct {
@@ -66,6 +69,18 @@ func (f *Fault) FailNextSync(substr string, err error, dropPages bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.syncFaults = append(f.syncFaults, syncFault{substr: substr, err: err, drop: dropPages})
+}
+
+// FailNextSyncDir arms a one-shot failure for the next SyncDir of exactly
+// dir. The entry operations that fsync would have committed stay undurable;
+// writes, creates and renames inside dir still succeed.
+func (f *Fault) FailNextSyncDir(dir string, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.dirSyncFaults == nil {
+		f.dirSyncFaults = map[string]error{}
+	}
+	f.dirSyncFaults[filepath.Clean(dir)] = err
 }
 
 // FailPath arms a persistent fault: every write, sync, create, rename,
@@ -194,6 +209,10 @@ func (f *Fault) Size(path string) (int64, error) { return f.inner.Size(path) }
 func (f *Fault) SyncDir(dir string) error {
 	f.mu.Lock()
 	err := f.pathErr(dir)
+	if derr, ok := f.dirSyncFaults[filepath.Clean(dir)]; ok && err == nil {
+		delete(f.dirSyncFaults, filepath.Clean(dir))
+		err = derr
+	}
 	f.mu.Unlock()
 	if err != nil {
 		return err

@@ -8,8 +8,9 @@ import (
 
 // TestGroupWindow pins the appender's group window: it opens on the first
 // unsatisfied durability request and closes when FsyncBatch records are
-// waiting or FsyncInterval has passed — at once when the options rule out
-// lingering — and a request that is already durable never opens one.
+// waiting, when every appended record is requested, or when FsyncInterval has
+// passed — at once when the options rule out lingering — and a request that
+// is already durable never opens one.
 func TestGroupWindow(t *testing.T) {
 	// syncAll runs n concurrent append+Sync writers and returns how long the
 	// slowest took.
@@ -50,15 +51,74 @@ func TestGroupWindow(t *testing.T) {
 		}
 	})
 
+	t.Run("lone request does not linger", func(t *testing.T) {
+		const interval = time.Second
+		l := openTestLog(t, Options{FsyncBatch: 8, FsyncInterval: interval})
+		defer l.Close()
+		if took := syncAll(t, l, 1); took >= interval/4 {
+			t.Fatalf("a lone append+Sync took %v with a %v interval: the window waited for writers that do not exist", took, interval)
+		}
+		if got := l.fsyncs.Load(); got != 1 {
+			t.Fatalf("%d fsyncs for one lone commit, want 1", got)
+		}
+	})
+
+	// appendTwo appends two records and returns their LSNs.
+	appendTwo := func(t *testing.T, l *Log) (uint64, uint64) {
+		t.Helper()
+		r1, err := l.AppendCommit(testOps(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := l.AppendCommit(testOps(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r1, r2
+	}
+
 	t.Run("interval closes the window", func(t *testing.T) {
 		const interval = 30 * time.Millisecond
 		l := openTestLog(t, Options{FsyncBatch: 8, FsyncInterval: interval})
 		defer l.Close()
-		if took := syncAll(t, l, 3); took < interval {
-			t.Fatalf("3 writers at batch 8 returned after %v, before the %v window closed", took, interval)
+		r1, r2 := appendTwo(t, l)
+		start := time.Now()
+		if err := l.Sync(r1); err != nil {
+			t.Fatal(err)
 		}
-		if got := l.fsyncs.Load(); got == 0 || got > 2 {
-			t.Fatalf("%d fsyncs for one partial batch, want 1 or 2", got)
+		if took := time.Since(start); took < interval {
+			t.Fatalf("Sync(r1) returned after %v with r2 appended but unrequested, before the %v window closed", took, interval)
+		}
+		if got := l.fsyncs.Load(); got != 1 {
+			t.Fatalf("%d fsyncs for one window, want 1", got)
+		}
+		if got := l.SyncedLSN(); got < r2 {
+			t.Fatalf("synced LSN %d after the window: its fsync did not cover r2 (%d)", got, r2)
+		}
+	})
+
+	t.Run("last request closes the window", func(t *testing.T) {
+		const interval = time.Second
+		l := openTestLog(t, Options{FsyncBatch: 8, FsyncInterval: interval})
+		defer l.Close()
+		r1, r2 := appendTwo(t, l)
+		start := time.Now()
+		errc := make(chan error, 1)
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			errc <- l.Sync(r2)
+		}()
+		if err := l.Sync(r1); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took >= interval/4 {
+			t.Fatalf("Sync(r1) and Sync(r2) took %v: the window outlived its last visible writer's request (interval %v)", took, interval)
+		}
+		if got := l.fsyncs.Load(); got != 1 {
+			t.Fatalf("%d fsyncs for both requests, want 1", got)
 		}
 	})
 
