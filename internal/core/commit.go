@@ -84,6 +84,7 @@ func (t *Txn) Commit() error {
 	}
 	for _, e := range t.updateLog {
 		e.obj.meta.Store(&e.newMeta)
+		e.obj = nil
 	}
 	if len(t.updateLog) > 0 {
 		// Invalidate concurrent read-only fast-path snapshots: the objects
@@ -124,11 +125,7 @@ func (t *Txn) rollback() {
 		}
 	}
 	for _, e := range t.updateLog {
-		if e.dirty {
-			e.obj.meta.Store(&e.newMeta)
-		} else {
-			e.obj.meta.Store(&e.oldMeta)
-		}
+		e.release()
 	}
 	t.finish(false)
 }

@@ -76,13 +76,27 @@ type ownership struct {
 // carries over to the next attempt. oldMeta holds a *copy* of the displaced
 // version record rather than a pointer to it, so an entry never references a
 // previous owner's entry (or slab chunk) — otherwise each object would pin
-// the slab chunks of its entire update history.
+// the slab chunks of its entire update history. For the same reason obj is
+// cleared once the entry is released (only the owner reads it): a chunk
+// pinned by one live object must not keep its other entries' objects alive.
 type updateEntry struct {
 	obj     *Obj
 	oldMeta ownership // copy of the displaced version record (published on clean abort)
 	newMeta ownership // pre-built {version+1} record published on commit
 	ownMeta ownership // the ownership record published at open time
 	dirty   bool      // true once any field of obj has been undo-logged
+}
+
+// release gives up ownership on rollback: at version+1 if the object was
+// written, so optimistic readers that may have seen the transient values
+// fail validation, else at its original version.
+func (e *updateEntry) release() {
+	if e.dirty {
+		e.obj.meta.Store(&e.newMeta)
+	} else {
+		e.obj.meta.Store(&e.oldMeta)
+	}
+	e.obj = nil
 }
 
 // readEntry is a read-log record: the object and the version current when it

@@ -57,11 +57,7 @@ func (t *Txn) RollbackTo(sp Savepoint) {
 	// before the savepoint never gets a second update-log entry, so every
 	// entry beyond the mark was acquired in the abandoned region.)
 	for _, e := range t.updateLog[sp.updateLen:] {
-		if e.dirty {
-			e.obj.meta.Store(&e.newMeta)
-		} else {
-			e.obj.meta.Store(&e.oldMeta)
-		}
+		e.release()
 	}
 	t.updateLog = t.updateLog[:sp.updateLen]
 	if t.filter != nil {

@@ -69,11 +69,11 @@ func TestDispatchAllocs(t *testing.T) {
 		{"GET", "GET $1:k", "12 VAL $5:hello\n", 0},
 		{"GET-miss", "GET $4:none", "3 NIL\n", 0},
 		{"SET", "SET $1:k $5:hello", "2 OK\n", 3},
-		{"INCR", "INCR $3:ctr 0", "2 :7\n", 5},
+		{"INCR", "INCR $3:ctr 0", "2 :7\n", 4},
 		{"DEL", "DEL $4:none", "2 :0\n", 1},
 		{"CAS", "CAS $1:k $5:hello $5:hello", "2 :1\n", 3},
 		{"MSET", "MSET $1:k $5:hello", "2 OK\n", 3},
-		{"TRANSFER", "TRANSFER $1:a $1:b 0", "2 :1\n", 13},
+		{"TRANSFER", "TRANSFER $1:a $1:b 0", "2 :1\n", 11},
 	} {
 		op := roundTrip(wire.AppendFrame(nil, []byte(row.req)), row.resp)
 		op() // warm the connection scratch and the pooled transaction
