@@ -16,7 +16,6 @@ import (
 // kvOptions carries the -kv* flag values into the kvload runner.
 type kvOptions struct {
 	addr         string // "self" or host:port
-	designs      string // comma-separated, only for self sweeps
 	shards       string // comma-separated, only for self sweeps
 	conns        int
 	keys         int
@@ -79,7 +78,7 @@ func (o kvOptions) loadOptions() kvload.Options {
 }
 
 // runKVLoad drives the stmkvd load mix — in-process across a
-// (design, shard-count) grid for "self", or against one live server — and
+// shard-count grid for "self", or against one live server — and
 // prints a throughput/latency table. With -benchjson the same points are
 // written as a machine-readable report instead of the experiment grid.
 func runKVLoad(o kvOptions) error {
@@ -95,10 +94,6 @@ func runKVLoad(o kvOptions) error {
 	var points []kvload.GridPoint
 
 	if o.addr == "self" {
-		designs, err := parseDesigns(o.designs)
-		if err != nil {
-			return err
-		}
 		shards, err := parseInts("shard count", o.shards)
 		if err != nil {
 			return err
@@ -124,7 +119,6 @@ func runKVLoad(o kvOptions) error {
 			return err
 		}
 		sw := kvload.Sweep{
-			Designs:      designs,
 			Shards:       shards,
 			Batches:      batches,
 			Procs:        procs,
@@ -200,18 +194,6 @@ func parseCMs(s string) ([]memtx.CMPolicy, error) {
 			return nil, err
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-func parseDesigns(s string) ([]memtx.Design, error) {
-	var out []memtx.Design
-	for _, name := range strings.Split(s, ",") {
-		d, err := memtx.ParseDesign(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
 	}
 	return out, nil
 }

@@ -9,7 +9,7 @@
 //	stmbench -e e7 -watch 2s # print live per-interval metrics to stderr
 //	stmbench -serve :8080    # expose /metrics (Prometheus) and /stats.json
 //	stmbench -benchjson f.json  # write machine-readable perf points and exit
-//	stmbench -kvload self    # in-process stmkvd load sweep (designs x shards)
+//	stmbench -kvload self    # in-process stmkvd load sweep over shard counts
 //	stmbench -kvload host:port  # drive a live stmkvd server instead
 //
 // Output is a series of aligned text tables, one per paper table/figure,
@@ -47,7 +47,6 @@ func main() {
 		benchJSON = flag.String("benchjson", "", "write per-experiment throughput and allocs/op as JSON to this file, then exit")
 
 		kvAddr         = flag.String("kvload", "", "drive the stmkvd load mix: 'self' for an in-process sweep, or a host:port")
-		kvDesigns      = flag.String("kv-designs", "direct,wstm,ostm", "engines to sweep with -kvload self")
 		kvShards       = flag.String("kv-shards", "1,4", "shard counts to sweep with -kvload self")
 		kvConns        = flag.Int("kv-conns", 4, "client connections per load run")
 		kvKeys         = flag.Int("kv-keys", 10000, "GET/SET key-space size")
@@ -82,7 +81,6 @@ func main() {
 	if *kvAddr != "" {
 		if err := runKVLoad(kvOptions{
 			addr:          *kvAddr,
-			designs:       *kvDesigns,
 			shards:        *kvShards,
 			conns:         *kvConns,
 			keys:          *kvKeys,

@@ -1,16 +1,16 @@
 // Command stmkvd serves a sharded transactional key-value store over TCP.
 //
-// Every command runs as one STM transaction. Each shard owns its own
-// transaction manager: single-key commands commit shard-locally, and
-// multi-key commands (MGET, MSET, TRANSFER) whose keys span shards stay
-// atomic through the store's ascending-order cross-shard commit. The wire
-// protocol and command set are documented in internal/server.
+// Every command runs as one transaction on the paper's direct-update STM.
+// Each shard owns its own transaction manager: single-key commands commit
+// shard-locally, and multi-key commands (MGET, MSET, TRANSFER) whose keys
+// span shards stay atomic through the store's ascending-order cross-shard
+// commit. The wire protocol and command set are documented in
+// internal/server.
 //
 // Usage:
 //
-//	stmkvd                               # serve on :7070, 16 shards, direct engine
+//	stmkvd                               # serve on :7070, 16 shards
 //	stmkvd -addr :7070 -shards 4         # explicit listen address and shard count
-//	stmkvd -design wstm                  # pick the STM engine (direct, wstm, ostm)
 //	stmkvd -cm adaptive                  # adaptive contention management
 //	stmkvd -serve-metrics :8080          # expose /metrics and /stats.json
 //	stmkvd -serve-metrics :8080 -pprof   # also expose /debug/pprof/
@@ -58,7 +58,6 @@ func main() {
 		addr         = flag.String("addr", ":7070", "TCP listen address")
 		shards       = flag.Int("shards", 16, "number of store shards (rounded up to a power of two)")
 		buckets      = flag.Int("buckets", 1024, "hash buckets per shard (rounded up to a power of two)")
-		design       = flag.String("design", "direct", "STM engine: direct, wstm, or ostm")
 		cmPolicy     = flag.String("cm", "fixed", "contention management policy: fixed or adaptive")
 		maxInflight  = flag.Int("max-inflight", 128, "max concurrently executing transactions (0 = default)")
 		maxBatch     = flag.Int("max-batch", server.DefaultMaxBatch, "max pipelined read-only commands coalesced into one snapshot transaction (0 = off)")
@@ -88,15 +87,11 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "stmkvd: ", log.LstdFlags)
 
-	d, err := memtx.ParseDesign(*design)
-	if err != nil {
-		logger.Fatal(err)
-	}
 	cm, err := memtx.ParseCMPolicy(*cmPolicy)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	cfg := kv.Config{Shards: *shards, Buckets: *buckets, Design: d, CM: cm}
+	cfg := kv.Config{Shards: *shards, Buckets: *buckets, CM: cm}
 	var store *kv.Store
 	if *walDir != "" {
 		bootStart := time.Now()
@@ -176,7 +171,7 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe(*addr) }()
-	logger.Printf("serving on %s (%d shards, %s engine, %s cm)", *addr, store.Shards(), d, cm)
+	logger.Printf("serving on %s (%d shards, %s cm)", *addr, store.Shards(), cm)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

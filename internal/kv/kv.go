@@ -117,11 +117,13 @@ type Config struct {
 	// Shards is the number of independent transactional memories (rounded up
 	// to a power of two; default 16, max 65536).
 	Shards int
-	// Buckets is the number of chains per shard (rounded up to a power of
-	// two; default 1024).
+	// Buckets is the number of hash buckets per shard (rounded up to a power
+	// of two; default 1024, max 1<<24).
 	Buckets int
 	// Design selects the underlying STM engine (default the paper's
-	// direct-update design).
+	// direct-update design, the only one stmkvd serves). The baseline
+	// designs remain selectable so the store's tests can hold every engine
+	// to the same contract.
 	Design memtx.Design
 	// CM selects each shard TM's contention-management pacing policy
 	// (default memtx.CMFixed).
@@ -186,7 +188,6 @@ type shard struct {
 // Store is a sharded transactional map of byte-string keys to byte-string
 // values. It is safe for concurrent use.
 type Store struct {
-	design  memtx.Design
 	shards  []shard
 	mask    uint64 // len(shards)-1; key hash low bits select the shard
 	buckets int
@@ -213,13 +214,9 @@ type Store struct {
 
 // New builds a store and one transactional memory per shard.
 func New(cfg Config) *Store {
-	shards := ceilPow2(cfg.Shards, 16)
-	if shards > 1<<16 {
-		shards = 1 << 16
-	}
-	buckets := ceilPow2(cfg.Buckets, 1024)
+	shards := ceilPow2(cfg.Shards, 16, maxShards)
+	buckets := ceilPow2(cfg.Buckets, 1024, maxBuckets)
 	s := &Store{
-		design:  cfg.Design,
 		shards:  make([]shard, shards),
 		mask:    uint64(shards - 1),
 		buckets: buckets,
@@ -244,19 +241,26 @@ func New(cfg Config) *Store {
 	return s
 }
 
-func ceilPow2(n, def int) int {
+// Upper bounds on Config.Shards and Config.Buckets.
+const (
+	maxShards  = 1 << 16
+	maxBuckets = 1 << 24
+)
+
+// ceilPow2 rounds n up to a power of two: def when n <= 0, hi (itself a power
+// of two) when n > hi. Clamping first keeps the doubling below from
+// overflowing.
+func ceilPow2(n, def, hi int) int {
 	if n <= 0 {
 		return def
 	}
+	n = min(n, hi)
 	p := 1
 	for p < n {
 		p <<= 1
 	}
 	return p
 }
-
-// Design returns the STM design the store was built with.
-func (s *Store) Design() memtx.Design { return s.design }
 
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
@@ -307,7 +311,7 @@ func (s *Store) CrossCommits() uint64 { return s.crossCommits.Load() }
 func (s *Store) ObsMetrics() []obs.Metric {
 	ms := []obs.Metric{
 		{Name: "stmkv_shards", Help: "Configured shard count.", Kind: obs.Gauge, Value: uint64(len(s.shards))},
-		{Name: "stmkv_buckets_per_shard", Help: "Configured chains per shard.", Kind: obs.Gauge, Value: uint64(s.buckets)},
+		{Name: "stmkv_buckets_per_shard", Help: "Configured hash buckets per shard.", Kind: obs.Gauge, Value: uint64(s.buckets)},
 	}
 	for o := Op(0); o < NumOps; o++ {
 		ms = append(ms, obs.Metric{

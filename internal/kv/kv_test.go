@@ -3,8 +3,10 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"memtx"
 	"memtx/internal/enginetest"
@@ -300,4 +302,34 @@ func TestMetricSourceConformance(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// TestCeilPow2Clamps pins the rounding of Config.Shards and Config.Buckets,
+// including counts past the largest power of two an int holds, where
+// doubling would overflow to zero and never terminate.
+func TestCeilPow2Clamps(t *testing.T) {
+	cases := []struct{ n, def, hi, want int }{
+		{0, 16, maxShards, 16},
+		{-1, 1024, maxBuckets, 1024},
+		{1, 16, maxShards, 1},
+		{3, 16, maxShards, 4},
+		{4, 16, maxShards, 4},
+		{maxShards, 16, maxShards, maxShards},
+		{maxShards + 1, 16, maxShards, maxShards},
+		{1<<62 + 1, 16, maxShards, maxShards},
+		{math.MaxInt, 16, maxShards, maxShards},
+		{math.MaxInt, 1024, maxBuckets, maxBuckets},
+	}
+	for _, c := range cases {
+		got := make(chan int, 1)
+		go func() { got <- ceilPow2(c.n, c.def, c.hi) }()
+		select {
+		case g := <-got:
+			if g != c.want {
+				t.Errorf("ceilPow2(%d, %d, %d) = %d, want %d", c.n, c.def, c.hi, g, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("ceilPow2(%d, %d, %d) did not return", c.n, c.def, c.hi)
+		}
+	}
 }

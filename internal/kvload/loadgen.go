@@ -528,6 +528,8 @@ func readAccounts(c **Client, addr string, keys [][]byte, chunk *int) ([][]byte,
 
 // GridPoint is one cell of a self-hosted sweep.
 type GridPoint struct {
+	// Design names the engine the cell ran: "direct" for self-hosted cells,
+	// "remote" for a run against a live server.
 	Design string
 	Shards int
 	// Procs is the GOMAXPROCS the cell ran under; 0 means the process
@@ -576,7 +578,6 @@ type GridPoint struct {
 // left nil or empty collapses to the corresponding Options field, so a
 // sweep names only the dimensions it varies.
 type Sweep struct {
-	Designs      []memtx.Design
 	Shards       []int
 	Batches      []int // read-batch bounds, Options.MaxBatch encoding
 	Procs        []int // GOMAXPROCS values; 0 leaves the default
@@ -587,11 +588,10 @@ type Sweep struct {
 }
 
 // RunSelfGrid measures the load mix against in-process servers, one per
-// (design, shard-count, batch-bound, procs) combination — kept as the
-// narrow entry point for existing callers; RunSweep adds the skew
-// dimensions.
-func RunSelfGrid(designs []memtx.Design, shardCounts []int, batches []int, procs []int, o Options) ([]GridPoint, error) {
-	return RunSweep(Sweep{Designs: designs, Shards: shardCounts, Batches: batches, Procs: procs}, o)
+// (shard-count, batch-bound, procs) combination — kept as the narrow entry
+// point for existing callers; RunSweep adds the skew dimensions.
+func RunSelfGrid(shardCounts []int, batches []int, procs []int, o Options) ([]GridPoint, error) {
+	return RunSweep(Sweep{Shards: shardCounts, Batches: batches, Procs: procs}, o)
 }
 
 // RunSweep measures the load mix against in-process servers, one per cell
@@ -628,39 +628,37 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 		sw.WALBatches = []int{wb}
 	}
 	var points []GridPoint
-	for _, d := range sw.Designs {
-		for _, shards := range sw.Shards {
-			for _, batch := range sw.Batches {
-				for _, np := range sw.Procs {
-					for _, dist := range sw.Dists {
-						for _, cm := range sw.CMs {
-							for _, wbatch := range sw.WriteBatches {
-								for _, wal := range sw.WALBatches {
-									o.MaxBatch = batch
-									o.MaxWriteBatch = wbatch
-									o.Dist = dist
-									o.CM = cm
-									if wal > 0 {
-										o.WALBatch = wal
-									} else {
-										o.WALBatch = 0
-									}
-									p, err := runSelfCell(d, shards, np, o)
-									if err != nil {
-										return nil, fmt.Errorf("kvload: design %v shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d: %w",
-											d, shards, batch, np, dist, cm, wbatch, wal, err)
-									}
-									p.Design = d.String()
-									p.Shards = shards
-									p.MaxBatch = batch
-									p.Procs = np
-									p.MaxWriteBatch = wbatch
-									p.Dist = dist.String()
-									p.Mix = o.Mix
-									p.CM = cm.String()
-									p.WALBatch = wal
-									points = append(points, p)
+	for _, shards := range sw.Shards {
+		for _, batch := range sw.Batches {
+			for _, np := range sw.Procs {
+				for _, dist := range sw.Dists {
+					for _, cm := range sw.CMs {
+						for _, wbatch := range sw.WriteBatches {
+							for _, wal := range sw.WALBatches {
+								o.MaxBatch = batch
+								o.MaxWriteBatch = wbatch
+								o.Dist = dist
+								o.CM = cm
+								if wal > 0 {
+									o.WALBatch = wal
+								} else {
+									o.WALBatch = 0
 								}
+								p, err := runSelfCell(shards, np, o)
+								if err != nil {
+									return nil, fmt.Errorf("kvload: shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d: %w",
+										shards, batch, np, dist, cm, wbatch, wal, err)
+								}
+								p.Design = memtx.DirectUpdate.String()
+								p.Shards = shards
+								p.MaxBatch = batch
+								p.Procs = np
+								p.MaxWriteBatch = wbatch
+								p.Dist = dist.String()
+								p.Mix = o.Mix
+								p.CM = cm.String()
+								p.WALBatch = wal
+								points = append(points, p)
 							}
 						}
 					}
@@ -671,11 +669,11 @@ func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
 	return points, nil
 }
 
-func runSelfCell(d memtx.Design, shards, procs int, o Options) (GridPoint, error) {
+func runSelfCell(shards, procs int, o Options) (GridPoint, error) {
 	if procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	}
-	cfg := kv.Config{Shards: shards, Design: d, CM: o.CM}
+	cfg := kv.Config{Shards: shards, CM: o.CM}
 	var store *kv.Store
 	if o.WALBatch > 0 {
 		dir, err := os.MkdirTemp("", "stmkv-wal-")

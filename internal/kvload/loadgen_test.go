@@ -3,8 +3,6 @@ package kvload
 import (
 	"testing"
 	"time"
-
-	"memtx"
 )
 
 // TestRunSelfGrid smoke-tests the full self-hosted path: store + server on
@@ -18,7 +16,7 @@ func TestRunSelfGrid(t *testing.T) {
 		Duration:  200 * time.Millisecond,
 		Pipeline:  4,
 	}
-	points, err := RunSelfGrid([]memtx.Design{memtx.DirectUpdate}, []int{1, 4}, []int{-1, 0}, []int{0, 1}, o)
+	points, err := RunSelfGrid([]int{1, 4}, []int{-1, 0}, []int{0, 1}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1005,11 +1005,9 @@ var commands = [NumCmds]command{
 			}
 			if have >= amount { // else insufficient funds: commit unchanged
 				t.SetInt(src, have-amount)
-				to, err := t.Int(dst)
-				if err != nil {
+				if _, err := t.Add(dst, amount); err != nil {
 					return err
 				}
-				t.SetInt(dst, to+amount)
 			}
 			c.out = wire.AppendFrame(c.out, boolBody(have >= amount))
 			return nil

@@ -39,7 +39,6 @@ package memtx
 import (
 	"context"
 	"errors"
-	"strconv"
 
 	"memtx/internal/core"
 	"memtx/internal/engine"
@@ -62,8 +61,8 @@ const (
 	BufferedObject
 )
 
-// String returns the short engine name used in benchmark output and
-// command-line flags ("direct", "wstm", "ostm").
+// String returns the short engine name used in benchmark output ("direct",
+// "wstm", "ostm").
 func (d Design) String() string {
 	switch d {
 	case BufferedWord:
@@ -73,20 +72,6 @@ func (d Design) String() string {
 	default:
 		return "direct"
 	}
-}
-
-// ParseDesign converts a short engine name back to a Design; it accepts
-// exactly the strings String produces.
-func ParseDesign(s string) (Design, error) {
-	switch s {
-	case "direct":
-		return DirectUpdate, nil
-	case "wstm":
-		return BufferedWord, nil
-	case "ostm":
-		return BufferedObject, nil
-	}
-	return 0, errors.New("memtx: unknown design " + strconv.Quote(s) + " (want direct, wstm, or ostm)")
 }
 
 // CMPolicy selects how the TM paces transaction re-execution under
