@@ -8,9 +8,7 @@
 //	stmbench -quick          # small parameters (seconds, for smoke runs)
 //	stmbench -e e7 -watch 2s # print live per-interval metrics to stderr
 //	stmbench -serve :8080    # expose /metrics (Prometheus) and /stats.json
-//	stmbench -benchjson f.json  # write machine-readable perf points and exit
-//	stmbench -kvload self    # in-process stmkvd load sweep over shard counts
-//	stmbench -kvload host:port  # drive a live stmkvd server instead
+//	stmbench -kvload host:port  # drive the stmkvd load mix against a live server
 //
 // Output is a series of aligned text tables, one per paper table/figure,
 // each annotated with the shape the paper reports so results can be compared
@@ -22,6 +20,11 @@
 // scrapable) until interrupted. With -watch, a reporter prints commit
 // throughput, per-cause abort counts, and p50/p99 attempt latency for every
 // active engine each interval.
+//
+// -kvload is the client half of the daemon drills: it seeds a running
+// stmkvd, drives one closed-loop load run, optionally audits the account
+// sum (-kv-verify), and prints one row. Performance claims about the store
+// come from bench/ (see BENCHMARK.json), not from this driver.
 package main
 
 import (
@@ -44,99 +47,46 @@ func main() {
 		serve     = flag.String("serve", "", "serve live metrics on this address (e.g. :8080) while running")
 		pprofFlag = flag.Bool("pprof", false, "with -serve, also expose /debug/pprof/ profiling endpoints")
 		watch     = flag.Duration("watch", 0, "print live metrics to stderr at this interval (e.g. 2s)")
-		benchJSON = flag.String("benchjson", "", "write per-experiment throughput and allocs/op as JSON to this file, then exit")
 
-		kvAddr         = flag.String("kvload", "", "drive the stmkvd load mix: 'self' for an in-process sweep, or a host:port")
-		kvShards       = flag.String("kv-shards", "1,4", "shard counts to sweep with -kvload self")
+		kvAddr         = flag.String("kvload", "", "drive the stmkvd load mix against the server at this host:port")
 		kvConns        = flag.Int("kv-conns", 4, "client connections per load run")
 		kvKeys         = flag.Int("kv-keys", 10000, "GET/SET key-space size")
 		kvValSize      = flag.Int("kv-valsize", 64, "SET value size in bytes")
 		kvReadFrac     = flag.Float64("kv-readfrac", 0.8, "fraction of GETs in the mix")
 		kvTransferFrac = flag.Float64("kv-transferfrac", 0.1, "fraction of two-key TRANSFERs in the mix")
 		kvIncrFrac     = flag.Float64("kv-incrfrac", 0, "fraction of INCRs over the counter key space in the mix")
-		kvMix          = flag.String("kv-mix", "", "YCSB-style mix presets to sweep (ycsb-a, ycsb-b, ycsb-c; comma-separated; overrides -kv-readfrac/-kv-transferfrac)")
-		kvDist         = flag.String("kv-dist", "uniform", "key distributions to sweep: uniform, zipf:THETA, hot:FRAC (comma-separated)")
-		kvDuration     = flag.Duration("kv-duration", 5*time.Second, "measurement window per cell")
+		kvMix          = flag.String("kv-mix", "", "YCSB-style mix preset: ycsb-a, ycsb-b or ycsb-c (overrides -kv-readfrac/-kv-transferfrac)")
+		kvDist         = flag.String("kv-dist", "uniform", "key distribution: uniform, zipf:THETA or hot:FRAC")
+		kvDuration     = flag.Duration("kv-duration", 5*time.Second, "measurement window")
 		kvPipeline     = flag.Int("kv-pipeline", 1, "requests in flight per connection")
-		kvBatch        = flag.String("kv-batch", "0", "server read-batch bounds to sweep with -kvload self (0 = server default, -1 = off)")
-		kvWriteBatch   = flag.String("kv-write-batch", "0", "server write-batch bounds to sweep with -kvload self (0 = server default, -1 = off)")
-		kvCM           = flag.String("kv-cm", "fixed", "contention-management policies to sweep with -kvload self (fixed, adaptive; comma-separated)")
-		kvProcs        = flag.String("kv-procs", "0", "GOMAXPROCS values to sweep with -kvload self (0 = leave the process default)")
-		kvWALBatch     = flag.String("kv-wal-batch", "-1", "WAL group-commit fsync batches to sweep with -kvload self (-1 = durability off; comma-separated)")
-		kvWALInterval  = flag.Duration("kv-wal-interval", time.Millisecond, "WAL group-commit fsync interval for -kv-wal-batch cells")
-		kvMaxInflight  = flag.Int("kv-max-inflight", 0, "self-hosted server transaction-concurrency bound (0 = server default)")
-
-		kvCmdDeadline  = flag.Duration("kv-cmd-deadline", 0, "self-hosted server per-command deadline (0 = unbounded)")
-		kvQueueTimeout = flag.Duration("kv-queue-timeout", 0, "self-hosted server shed bound: max wait for a txn slot before BUSY (0 = queue forever)")
-		kvVerify       = flag.Bool("kv-verify", false, "audit account-sum conservation after each load run")
-
-		kvChaosSeed     = flag.Uint64("kv-chaos-seed", 1, "fault-injector seed for -kv-chaos-* rates")
-		kvChaosAbort    = flag.Int("kv-chaos-abort", 0, "injected abort rate per point, PPM (self cells only)")
-		kvChaosDelay    = flag.Int("kv-chaos-delay", 0, "injected delay rate per point, PPM (self cells only)")
-		kvChaosPanic    = flag.Int("kv-chaos-panic", 0, "injected panic rate per point, PPM (self cells only)")
-		kvChaosDelayMax = flag.Duration("kv-chaos-delay-max", time.Millisecond, "upper bound on each injected delay")
+		kvVerify       = flag.Bool("kv-verify", false, "audit account-sum conservation after the load run")
 	)
 	flag.Parse()
 
 	if *kvAddr != "" {
-		if err := runKVLoad(kvOptions{
-			addr:          *kvAddr,
-			shards:        *kvShards,
-			conns:         *kvConns,
-			keys:          *kvKeys,
-			valSize:       *kvValSize,
-			readFrac:      *kvReadFrac,
-			transferFrac:  *kvTransferFrac,
-			incrFrac:      *kvIncrFrac,
-			mixes:         *kvMix,
-			dists:         *kvDist,
-			duration:      *kvDuration,
-			pipeline:      *kvPipeline,
-			batches:       *kvBatch,
-			writeBatches:  *kvWriteBatch,
-			cms:           *kvCM,
-			procs:         *kvProcs,
-			walBatches:    *kvWALBatch,
-			walInterval:   *kvWALInterval,
-			maxInflight:   *kvMaxInflight,
-			benchJSON:     *benchJSON,
-			quick:         *quick,
-			cmdDeadline:   *kvCmdDeadline,
-			queueTimeout:  *kvQueueTimeout,
-			verify:        *kvVerify,
-			chaosSeed:     *kvChaosSeed,
-			chaosAbort:    *kvChaosAbort,
-			chaosDelay:    *kvChaosDelay,
-			chaosPanic:    *kvChaosPanic,
-			chaosDelayMax: *kvChaosDelayMax,
-		}); err != nil {
+		lo, err := kvOptions{
+			addr:         *kvAddr,
+			conns:        *kvConns,
+			keys:         *kvKeys,
+			valSize:      *kvValSize,
+			readFrac:     *kvReadFrac,
+			transferFrac: *kvTransferFrac,
+			incrFrac:     *kvIncrFrac,
+			mix:          *kvMix,
+			dist:         *kvDist,
+			duration:     *kvDuration,
+			pipeline:     *kvPipeline,
+			quick:        *quick,
+		}.loadOptions()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "stmbench: %v\n", err)
+			flag.Usage()
+			os.Exit(2)
+		}
+		if err := runKVLoad(lo, *kvVerify); err != nil {
 			fmt.Fprintf(os.Stderr, "stmbench: kvload: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *benchJSON != "" {
-		report, err := harness.BenchJSON(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stmbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stmbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stmbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "stmbench: wrote %d bench points to %s\n", len(report.Results), *benchJSON)
 		return
 	}
 

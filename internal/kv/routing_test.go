@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"memtx"
 	"memtx/internal/enginetest"
@@ -66,6 +67,75 @@ func TestSingleShardRouting(t *testing.T) {
 			t.Errorf("single-key commands drove %d cross-shard commits, want 0", got)
 		}
 	})
+}
+
+// TestSingleShardWritersDoNotWaitOnOtherShards is the structural half of
+// the sharding claim: single-shard writers on different shards share no
+// lock. Writer A parks inside its AtomicKey body after a Set, with its
+// attempt open, its shard's gate held shared and its bucket owned. Writer B,
+// on another shard, must still commit. Only a lock outside A's shard — a
+// store-wide one — could hold B up, so the check needs no timing ratio.
+func TestSingleShardWritersDoNotWaitOnOtherShards(t *testing.T) {
+	stores := map[string]func(t *testing.T) *Store{
+		"memory": func(t *testing.T) *Store { return New(Config{Shards: 4, Buckets: 8}) },
+		"durable": func(t *testing.T) *Store {
+			s, _, err := Open(Config{Shards: 4, Buckets: 8}, testDurableConfig(t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			defer s.Close()
+			kx, ky := keyOn(t, s, 0, 0), keyOn(t, s, 1, 0)
+
+			parked := make(chan struct{})
+			release := make(chan struct{})
+			var once sync.Once
+			aDone := make(chan error, 1)
+			go func() {
+				aDone <- s.AtomicKey(kx, func(tx *Tx) error {
+					tx.Set(kx, []byte("a"))
+					once.Do(func() { close(parked) })
+					<-release
+					return nil
+				})
+			}()
+			<-parked
+
+			bDone := make(chan error, 1)
+			go func() {
+				bDone <- s.AtomicKey(ky, func(tx *Tx) error {
+					tx.Set(ky, []byte("b"))
+					return nil
+				})
+			}()
+			select {
+			case err := <-bDone:
+				if err != nil {
+					t.Errorf("writer B: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Errorf("writer B on shard 1 did not commit within 2s while writer A held shard 0")
+				close(release)
+				<-bDone
+				<-aDone
+				return
+			}
+			close(release)
+			if err := <-aDone; err != nil {
+				t.Fatalf("writer A: %v", err)
+			}
+			for k, want := range map[string]string{string(kx): "a", string(ky): "b"} {
+				if got, _ := s.Get([]byte(k)); string(got) != want {
+					t.Errorf("%s = %q, want %q", k, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestSingleShardBoundary checks that a single-shard transaction refuses to

@@ -1,5 +1,8 @@
 // Package kvload is the client side of the stmkvd protocol: a pipelining
-// client plus the closed-loop load generator behind `stmbench -kvload`.
+// client plus the closed-loop load driver behind `stmbench -kvload`, which
+// seeds a live server (Preload), drives it (Run) and audits the account
+// sum (VerifySum). It is what the daemon drills and the server tests use;
+// the benchmark under bench/ has its own client and imports nothing here.
 package kvload
 
 import (

@@ -1,22 +1,15 @@
 package kvload
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"memtx"
-	"memtx/internal/chaos"
 	"memtx/internal/engine"
 	"memtx/internal/kv"
-	"memtx/internal/server"
 	"memtx/internal/server/wire"
 )
 
@@ -59,49 +52,8 @@ type Options struct {
 	// Pipeline is the number of requests in flight per connection
 	// (default 1: strict request/response).
 	Pipeline int
-	// MaxBatch is the server-side read-batching bound for self-hosted
-	// cells: 0 keeps the server default, negative disables batching, and a
-	// positive value sets an explicit bound. It has no effect when driving
-	// a remote server, whose batching is fixed by its own flags.
-	MaxBatch int
-	// MaxWriteBatch is the server-side write-batching bound for
-	// self-hosted cells, in MaxBatch's encoding. It has no effect when
-	// driving a remote server.
-	MaxWriteBatch int
-	// CM selects the self-hosted server's contention-management policy
-	// (default fixed). It has no effect when driving a remote server.
-	CM memtx.CMPolicy
 	// Seed makes key choice deterministic across runs (default 1).
 	Seed int64
-	// CmdDeadline is the self-hosted server's per-command deadline
-	// (0 = unbounded). It has no effect when driving a remote server.
-	CmdDeadline time.Duration
-	// QueueTimeout is the self-hosted server's load-shedding bound
-	// (0 = queue indefinitely). It has no effect when driving a remote
-	// server.
-	QueueTimeout time.Duration
-	// MaxInflight bounds concurrently executing transactions on the
-	// self-hosted server (0 = server default). Durable cells hold a slot
-	// across the group-commit wait, so write concurrency — and with it the
-	// achievable fsync amortization — is capped by this bound. It has no
-	// effect when driving a remote server.
-	MaxInflight int
-	// WALBatch enables write-ahead-log durability for self-hosted cells:
-	// 0 (the default) serves from memory only; a positive value attaches a
-	// WAL in a fresh temp directory with that group-commit fsync batch. It
-	// has no effect when driving a remote server, whose durability is fixed
-	// by its own flags.
-	WALBatch int
-	// WALInterval is the group-commit fsync interval for WAL cells
-	// (default 1ms).
-	WALInterval time.Duration
-	// Chaos, when non-nil, enables the fault injector for the measurement
-	// window of each self-hosted cell (after preload, disabled again before
-	// verification). It has no effect when driving a remote server.
-	Chaos *chaos.Config
-	// Verify audits account-sum conservation after each self-hosted cell's
-	// run (see VerifySum). Remote runs call VerifySum explicitly.
-	Verify bool
 }
 
 func (o Options) withDefaults() Options {
@@ -152,9 +104,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.WALInterval <= 0 {
-		o.WALInterval = time.Millisecond
-	}
 	return o
 }
 
@@ -193,8 +142,22 @@ func key(i int) []byte  { return []byte(fmt.Sprintf("key-%07d", i)) }
 func acct(i int) []byte { return []byte(fmt.Sprintf("acct-%05d", i)) }
 func ctr(i int) []byte  { return []byte(fmt.Sprintf("ctr-%07d", i)) }
 
-// Preload seeds the key and account spaces through one pipelined
-// connection so a load run starts from a fully populated store.
+// acctKeys lists the whole account space, in account order.
+func acctKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = acct(i)
+	}
+	return keys
+}
+
+// Preload seeds the key and counter spaces through one pipelined connection
+// so a load run starts from a fully populated store. The account space is
+// seeded only when no account exists yet. A store that already holds every
+// account — seeded by an earlier run, or recovered from its log — keeps its
+// balances, so a later VerifySum audits what the server kept rather than what
+// Preload just wrote. A store holding only some accounts is an error naming
+// the first missing one.
 func Preload(o Options) error {
 	o = o.withDefaults()
 	c, err := Dial(o.Addr)
@@ -202,6 +165,26 @@ func Preload(o Options) error {
 		return err
 	}
 	defer func() { c.Close() }()
+
+	accts := acctKeys(o.Accounts)
+	chunk := len(accts)
+	have, err := readAccounts(&c, o.Addr, accts, &chunk)
+	if err != nil {
+		return fmt.Errorf("kvload: preload: %w", err)
+	}
+	missing, present := -1, 0
+	for i, v := range have {
+		if v != nil {
+			present++
+		} else if missing < 0 {
+			missing = i
+		}
+	}
+	seedAccounts := present == 0
+	if !seedAccounts && missing >= 0 {
+		return fmt.Errorf("kvload: preload: account %d (%s) missing, %d of %d accounts exist", missing, accts[missing], present, len(accts))
+	}
+
 	val := patternValue(o.ValueSize, 0)
 	const batch = 64
 	pairs := make([][]byte, 0, 2*batch)
@@ -212,7 +195,7 @@ func Preload(o Options) error {
 	// tight command deadline or a high injected-abort rate it may never fit —
 	// so repeated failures halve the chunk size down to single-key writes,
 	// which always squeeze through.
-	chunk := 2 * batch
+	chunk = 2 * batch
 	flush := func() error {
 		fails := 0
 		for sent := 0; sent < len(pairs); {
@@ -248,19 +231,22 @@ func Preload(o Options) error {
 		pairs = pairs[:0]
 		return nil
 	}
-	for i := 0; i < o.Keys; i++ {
-		pairs = append(pairs, key(i), val)
+	add := func(k, v []byte) error {
+		pairs = append(pairs, k, v)
 		if len(pairs) == 2*batch {
-			if err := flush(); err != nil {
-				return err
-			}
+			return flush()
+		}
+		return nil
+	}
+	for i := 0; i < o.Keys; i++ {
+		if err := add(key(i), val); err != nil {
+			return err
 		}
 	}
-	bal := kv.FormatInt(o.InitialBalance)
-	for i := 0; i < o.Accounts; i++ {
-		pairs = append(pairs, acct(i), bal)
-		if len(pairs) == 2*batch {
-			if err := flush(); err != nil {
+	if seedAccounts {
+		bal := kv.FormatInt(o.InitialBalance)
+		for _, k := range accts {
+			if err := add(k, bal); err != nil {
 				return err
 			}
 		}
@@ -270,11 +256,8 @@ func Preload(o Options) error {
 	if o.IncrFrac > 0 {
 		zero := kv.FormatInt(0)
 		for i := 0; i < o.Keys; i++ {
-			pairs = append(pairs, ctr(i), zero)
-			if len(pairs) == 2*batch {
-				if err := flush(); err != nil {
-					return err
-				}
+			if err := add(ctr(i), zero); err != nil {
+				return err
 			}
 		}
 	}
@@ -445,10 +428,7 @@ func issueBatch(c *Client, r *rand.Rand, o Options, samp samplers, val []byte) (
 // A missing account is unambiguous and reported immediately.
 func VerifySum(o Options) error {
 	o = o.withDefaults()
-	keys := make([][]byte, o.Accounts)
-	for i := range keys {
-		keys[i] = acct(i)
-	}
+	keys := acctKeys(o.Accounts)
 	want := int64(o.Accounts) * o.InitialBalance
 	var lastErr error
 	chunk := len(keys)
@@ -524,239 +504,4 @@ func readAccounts(c **Client, addr string, keys [][]byte, chunk *int) ([][]byte,
 		}
 	}
 	return vals, nil
-}
-
-// GridPoint is one cell of a self-hosted sweep.
-type GridPoint struct {
-	// Design names the engine the cell ran: "direct" for self-hosted cells,
-	// "remote" for a run against a live server.
-	Design string
-	Shards int
-	// Procs is the GOMAXPROCS the cell ran under; 0 means the process
-	// default was left alone.
-	Procs int
-	// MaxBatch is the server's read-batching bound for this cell, in
-	// Options.MaxBatch's encoding (0 = server default, negative = off).
-	MaxBatch int
-	// MaxWriteBatch is the server's write-batching bound, same encoding.
-	MaxWriteBatch int
-	// Dist labels the key distribution the cell ran under (Dist.String).
-	Dist string
-	// Mix labels the YCSB-style preset, if one was applied.
-	Mix string
-	// CM labels the contention-management policy the cell's engines ran.
-	CM     string
-	Result *Result
-	// CommittedTxns is the engine's commit counter after the run — the
-	// cross-check that the measured ops really ran as transactions.
-	CommittedTxns uint64
-	// ReadBatches and BatchFallbacks are the server's snapshot-batch
-	// counters after the run, recording how much coalescing the mix saw.
-	ReadBatches    uint64
-	BatchFallbacks uint64
-	// WriteBatches, WriteBatchedCmds, and WriteBatchFallbacks are the
-	// server's write-coalescing counters after the run.
-	WriteBatches        uint64
-	WriteBatchedCmds    uint64
-	WriteBatchFallbacks uint64
-	// CMStats aggregates the store's contention-management counters —
-	// outcomes observed, waits paced, karma deferrals, adaptations — the
-	// abort-cause columns of the skew experiments.
-	CMStats engine.CMStats
-	// WALBatch is the durability setting the cell ran under, in the sweep
-	// flag's encoding: -1 = no WAL, otherwise the group-commit fsync batch.
-	WALBatch int
-	// WALAppends, WALFsyncs, and WALGroupRecs are the WAL's append/fsync
-	// counters after the run (zero for -1 cells); GroupRecs / Fsyncs is the
-	// achieved group-commit amortization.
-	WALAppends   uint64
-	WALFsyncs    uint64
-	WALGroupRecs uint64
-}
-
-// Sweep enumerates the dimensions of a self-hosted grid run. Every slice
-// left nil or empty collapses to the corresponding Options field, so a
-// sweep names only the dimensions it varies.
-type Sweep struct {
-	Shards       []int
-	Batches      []int // read-batch bounds, Options.MaxBatch encoding
-	Procs        []int // GOMAXPROCS values; 0 leaves the default
-	Dists        []Dist
-	CMs          []memtx.CMPolicy
-	WriteBatches []int // write-batch bounds, Options.MaxWriteBatch encoding
-	WALBatches   []int // durability settings: -1 = no WAL, else fsync batch
-}
-
-// RunSelfGrid measures the load mix against in-process servers, one per
-// (shard-count, batch-bound, procs) combination — kept as the narrow entry
-// point for existing callers; RunSweep adds the skew dimensions.
-func RunSelfGrid(shardCounts []int, batches []int, procs []int, o Options) ([]GridPoint, error) {
-	return RunSweep(Sweep{Shards: shardCounts, Batches: batches, Procs: procs}, o)
-}
-
-// RunSweep measures the load mix against in-process servers, one per cell
-// of the sweep's cartesian product — the path `stmbench -kvload self` and
-// the BENCH_PR*.json recordings use. Each cell builds a fresh store and
-// server on a loopback listener, preloads it, drives Run, and drains. A
-// positive procs value pins the whole process — server and in-process
-// clients alike — measuring how the sharded store scales with scheduler
-// parallelism.
-func RunSweep(sw Sweep, o Options) ([]GridPoint, error) {
-	if len(sw.Shards) == 0 {
-		sw.Shards = []int{0}
-	}
-	if len(sw.Batches) == 0 {
-		sw.Batches = []int{o.MaxBatch}
-	}
-	if len(sw.Procs) == 0 {
-		sw.Procs = []int{0}
-	}
-	if len(sw.Dists) == 0 {
-		sw.Dists = []Dist{o.Dist}
-	}
-	if len(sw.CMs) == 0 {
-		sw.CMs = []memtx.CMPolicy{o.CM}
-	}
-	if len(sw.WriteBatches) == 0 {
-		sw.WriteBatches = []int{o.MaxWriteBatch}
-	}
-	if len(sw.WALBatches) == 0 {
-		wb := -1
-		if o.WALBatch > 0 {
-			wb = o.WALBatch
-		}
-		sw.WALBatches = []int{wb}
-	}
-	var points []GridPoint
-	for _, shards := range sw.Shards {
-		for _, batch := range sw.Batches {
-			for _, np := range sw.Procs {
-				for _, dist := range sw.Dists {
-					for _, cm := range sw.CMs {
-						for _, wbatch := range sw.WriteBatches {
-							for _, wal := range sw.WALBatches {
-								o.MaxBatch = batch
-								o.MaxWriteBatch = wbatch
-								o.Dist = dist
-								o.CM = cm
-								if wal > 0 {
-									o.WALBatch = wal
-								} else {
-									o.WALBatch = 0
-								}
-								p, err := runSelfCell(shards, np, o)
-								if err != nil {
-									return nil, fmt.Errorf("kvload: shards %d batch %d procs %d dist %v cm %v wbatch %d wal %d: %w",
-										shards, batch, np, dist, cm, wbatch, wal, err)
-								}
-								p.Design = memtx.DirectUpdate.String()
-								p.Shards = shards
-								p.MaxBatch = batch
-								p.Procs = np
-								p.MaxWriteBatch = wbatch
-								p.Dist = dist.String()
-								p.Mix = o.Mix
-								p.CM = cm.String()
-								p.WALBatch = wal
-								points = append(points, p)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return points, nil
-}
-
-func runSelfCell(shards, procs int, o Options) (GridPoint, error) {
-	if procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	cfg := kv.Config{Shards: shards, CM: o.CM}
-	var store *kv.Store
-	if o.WALBatch > 0 {
-		dir, err := os.MkdirTemp("", "stmkv-wal-")
-		if err != nil {
-			return GridPoint{}, err
-		}
-		defer os.RemoveAll(dir)
-		store, _, err = kv.Open(cfg, kv.DurableConfig{
-			Dir:           dir,
-			FsyncBatch:    o.WALBatch,
-			FsyncInterval: o.WALInterval,
-		})
-		if err != nil {
-			return GridPoint{}, err
-		}
-	} else {
-		store = kv.New(cfg)
-	}
-	defer store.Close()
-	srv := server.New(store, server.Config{
-		MaxBatch:      o.MaxBatch,
-		MaxWriteBatch: o.MaxWriteBatch,
-		MaxInflight:   o.MaxInflight,
-		CmdDeadline:   o.CmdDeadline,
-		QueueTimeout:  o.QueueTimeout,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return GridPoint{}, err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-serveDone
-	}()
-
-	o.Addr = ln.Addr().String()
-	if err := Preload(o); err != nil {
-		return GridPoint{}, err
-	}
-	// Chaos covers only the measurement window: the preload above and the
-	// verification below must see a faithful server.
-	if o.Chaos != nil {
-		chaos.Enable(chaos.New(*o.Chaos))
-	}
-	res, err := Run(o)
-	if o.Chaos != nil {
-		chaos.Disable()
-	}
-	if err != nil {
-		return GridPoint{}, err
-	}
-	if o.Verify {
-		if err := VerifySum(o); err != nil {
-			return GridPoint{}, err
-		}
-	}
-	batches, fallbacks := srv.BatchStats()
-	wbatches, wcmds, wfallbacks := srv.WriteBatchStats()
-	p := GridPoint{
-		Result:              res,
-		CommittedTxns:       store.Stats().Commits,
-		ReadBatches:         batches,
-		BatchFallbacks:      fallbacks,
-		WriteBatches:        wbatches,
-		WriteBatchedCmds:    wcmds,
-		WriteBatchFallbacks: wfallbacks,
-		CMStats:             store.CMStats(),
-	}
-	if m := store.WAL(); m != nil {
-		for _, met := range m.ObsMetrics() {
-			switch met.Name {
-			case "stmkvd_wal_appends_total":
-				p.WALAppends = met.Value
-			case "stmkvd_wal_fsyncs_total":
-				p.WALFsyncs = met.Value
-			case "stmkvd_wal_group_records_total":
-				p.WALGroupRecs = met.Value
-			}
-		}
-	}
-	return p, nil
 }

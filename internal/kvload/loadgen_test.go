@@ -1,50 +1,99 @@
 package kvload
 
 import (
+	"context"
+	"io"
+	"log"
+	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"memtx/internal/kv"
+	"memtx/internal/server"
 )
 
-// TestRunSelfGrid smoke-tests the full self-hosted path: store + server on
-// loopback, preload, a short load run, and the engine commit cross-check.
-func TestRunSelfGrid(t *testing.T) {
-	o := Options{
-		Conns:     2,
-		Keys:      200,
-		ValueSize: 16,
-		Accounts:  16,
-		Duration:  200 * time.Millisecond,
-		Pipeline:  4,
-	}
-	points, err := RunSelfGrid([]int{1, 4}, []int{-1, 0}, []int{0, 1}, o)
+// startServer serves a fresh in-memory store on a loopback listener.
+func startServer(t *testing.T) (*server.Server, string) {
+	t.Helper()
+	srv := server.New(kv.New(kv.Config{Shards: 4, Buckets: 64}), server.Config{ErrorLog: log.New(io.Discard, "", 0)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 8 {
-		t.Fatalf("got %d grid points, want 8", len(points))
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		<-done
+	})
+	return srv, ln.Addr().String()
+}
+
+// TestVerifySumAuditsWhatTheServerKept drives the remote path end to end:
+// Preload seeds, Run sends every command of the mix without an ERR, and
+// VerifySum holds. Then one balance is altered out of band and Preload runs
+// again. Preload must leave existing accounts as they are, so the audit sees
+// the alteration instead of a freshly reseeded account space.
+func TestVerifySumAuditsWhatTheServerKept(t *testing.T) {
+	srv, addr := startServer(t)
+	o := Options{
+		Addr:         addr,
+		Conns:        2,
+		Keys:         200,
+		ValueSize:    16,
+		Accounts:     16,
+		ReadFrac:     0.4,
+		TransferFrac: 0.2,
+		IncrFrac:     0.2,
+		Duration:     200 * time.Millisecond,
+		Pipeline:     4,
 	}
-	for _, p := range points {
-		if p.Design != "direct" {
-			t.Errorf("design = %q", p.Design)
+	if err := Preload(o); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 || res.Errors != 0 {
+		t.Fatalf("run: %d ops, %d ERR responses; want ops and no errors", res.Ops, res.Errors)
+	}
+	for _, c := range []server.Cmd{server.CmdGet, server.CmdSet, server.CmdTransfer, server.CmdIncr} {
+		if srv.CmdCount(c) == 0 {
+			t.Errorf("the mix sent no %v", c)
 		}
-		if p.Result.Ops == 0 {
-			t.Errorf("shards=%d batch=%d: zero ops completed", p.Shards, p.MaxBatch)
-		}
-		if p.Result.Errors != 0 {
-			t.Errorf("shards=%d batch=%d: %d ERR responses from a valid mix", p.Shards, p.MaxBatch, p.Result.Errors)
-		}
-		if p.CommittedTxns == 0 {
-			t.Errorf("shards=%d batch=%d: engine shows zero commits", p.Shards, p.MaxBatch)
-		}
-		if p.Result.Throughput <= 0 {
-			t.Errorf("shards=%d batch=%d: throughput = %v", p.Shards, p.MaxBatch, p.Result.Throughput)
-		}
-		switch {
-		case p.MaxBatch < 0 && p.ReadBatches != 0:
-			t.Errorf("batch=off cell executed %d snapshot batches", p.ReadBatches)
-		case p.MaxBatch == 0 && p.ReadBatches == 0:
-			t.Errorf("batch=default cell executed no snapshot batches under a read-heavy pipelined mix")
-		}
+	}
+	if err := VerifySum(o); err != nil {
+		t.Fatalf("verify after a clean run: %v", err)
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set(acct(3), kv.FormatInt(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Preload(o); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySum(o); err == nil {
+		t.Fatal("verify passed after an account was overwritten: Preload reseeded the account space")
+	}
+
+	// A store holding only some accounts is neither fresh nor intact.
+	if _, err := c.Del(acct(5)); err != nil {
+		t.Fatal(err)
+	}
+	err = Preload(o)
+	if err == nil || !strings.Contains(err.Error(), string(acct(5))) {
+		t.Fatalf("preload over a partial account space: err = %v, want one naming %s", err, acct(5))
 	}
 }
 
