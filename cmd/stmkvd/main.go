@@ -19,16 +19,11 @@
 //	stmkvd -cmd-deadline 5ms -queue-timeout 1ms   # bounded commands + load shedding
 //	stmkvd -wal-dir /var/lib/stmkvd/wal  # durable: log commits, replay on boot
 //	stmkvd -wal-dir wal -wal-fsync-batch 64 -snapshot-every 30s   # tuned group commit
-//	stmkvd -chaos-abort 20000 -chaos-seed 42      # deterministic fault injection
 //
 // With -wal-dir, every commit goes through one store-wide log and append
 // pipeline, and checkpoints are per-shard incremental snapshots (dirty keys
 // merged into the previous snapshot, a full scan every 8th checkpoint per
 // shard); neither is configurable.
-//
-// The -chaos-* flags arm the internal fault injector (internal/chaos) at a
-// uniform per-point rate in parts per million; they exist for robustness
-// testing and chaos drills, never for production serving.
 //
 // SIGINT/SIGTERM starts a graceful drain: the listener closes, in-flight
 // requests finish, and the process exits once every connection has flushed
@@ -47,7 +42,6 @@ import (
 	"time"
 
 	"memtx"
-	"memtx/internal/chaos"
 	"memtx/internal/kv"
 	"memtx/internal/obs"
 	"memtx/internal/server"
@@ -77,12 +71,6 @@ func main() {
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "log segment rotation threshold in bytes (0 = 64 MiB)")
 		snapshotEvery = flag.Duration("snapshot-every", time.Minute, "interval between snapshot checkpoints (truncating covered log segments; 0 = never)")
 		walScrubEvery = flag.Duration("wal-scrub-interval", 0, "background scrub period: re-verify sealed log segments and snapshots, quarantining corrupt files (0 = never)")
-
-		chaosSeed     = flag.Uint64("chaos-seed", 1, "fault-injector seed (with any -chaos-* rate > 0)")
-		chaosAbort    = flag.Int("chaos-abort", 0, "injected abort rate per injection point, parts per million")
-		chaosDelay    = flag.Int("chaos-delay", 0, "injected delay rate per injection point, parts per million")
-		chaosPanic    = flag.Int("chaos-panic", 0, "injected panic rate per injection point, parts per million")
-		chaosDelayMax = flag.Duration("chaos-delay-max", time.Millisecond, "upper bound on each injected delay")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "stmkvd: ", log.LstdFlags)
@@ -133,24 +121,12 @@ func main() {
 		WriteTimeout:  *writeTimeout,
 	})
 
-	var injector *chaos.Injector
-	if *chaosAbort > 0 || *chaosDelay > 0 || *chaosPanic > 0 {
-		injector = chaos.New(chaos.Uniform(*chaosSeed,
-			uint32(*chaosAbort), uint32(*chaosDelay), uint32(*chaosPanic), *chaosDelayMax))
-		chaos.Enable(injector)
-		logger.Printf("CHAOS ENABLED: seed=%d abort=%dppm delay=%dppm panic=%dppm delay-max=%v",
-			*chaosSeed, *chaosAbort, *chaosDelay, *chaosPanic, *chaosDelayMax)
-	}
-
 	if *serveMetrics != "" {
 		reg := obs.NewRegistry()
 		reg.RegisterSource("kv", store)
 		reg.RegisterSource("kvd", srv)
 		if m := store.WAL(); m != nil {
 			reg.RegisterSource("wal", m)
-		}
-		if injector != nil {
-			reg.RegisterSource("chaos", obs.ChaosSource(injector))
 		}
 		handler := reg.Handler()
 		what := "/metrics and /stats.json"

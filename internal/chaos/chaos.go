@@ -12,7 +12,8 @@
 // arrival order — and therefore the exact decision sequence — depends on
 // scheduling, but the decision *rates* and the accounting below do not.
 //
-// The injector is installed process-wide via Enable/Disable. Disabled (the
+// The injector is installed process-wide via Enable/Disable, which only
+// tests call: no command-line flag arms it. Disabled (the
 // default) every instrumented site costs one atomic pointer load and a nil
 // check — no allocation, no branch into injector code — so the zero-alloc
 // guarantees on the server's read path hold verbatim.
@@ -68,16 +69,9 @@ const (
 	// fsync, while the group's waiters are parked on it. Delay-only, like
 	// WALAppend: the records being flushed are committed state.
 	WALFsync
-	// SnapshotWrite fires at the start of a snapshot checkpoint attempt; an
-	// injected abort skips the attempt (a later one retries), and a panic is
-	// recovered by the checkpointer.
-	SnapshotWrite
-	// WALScrub fires at the start of a background scrub pass; an injected
-	// abort skips the pass (a later one retries), and delays stretch it.
-	WALScrub
 
 	// NumPoints is the number of named injection points.
-	NumPoints = int(WALScrub) + 1
+	NumPoints = int(WALFsync) + 1
 )
 
 // String returns the metric label for the point.
@@ -103,10 +97,6 @@ func (p Point) String() string {
 		return "wal_append"
 	case WALFsync:
 		return "wal_fsync"
-	case SnapshotWrite:
-		return "snapshot_write"
-	case WALScrub:
-		return "wal_scrub"
 	}
 	return "unknown"
 }
@@ -162,33 +152,6 @@ type Config struct {
 	Seed uint64
 	// Points holds per-point rates; zero-valued entries inject nothing.
 	Points [NumPoints]PointConfig
-}
-
-// Uniform builds a Config applying the same rates to every point each fault
-// kind is legal at: WriteBack takes delays only, the transport points
-// (FrameRead/RespWrite) map abort to a connection kill and never panic, and
-// Handler takes delays and panics (a handler "abort" has no defined meaning).
-func Uniform(seed uint64, abortPPM, delayPPM, panicPPM uint32, maxDelay time.Duration) Config {
-	cfg := Config{Seed: seed}
-	for p := 0; p < NumPoints; p++ {
-		pc := &cfg.Points[p]
-		pc.DelayPPM = delayPPM
-		pc.MaxDelay = maxDelay
-		switch Point(p) {
-		case WriteBack, WALAppend, WALFsync:
-		case FrameRead, RespWrite:
-			pc.AbortPPM = abortPPM
-		case Handler:
-			pc.PanicPPM = panicPPM
-		case SnapshotWrite, WALScrub:
-			pc.AbortPPM = abortPPM
-			pc.PanicPPM = panicPPM
-		default:
-			pc.AbortPPM = abortPPM
-			pc.PanicPPM = panicPPM
-		}
-	}
-	return cfg
 }
 
 // InjectedPanic is the panic value raised by an ActPanic decision, so
@@ -315,9 +278,6 @@ func abortCause(p Point) engine.AbortCause {
 	}
 	return engine.CauseValidation
 }
-
-// Seed returns the injector's seed, for logging a reproducible run.
-func (in *Injector) Seed() uint64 { return in.seed }
 
 // Injected returns how many times action a was decided at point p.
 func (in *Injector) Injected(p Point, a Action) uint64 {

@@ -7,8 +7,14 @@ import (
 	"memtx/internal/engine"
 )
 
+// fullConfig arms every point with every action; New clamps the
+// delay-only points.
 func fullConfig(seed uint64) Config {
-	return Uniform(seed, 200_000, 100_000, 50_000, time.Microsecond)
+	cfg := Config{Seed: seed}
+	for p := range cfg.Points {
+		cfg.Points[p] = PointConfig{AbortPPM: 200_000, DelayPPM: 100_000, PanicPPM: 50_000, MaxDelay: time.Microsecond}
+	}
+	return cfg
 }
 
 func TestDecideDeterministicForSeed(t *testing.T) {

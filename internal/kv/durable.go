@@ -513,10 +513,8 @@ const snapshotAttempts = 4
 
 // Checkpoint writes a snapshot checkpoint for every shard, then truncates the
 // log segments every shard's snapshot covers. The first error is returned but
-// does not stop the remaining shards; a chaos-skipped shard
-// (wal.ErrSnapshotSkipped) just waits for the next period. A shard whose
-// checkpoint failed pins the log at its last successful checkpoint's
-// coverage.
+// does not stop the remaining shards. A shard whose checkpoint failed pins
+// the log at its last successful checkpoint's coverage.
 func (s *Store) Checkpoint() error {
 	if s.wal == nil {
 		return errors.New("kv: store has no WAL attached")
@@ -525,7 +523,7 @@ func (s *Store) Checkpoint() error {
 	low := uint64(math.MaxUint64)
 	for sid := range s.shards {
 		cov, err := s.checkpointShard(sid)
-		if err != nil && !errors.Is(err, wal.ErrSnapshotSkipped) && firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		low = min(low, cov)

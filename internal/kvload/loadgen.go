@@ -110,7 +110,7 @@ func (o Options) withDefaults() Options {
 // Result summarizes one load run.
 type Result struct {
 	Ops        uint64                   // operations completed
-	Errors     uint64                   // ERR responses (a bug unless chaos or a command deadline is active)
+	Errors     uint64                   // ERR responses (a bug unless a command deadline is active)
 	Busy       uint64                   // BUSY responses: commands shed by the server under overload
 	Reconnects uint64                   // connections re-dialed after a transport failure mid-run
 	Elapsed    time.Duration            // wall-clock measurement window
@@ -189,12 +189,11 @@ func Preload(o Options) error {
 	const batch = 64
 	pairs := make([][]byte, 0, 2*batch)
 	// Each MSET batch is idempotent, so preload can retry through a server
-	// that is shedding load, enforcing command deadlines, or running a chaos
-	// drill: BUSY and ERR responses retry on the same connection, transport
-	// failures redial first. A big MSET is one big transaction — under a
-	// tight command deadline or a high injected-abort rate it may never fit —
-	// so repeated failures halve the chunk size down to single-key writes,
-	// which always squeeze through.
+	// that is shedding load or enforcing command deadlines: BUSY and ERR
+	// responses retry on the same connection, transport failures redial
+	// first. A big MSET is one big transaction — under a tight command
+	// deadline it may never fit — so repeated failures halve the chunk size
+	// down to single-key writes, which always squeeze through.
 	chunk = 2 * batch
 	flush := func() error {
 		fails := 0
@@ -311,11 +310,10 @@ func Run(o Options) (*Result, error) {
 	deadline := start.Add(o.Duration)
 	for i := range clients {
 		wg.Add(1)
-		// Each worker owns its connection: a transport failure mid-run (a
-		// chaos-injected kill, a slow-client eviction) is answered by
-		// re-dialing, so a chaotic server degrades throughput instead of
-		// aborting the measurement. Responses lost with the old connection
-		// are simply not counted.
+		// Each worker owns its connection: a transport failure mid-run (say,
+		// a slow-client eviction) is answered by re-dialing, so a degrading
+		// server costs throughput instead of aborting the measurement.
+		// Responses lost with the old connection are simply not counted.
 		go func(c *Client, seed int64) {
 			defer wg.Done()
 			defer func() { c.Close() }()
@@ -420,7 +418,7 @@ func issueBatch(c *Client, r *rand.Rand, o Options, samp samplers, val []byte) (
 
 // VerifySum audits conservation after a run: the balances over the account
 // space must still sum to Accounts × InitialBalance. Transient failures
-// (the server may still be shedding right after a chaotic run) are retried
+// (the server may still be shedding right after an overloaded run) are retried
 // briefly, and a whole-space MGET that cannot fit the server's command
 // deadline degrades to chunked reads — consistent here because the load has
 // stopped, though straggling transfers from killed connections can still

@@ -17,19 +17,19 @@ import (
 func chaosAcct(i int) []byte { return []byte(fmt.Sprintf("chaos-acct-%02d", i)) }
 
 // serverChaosConfig injects faults into every layer at once: STM hot paths
-// (aborts, delays, panics), the transport (connection kills on read and
-// write, delays), and the handler (panics, delays).
-func serverChaosConfig(seed uint64) chaos.Config {
+// (aborts, delays up to stmDelay, panics), the transport (connection kills
+// on read and write, delays), and the handler (panics, delays).
+func serverChaosConfig(seed uint64, stmDelay time.Duration) chaos.Config {
 	cfg := chaos.Config{Seed: seed}
 	for _, p := range []chaos.Point{chaos.OpenForRead, chaos.OpenForUpdate, chaos.CommitValidate, chaos.CMWait} {
 		cfg.Points[p] = chaos.PointConfig{
 			AbortPPM: 20_000,
 			DelayPPM: 5_000,
 			PanicPPM: 2_000,
-			MaxDelay: 50 * time.Microsecond,
+			MaxDelay: stmDelay,
 		}
 	}
-	cfg.Points[chaos.WriteBack] = chaos.PointConfig{DelayPPM: 10_000, MaxDelay: 50 * time.Microsecond}
+	cfg.Points[chaos.WriteBack] = chaos.PointConfig{DelayPPM: 10_000, MaxDelay: stmDelay}
 	cfg.Points[chaos.FrameRead] = chaos.PointConfig{AbortPPM: 2_000, DelayPPM: 2_000, MaxDelay: 200 * time.Microsecond}
 	cfg.Points[chaos.RespWrite] = chaos.PointConfig{AbortPPM: 2_000, DelayPPM: 2_000, MaxDelay: 200 * time.Microsecond}
 	cfg.Points[chaos.Handler] = chaos.PointConfig{DelayPPM: 2_000, PanicPPM: 2_000, MaxDelay: 200 * time.Microsecond}
@@ -41,14 +41,50 @@ func serverChaosConfig(seed uint64) chaos.Config {
 // kills connections, panics handlers, and aborts transactions, with some
 // clients additionally vanishing mid-pipeline. Afterwards the money must be
 // conserved, the engine unwedged, and its accounting consistent.
+//
+// The drill input squeezes the server — two transaction slots, a 200µs
+// queue and a 2ms command budget against STM delays of up to 1ms — so every
+// degradation path must also fire: shedding, command deadlines and panic
+// recovery.
 func TestChaosServerInvariants(t *testing.T) {
-	srv, addr := startServer(t, server.Config{
-		MaxInflight:  4,
-		CmdDeadline:  5 * time.Millisecond,
-		QueueTimeout: time.Millisecond,
-		ReadTimeout:  500 * time.Millisecond,
-		WriteTimeout: 500 * time.Millisecond,
+	t.Run("default", func(t *testing.T) {
+		iters := 300
+		if testing.Short() {
+			iters = 100
+		}
+		runServerChaos(t, iters, server.Config{
+			MaxInflight:  4,
+			CmdDeadline:  5 * time.Millisecond,
+			QueueTimeout: time.Millisecond,
+			ReadTimeout:  500 * time.Millisecond,
+			WriteTimeout: 500 * time.Millisecond,
+		}, serverChaosConfig(42, 50*time.Microsecond))
 	})
+	// Deadlines need a long injected delay and an abort in the same
+	// command, so the drill keeps its full length under -short: at 300
+	// transfers per worker a run without -race saw as few as one.
+	t.Run("drill", func(t *testing.T) {
+		srv := runServerChaos(t, 600, server.Config{
+			MaxInflight:  2,
+			CmdDeadline:  2 * time.Millisecond,
+			QueueTimeout: 200 * time.Microsecond,
+			ReadTimeout:  500 * time.Millisecond,
+			WriteTimeout: 500 * time.Millisecond,
+		}, serverChaosConfig(42, time.Millisecond))
+		shed, panics, deadlines, _ := srv.RobustStats()
+		t.Logf("shed %d, recovered panics %d, command deadlines %d", shed, panics, deadlines)
+		if shed == 0 || panics == 0 || deadlines == 0 {
+			t.Fatalf("a degradation path never fired: shed %d, recovered panics %d, command deadlines %d",
+				shed, panics, deadlines)
+		}
+	})
+}
+
+// runServerChaos runs iters chaos transfers per worker against a server
+// built from cfg with ccfg injected, checks the invariants, and returns the
+// server for further assertions on its counters.
+func runServerChaos(t *testing.T, iters int, cfg server.Config, ccfg chaos.Config) *server.Server {
+	srv, addr := startServer(t, cfg)
 	store := srv.Store()
 
 	const (
@@ -59,15 +95,11 @@ func TestChaosServerInvariants(t *testing.T) {
 		store.Set(chaosAcct(i), kv.FormatInt(initial))
 	}
 
-	in := chaos.New(serverChaosConfig(42))
+	in := chaos.New(ccfg)
 	chaos.Enable(in)
 	defer chaos.Disable()
 
-	workers := 8
-	iters := 300
-	if testing.Short() {
-		iters = 100
-	}
+	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -187,4 +219,5 @@ func TestChaosServerInvariants(t *testing.T) {
 	if want := int64(accounts * initial); sum != want {
 		t.Fatalf("balance sum %d, want %d: a fault tore a transfer", sum, want)
 	}
+	return srv
 }

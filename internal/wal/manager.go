@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"memtx/internal/chaos"
 	"memtx/internal/obs"
 	"memtx/internal/wal/walfs"
 )
@@ -187,16 +186,15 @@ func (m *Manager) NoteReplay(records, pairs uint64) {
 // the checkpoint is incremental: the previous snapshot's pairs are carried
 // over unchanged — except keys for which skip returns true — and pairs emits
 // only the live values of the dirty keys; ErrNoPrevSnapshot (not counted as a
-// skip) then reports that there is no valid previous snapshot, and the caller
+// failure) then reports that there is no valid previous snapshot, and the caller
 // falls back to a full checkpoint.
-//
-// An injected chaos fault — ErrSnapshotSkipped or an InjectedPanic, which is
-// recovered here — is counted and returned; nothing was written.
-func (m *Manager) Checkpoint(shard int, covered uint64, skip func(key []byte) bool, pairs func(emit func(key, val []byte) error) error) (err error) {
-	defer m.recoverSnapshotPanic(&err)
+func (m *Manager) Checkpoint(shard int, covered uint64, skip func(key []byte) bool, pairs func(emit func(key, val []byte) error) error) error {
 	start := time.Now()
 	dir := ShardDir(m.opts.Dir, shard)
-	var st snapStats
+	var (
+		st  snapStats
+		err error
+	)
 	if skip == nil {
 		st, err = writeSnapshotFile(m.fs, dir, covered, pairs)
 	} else {
@@ -210,19 +208,6 @@ func (m *Manager) Checkpoint(shard int, covered uint64, skip func(key []byte) bo
 	}
 	m.noteSnapshot(st, skip != nil, start)
 	return nil
-}
-
-// recoverSnapshotPanic converts an injected chaos panic into
-// ErrSnapshotSkipped; anything else keeps unwinding.
-func (m *Manager) recoverSnapshotPanic(err *error) {
-	if r := recover(); r != nil {
-		if _, ok := r.(*chaos.InjectedPanic); ok {
-			m.snapshotSkips.Add(1)
-			*err = ErrSnapshotSkipped
-			return
-		}
-		panic(r)
-	}
 }
 
 // noteSnapshot folds one written snapshot into the metrics.
@@ -272,7 +257,7 @@ func (m *Manager) ObsMetrics() []obs.Metric {
 		{Name: "stmkvd_wal_replay_snapshot_pairs_total", Help: "Key/value pairs loaded from snapshots at boot.", Kind: obs.Counter, Value: m.replayPairs.Load()},
 		{Name: "stmkvd_wal_torn_tails_total", Help: "Torn tail records truncated during recovery.", Kind: obs.Counter, Value: m.tornTails.Load()},
 		{Name: "stmkvd_wal_snapshots_total", Help: "Snapshot checkpoints written.", Kind: obs.Counter, Value: m.snapshots.Load()},
-		{Name: "stmkvd_wal_snapshot_skips_total", Help: "Snapshot checkpoint attempts skipped or failed.", Kind: obs.Counter, Value: m.snapshotSkips.Load()},
+		{Name: "stmkvd_wal_snapshot_skips_total", Help: "Snapshot checkpoint attempts that failed.", Kind: obs.Counter, Value: m.snapshotSkips.Load()},
 		{Name: "stmkvd_wal_snapshot_duration_ns_total", Help: "Cumulative wall time spent writing snapshots.", Kind: obs.Counter, Value: m.snapDurNs.Load()},
 		{Name: "stmkvd_wal_snapshot_last_ns", Help: "Duration of the most recent snapshot write.", Kind: obs.Gauge, Value: m.snapLastNs.Load()},
 		{Name: "stmkvd_wal_snapshot_bytes_total", Help: "Bytes written to snapshot files.", Kind: obs.Counter, Value: m.snapBytes.Load()},

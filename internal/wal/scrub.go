@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"memtx/internal/chaos"
 	"memtx/internal/wal/walfs"
 )
 
@@ -34,7 +33,7 @@ func (m *Manager) StartScrubber(interval time.Duration) {
 			case <-m.scrubStop:
 				return
 			case <-t.C:
-				m.scrubPass()
+				m.ScrubOnce()
 			}
 		}
 	}()
@@ -48,20 +47,6 @@ func (m *Manager) StopScrubber() {
 	close(m.scrubStop)
 	m.scrubWG.Wait()
 	m.scrubStop = nil
-}
-
-// scrubPass runs ScrubOnce behind the chaos gate, absorbing injected faults.
-func (m *Manager) scrubPass() {
-	if in := chaos.Active(); in != nil {
-		act, delay := in.Decide(chaos.WALScrub)
-		switch act {
-		case chaos.ActAbort, chaos.ActPanic:
-			return // skip the pass; the next tick retries
-		case chaos.ActDelay:
-			time.Sleep(delay)
-		}
-	}
-	m.ScrubOnce()
 }
 
 // ScrubOnce verifies the log and every shard's snapshots once and returns the

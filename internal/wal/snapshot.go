@@ -8,9 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"memtx/internal/chaos"
 	"memtx/internal/wal/walfs"
 )
 
@@ -37,10 +35,6 @@ func parseSnapName(name string) (uint64, bool) {
 	}
 	return n, true
 }
-
-// ErrSnapshotSkipped reports that a chaos fault cancelled the checkpoint
-// attempt before any file was touched; a later attempt retries.
-var ErrSnapshotSkipped = errors.New("wal: snapshot attempt skipped by injected fault")
 
 // ErrNoPrevSnapshot reports that an incremental snapshot found no previous
 // valid snapshot to merge into; the caller falls back to a full checkpoint.
@@ -101,17 +95,6 @@ func writeSnapshotMerge(fsys walfs.FS, dir string, covered uint64, skip func(key
 }
 
 func writeSnapshotFile(fsys walfs.FS, dir string, covered uint64, pairs func(emit func(key, val []byte) error) error) (snapStats, error) {
-	if in := chaos.Active(); in != nil {
-		act, delay := in.Decide(chaos.SnapshotWrite)
-		switch act {
-		case chaos.ActAbort:
-			return snapStats{}, ErrSnapshotSkipped
-		case chaos.ActDelay:
-			time.Sleep(delay)
-		case chaos.ActPanic:
-			panic(&chaos.InjectedPanic{Point: chaos.SnapshotWrite})
-		}
-	}
 	final := filepath.Join(dir, snapName(covered))
 	tmp := final + ".tmp"
 	f, err := fsys.Create(tmp, false)
