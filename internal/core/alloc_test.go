@@ -50,14 +50,14 @@ func TestOpenForReadFastPathNoAlloc(t *testing.T) {
 	}
 }
 
-// TestOpenForUpdateAmortizedAlloc pins the slab allocator's budget: at most
-// one allocation per OpenForUpdate, amortized — in practice one slabChunk-
-// sized chunk per slabChunk opens, since committed entries cannot be
-// recycled (their published records escape into object headers).
+// TestOpenForUpdateAmortizedAlloc pins the update path's budget: once a
+// pooled transaction and its logs are warm, an update transaction of 64
+// opens allocates nothing — acquiring an object is a CAS on its STM word and
+// an owner store, and releasing it two more stores.
 func TestOpenForUpdateAmortizedAlloc(t *testing.T) {
 	disableGC(t)
 	e := New()
-	objs := make([]engine.Handle, slabChunk)
+	objs := make([]engine.Handle, 64)
 	for i := range objs {
 		objs[i] = e.NewObj(1, 0)
 	}
@@ -73,14 +73,33 @@ func TestOpenForUpdateAmortizedAlloc(t *testing.T) {
 		}
 	}
 	run()
-	avg := testing.AllocsPerRun(100, run)
-	if perOpen := avg / float64(len(objs)); perOpen > 1 {
-		t.Fatalf("OpenForUpdate allocates %.3f allocs per open, want <= 1 amortized", perOpen)
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("update transaction of %d opens allocates %.2f per run, want 0", len(objs), avg)
 	}
-	// Tighter regression bound: the slab refills once per run here; the old
-	// two-records-per-open scheme cost 2*slabChunk allocations per run.
-	if avg > 3 {
-		t.Fatalf("update transaction of %d opens allocates %.2f per run, want <= 3 (one slab chunk)", len(objs), avg)
+}
+
+// TestNewObjIsOneAllocation pins the small-object layout: an object of at
+// most 2 words and 2 refs is one allocation, header and fields together,
+// whether it is created outside a transaction or inside one.
+func TestNewObjIsOneAllocation(t *testing.T) {
+	disableGC(t)
+	e := New()
+	tx := e.Begin()
+	defer tx.Abort()
+	for _, shape := range [][2]int{{0, 1}, {1, 0}, {1, 1}, {2, 1}, {2, 2}} {
+		nw, nr := shape[0], shape[1]
+		for name, alloc := range map[string]func() engine.Handle{
+			"NewObj": func() engine.Handle { return e.NewObj(nw, nr) },
+			"Alloc":  func() engine.Handle { return tx.Alloc(nw, nr) },
+		} {
+			var h engine.Handle
+			if avg := testing.AllocsPerRun(100, func() { h = alloc() }); avg != 1 {
+				t.Errorf("%s(%d, %d) makes %.2f allocations, want 1", name, nw, nr, avg)
+			}
+			if o := h.(*Obj); o.NumWords() != nw || o.NumRefs() != nr {
+				t.Errorf("%s(%d, %d) has shape (%d, %d)", name, nw, nr, o.NumWords(), o.NumRefs())
+			}
+		}
 	}
 }
 

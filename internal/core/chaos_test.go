@@ -32,8 +32,8 @@ func chaosTransferConfig(seed uint64) chaos.Config {
 // TestChaosTransferInvariants hammers a bank-transfer workload while the
 // chaos layer injects aborts, delays, and panics into every STM hot path,
 // then proves the two invariants a broken rollback would violate: the money
-// is conserved, and no object is left owned (a leaked ownership record would
-// wedge every later writer).
+// is conserved, and no object is left owned (a leaked owned bit would wedge
+// every later writer).
 func TestChaosTransferInvariants(t *testing.T) {
 	runChaosTransferInvariants(t, New())
 }
@@ -134,11 +134,12 @@ func runChaosTransferInvariants(t *testing.T, e *Engine) {
 	}
 	t.Logf("injected faults: %d (recovered panics: %d)", in.InjectedTotal(), panics)
 
-	// Invariant 1: no leaked ownership. Every transaction has finished, so
-	// every STM word must hold a plain version record again.
+	// Invariant 1: no object is left owned. Every transaction has finished,
+	// so every STM word must be a plain version again and no owner tag may
+	// survive its release.
 	for i, o := range objs {
-		if m := o.meta.Load(); m.ownerID != 0 {
-			t.Fatalf("account %d still owned by txn %d after all workers finished", i, m.ownerID)
+		if w, owner := o.meta.Load(), o.owner.Load(); w&ownedBit != 0 || owner != 0 {
+			t.Fatalf("account %d left owned after all workers finished (word %#x, owner txn %d)", i, w, owner)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"memtx/internal/chaos"
@@ -8,14 +9,10 @@ import (
 )
 
 // Validate implements engine.Txn: it re-checks every read-log entry against
-// the objects' current STM words. A read is valid if
-//
-//   - the object is unowned at the recorded version, or
-//   - the object is owned by this transaction and the displaced version is
-//     the recorded one.
-//
-// Any other state — a newer version, or ownership by another transaction —
-// is a conflict.
+// the objects' current STM words. A read is valid if the word's version (the
+// displaced one, if the object is owned) is the recorded one and the object
+// is either unowned or owned by this transaction. Any other state — a newer
+// version, or ownership by another transaction — is a conflict.
 func (t *Txn) Validate() error {
 	if !t.valid() {
 		return engine.ErrConflict
@@ -26,17 +23,8 @@ func (t *Txn) Validate() error {
 func (t *Txn) valid() bool {
 	for i := range t.readLog {
 		re := &t.readLog[i]
-		m := re.obj.meta.Load()
-		switch {
-		case m.ownerID == 0:
-			if m.version != re.seen {
-				return false
-			}
-		case m.ownerID == t.id:
-			if m.entry.oldMeta.version != re.seen {
-				return false
-			}
-		default:
+		w := re.obj.meta.Load()
+		if w>>verShift != re.seen || (w&ownedBit != 0 && re.obj.owner.Load() != t.id) {
 			return false
 		}
 	}
@@ -44,12 +32,12 @@ func (t *Txn) valid() bool {
 }
 
 // Commit implements engine.Txn. It validates the read log and, if valid,
-// releases every owned object by publishing its pre-built {version+1}
-// record; the in-place updates thereby become permanent. On conflict the
-// transaction is rolled back and ErrConflict returned.
+// releases every owned object at version+1; the in-place updates thereby
+// become permanent. On conflict the transaction is rolled back and
+// ErrConflict returned.
 //
-// The release loop performs only pointer stores (the records were built at
-// open time), matching the paper's constant-time commit per updated object.
+// The release loop performs two stores per object and no allocation,
+// matching the paper's constant-time commit per updated object.
 func (t *Txn) Commit() error {
 	if t.done {
 		panic("core: Commit on finished transaction")
@@ -68,8 +56,9 @@ func (t *Txn) Commit() error {
 		// log. See Engine.valSeq for why this is sound.
 		eng := t.eng
 		eng.stats.roFastCommits.Add(1)
-		t.finish(true)
-		eng.metrics.ObserveCommit(time.Since(commitStart))
+		now := time.Now()
+		t.finish(true, now)
+		eng.metrics.ObserveCommit(now.Sub(commitStart))
 		return nil
 	}
 	if !t.valid() {
@@ -82,9 +71,9 @@ func (t *Txn) Commit() error {
 		// the window where this transaction holds ownership past validation.
 		in.Step(chaos.WriteBack)
 	}
-	for _, e := range t.updateLog {
-		e.obj.meta.Store(&e.newMeta)
-		e.obj = nil
+	for i, o := range t.updateLog {
+		o.release(o.meta.Load()>>verShift + 1)
+		t.updateLog[i] = nil // pooled transactions must not pin objects
 	}
 	if len(t.updateLog) > 0 {
 		// Invalidate concurrent read-only fast-path snapshots: the objects
@@ -93,8 +82,9 @@ func (t *Txn) Commit() error {
 		t.eng.valSeq.Add(1)
 	}
 	eng, published := t.eng, len(t.updateLog) > 0
-	t.finish(true) // recycles t; use the captured engine afterwards
-	eng.metrics.ObserveCommit(time.Since(commitStart))
+	now := time.Now()
+	t.finish(true, now) // recycles t; use the captured engine afterwards
+	eng.metrics.ObserveCommit(now.Sub(commitStart))
 	if published {
 		eng.signal.bump() // wake transactions blocked in WaitCommit
 	}
@@ -111,12 +101,17 @@ func (t *Txn) Abort() {
 }
 
 // rollback restores undo-logged fields in reverse order, then releases each
-// owned object. Objects that were actually written (dirty) are released at
-// version+1 so that optimistic readers which may have observed the transient
-// values fail validation; clean objects get their original version record
-// back, avoiding false conflicts.
+// owned object.
 func (t *Txn) rollback() {
-	for i := len(t.undoLog) - 1; i >= 0; i-- {
+	t.undoTo(0)
+	t.releaseFrom(0)
+	t.finish(false, time.Now())
+}
+
+// undoTo restores the undo-logged fields beyond the first n entries, newest
+// first, and truncates the undo log to n.
+func (t *Txn) undoTo(n int) {
+	for i := len(t.undoLog) - 1; i >= n; i-- {
 		u := &t.undoLog[i]
 		if u.isRef {
 			u.obj.refs[u.idx].Store(u.oldRef)
@@ -124,10 +119,25 @@ func (t *Txn) rollback() {
 			u.obj.words[u.idx].Store(u.oldWord)
 		}
 	}
-	for _, e := range t.updateLog {
-		e.release()
+	t.undoLog = t.undoLog[:n]
+}
+
+// releaseFrom gives up the objects acquired beyond the first n update-log
+// entries and truncates the update log to n. Objects that were actually
+// written (dirty) are released at version+1 so that optimistic readers which
+// may have observed the transient values fail validation; clean objects get
+// their original version back, avoiding false conflicts.
+func (t *Txn) releaseFrom(n int) {
+	for i, o := range t.updateLog[n:] {
+		w := o.meta.Load()
+		v := w >> verShift
+		if w&dirtyBit != 0 {
+			v++
+		}
+		o.release(v)
+		t.updateLog[n+i] = nil
 	}
-	t.finish(false)
+	t.updateLog = t.updateLog[:n]
 }
 
 // Compact implements engine.Txn: it deduplicates the read log in place,
@@ -158,27 +168,34 @@ func (t *Txn) Compact() {
 }
 
 // finish folds the transaction's local counters into the engine and recycles
-// the Txn value.
-func (t *Txn) finish(committed bool) {
+// the Txn value; end is when the attempt ended.
+func (t *Txn) finish(committed bool, end time.Time) {
 	t.done = true
 	s := &t.eng.stats
 	m := &t.eng.metrics
-	m.ObserveAttempt(time.Since(t.began))
+	m.ObserveAttempt(end.Sub(t.began))
 	if committed {
 		s.commits.Add(1)
 	} else {
 		m.RecordAbort(t.cause)
 		s.aborts.Add(1)
 	}
-	s.openForRead.Add(t.nOpenRead)
-	s.openForUpdate.Add(t.nOpenUpdate)
-	s.undoLogged.Add(t.nUndo)
-	s.readLogEntries.Add(t.nReadLog)
-	s.filterHits.Add(t.nFilterHits)
-	s.localSkips.Add(t.nLocalSkips)
-	s.compactions.Add(t.nCompactions)
-	s.readLogDropped.Add(t.nReadDropped)
-	s.cmWaits.Add(t.nCMWaits)
+	// Most counters are 0 on most transactions, and each shared one is a
+	// contended cache line: add only the others.
+	add := func(dst *atomic.Uint64, n uint64) {
+		if n != 0 {
+			dst.Add(n)
+		}
+	}
+	add(&s.openForRead, t.nOpenRead)
+	add(&s.openForUpdate, t.nOpenUpdate)
+	add(&s.undoLogged, t.nUndo)
+	add(&s.readLogEntries, t.nReadLog)
+	add(&s.filterHits, t.nFilterHits)
+	add(&s.localSkips, t.nLocalSkips)
+	add(&s.compactions, t.nCompactions)
+	add(&s.readLogDropped, t.nReadDropped)
+	add(&s.cmWaits, t.nCMWaits)
 	// Avoid pinning giant log capacity in the pool.
 	const keepCap = 1 << 14
 	if cap(t.readLog) > keepCap {

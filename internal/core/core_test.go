@@ -255,6 +255,38 @@ func TestUpdateUpdateConflictAbandons(t *testing.T) {
 	w1.Abort()
 }
 
+// TestHalfAcquiredObjectIsNotOwnedByFormerOwner covers the window between a
+// winner's CAS of the owned bit and its owner store. A transaction that owned
+// the object before and released it must, in that window, wait on the object
+// like any other transaction rather than conclude that it still holds it:
+// release clears the owner field before it publishes the word.
+func TestHalfAcquiredObjectIsNotOwnedByFormerOwner(t *testing.T) {
+	e := New(WithContentionManager(Passive{}))
+	h := e.NewObj(1, 0)
+	o := h.(*Obj)
+
+	tx := e.Begin().(*Txn)
+	sp := tx.Save()
+	tx.OpenForUpdate(h)
+	tx.RollbackTo(sp)
+
+	// Stand-in for a second transaction between its CAS and its owner store.
+	w := o.meta.Load()
+	if w&ownedBit != 0 || !o.meta.CompareAndSwap(w, w|ownedBit) {
+		t.Fatalf("object still owned after RollbackTo (word %#x)", w)
+	}
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		tx.OpenForUpdate(h)
+	}()
+	if rt, ok := r.(*engine.Retry); !ok || rt.Cause != engine.CauseCMKill {
+		t.Fatalf("OpenForUpdate in the half-acquired window: got %v, want an abandon with CauseCMKill "+
+			"(nil means the former owner took the object for its own)", r)
+	}
+	tx.Abort()
+}
+
 func TestTransactionLocalAllocationSkipsBarriers(t *testing.T) {
 	e := newChecked()
 	before := e.Stats()

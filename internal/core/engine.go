@@ -9,8 +9,9 @@ import (
 
 // Each Engine hands out its own object ids and transaction ids from a
 // per-engine counter (Engine.ids). Transaction ids double as allocation
-// fingerprints (Obj.creator) and are never reused, which makes stale
-// ownership records and stale creator tags harmless. Ids are only ever
+// fingerprints (Obj.creator) and owner tags (Obj.owner) and are never
+// reused, which makes stale creator tags harmless and lets the owner field
+// answer "do I own this?" without a race (see Obj.owner). Ids are only ever
 // compared for equality within one engine — handles never legally cross
 // engines — so independent engines (one per kv shard) may reuse the same
 // numeric ids without ambiguity, and no process-global counter is needed.
@@ -117,24 +118,6 @@ func (e *Engine) Name() string { return "direct" }
 // NewObj allocates a shared object outside any transaction, at version 1.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
 	return newObj(e.ids.Take(), 0, nwords, nrefs)
-}
-
-// versionOne is the initial STM word shared by every freshly allocated
-// object. Version records are immutable once published and are compared by
-// value everywhere except the OpenForUpdate CAS (which retries on pointer
-// mismatch), so sharing one record is safe and saves an allocation per
-// object.
-var versionOne = &ownership{version: 1}
-
-func newObj(id, creator uint64, nwords, nrefs int) *Obj {
-	o := &Obj{
-		id:      id,
-		creator: creator,
-		words:   make([]atomic.Uint64, nwords),
-		refs:    make([]atomic.Pointer[Obj], nrefs),
-	}
-	o.meta.Store(versionOne)
-	return o
 }
 
 // Begin implements engine.Engine.

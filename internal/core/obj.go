@@ -5,37 +5,58 @@
 //
 // Layout of the design (mirroring the PLDI 2006 system):
 //
-//   - Every object carries an STM word (Obj.meta) holding either a version
-//     number or a pointer to the owning transaction's update-log entry.
-//   - OpenForUpdate CASes the STM word from a version record to an ownership
-//     record; updates then happen in place, guarded by per-word undo-log
-//     entries used for rollback.
+//   - Every object carries one STM word (Obj.meta), a uint64 holding
+//     version<<2 | dirty<<1 | owned. An unowned word holds the object's
+//     version; an owned word keeps the version it displaced, so a reader of
+//     an owned object learns the version it must validate against without
+//     following any pointer.
+//   - OpenForUpdate CASes the owned bit on, then stores its transaction id in
+//     the object's owner field; updates happen in place, guarded by per-word
+//     undo-log entries used for rollback. The owner field exists only for the
+//     owner's own "do I hold this already?" check.
 //   - OpenForRead records the version seen; the read log is validated at
 //     commit (and optionally mid-transaction, since the design is not
 //     opaque).
-//   - Commit releases ownership by publishing a version record with the
-//     version incremented by one; rollback restores the logged words first.
-//     A rollback that actually wrote to the object also increments the
-//     version so that concurrent readers which may have observed dirty data
-//     fail validation.
+//   - Commit releases ownership by clearing the owner field and then storing
+//     the word at version+1; rollback restores the logged words first. A
+//     rollback that actually wrote to the object (dirty bit set) also
+//     increments the version so that concurrent readers which may have
+//     observed dirty data fail validation.
 package core
 
 import "sync/atomic"
 
 // Obj is a transactional object managed by the direct-update engine: a fixed
-// number of scalar words and reference fields, plus the STM metadata word.
+// number of scalar words and reference fields, plus the STM word.
 //
 // Fields are atomics because the direct-update design deliberately lets
 // optimistic readers race with in-place writers; the race is resolved by
 // commit-time validation, and atomics make it well-defined under the Go
 // memory model.
 type Obj struct {
-	meta    atomic.Pointer[ownership]
+	// meta is the STM word: version<<verShift | dirtyBit | ownedBit. Only
+	// the owner changes an owned word (markDirty, release); everyone else
+	// changes it only by CASing the owned bit onto an unowned word.
+	meta atomic.Uint64
+	// owner is the owning transaction's id, or 0 while the object is
+	// unowned and between a winner's CAS and its owner store. The owner
+	// clears it *before* it publishes the release, so the next owner's CAS
+	// happens after the clear; with transaction ids never reused,
+	// owner == t.id therefore holds exactly while t owns the object.
+	// Beyond diagnostics, only that self-check reads it.
+	owner   atomic.Uint64
 	id      uint64 // unique, for log filtering and diagnostics
 	creator uint64 // id of the allocating transaction, 0 if allocated outside
 	words   []atomic.Uint64
 	refs    []atomic.Pointer[Obj]
 }
+
+// The STM word's encoding.
+const (
+	ownedBit = 1 << 0 // set while a transaction owns the object
+	dirtyBit = 1 << 1 // set by the owner before its first in-place write
+	verShift = 2      // the version occupies the remaining bits
+)
 
 // ID returns the object's unique identity. IDs are drawn from per-allocator
 // blocks of a global counter and never reused; ids may have gaps but are
@@ -48,55 +69,46 @@ func (o *Obj) NumWords() int { return len(o.words) }
 // NumRefs returns the number of reference fields.
 func (o *Obj) NumRefs() int { return len(o.refs) }
 
-// ownership is the STM word's target. Exactly one of the two shapes is used:
-//
-//   - version record: ownerID == 0, version holds the object's version;
-//   - ownership record: ownerID != 0 identifies the owning transaction and
-//     entry points at its update-log entry for the object.
-//
-// Records are immutable once published, so a reader that loaded the pointer
-// can examine the fields without further synchronization.
-type ownership struct {
-	version uint64
-	ownerID uint64
-	entry   *updateEntry
+// ownedBy reports whether transaction id owns o, given a word w loaded
+// from o.meta.
+func (o *Obj) ownedBy(w, id uint64) bool {
+	return w&ownedBit != 0 && o.owner.Load() == id
 }
 
-// updateEntry is an update-log record: everything needed to release or roll
-// back one owned object. All three STM-word records an entry can publish are
-// embedded by value — ownMeta (published at open), newMeta (published on
-// commit or dirty rollback), and oldMeta (published on clean rollback) — so
-// OpenForUpdate, Commit, and rollback perform no per-record allocation.
-//
-// Lifetime rule: entries are served from a per-transaction slab (chunks of
-// slabChunk entries, one make per chunk). Because the published &e.newMeta /
-// &e.oldMeta records escape into object headers and stay reachable for as
-// long as the object lives, a chunk can never be recycled once any of its
-// entries has been published; only the untouched tail of the current chunk
-// carries over to the next attempt. oldMeta holds a *copy* of the displaced
-// version record rather than a pointer to it, so an entry never references a
-// previous owner's entry (or slab chunk) — otherwise each object would pin
-// the slab chunks of its entire update history. For the same reason obj is
-// cleared once the entry is released (only the owner reads it): a chunk
-// pinned by one live object must not keep its other entries' objects alive.
-type updateEntry struct {
-	obj     *Obj
-	oldMeta ownership // copy of the displaced version record (published on clean abort)
-	newMeta ownership // pre-built {version+1} record published on commit
-	ownMeta ownership // the ownership record published at open time
-	dirty   bool      // true once any field of obj has been undo-logged
+// release gives up the owner's hold on o at the given version. The owner
+// field is cleared before the word is published: the next owner CASes the
+// published word, so its own owner store lands after this clear.
+func (o *Obj) release(version uint64) {
+	o.owner.Store(0)
+	o.meta.Store(version << verShift)
 }
 
-// release gives up ownership on rollback: at version+1 if the object was
-// written, so optimistic readers that may have seen the transient values
-// fail validation, else at its original version.
-func (e *updateEntry) release() {
-	if e.dirty {
-		e.obj.meta.Store(&e.newMeta)
+// smallObj holds an object whose fields fit inline, so that header, words
+// and refs are one allocation: every txds node, bank account and kv bucket
+// header is at most 2 words and 2 refs. Larger shapes keep separately
+// allocated slices.
+type smallObj struct {
+	Obj
+	w [2]atomic.Uint64
+	r [2]atomic.Pointer[Obj]
+}
+
+// newObj allocates an object at version 1.
+func newObj(id, creator uint64, nwords, nrefs int) *Obj {
+	var o *Obj
+	if nwords <= len(smallObj{}.w) && nrefs <= len(smallObj{}.r) {
+		s := new(smallObj)
+		o = &s.Obj
+		o.words, o.refs = s.w[:nwords], s.r[:nrefs]
 	} else {
-		e.obj.meta.Store(&e.oldMeta)
+		o = &Obj{
+			words: make([]atomic.Uint64, nwords),
+			refs:  make([]atomic.Pointer[Obj], nrefs),
+		}
 	}
-	e.obj = nil
+	o.id, o.creator = id, creator
+	o.meta.Store(1 << verShift)
+	return o
 }
 
 // readEntry is a read-log record: the object and the version current when it

@@ -8,13 +8,13 @@ import (
 	"weak"
 )
 
-// TestReleasedEntryDropsObject pins the slab lifetime rule from the object's
-// side: an update-log entry lives as long as its slab chunk, and the chunk as
-// long as any object whose STM word points into it, so a released entry must
-// not keep its own object alive. Two objects are updated in one transaction
-// (so their entries share a chunk), the transaction releases them by each of
-// the three release paths, and the one the test drops must be collected
-// while the other stays reachable.
+// TestReleasedEntryDropsObject pins the update log's lifetime rule from the
+// object's side: a pooled transaction keeps its update log's backing array
+// for the next attempt, so a released entry must not keep its object alive.
+// Two objects are updated in one transaction (so their entries share the
+// array), the transaction releases them by each of the three release paths,
+// and the one the test drops must be collected while the other stays
+// reachable.
 func TestReleasedEntryDropsObject(t *testing.T) {
 	for name, finish := range map[string]func(tx *Txn, keep, drop *Obj) error{
 		"commit": func(tx *Txn, keep, drop *Obj) error {

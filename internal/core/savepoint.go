@@ -43,23 +43,11 @@ func (t *Txn) RollbackTo(sp Savepoint) {
 	if t.done {
 		panic("core: RollbackTo on finished transaction")
 	}
-	for i := len(t.undoLog) - 1; i >= sp.undoLen; i-- {
-		u := &t.undoLog[i]
-		if u.isRef {
-			u.obj.refs[u.idx].Store(u.oldRef)
-		} else {
-			u.obj.words[u.idx].Store(u.oldWord)
-		}
-	}
-	t.undoLog = t.undoLog[:sp.undoLen]
-
+	t.undoTo(sp.undoLen)
 	// Objects acquired after the savepoint are released. (An object owned
 	// before the savepoint never gets a second update-log entry, so every
 	// entry beyond the mark was acquired in the abandoned region.)
-	for _, e := range t.updateLog[sp.updateLen:] {
-		e.release()
-	}
-	t.updateLog = t.updateLog[:sp.updateLen]
+	t.releaseFrom(sp.updateLen)
 	if t.filter != nil {
 		t.filter.Reset()
 	}

@@ -38,21 +38,13 @@ type Txn struct {
 	roSawOwner bool
 
 	readLog   []readEntry
-	updateLog []*updateEntry
+	updateLog []*Obj // objects owned by this attempt, in acquisition order
 	undoLog   []undoEntry
 
 	// filter is the duplicate-log filter, allocated lazily on the first
 	// duplicate check (seen) so that transactions which never log pay
 	// nothing and pooled transactions don't pin an unused table.
 	filter *filter.Filter
-
-	// slab serves update-log entries in chunks of slabChunk; slabUsed is the
-	// index of the next free entry. Used entries are never recycled — their
-	// embedded records escape into object headers (see updateEntry) — but
-	// the untouched tail carries over across attempts, so OpenForUpdate
-	// costs one allocation per slabChunk entries, amortized.
-	slab     []updateEntry
-	slabUsed int
 
 	// ids is this transaction's private block of pre-reserved object ids;
 	// it persists across pool reuse.
@@ -74,9 +66,6 @@ type Txn struct {
 	nFilterHits, nLocalSkips                uint64
 	nCompactions, nReadDropped, nCMWaits    uint64
 }
-
-// slabChunk is the number of update-log entries allocated per slab refill.
-const slabChunk = 64
 
 func newTxn(e *Engine) *Txn {
 	t := &Txn{eng: e, ids: e.ids.Block()}
@@ -121,19 +110,6 @@ func (t *Txn) seen(obj, field uint64) bool {
 		t.filter = filter.New(t.eng.filterSize)
 	}
 	return t.filter.Seen(obj, field)
-}
-
-// newEntry returns the next free slab entry, refilling the slab when the
-// current chunk is exhausted. The returned entry's fields are stale; the
-// caller overwrites all of them before publishing.
-func (t *Txn) newEntry() *updateEntry {
-	if t.slabUsed == len(t.slab) {
-		t.slab = make([]updateEntry, slabChunk)
-		t.slabUsed = 0
-	}
-	e := &t.slab[t.slabUsed]
-	t.slabUsed++
-	return e
 }
 
 // ReadOnly implements engine.Txn.
@@ -193,8 +169,8 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 	if t.opened != nil && !t.opened[o.id] {
 		t.opened[o.id] = false
 	}
-	m := o.meta.Load()
-	if m.ownerID == t.id {
+	w := o.meta.Load()
+	if o.ownedBy(w, t.id) {
 		return // open for update subsumes open for read
 	}
 	if t.seen(o.id, readSlot) {
@@ -204,15 +180,14 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 	if in := chaos.Active(); in != nil {
 		in.Step(chaos.OpenForRead)
 	}
-	seen := m.version
-	if m.ownerID != 0 {
-		seen = m.entry.oldMeta.version
+	if w&ownedBit != 0 {
 		// The owner may have dirtied the object (and bumped valSeq) before
 		// this transaction's roSeq snapshot, so an unchanged valSeq at commit
 		// would not prove this read consistent. Force full validation.
 		t.roSawOwner = true
 	}
-	t.readLog = append(t.readLog, readEntry{obj: o, seen: seen})
+	// An owned word still carries the displaced version.
+	t.readLog = append(t.readLog, readEntry{obj: o, seen: w >> verShift})
 	t.nReadLog++
 	if th := t.eng.compactThreshold; th > 0 && len(t.readLog) > th {
 		t.Compact()
@@ -220,9 +195,9 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 }
 
 // OpenForUpdate implements engine.Txn. Ownership is acquired eagerly by
-// CASing the STM word from a version record to an ownership record pointing
-// at a fresh update-log entry. On an update-update conflict the contention
-// manager decides whether to spin or to abandon the attempt.
+// CASing the owned bit onto the STM word and then tagging the object with
+// this transaction's id. On an update-update conflict the contention manager
+// decides whether to spin or to abandon the attempt.
 func (t *Txn) OpenForUpdate(h engine.Handle) {
 	if t.readonly {
 		panic("core: OpenForUpdate on read-only transaction")
@@ -242,53 +217,46 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 	attempt := 0
 	karmaNoted := false
 	for {
-		m := o.meta.Load()
-		switch {
-		case m.ownerID == t.id:
-			return // already own it
-		case m.ownerID != 0:
-			t.expireAtWait(o.id, m.ownerID)
-			if in := chaos.Active(); in != nil {
-				in.Step(chaos.CMWait)
-			}
-			// Under the adaptive policy, karma discounts the wait-round
-			// counter fed to the policy's give-up check, extending this
-			// waiter's patience in proportion to the attempts it has
-			// already lost.
-			waitAttempt := attempt
-			if t.karma > 0 {
-				if d := t.eng.cmctl.DeferAttempt(attempt, t.karma); d != attempt {
-					waitAttempt = d
-					if !karmaNoted {
-						t.eng.cmctl.NoteKarmaDefer()
-						karmaNoted = true
-					}
-				}
-			}
-			if !t.eng.cm.Wait(waitAttempt) {
-				t.cause = engine.CauseCMKill
-				engine.AbandonCause(engine.CauseCMKill,
-					"object %d owned by txn %d", o.id, m.ownerID)
-			}
-			t.nCMWaits++
-			attempt++
-		default:
-			e := t.newEntry()
-			e.obj = o
-			e.dirty = false
-			// oldMeta copies the displaced version record by value so the
-			// entry never references the previous owner's slab chunk.
-			e.oldMeta = ownership{version: m.version}
-			e.newMeta = ownership{version: m.version + 1}
-			e.ownMeta = ownership{version: m.version, ownerID: t.id, entry: e}
-			if o.meta.CompareAndSwap(m, &e.ownMeta) {
-				t.updateLog = append(t.updateLog, e)
+		w := o.meta.Load()
+		if w&ownedBit == 0 {
+			if o.meta.CompareAndSwap(w, w|ownedBit) {
+				o.owner.Store(t.id)
+				t.updateLog = append(t.updateLog, o)
 				return
 			}
-			// Lost the race: the entry was never published, so it can go
-			// straight back to the slab. Loop to re-examine the STM word.
-			t.slabUsed--
+			continue // lost the race: re-examine the STM word
 		}
+		owner := o.owner.Load()
+		if owner == t.id {
+			return // already own it
+		}
+		// owner may read 0: the winner of the CAS has not tagged the object
+		// yet. It is owned all the same.
+		t.expireAtWait(o.id, owner)
+		if in := chaos.Active(); in != nil {
+			in.Step(chaos.CMWait)
+		}
+		// Under the adaptive policy, karma discounts the wait-round
+		// counter fed to the policy's give-up check, extending this
+		// waiter's patience in proportion to the attempts it has
+		// already lost.
+		waitAttempt := attempt
+		if t.karma > 0 {
+			if d := t.eng.cmctl.DeferAttempt(attempt, t.karma); d != attempt {
+				waitAttempt = d
+				if !karmaNoted {
+					t.eng.cmctl.NoteKarmaDefer()
+					karmaNoted = true
+				}
+			}
+		}
+		if !t.eng.cm.Wait(waitAttempt) {
+			t.cause = engine.CauseCMKill
+			engine.AbandonCause(engine.CauseCMKill,
+				"object %d owned by txn %d", o.id, owner)
+		}
+		t.nCMWaits++
+		attempt++
 	}
 }
 
@@ -326,17 +294,18 @@ func (t *Txn) LogForUndoRef(h engine.Handle, i int) {
 	t.nUndo++
 }
 
-// markDirty flags the owned object's update entry so that rollback bumps the
+// markDirty sets the owned object's dirty bit so that rollback bumps the
 // version: concurrent optimistic readers may have observed the in-place
 // writes and must fail validation even though the data was restored. The
 // clean→dirty transition also advances the engine's valSeq *before* the first
 // store lands, so any read-only transaction that can observe the in-place
 // write sees a changed valSeq at commit and takes the full validation path.
+// Only the owner changes an owned word, so a plain store suffices.
 func (t *Txn) markDirty(o *Obj) {
-	m := o.meta.Load()
-	if m.ownerID == t.id && !m.entry.dirty {
+	w := o.meta.Load()
+	if w&dirtyBit == 0 && o.ownedBy(w, t.id) {
 		t.eng.valSeq.Add(1)
-		m.entry.dirty = true
+		o.meta.Store(w | dirtyBit)
 	}
 }
 
@@ -346,8 +315,7 @@ func (t *Txn) checkOwned(o *Obj, op string) {
 	if !t.eng.checked {
 		return
 	}
-	m := o.meta.Load()
-	if m.ownerID != t.id {
+	if !o.ownedBy(o.meta.Load(), t.id) {
 		panic(fmt.Sprintf("core: %s on object %d not open for update", op, o.id))
 	}
 }

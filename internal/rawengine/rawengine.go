@@ -29,8 +29,22 @@ func New() *Engine { return &Engine{} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "raw" }
 
+// smallObj holds an object of at most 2 words and 2 refs in one
+// allocation, as the direct-update engine does, so that comparisons against
+// it measure the STM and not the allocator.
+type smallObj struct {
+	Obj
+	w [2]uint64
+	r [2]*Obj
+}
+
 // NewObj implements engine.Engine.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
+	if nwords <= len(smallObj{}.w) && nrefs <= len(smallObj{}.r) {
+		s := new(smallObj)
+		s.words, s.refs = s.w[:nwords], s.r[:nrefs]
+		return &s.Obj
+	}
 	return &Obj{words: make([]uint64, nwords), refs: make([]*Obj, nrefs)}
 }
 
