@@ -11,7 +11,6 @@
 //
 //	stmkvd                               # serve on :7070, 16 shards
 //	stmkvd -addr :7070 -shards 4         # explicit listen address and shard count
-//	stmkvd -cm adaptive                  # adaptive contention management
 //	stmkvd -serve-metrics :8080          # expose /metrics and /stats.json
 //	stmkvd -serve-metrics :8080 -pprof   # also expose /debug/pprof/
 //	stmkvd -max-batch 0                  # disable read-snapshot batching
@@ -41,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/obs"
 	"memtx/internal/server"
@@ -52,7 +50,6 @@ func main() {
 		addr         = flag.String("addr", ":7070", "TCP listen address")
 		shards       = flag.Int("shards", 16, "number of store shards (rounded up to a power of two)")
 		buckets      = flag.Int("buckets", 1024, "hash buckets per shard (rounded up to a power of two)")
-		cmPolicy     = flag.String("cm", "fixed", "contention management policy: fixed or adaptive")
 		maxInflight  = flag.Int("max-inflight", 128, "max concurrently executing transactions (0 = default)")
 		maxBatch     = flag.Int("max-batch", server.DefaultMaxBatch, "max pipelined read-only commands coalesced into one snapshot transaction (0 = off)")
 		maxWBatch    = flag.Int("max-write-batch", server.DefaultMaxWriteBatch, "max pipelined same-shard SET/INCR commands coalesced into one write transaction (0 = off)")
@@ -75,15 +72,12 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "stmkvd: ", log.LstdFlags)
 
-	cm, err := memtx.ParseCMPolicy(*cmPolicy)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	cfg := kv.Config{Shards: *shards, Buckets: *buckets, CM: cm}
+	cfg := kv.Config{Shards: *shards, Buckets: *buckets}
 	var store *kv.Store
 	if *walDir != "" {
 		bootStart := time.Now()
 		var stats *kv.RecoveryStats
+		var err error
 		store, stats, err = kv.Open(cfg, kv.DurableConfig{
 			Dir:                  *walDir,
 			FsyncBatch:           *walBatch,
@@ -147,7 +141,7 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe(*addr) }()
-	logger.Printf("serving on %s (%d shards, %s cm)", *addr, store.Shards(), cm)
+	logger.Printf("serving on %s (%d shards)", *addr, store.Shards())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -35,19 +35,7 @@ func chaosTransferConfig(seed uint64) chaos.Config {
 // is conserved, and no object is left owned (a leaked owned bit would wedge
 // every later writer).
 func TestChaosTransferInvariants(t *testing.T) {
-	runChaosTransferInvariants(t, New())
-}
-
-// TestChaosTransferInvariantsAdaptiveCM repeats the chaos hammer with the
-// adaptive contention-management policy enabled: injected aborts drive the
-// EWMA and karma paths hard, and the same rollback invariants must hold.
-func TestChaosTransferInvariantsAdaptiveCM(t *testing.T) {
 	e := New()
-	e.CM().SetPolicy(engine.CMAdaptive)
-	runChaosTransferInvariants(t, e)
-}
-
-func runChaosTransferInvariants(t *testing.T, e *Engine) {
 	const (
 		accounts = 64
 		initBal  = 1000
@@ -173,14 +161,11 @@ func runChaosTransferInvariants(t *testing.T, e *Engine) {
 		t.Fatalf("per-cause abort total %d != stats aborts %d", byCause, s.Aborts)
 	}
 
-	// The contention controller saw every attempt, and with this much
-	// injected conflict its abort estimate must have moved off zero.
-	cs := e.CM().Stats()
-	if cs.Outcomes == 0 {
-		t.Fatal("contention controller observed no outcomes")
-	}
-	if s.Aborts > 0 && cs.AbortEWMAPpm == 0 {
-		t.Fatal("aborts occurred but the abort-rate EWMA stayed zero")
+	// The contention manager saw every attempt that ran to an outcome: an
+	// injected panic unwinds through the retry driver before its attempt is
+	// observed.
+	if cs := e.CM().Stats(); cs.Outcomes+uint64(panics) != s.Starts {
+		t.Fatalf("CM outcomes %d + recovered panics %d != starts %d", cs.Outcomes, panics, s.Starts)
 	}
 }
 

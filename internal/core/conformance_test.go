@@ -28,14 +28,6 @@ func TestConformancePatientCM(t *testing.T) {
 	})
 }
 
-func TestConformanceAdaptiveCM(t *testing.T) {
-	enginetest.Run(t, func() engine.Engine {
-		e := core.New()
-		e.CM().SetPolicy(engine.CMAdaptive)
-		return e
-	})
-}
-
 func TestConformanceChecked(t *testing.T) {
 	enginetest.Run(t, func() engine.Engine { return core.New(core.WithChecked(true)) })
 }

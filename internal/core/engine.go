@@ -158,11 +158,7 @@ func (e *Engine) Stats() engine.Stats {
 // Metrics implements engine.Engine.
 func (e *Engine) Metrics() *engine.Metrics { return &e.metrics }
 
-// CM implements engine.Engine. Beyond the retry-loop backoff pacing every
-// engine gets from the controller, the direct-update engine consults it at
-// OpenForUpdate ownership waits: under the adaptive policy a waiter's karma
-// (attempts already lost) extends the contention manager's patience bound
-// before CMKill, so long transactions stop starving under skew.
+// CM implements engine.Engine.
 func (e *Engine) CM() *engine.CM { return &e.cmctl }
 
 var _ engine.Engine = (*Engine)(nil)

@@ -56,11 +56,6 @@ type Txn struct {
 	// opened tracks opened object ids in checked mode only.
 	opened map[uint64]bool // value: true if open for update
 
-	// karma is the number of attempts this logical transaction has already
-	// lost, set by the retry loops via SetKarma before re-execution. The
-	// adaptive contention-management policy consults it at ownership waits.
-	karma int
-
 	// local statistic counters, folded into the engine on finish.
 	nOpenRead, nOpenUpdate, nUndo, nReadLog uint64
 	nFilterHits, nLocalSkips                uint64
@@ -85,7 +80,6 @@ func (t *Txn) start(readonly bool) {
 	t.deadline = time.Time{}
 	t.roSeq = t.eng.valSeq.Load()
 	t.roSawOwner = false
-	t.karma = 0
 	t.readLog = t.readLog[:0]
 	t.updateLog = t.updateLog[:0]
 	t.undoLog = t.undoLog[:0]
@@ -123,11 +117,6 @@ func (t *Txn) BindContext(ctx context.Context, deadline time.Time) {
 	t.ctx = ctx
 	t.deadline = deadline
 }
-
-// SetKarma implements engine.KarmaSetter: the retry loops report how many
-// attempts this logical transaction has already lost so the adaptive
-// contention-management policy can grant it more patience at ownership waits.
-func (t *Txn) SetKarma(karma int) { t.karma = karma }
 
 // expireAtWait abandons the attempt with CauseDeadline if the bound context
 // or deadline has expired while the transaction waits on another owner.
@@ -215,7 +204,6 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		in.Step(chaos.OpenForUpdate)
 	}
 	attempt := 0
-	karmaNoted := false
 	for {
 		w := o.meta.Load()
 		if w&ownedBit == 0 {
@@ -236,21 +224,7 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		if in := chaos.Active(); in != nil {
 			in.Step(chaos.CMWait)
 		}
-		// Under the adaptive policy, karma discounts the wait-round
-		// counter fed to the policy's give-up check, extending this
-		// waiter's patience in proportion to the attempts it has
-		// already lost.
-		waitAttempt := attempt
-		if t.karma > 0 {
-			if d := t.eng.cmctl.DeferAttempt(attempt, t.karma); d != attempt {
-				waitAttempt = d
-				if !karmaNoted {
-					t.eng.cmctl.NoteKarmaDefer()
-					karmaNoted = true
-				}
-			}
-		}
-		if !t.eng.cm.Wait(waitAttempt) {
+		if !t.eng.cm.Wait(attempt) {
 			t.cause = engine.CauseCMKill
 			engine.AbandonCause(engine.CauseCMKill,
 				"object %d owned by txn %d", o.id, owner)

@@ -12,12 +12,11 @@ import (
 //
 // The zero value is ready to use (and stays on the caller's stack — Run's
 // fast path must not allocate); the RNG is seeded on first use. Binding a CM
-// controller makes the spin threshold and sleep cap adaptive and accounts
-// every wait in the stm_cm_* counters.
+// accounts every wait in the stm_cm_* counters.
 type Backoff struct {
 	attempt int
 	rng     uint64
-	cm      *CM // optional knob source + wait accounting; nil = fixed defaults
+	cm      *CM // optional wait accounting
 }
 
 const (
@@ -26,8 +25,8 @@ const (
 	backoffMaxShift     = 14 // cap sleep at base << 14 ≈ 8ms
 )
 
-// Bind attaches a CM controller: subsequent waits consult its (possibly
-// adaptive) spin/cap knobs and are counted in its stm_cm_* metrics.
+// Bind attaches a CM account: subsequent waits are counted in its stm_cm_*
+// metrics.
 func (b *Backoff) Bind(cm *CM) { b.cm = cm }
 
 func (b *Backoff) next() uint64 {
@@ -50,19 +49,15 @@ func (b *Backoff) next() uint64 {
 // Both Wait and WaitCtx are thin wrappers around it.
 func (b *Backoff) duration() time.Duration {
 	b.attempt++
-	spin, maxShift := backoffSpinAttempts, backoffMaxShift
-	if b.cm != nil {
-		spin, maxShift = b.cm.spinLimitNow(), b.cm.capShiftNow()
-	}
-	if b.attempt <= spin {
+	if b.attempt <= backoffSpinAttempts {
 		if b.cm != nil {
 			b.cm.noteSpin()
 		}
 		return 0
 	}
-	shift := b.attempt - spin
-	if shift > maxShift {
-		shift = maxShift
+	shift := b.attempt - backoffSpinAttempts
+	if shift > backoffMaxShift {
+		shift = backoffMaxShift
 	}
 	window := uint64(1) << uint(shift)
 	d := backoffBaseSleep * time.Duration(1+b.next()%window)

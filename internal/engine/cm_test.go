@@ -5,198 +5,46 @@ import (
 	"time"
 )
 
-func TestParseCMPolicy(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want CMPolicy
-	}{
-		{"", CMFixed},
-		{"fixed", CMFixed},
-		{"adaptive", CMAdaptive},
-	} {
-		got, err := ParseCMPolicy(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseCMPolicy(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseCMPolicy("polite"); err == nil {
-		t.Error("ParseCMPolicy accepted an unknown policy")
-	}
-	if CMFixed.String() != "fixed" || CMAdaptive.String() != "adaptive" {
-		t.Errorf("String spellings: %q / %q", CMFixed, CMAdaptive)
-	}
-}
-
-// TestCMAdaptTiers drives the abort-rate estimate into each tier and checks
-// the published knobs, plus that the adaptation counter only moves when a
-// knob actually changes.
-func TestCMAdaptTiers(t *testing.T) {
-	var c CM
-	c.SetPolicy(CMAdaptive)
-	cases := []struct {
-		ppm         uint64
-		spin, shift int
-	}{
-		{0, 6, 12},               // contention-free
-		{cmLowPPM, 4, 10},        // moderate
-		{cmMidPPM, 2, 8},         // heavy
-		{cmHighPPM, 1, 6},        // pathological
-		{cmHighPPM + 1000, 1, 6}, // same tier: no new adaptation
-	}
-	var wantAdapt uint64
-	for _, tc := range cases {
-		before := c.Stats().Adaptations
-		c.ewmaPPM.Store(tc.ppm)
-		c.adapt()
-		if got := c.spinLimitNow(); got != tc.spin {
-			t.Errorf("ppm %d: spin = %d, want %d", tc.ppm, got, tc.spin)
-		}
-		if got := c.capShiftNow(); got != tc.shift {
-			t.Errorf("ppm %d: capShift = %d, want %d", tc.ppm, got, tc.shift)
-		}
-		if before != c.Stats().Adaptations {
-			wantAdapt++
-		}
-	}
-	// Four distinct tiers were visited, the fifth call changed nothing.
-	if got := c.Stats().Adaptations; got != 4 || wantAdapt != 4 {
-		t.Errorf("adaptations = %d (changes observed %d), want 4", got, wantAdapt)
-	}
-}
-
-// TestCMObserveOutcomeEWMA checks the estimate's direction: sustained
-// conflicts push it toward 100%, sustained commits decay it back down, and
-// the adaptive knobs follow through the ObserveOutcome path alone.
-func TestCMObserveOutcomeEWMA(t *testing.T) {
-	var c CM
-	c.SetPolicy(CMAdaptive)
-	for i := 0; i < 512; i++ {
-		c.ObserveOutcome(true)
-	}
-	s := c.Stats()
-	if s.Outcomes != 512 {
-		t.Fatalf("outcomes = %d, want 512", s.Outcomes)
-	}
-	if s.AbortEWMAPpm < cmHighPPM {
-		t.Fatalf("EWMA = %d ppm after 512 straight conflicts, want >= %d", s.AbortEWMAPpm, cmHighPPM)
-	}
-	if s.SpinLimit != 1 || s.CapShift != 6 {
-		t.Fatalf("knobs (%d,%d) under pathological contention, want (1,6)", s.SpinLimit, s.CapShift)
-	}
-	for i := 0; i < 1024; i++ {
-		c.ObserveOutcome(false)
-	}
-	s = c.Stats()
-	if s.AbortEWMAPpm >= cmLowPPM {
-		t.Fatalf("EWMA = %d ppm after 1024 straight commits, want < %d", s.AbortEWMAPpm, cmLowPPM)
-	}
-	if s.SpinLimit != 6 || s.CapShift != 12 {
-		t.Fatalf("knobs (%d,%d) after contention subsided, want (6,12)", s.SpinLimit, s.CapShift)
-	}
-}
-
-// TestCMFixedPolicyInert pins that the fixed policy accounts outcomes but
-// never adapts: the knobs stay at the historical defaults no matter the
-// abort rate.
+// TestCMFixedPolicyInert pins that observing outcomes only counts them:
+// pacing is fixed, so no wait counter moves however many attempts conflict.
 func TestCMFixedPolicyInert(t *testing.T) {
 	var c CM
 	for i := 0; i < 512; i++ {
-		c.ObserveOutcome(true)
+		c.ObserveOutcome()
 	}
-	s := c.Stats()
-	if s.Outcomes != 512 || s.AbortEWMAPpm == 0 {
-		t.Fatalf("fixed policy stopped accounting: %+v", s)
-	}
-	if s.Adaptations != 0 {
-		t.Fatalf("fixed policy adapted %d times", s.Adaptations)
-	}
-	if c.spinLimitNow() != backoffSpinAttempts || c.capShiftNow() != backoffMaxShift {
-		t.Fatalf("fixed knobs (%d,%d), want defaults (%d,%d)",
-			c.spinLimitNow(), c.capShiftNow(), backoffSpinAttempts, backoffMaxShift)
+	if s := c.Stats(); s != (CMStats{Outcomes: 512}) {
+		t.Fatalf("after 512 outcomes: %+v, want only Outcomes 512", s)
 	}
 }
 
-// TestSetPolicyResetsKnobs pins that switching adaptive -> fixed forgets the
-// adapted knobs immediately.
-func TestSetPolicyResetsKnobs(t *testing.T) {
-	var c CM
-	c.SetPolicy(CMAdaptive)
-	c.ewmaPPM.Store(cmHighPPM + 1)
-	c.adapt()
-	if c.spinLimitNow() == backoffSpinAttempts && c.capShiftNow() == backoffMaxShift {
-		t.Fatal("adapt did not move the knobs; the reset below would prove nothing")
-	}
-	c.SetPolicy(CMFixed)
-	if c.Policy() != CMFixed {
-		t.Fatalf("policy = %v after SetPolicy(CMFixed)", c.Policy())
-	}
-	if c.spinLimitNow() != backoffSpinAttempts || c.capShiftNow() != backoffMaxShift {
-		t.Fatalf("knobs (%d,%d) after reset, want defaults", c.spinLimitNow(), c.capShiftNow())
-	}
-}
-
-func TestDeferAttempt(t *testing.T) {
-	var c CM
-	// Fixed policy: karma is ignored entirely.
-	if got := c.DeferAttempt(16, 2); got != 16 {
-		t.Errorf("fixed DeferAttempt(16, 2) = %d, want 16", got)
-	}
-	c.SetPolicy(CMAdaptive)
-	for _, tc := range []struct{ attempt, karma, want int }{
-		{16, 0, 16}, // no karma: passthrough
-		{16, 1, 8},
-		{16, 2, 4},
-		{16, 3, 2},
-		{16, 9, 2}, // discount saturates at 2^3
-	} {
-		if got := c.DeferAttempt(tc.attempt, tc.karma); got != tc.want {
-			t.Errorf("adaptive DeferAttempt(%d, %d) = %d, want %d", tc.attempt, tc.karma, got, tc.want)
-		}
-	}
-}
-
-// TestCMStatsAdd pins the sharded-aggregation merge rule: counters sum,
-// gauges keep the maximum.
+// TestCMStatsAdd pins the sharded-aggregation merge rule: every counter sums.
 func TestCMStatsAdd(t *testing.T) {
-	a := CMStats{PolicyAdaptive: 0, Outcomes: 10, AbortEWMAPpm: 5000, SpinLimit: 4, CapShift: 14,
-		Waits: 3, Spins: 2, Sleeps: 1, SleepNanos: 100, KarmaDefers: 0, Adaptations: 0}
-	b := CMStats{PolicyAdaptive: 1, Outcomes: 20, AbortEWMAPpm: 900, SpinLimit: 1, CapShift: 6,
-		Waits: 7, Spins: 4, Sleeps: 3, SleepNanos: 50, KarmaDefers: 2, Adaptations: 5}
-	got := a.Add(b)
-	want := CMStats{PolicyAdaptive: 1, Outcomes: 30, AbortEWMAPpm: 5000, SpinLimit: 4, CapShift: 14,
-		Waits: 10, Spins: 6, Sleeps: 4, SleepNanos: 150, KarmaDefers: 2, Adaptations: 5}
-	if got != want {
+	a := CMStats{Outcomes: 10, Waits: 3, Spins: 2, Sleeps: 1, SleepNanos: 100}
+	b := CMStats{Outcomes: 20, Waits: 7, Spins: 4, Sleeps: 3, SleepNanos: 50}
+	want := CMStats{Outcomes: 30, Waits: 10, Spins: 6, Sleeps: 4, SleepNanos: 150}
+	if got := a.Add(b); got != want {
 		t.Errorf("Add = %+v, want %+v", got, want)
 	}
 }
 
-// TestBackoffAccountsWaits checks that a bound Backoff feeds the CM's wait
-// counters: the first spinLimit waits spin, later ones sleep and accumulate
-// sleep time.
+// TestBackoffAccountsWaits checks the fixed pacing schedule through a bound
+// CM's counters: the first four waits spin, later ones sleep, and the n-th
+// sleep lasts at most base << n.
 func TestBackoffAccountsWaits(t *testing.T) {
 	var c CM
-	c.SetPolicy(CMAdaptive)
-	// Pathological tier: spin once, then sleep on a tiny cap so the test
-	// stays fast.
-	c.ewmaPPM.Store(cmHighPPM + 1)
-	c.adapt()
 	var b Backoff
 	b.Bind(&c)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		b.Wait()
 	}
 	s := c.Stats()
-	if s.Waits != 4 {
-		t.Fatalf("waits = %d, want 4", s.Waits)
-	}
-	if s.Spins != 1 || s.Sleeps != 3 {
-		t.Fatalf("spins/sleeps = %d/%d, want 1/3 at spin limit 1", s.Spins, s.Sleeps)
+	if s.Waits != 6 || s.Spins != 4 || s.Sleeps != 2 {
+		t.Fatalf("waits/spins/sleeps = %d/%d/%d, want 6/4/2", s.Waits, s.Spins, s.Sleeps)
 	}
 	if s.SleepNanos == 0 {
 		t.Fatal("sleeps recorded no time")
 	}
-	// Cap shift 6 bounds each sleep at base << 6.
-	if max := uint64(3 * (backoffBaseSleep << 6) / time.Nanosecond); s.SleepNanos > max {
-		t.Fatalf("sleep nanos %d exceed the adapted cap bound %d", s.SleepNanos, max)
+	if max := uint64((2 + 4) * backoffBaseSleep / time.Nanosecond); s.SleepNanos > max {
+		t.Fatalf("sleep nanos %d exceed (2+4)*base = %d", s.SleepNanos, max)
 	}
 }

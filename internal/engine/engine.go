@@ -52,10 +52,9 @@ type Engine interface {
 	// for the engine's lifetime; call Snapshot on it to read.
 	Metrics() *Metrics
 
-	// CM returns the engine's contention-management controller: the pacing
-	// policy (fixed or adaptive), the abort-rate estimator behind it, and
-	// the stm_cm_* counters. Like Metrics, the returned pointer is live for
-	// the engine's lifetime.
+	// CM returns the engine's contention-management account: the stm_cm_*
+	// counters of attempt outcomes and backoff waits. Like Metrics, the
+	// returned pointer is live for the engine's lifetime.
 	CM() *CM
 }
 

@@ -73,7 +73,7 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 // opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
 // backoff between attempts, and the feed of every outcome into cm. attempt
 // receives the ctx and effective deadline to bind into the transactions it
-// begins (see BeginAttempt) and karma, the number of attempts already lost.
+// begins (see BeginAttempt).
 // Locks an attempt needs are the attempt's own business: it takes and
 // releases them inside the callback, so a panic unwinding through Drive
 // cannot leak them.
@@ -82,7 +82,7 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 // attempt is handed a nil ctx and zero deadline. A nil ctx with non-zero opts
 // means context.Background().
 func Drive(ctx context.Context, opts RunOptions, cm *CM,
-	attempt func(ctx context.Context, deadline time.Time, karma int) (err error, conflicted bool)) (int, error) {
+	attempt func(ctx context.Context, deadline time.Time) (err error, conflicted bool)) (int, error) {
 
 	bounded := ctx != nil || opts != (RunOptions{})
 	var start, deadline time.Time
@@ -119,8 +119,8 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 				return conflicts, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
 			}
 		}
-		err, conflicted := attempt(ctx, deadline, conflicts)
-		cm.ObserveOutcome(conflicted)
+		err, conflicted := attempt(ctx, deadline)
+		cm.ObserveOutcome()
 		if !conflicted {
 			return conflicts, err
 		}
@@ -138,8 +138,8 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 
 // BeginAttempt begins one transaction attempt on e the way Drive's callers
 // must: bound to ctx and deadline when the engine's transactions can observe
-// them (ctx nil on the unbounded path), and told its karma.
-func BeginAttempt(ctx context.Context, deadline time.Time, karma int, e Engine, readonly bool) Txn {
+// them (ctx nil on the unbounded path).
+func BeginAttempt(ctx context.Context, deadline time.Time, e Engine, readonly bool) Txn {
 	var tx Txn
 	if readonly {
 		tx = e.BeginReadOnly()
@@ -151,19 +151,14 @@ func BeginAttempt(ctx context.Context, deadline time.Time, karma int, e Engine, 
 			cb.BindContext(ctx, deadline)
 		}
 	}
-	if karma > 0 {
-		if ks, ok := tx.(KarmaSetter); ok {
-			ks.SetKarma(karma)
-		}
-	}
 	return tx
 }
 
 // run drives body on e: one BeginAttempt + Attempt per Drive iteration, and
 // on commit the retry histogram records how many aborted attempts it took.
 func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body func(tx Txn) error) error {
-	conflicts, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
-		return Attempt(BeginAttempt(ctx, deadline, karma, e, readonly), body)
+	conflicts, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
+		return Attempt(BeginAttempt(ctx, deadline, e, readonly), body)
 	})
 	if err == nil {
 		e.Metrics().ObserveRetries(conflicts)

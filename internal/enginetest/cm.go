@@ -8,13 +8,8 @@ import (
 )
 
 // testCMStats drives a contended hot-key workload and checks the
-// contention-management controller's accounting: every attempt is observed
-// exactly once, the wait counters are internally consistent, the published
-// knobs stay inside the adaptation tier table, and the policy gauge matches
-// the configured policy. The suite runs it under both policies — the factory
-// decides which — so the fixed path proves accounting stays live with
-// adaptation off, and the adaptive factories prove the knobs never leave the
-// legal range while being recomputed under load.
+// contention-management account: every attempt is observed exactly once and
+// the wait counters are internally consistent.
 func testCMStats(t *testing.T, e engine.Engine) {
 	cm := e.CM()
 	if cm == nil {
@@ -63,48 +58,13 @@ func testCMStats(t *testing.T, e engine.Engine) {
 	if after.Sleeps > 0 && after.SleepNanos == 0 {
 		t.Error("sleeps recorded but total sleep time is zero")
 	}
-	if after.AbortEWMAPpm > 1_000_000 {
-		t.Errorf("abort EWMA %d ppm exceeds 100%%", after.AbortEWMAPpm)
-	}
-	// The published knobs must always be either the fixed defaults or a pair
-	// from the adaptation tier table, no matter how the adapt races resolved.
-	validSpin := map[uint64]bool{1: true, 2: true, 4: true, 6: true}
-	validShift := map[uint64]bool{6: true, 8: true, 10: true, 12: true, 14: true}
-	if !validSpin[after.SpinLimit] || !validShift[after.CapShift] {
-		t.Errorf("knobs (spin=%d, capShift=%d) outside the tier table", after.SpinLimit, after.CapShift)
-	}
 
-	adaptive := cm.Policy() == engine.CMAdaptive
-	wantPolicy := uint64(0)
-	if adaptive {
-		wantPolicy = 1
-	}
-	if after.PolicyAdaptive != wantPolicy {
-		t.Errorf("PolicyAdaptive gauge = %d with policy %v", after.PolicyAdaptive, cm.Policy())
-	}
-	if !adaptive {
-		// Fixed pacing never recomputes knobs and never grants karma
-		// priority; those counters moving would mean the policy leaked.
-		if after.Adaptations != 0 {
-			t.Errorf("fixed policy recorded %d adaptations", after.Adaptations)
-		}
-		if after.KarmaDefers != 0 {
-			t.Errorf("fixed policy recorded %d karma defers", after.KarmaDefers)
-		}
-	}
-
-	// Add is the sharded-aggregation merge: counters sum, gauges keep max.
+	// Add is the sharded-aggregation merge: every counter sums.
 	sum := before.Add(after)
 	if sum.Outcomes != before.Outcomes+after.Outcomes {
 		t.Errorf("Add: outcomes = %d, want %d", sum.Outcomes, before.Outcomes+after.Outcomes)
 	}
 	if sum.Waits != before.Waits+after.Waits {
 		t.Errorf("Add: waits = %d, want %d", sum.Waits, before.Waits+after.Waits)
-	}
-	if sum.PolicyAdaptive != wantPolicy {
-		t.Errorf("Add: PolicyAdaptive = %d, want %d", sum.PolicyAdaptive, wantPolicy)
-	}
-	if sum.AbortEWMAPpm < after.AbortEWMAPpm && sum.AbortEWMAPpm < before.AbortEWMAPpm {
-		t.Error("Add: EWMA gauge lost the maximum")
 	}
 }

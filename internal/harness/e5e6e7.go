@@ -136,7 +136,7 @@ func E6(quick bool) (*Table, error) {
 
 // E7 measures contention behaviour: throughput and abort rate on a shared
 // counter (worst case) and on a bank whose account count sets the conflict
-// probability, under each contention-management policy.
+// probability, under each in-attempt contention-management policy.
 func E7(quick bool) ([]*Table, error) {
 	opsPerThread := 50_000
 	maxThreads := MaxThreads()
@@ -146,32 +146,26 @@ func E7(quick bool) ([]*Table, error) {
 			maxThreads = 4
 		}
 	}
-	// Each variant pairs an in-attempt wait policy (who blinks at an owned
-	// object) with a pacing policy (how retries spin/sleep between attempts).
-	// The adaptive rows exercise the EWMA-driven knobs and karma priority.
-	type cmVariant struct {
-		name   string
-		cm     core.ContentionManager
-		pacing engine.CMPolicy
-	}
-	variants := []cmVariant{
-		{"passive", core.Passive{}, engine.CMFixed},
-		{"polite", core.Polite{}, engine.CMFixed},
-		{"patient", core.Patient{}, engine.CMFixed},
-		{"polite/adaptive", core.Polite{}, engine.CMAdaptive},
-		{"patient/adaptive", core.Patient{}, engine.CMAdaptive},
+	// Each variant is an in-attempt wait policy: who blinks at an owned
+	// object. Retries between attempts are paced by the one fixed backoff.
+	variants := []struct {
+		name string
+		cm   core.ContentionManager
+	}{
+		{"passive", core.Passive{}},
+		{"polite", core.Polite{}},
+		{"patient", core.Patient{}},
 	}
 
 	counter := &Table{
 		ID:     "E7/counter",
 		Title:  "shared counter under full contention",
 		Note:   "throughput flat or falling with threads; abort rate grows; policies differ modestly",
-		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill", "defers", "p50att", "p99att"},
+		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
 	}
 	for _, threads := range ThreadCounts(maxThreads) {
 		for _, v := range variants {
 			e := track("e7.counter", core.New(core.WithContentionManager(v.cm)))
-			e.CM().SetPolicy(v.pacing)
 			c := txds.NewCounter(e)
 			before := e.Stats()
 			mBefore := e.Metrics().Snapshot()
@@ -184,7 +178,6 @@ func E7(quick bool) ([]*Table, error) {
 				fmt.Sprint(s.Aborts), Pct(s.Aborts, s.Starts),
 				fmt.Sprint(m.Aborts(engine.CauseValidation)),
 				fmt.Sprint(m.Aborts(engine.CauseCMKill)),
-				fmt.Sprint(e.CM().Stats().KarmaDefers),
 				obs.FormatNanos(m.Attempts.Quantile(0.50)),
 				obs.FormatNanos(m.Attempts.Quantile(0.99)))
 		}
@@ -198,13 +191,12 @@ func E7(quick bool) ([]*Table, error) {
 		ID:     "E7/long",
 		Title:  "counter with a yield between read and write (long transactions)",
 		Note:   "aborts appear as soon as threads > 1; throughput drops accordingly",
-		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill", "defers", "p50att", "p99att"},
+		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
 	}
 	longOps := opsPerThread / 10
 	for _, threads := range ThreadCounts(maxThreads) {
 		for _, v := range variants {
 			e := track("e7.long", core.New(core.WithContentionManager(v.cm)))
-			e.CM().SetPolicy(v.pacing)
 			c := txds.NewCounter(e)
 			before := e.Stats()
 			mBefore := e.Metrics().Snapshot()
@@ -223,7 +215,6 @@ func E7(quick bool) ([]*Table, error) {
 				fmt.Sprint(s.Aborts), Pct(s.Aborts, s.Starts),
 				fmt.Sprint(m.Aborts(engine.CauseValidation)),
 				fmt.Sprint(m.Aborts(engine.CauseCMKill)),
-				fmt.Sprint(e.CM().Stats().KarmaDefers),
 				obs.FormatNanos(m.Attempts.Quantile(0.50)),
 				obs.FormatNanos(m.Attempts.Quantile(0.99)))
 		}
@@ -233,31 +224,23 @@ func E7(quick bool) ([]*Table, error) {
 		ID:     "E7/bank",
 		Title:  "bank transfers: abort rate vs sharing degree (polite CM)",
 		Note:   "fewer accounts => more conflicts => more aborts, lower throughput",
-		Header: []string{"accounts", "threads", "pacing", "ops/s", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
+		Header: []string{"accounts", "threads", "ops/s", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
 	}
-	accountCounts := []int{4, 64, 1024}
-	for _, nAcc := range accountCounts {
-		for _, threads := range []int{maxThreads} {
-			// The account count sets the effective skew, so this is where the
-			// fixed-vs-adaptive pacing comparison belongs.
-			for _, pacing := range []engine.CMPolicy{engine.CMFixed, engine.CMAdaptive} {
-				e := track("e7.bank", core.New())
-				e.CM().SetPolicy(pacing)
-				b := txds.NewBank(e, nAcc, 1_000_000)
-				before := e.Stats()
-				mBefore := e.Metrics().Snapshot()
-				ops := Throughput(threads, opsPerThread, func(w int, rng *Rand) {
-					b.TransferAtomic(rng.Intn(nAcc), rng.Intn(nAcc), uint64(rng.Intn(5)))
-				})
-				s := e.Stats().Sub(before)
-				m := e.Metrics().Snapshot().Sub(mBefore)
-				bank.AddRow(fmt.Sprint(nAcc), fmt.Sprint(threads), pacing.String(), Ops(ops), Pct(s.Aborts, s.Starts),
-					fmt.Sprint(m.Aborts(engine.CauseValidation)),
-					fmt.Sprint(m.Aborts(engine.CauseCMKill)),
-					obs.FormatNanos(m.Attempts.Quantile(0.50)),
-					obs.FormatNanos(m.Attempts.Quantile(0.99)))
-			}
-		}
+	for _, nAcc := range []int{4, 64, 1024} {
+		e := track("e7.bank", core.New())
+		b := txds.NewBank(e, nAcc, 1_000_000)
+		before := e.Stats()
+		mBefore := e.Metrics().Snapshot()
+		ops := Throughput(maxThreads, opsPerThread, func(w int, rng *Rand) {
+			b.TransferAtomic(rng.Intn(nAcc), rng.Intn(nAcc), uint64(rng.Intn(5)))
+		})
+		s := e.Stats().Sub(before)
+		m := e.Metrics().Snapshot().Sub(mBefore)
+		bank.AddRow(fmt.Sprint(nAcc), fmt.Sprint(maxThreads), Ops(ops), Pct(s.Aborts, s.Starts),
+			fmt.Sprint(m.Aborts(engine.CauseValidation)),
+			fmt.Sprint(m.Aborts(engine.CauseCMKill)),
+			obs.FormatNanos(m.Attempts.Quantile(0.50)),
+			obs.FormatNanos(m.Attempts.Quantile(0.99)))
 	}
 	return []*Table{counter, long, bank}, nil
 }

@@ -16,38 +16,21 @@ import (
 // cross-shard runner — on every engine, asserting that all of them bound,
 // pace, and account attempts identically.
 
-// spyEngine wraps a shard's real engine so the test can see what the driver
-// hands each attempt it begins: one karma entry per Begin, in order.
-type spyEngine struct {
+// countingEngine wraps a shard's real engine so the test can count the
+// transactions the driver begins.
+type countingEngine struct {
 	engine.Engine
-	karmas *[]int
+	begins *int
 }
 
-type spyTxn struct {
-	engine.Txn
-	karmas *[]int
-	idx    int
+func (e countingEngine) Begin() engine.Txn {
+	*e.begins++
+	return e.Engine.Begin()
 }
 
-func (e spyEngine) wrap(tx engine.Txn) engine.Txn {
-	*e.karmas = append(*e.karmas, 0)
-	return &spyTxn{Txn: tx, karmas: e.karmas, idx: len(*e.karmas) - 1}
-}
-
-func (e spyEngine) Begin() engine.Txn         { return e.wrap(e.Engine.Begin()) }
-func (e spyEngine) BeginReadOnly() engine.Txn { return e.wrap(e.Engine.BeginReadOnly()) }
-
-func (t *spyTxn) SetKarma(k int) {
-	(*t.karmas)[t.idx] = k
-	if ks, ok := t.Txn.(engine.KarmaSetter); ok {
-		ks.SetKarma(k)
-	}
-}
-
-func (t *spyTxn) BindContext(ctx context.Context, deadline time.Time) {
-	if cb, ok := t.Txn.(engine.CtxBinder); ok {
-		cb.BindContext(ctx, deadline)
-	}
+func (e countingEngine) BeginReadOnly() engine.Txn {
+	*e.begins++
+	return e.Engine.BeginReadOnly()
 }
 
 // driverPath is one caller of engine.Drive under test.
@@ -110,9 +93,9 @@ func TestRetryDriverConformance(t *testing.T) {
 	}
 
 	designs(t, func(t *testing.T, s *Store) {
-		var karmas []int
+		begins := 0
 		for i := range s.shards {
-			s.shards[i].eng = spyEngine{Engine: s.shards[i].eng, karmas: &karmas}
+			s.shards[i].eng = countingEngine{Engine: s.shards[i].eng, begins: &begins}
 		}
 		keyA := []byte("conf-a")
 		var keyB []byte
@@ -207,7 +190,7 @@ func TestRetryDriverConformance(t *testing.T) {
 					}
 					defer cancel()
 
-					karmas = karmas[:0]
+					begins = 0
 					outcomes := s.CMStats().Outcomes
 					attempts := 0
 					err := p.run(ctx, c.opts, c.readonly, func(touch func()) error {
@@ -219,9 +202,9 @@ func TestRetryDriverConformance(t *testing.T) {
 						if c.doomFirst && attempts == 1 {
 							// The interfering writer is a transaction of its
 							// own; keep it out of this run's accounting.
-							nk, no := len(karmas), s.CMStats().Outcomes
+							nb, no := begins, s.CMStats().Outcomes
 							p.bump()
-							karmas = karmas[:nk]
+							begins = nb
 							outcomes += s.CMStats().Outcomes - no
 							return errBoom
 						}
@@ -252,14 +235,8 @@ func TestRetryDriverConformance(t *testing.T) {
 					if c.wantAttempts < 0 && attempts < 1 {
 						t.Fatal("time-bounded case never ran the body")
 					}
-					// Attempt k is handed karma k-1, in every transaction it begins.
-					if len(karmas) != attempts*p.begins {
-						t.Fatalf("%d transactions begun over %d attempts, want %d per attempt", len(karmas), attempts, p.begins)
-					}
-					for i, k := range karmas {
-						if want := i / p.begins; k != want {
-							t.Fatalf("karmas %v: begin %d (attempt %d) got karma %d, want %d", karmas, i, want+1, k, want)
-						}
+					if begins != attempts*p.begins {
+						t.Fatalf("%d transactions begun over %d attempts, want %d per attempt", begins, attempts, p.begins)
 					}
 					// Exactly one ObserveOutcome per attempt.
 					if got := s.CMStats().Outcomes - outcomes; got != uint64(attempts) {

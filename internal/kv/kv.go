@@ -125,8 +125,9 @@ type Config struct {
 	// designs remain selectable so the store's tests can hold every engine
 	// to the same contract.
 	Design memtx.Design
-	// CM selects each shard TM's contention-management pacing policy
-	// (default memtx.CMFixed).
+	// CM is the retry pacing policy.
+	//
+	// Deprecated: ignored; fixed pacing is the only policy.
 	CM memtx.CMPolicy
 }
 
@@ -223,7 +224,7 @@ func New(cfg Config) *Store {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.tm = memtx.New(memtx.WithDesign(cfg.Design), memtx.WithCMPolicy(cfg.CM))
+		sh.tm = memtx.New(memtx.WithDesign(cfg.Design))
 		sh.eng = sh.tm.Engine()
 		dir := sh.tm.NewRecord(0, buckets)
 		err := sh.tm.Atomic(func(tx *memtx.Tx) error {
@@ -357,15 +358,11 @@ func (s *Store) ObsMetrics() []obs.Metric {
 	)
 	cm := s.CMStats()
 	ms = append(ms,
-		obs.Metric{Name: "stmkv_cm_policy_adaptive", Help: "1 when any shard runs the adaptive contention-management policy.", Kind: obs.Gauge, Value: cm.PolicyAdaptive},
-		obs.Metric{Name: "stmkv_cm_outcomes_total", Help: "Attempt outcomes observed by the contention controllers, all shards.", Kind: obs.Counter, Value: cm.Outcomes},
+		obs.Metric{Name: "stmkv_cm_outcomes_total", Help: "Attempt outcomes observed by the contention managers, all shards.", Kind: obs.Counter, Value: cm.Outcomes},
 		obs.Metric{Name: "stmkv_cm_waits_total", Help: "Backoff waits between transaction attempts, all shards.", Kind: obs.Counter, Value: cm.Waits},
 		obs.Metric{Name: "stmkv_cm_spins_total", Help: "Backoff waits satisfied by yielding, all shards.", Kind: obs.Counter, Value: cm.Spins},
 		obs.Metric{Name: "stmkv_cm_sleeps_total", Help: "Backoff waits that slept, all shards.", Kind: obs.Counter, Value: cm.Sleeps},
 		obs.Metric{Name: "stmkv_cm_sleep_ns_total", Help: "Total backoff sleep time, ns, all shards.", Kind: obs.Counter, Value: cm.SleepNanos},
-		obs.Metric{Name: "stmkv_cm_karma_defers_total", Help: "Ownership waits extended by karma priority, all shards.", Kind: obs.Counter, Value: cm.KarmaDefers},
-		obs.Metric{Name: "stmkv_cm_adaptations_total", Help: "Pacing-knob recomputations that changed a knob, all shards.", Kind: obs.Counter, Value: cm.Adaptations},
-		obs.Metric{Name: "stmkv_cm_abort_ewma_ppm", Help: "Abort-rate estimate, ppm (most contended shard).", Kind: obs.Gauge, Value: cm.AbortEWMAPpm},
 	)
 	if s.wal != nil {
 		degraded := uint64(0)
@@ -402,7 +399,6 @@ type Tx struct {
 
 	ctx      context.Context // non-nil on bounded paths: bound into each begun txn
 	deadline time.Time
-	karma    int // attempts already lost; threaded into each begun txn
 
 	committed []int // publish-order scratch: shards committed this attempt
 	counts    [NumOps]uint32
@@ -428,7 +424,7 @@ func (t *Tx) txnFor(sid int) engine.Txn {
 	if t.allowed != nil && !t.allowed[sid] {
 		panic(fmt.Sprintf("kv: key hashes to shard %d outside this transaction's declared shard set", sid))
 	}
-	tx := engine.BeginAttempt(t.ctx, t.deadline, t.karma, t.s.shards[sid].eng, t.readonly)
+	tx := engine.BeginAttempt(t.ctx, t.deadline, t.s.shards[sid].eng, t.readonly)
 	t.txns[sid] = tx
 	return tx
 }
@@ -656,12 +652,12 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, &t, tx) }
 		ws = t.borrowWALScratch()
 	}
-	conflicts, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+	conflicts, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
 		if !readonly {
 			sh.xmu.RLock()
 			defer sh.xmu.RUnlock()
 		}
-		t.raw = engine.BeginAttempt(ctx, deadline, karma, sh.eng, readonly)
+		t.raw = engine.BeginAttempt(ctx, deadline, sh.eng, readonly)
 		t.counts = [NumOps]uint32{}
 		t.effs = t.effs[:0]
 		return engine.AttemptWith(t.raw, wrap, commit)
@@ -707,9 +703,8 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 	if durable {
 		ws = t.borrowWALScratch()
 	}
-	// Cross-shard attempts are paced by the first involved shard's
-	// controller: the set is locked in ascending order, so that shard sees
-	// every such transaction and its abort-rate estimate covers them.
+	// A cross-shard transaction's attempt outcomes and backoff waits are
+	// counted on the first involved shard's CM, so each is counted once.
 	cmSid := 0
 	for i := range s.shards {
 		if allowed == nil || allowed[i] {
@@ -717,10 +712,10 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 			break
 		}
 	}
-	conflicts, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time, karma int) (error, bool) {
+	conflicts, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
 		s.lockShards(allowed, exclusive)
 		defer s.unlockShards(allowed, exclusive)
-		t.ctx, t.deadline, t.karma = ctx, deadline, karma
+		t.ctx, t.deadline = ctx, deadline
 		err, conflicted := t.crossAttempt(body)
 		if conflicted {
 			s.crossRetries.Add(1)

@@ -114,23 +114,17 @@ var histogramFamilies = []struct {
 		func(m engine.MetricsSnapshot) engine.HistogramSnapshot { return m.Retries }},
 }
 
-// cmFamilies maps the stm_cm_* Prometheus families to CMStats accessors.
+// cmFamilies maps the stm_cm_* Prometheus counter families to CMStats
+// accessors.
 var cmFamilies = []struct {
 	name, help string
-	gauge      bool
 	get        func(engine.CMStats) uint64
 }{
-	{"stm_cm_policy_adaptive", "1 when the adaptive contention-management policy is enabled.", true, func(c engine.CMStats) uint64 { return c.PolicyAdaptive }},
-	{"stm_cm_outcomes_total", "Attempt outcomes observed by the contention controller.", false, func(c engine.CMStats) uint64 { return c.Outcomes }},
-	{"stm_cm_waits_total", "Backoff waits between transaction attempts.", false, func(c engine.CMStats) uint64 { return c.Waits }},
-	{"stm_cm_spins_total", "Backoff waits satisfied by yielding.", false, func(c engine.CMStats) uint64 { return c.Spins }},
-	{"stm_cm_sleeps_total", "Backoff waits that slept.", false, func(c engine.CMStats) uint64 { return c.Sleeps }},
-	{"stm_cm_sleep_ns_total", "Total backoff sleep time, ns.", false, func(c engine.CMStats) uint64 { return c.SleepNanos }},
-	{"stm_cm_karma_defers_total", "Ownership waits extended by karma priority.", false, func(c engine.CMStats) uint64 { return c.KarmaDefers }},
-	{"stm_cm_adaptations_total", "Pacing-knob recomputations that changed a knob.", false, func(c engine.CMStats) uint64 { return c.Adaptations }},
-	{"stm_cm_abort_ewma_ppm", "Abort-rate estimate, parts per million.", true, func(c engine.CMStats) uint64 { return c.AbortEWMAPpm }},
-	{"stm_cm_spin_limit", "Current spin-vs-sleep threshold.", true, func(c engine.CMStats) uint64 { return c.SpinLimit }},
-	{"stm_cm_cap_shift", "Current backoff cap shift.", true, func(c engine.CMStats) uint64 { return c.CapShift }},
+	{"stm_cm_outcomes_total", "Attempt outcomes observed by the contention manager.", func(c engine.CMStats) uint64 { return c.Outcomes }},
+	{"stm_cm_waits_total", "Backoff waits between transaction attempts.", func(c engine.CMStats) uint64 { return c.Waits }},
+	{"stm_cm_spins_total", "Backoff waits satisfied by yielding.", func(c engine.CMStats) uint64 { return c.Spins }},
+	{"stm_cm_sleeps_total", "Backoff waits that slept.", func(c engine.CMStats) uint64 { return c.Sleeps }},
+	{"stm_cm_sleep_ns_total", "Total backoff sleep time, ns.", func(c engine.CMStats) uint64 { return c.SleepNanos }},
 }
 
 // WritePrometheus renders the snapshots in the Prometheus text exposition
@@ -147,11 +141,7 @@ func WritePrometheus(w io.Writer, snaps []EngineSnapshot) error {
 	}
 
 	for _, f := range cmFamilies {
-		kind := "counter"
-		if f.gauge {
-			kind = "gauge"
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, kind)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
 		for _, s := range snaps {
 			fmt.Fprintf(w, "%s{engine=%q} %d\n", f.name, s.Name, f.get(s.CM))
 		}

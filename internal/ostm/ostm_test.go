@@ -12,14 +12,6 @@ func TestConformance(t *testing.T) {
 	enginetest.Run(t, func() engine.Engine { return ostm.New() })
 }
 
-func TestConformanceAdaptiveCM(t *testing.T) {
-	enginetest.Run(t, func() engine.Engine {
-		e := ostm.New()
-		e.CM().SetPolicy(engine.CMAdaptive)
-		return e
-	})
-}
-
 func TestShadowIsolation(t *testing.T) {
 	// Writes buffered in a shadow must be invisible to other transactions
 	// until commit.

@@ -40,14 +40,43 @@ func TestGroupWindow(t *testing.T) {
 	}
 
 	t.Run("batch full closes the window", func(t *testing.T) {
+		// Nine records are appended before anyone syncs, and only the first
+		// eight are requested, concurrently. The newest record stays
+		// unrequested, so the last-request rule cannot fire: only the batch
+		// rule (eight records waiting) closes the window before the interval.
 		const interval = time.Second
 		l := openTestLog(t, Options{FsyncBatch: 8, FsyncInterval: interval})
 		defer l.Close()
-		if took := syncAll(t, l, 8); took >= interval/4 {
-			t.Fatalf("8 writers at batch 8 took %v: the full batch did not close the %v window", took, interval)
+		lsns := make([]uint64, 9)
+		for i := range lsns {
+			lsn, err := l.AppendCommit(testOps(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsns[i] = lsn
 		}
-		if got := l.fsyncs.Load(); got == 0 || got > 2 {
-			t.Fatalf("%d fsyncs for one full batch, want 1 or 2", got)
+		start := time.Now()
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = l.Sync(lsns[i])
+			}(i)
+		}
+		wg.Wait()
+		took := time.Since(start)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if took >= interval/4 {
+			t.Fatalf("8 syncs at batch 8 took %v: the full batch did not close the %v window", took, interval)
+		}
+		if got := l.fsyncs.Load(); got != 1 {
+			t.Fatalf("%d fsyncs for one full batch, want 1", got)
 		}
 	})
 

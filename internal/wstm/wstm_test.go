@@ -12,14 +12,6 @@ func TestConformance(t *testing.T) {
 	enginetest.Run(t, func() engine.Engine { return wstm.New() })
 }
 
-func TestConformanceAdaptiveCM(t *testing.T) {
-	enginetest.Run(t, func() engine.Engine {
-		e := wstm.New()
-		e.CM().SetPolicy(engine.CMAdaptive)
-		return e
-	})
-}
-
 func TestConformanceSmallStripeTable(t *testing.T) {
 	// A tiny stripe table forces false conflicts through hash collisions;
 	// the engine must stay correct, only slower.

@@ -74,22 +74,14 @@ func (d Design) String() string {
 	}
 }
 
-// CMPolicy selects how the TM paces transaction re-execution under
-// contention: engine.CMFixed is the historical fixed randomized-exponential
-// backoff; engine.CMAdaptive estimates the abort rate and adapts
-// spin-vs-sleep thresholds and backoff caps, and grants karma priority to
-// repeatedly-aborted transactions at contention-manager waits.
-type CMPolicy = engine.CMPolicy
+// CMPolicy names a retry pacing policy.
+//
+// Deprecated: every TM paces re-execution with the same fixed randomized
+// exponential backoff; CMFixed, that policy, is the only value.
+type CMPolicy uint8
 
-const (
-	// CMFixed is the fixed backoff policy (the default).
-	CMFixed = engine.CMFixed
-	// CMAdaptive is the abort-rate-adaptive policy.
-	CMAdaptive = engine.CMAdaptive
-)
-
-// ParseCMPolicy parses the -cm flag spellings ("fixed", "adaptive").
-func ParseCMPolicy(s string) (CMPolicy, error) { return engine.ParseCMPolicy(s) }
+// CMFixed is the fixed randomized-exponential backoff.
+const CMFixed CMPolicy = 0
 
 // Config collects construction options.
 type Config struct {
@@ -97,7 +89,6 @@ type Config struct {
 	filterSize int
 	compaction int
 	cm         core.ContentionManager
-	cmPolicy   CMPolicy
 	checked    bool
 }
 
@@ -121,13 +112,6 @@ func WithContentionManager(cm core.ContentionManager) Option {
 	return func(c *Config) { c.cm = cm }
 }
 
-// WithCMPolicy selects the contention-management pacing policy (default
-// CMFixed). Unlike WithContentionManager — which picks the direct-update
-// engine's in-attempt wait policy — this applies to every design: it governs
-// the retry-loop backoff all engines share, and on the direct-update engine
-// it additionally enables karma-priority waits.
-func WithCMPolicy(p CMPolicy) Option { return func(c *Config) { c.cmPolicy = p } }
-
 // WithChecked enables protocol checking on the direct-update engine (for
 // tests of decomposed-API code).
 func WithChecked(on bool) Option { return func(c *Config) { c.checked = on } }
@@ -144,22 +128,19 @@ func New(opts ...Option) *TM {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var tm *TM
 	switch cfg.design {
 	case BufferedWord:
-		tm = &TM{eng: wstm.New()}
+		return &TM{eng: wstm.New()}
 	case BufferedObject:
-		tm = &TM{eng: ostm.New()}
+		return &TM{eng: ostm.New()}
 	default:
-		tm = &TM{eng: core.New(
+		return &TM{eng: core.New(
 			core.WithFilterSize(cfg.filterSize),
 			core.WithCompaction(cfg.compaction),
 			core.WithContentionManager(cfg.cm),
 			core.WithChecked(cfg.checked),
 		)}
 	}
-	tm.eng.CM().SetPolicy(cfg.cmPolicy)
-	return tm
 }
 
 // Engine exposes the underlying engine for benchmark harnesses.
@@ -174,9 +155,8 @@ func (tm *TM) Stats() engine.Stats { return tm.eng.Stats() }
 // snapshots with Sub for per-interval figures.
 func (tm *TM) Metrics() engine.MetricsSnapshot { return tm.eng.Metrics().Snapshot() }
 
-// CMStats returns a snapshot of the contention-management controller: the
-// active policy, the abort-rate estimate, the current pacing knobs, and the
-// stm_cm_* counters.
+// CMStats returns a snapshot of the contention-management account: the
+// stm_cm_* counters of attempt outcomes and backoff waits.
 func (tm *TM) CMStats() engine.CMStats { return tm.eng.CM().Stats() }
 
 // Tx is an in-flight transaction. It is only valid inside the Atomic or
