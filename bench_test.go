@@ -1,49 +1,74 @@
 // Benchmarks regenerating the paper's evaluation, one family per experiment
-// (see DESIGN.md §4 and EXPERIMENTS.md). cmd/stmbench produces the full
-// tables; these testing.B benches expose the same measurements to `go test
-// -bench`.
+// (see DESIGN.md §4 and EXPERIMENTS.md). Every cell — kernel and engine,
+// structure and mix, transaction body — is defined once, in
+// internal/harness; cmd/stmbench prints the full tables from the same
+// cells, and these testing.B benches expose them to `go test -bench`. The
+// structures are built at the tables' full scale; the E1/E2 kernels run at
+// their TestSize.
 package memtx_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"memtx"
-	"memtx/internal/core"
-	"memtx/internal/engine"
-	"memtx/internal/locksync"
-	"memtx/internal/ostm"
+	"memtx/internal/harness"
 	"memtx/internal/progs"
-	"memtx/internal/rawengine"
-	"memtx/internal/til/interp"
-	"memtx/internal/til/parser"
 	"memtx/internal/til/passes"
-	"memtx/internal/txds"
-	"memtx/internal/wstm"
 )
 
-// benchKernel compiles a kernel once and executes Run once per iteration on
-// a fresh engine (state from prior iterations must not leak).
-func benchKernel(b *testing.B, k progs.Kernel, level passes.Level, mk func() engine.Engine, size uint64) {
-	b.Helper()
-	m, err := parser.Parse(k.Name, k.Src)
+// benchKernel compiles a kernel once and, per iteration, loads it on a
+// fresh engine (untimed) and times one Run.
+func benchKernel(b *testing.B, k progs.Kernel, level passes.Level, cell harness.EngineCell) {
+	c, err := harness.Compile(k, level)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := passes.Apply(m, level); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p, err := interp.Load(m, mk())
+		mach, err := c.Load(cell.New())
 		if err != nil {
 			b.Fatal(err)
 		}
-		mach := p.NewMachine()
 		b.StartTimer()
-		if _, err := mach.Call(k.Run, interp.Word(size)); err != nil {
+		if _, err := c.Run(mach, k.TestSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchParallel times op under RunParallel, each goroutine drawing from
+// its own harness worker generator.
+func benchParallel(b *testing.B, op harness.Op) {
+	var workers atomic.Int32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := harness.WorkerRand(int(workers.Add(1)) - 1)
+		for pb.Next() {
+			op(rng)
+		}
+	})
+}
+
+// benchCells runs every cell under every mix; run with -cpu=1,2,4,... to
+// sweep the thread axis.
+func benchCells(b *testing.B, mixes []harness.Mix, cells []harness.Cell) {
+	for _, mix := range mixes {
+		for _, c := range cells {
+			b.Run(mix.Name+"/"+c.Name, func(b *testing.B) {
+				benchParallel(b, c.New(mix, false))
+			})
+		}
+	}
+}
+
+// benchTxn times one call of txn per iteration.
+func benchTxn(b *testing.B, txn func() error) {
+	for i := 0; i < b.N; i++ {
+		if err := txn(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,19 +77,10 @@ func benchKernel(b *testing.B, k progs.Kernel, level passes.Level, mk func() eng
 // BenchmarkE1 compares the three STM designs (full optimization) against the
 // uninstrumented interpreter on every kernel.
 func BenchmarkE1(b *testing.B) {
-	engines := []struct {
-		name string
-		mk   func() engine.Engine
-	}{
-		{"raw", func() engine.Engine { return rawengine.New() }},
-		{"direct", func() engine.Engine { return core.New() }},
-		{"wstm", func() engine.Engine { return wstm.New(wstm.WithStripes(1 << 16)) }},
-		{"ostm", func() engine.Engine { return ostm.New() }},
-	}
 	for _, k := range progs.All() {
-		for _, e := range engines {
-			b.Run(fmt.Sprintf("%s/%s", k.Name, e.name), func(b *testing.B) {
-				benchKernel(b, k, passes.LevelFull, e.mk, k.TestSize)
+		for _, cell := range harness.Engines {
+			b.Run(fmt.Sprintf("%s/%s", k.Name, cell.Name), func(b *testing.B) {
+				benchKernel(b, k, passes.LevelFull, cell)
 			})
 		}
 	}
@@ -75,285 +91,70 @@ func BenchmarkE2(b *testing.B) {
 	for _, k := range progs.All() {
 		for _, level := range passes.Levels {
 			b.Run(fmt.Sprintf("%s/%s", k.Name, level), func(b *testing.B) {
-				benchKernel(b, k, level, func() engine.Engine { return core.New() }, k.TestSize)
+				benchKernel(b, k, level, harness.Engines[1])
 			})
 		}
 	}
 }
 
-// BenchmarkE3 measures hash-map operations under a 90/10 mix for the STM and
-// lock variants; run with -cpu=1,2,4,... to sweep the thread axis.
-func BenchmarkE3(b *testing.B) {
-	const keySpace = 16384
-	const buckets = 1024
+// BenchmarkE3 measures the hash maps, STM against locks.
+func BenchmarkE3(b *testing.B) { benchCells(b, harness.DefaultMixes, harness.MapCells) }
 
-	b.Run("stm", func(b *testing.B) {
-		h := txds.NewHashMap(core.New(), buckets)
-		prefillSTM(h, keySpace)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					h.GetAtomic(k)
-				case r < 95:
-					h.PutAtomic(k, k)
-				default:
-					h.RemoveAtomic(k)
-				}
-			}
-		})
-	})
-	b.Run("coarse", func(b *testing.B) {
-		m := locksync.NewCoarseMap(buckets)
-		prefillLock(m, keySpace)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					m.Get(k)
-				case r < 95:
-					m.Put(k, k)
-				default:
-					m.Remove(k)
-				}
-			}
-		})
-	})
-	b.Run("striped", func(b *testing.B) {
-		m := locksync.NewStripedMap(buckets, 64)
-		prefillLock(m, keySpace)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					m.Get(k)
-				case r < 95:
-					m.Put(k, k)
-				default:
-					m.Remove(k)
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkE4 measures BST and sorted-list operations (90/10 mix), STM vs
-// locks.
+// BenchmarkE4 measures the ordered structures: the BST, sorted list and
+// skip list, STM against locks.
 func BenchmarkE4(b *testing.B) {
-	const keySpace = 8192
-	b.Run("bst/stm", func(b *testing.B) {
-		t := txds.NewBST(core.New())
-		rng := newBenchRand()
-		for i := 0; i < keySpace/2; i++ {
-			k := rng.next() % keySpace
-			t.InsertAtomic(k, k)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					t.ContainsAtomic(k)
-				case r < 95:
-					t.InsertAtomic(k, k)
-				default:
-					t.RemoveAtomic(k)
-				}
-			}
-		})
-	})
-	b.Run("bst/coarse", func(b *testing.B) {
-		t := locksync.NewCoarseBST()
-		rng := newBenchRand()
-		for i := 0; i < keySpace/2; i++ {
-			t.Insert(rng.next() % keySpace)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					t.Contains(k)
-				case r < 95:
-					t.Insert(k)
-				default:
-					t.Remove(k)
-				}
-			}
-		})
-	})
-	b.Run("skip/stm", func(b *testing.B) {
-		s := txds.NewSkipList(core.New())
-		for i := uint64(0); i < keySpace; i += 2 {
-			s.InsertAtomic(i)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % keySpace
-				switch r := rng.next() % 100; {
-				case r < 90:
-					s.ContainsAtomic(k)
-				case r < 95:
-					s.InsertAtomic(k)
-				default:
-					s.RemoveAtomic(k)
-				}
-			}
-		})
-	})
-	const listKeys = 512
-	b.Run("list/stm", func(b *testing.B) {
-		l := txds.NewSortedList(core.New())
-		for i := uint64(0); i < listKeys; i += 2 {
-			l.InsertAtomic(i)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % listKeys
-				switch r := rng.next() % 100; {
-				case r < 90:
-					l.ContainsAtomic(k)
-				case r < 95:
-					l.InsertAtomic(k)
-				default:
-					l.RemoveAtomic(k)
-				}
-			}
-		})
-	})
-	b.Run("list/hoh", func(b *testing.B) {
-		l := locksync.NewHoHList()
-		for i := uint64(0); i < listKeys; i += 2 {
-			l.Insert(i)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := newBenchRand()
-			for pb.Next() {
-				k := rng.next() % listKeys
-				switch r := rng.next() % 100; {
-				case r < 90:
-					l.Contains(k)
-				case r < 95:
-					l.Insert(k)
-				default:
-					l.Remove(k)
-				}
-			}
-		})
-	})
+	b.Run("bst", func(b *testing.B) { benchCells(b, harness.TreeMixes, harness.TreeCells) })
+	one := harness.TreeMixes[:1]
+	b.Run("list", func(b *testing.B) { benchCells(b, one, harness.ListCells) })
+	b.Run("skip", func(b *testing.B) { benchCells(b, one, harness.SkipCells) })
 }
 
-// BenchmarkE5 measures the cost/benefit of the runtime log filter: one
-// transaction per iteration re-reads a 64-object working set 16 times.
+// BenchmarkE5 measures the cost/benefit of the runtime log filter: one E5
+// transaction per iteration.
 func BenchmarkE5(b *testing.B) {
-	for _, size := range []int{0, 64, 512, 4096} {
+	for _, size := range harness.FilterSizes {
 		b.Run(fmt.Sprintf("filter=%d", size), func(b *testing.B) {
-			e := core.New(core.WithFilterSize(size))
-			objs := make([]engine.Handle, 64)
-			for i := range objs {
-				objs[i] = e.NewObj(1, 0)
-			}
+			_, txn := harness.FilterCell(size, false)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := engine.Run(e, func(tx engine.Txn) error {
-					for r := 0; r < 16; r++ {
-						for _, o := range objs {
-							tx.OpenForRead(o)
-							_ = tx.LoadWord(o, 0)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchTxn(b, txn)
 		})
 	}
 }
 
-// BenchmarkE6 measures log compaction: one long transaction per iteration
-// re-reads 256 objects 64 times (filter disabled to force duplicates).
+// BenchmarkE6 measures log compaction: one long E6 transaction per
+// iteration.
 func BenchmarkE6(b *testing.B) {
-	for _, threshold := range []int{0, 512} {
+	for _, threshold := range harness.CompactionThresholds {
 		name := "off"
 		if threshold > 0 {
 			name = fmt.Sprintf("threshold=%d", threshold)
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := []core.Option{core.WithFilterSize(0)}
-			if threshold > 0 {
-				opts = append(opts, core.WithCompaction(threshold))
-			}
-			e := core.New(opts...)
-			objs := make([]engine.Handle, 256)
-			for i := range objs {
-				objs[i] = e.NewObj(1, 0)
-			}
+			_, txn := harness.CompactionCell(threshold, false)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := engine.Run(e, func(tx engine.Txn) error {
-					for r := 0; r < 64; r++ {
-						for _, o := range objs {
-							tx.OpenForRead(o)
-							_ = tx.LoadWord(o, 0)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchTxn(b, func() error { _, _, err := txn(); return err })
 		})
 	}
 }
 
-// BenchmarkE7 measures contention policies on a fully shared counter.
+// BenchmarkE7 measures contention: the shared counter and the long
+// counter under each contention manager, and bank transfers by account
+// count.
 func BenchmarkE7(b *testing.B) {
-	for _, cm := range []core.ContentionManager{core.Passive{}, core.Polite{}, core.Patient{}} {
+	for _, cm := range harness.ContentionManagers {
 		b.Run("counter/"+cm.Name(), func(b *testing.B) {
-			e := core.New(core.WithContentionManager(cm))
-			c := txds.NewCounter(e)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					c.AddAtomic(1)
-				}
-			})
+			_, op := harness.CounterCell(cm)
+			benchParallel(b, op)
+		})
+		b.Run("long/"+cm.Name(), func(b *testing.B) {
+			_, op := harness.LongCell(cm)
+			benchParallel(b, op)
 		})
 	}
-	for _, nAcc := range []int{4, 1024} {
-		b.Run(fmt.Sprintf("bank/accounts=%d", nAcc), func(b *testing.B) {
-			e := core.New()
-			bank := txds.NewBank(e, nAcc, 1_000_000)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := newBenchRand()
-				for pb.Next() {
-					from := int(rng.next() % uint64(nAcc))
-					to := int(rng.next() % uint64(nAcc))
-					bank.TransferAtomic(from, to, 1)
-				}
-			})
+	for _, n := range harness.BankAccounts {
+		b.Run(fmt.Sprintf("bank/accounts=%d", n), func(b *testing.B) {
+			_, op := harness.BankCell(n)
+			benchParallel(b, op)
 		})
 	}
 }
@@ -387,35 +188,4 @@ func BenchmarkAtomicOverhead(b *testing.B) {
 			})
 		}
 	})
-}
-
-// benchRand is a tiny per-goroutine xorshift for RunParallel bodies.
-type benchRand struct{ s uint64 }
-
-var benchSeed uint64
-
-func newBenchRand() *benchRand {
-	benchSeed += 0x9E3779B97F4A7C15
-	return &benchRand{s: benchSeed | 1}
-}
-
-func (r *benchRand) next() uint64 {
-	x := r.s
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.s = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-func prefillSTM(h *txds.HashMap, keySpace uint64) {
-	for i := uint64(0); i < keySpace; i += 2 {
-		h.PutAtomic(i, i)
-	}
-}
-
-func prefillLock(m locksync.Map, keySpace uint64) {
-	for i := uint64(0); i < keySpace; i += 2 {
-		m.Put(i, i)
-	}
 }

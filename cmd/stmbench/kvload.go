@@ -86,9 +86,8 @@ func runKVLoad(lo kvload.Options, verify bool) error {
 
 func printKVTable(res *kvload.Result, lo kvload.Options) {
 	t := &harness.Table{
-		ID: "kvload",
-		Title: fmt.Sprintf("%s: %d conns, pipeline %d, %.0f%% GET / %.0f%% TRANSFER / %.0f%% INCR / rest SET",
-			lo.Addr, lo.Conns, lo.Pipeline, 100*lo.ReadFrac, 100*lo.TransferFrac, 100*lo.IncrFrac),
+		ID:     "kvload",
+		Title:  lo.String(),
 		Header: []string{"dist", "mix", "ops", "ops/sec", "p50(us)", "p99(us)", "errs", "busy", "reconn"},
 	}
 	mix := lo.Mix

@@ -6,20 +6,14 @@
 //	stmbench                 # run everything at full scale
 //	stmbench -e e1,e3        # run selected experiments
 //	stmbench -quick          # small parameters (seconds, for smoke runs)
-//	stmbench -e e7 -watch 2s # print live per-interval metrics to stderr
-//	stmbench -serve :8080    # expose /metrics (Prometheus) and /stats.json
 //	stmbench -kvload host:port  # drive the stmkvd load mix against a live server
 //
 // Output is a series of aligned text tables, one per paper table/figure,
 // each annotated with the shape the paper reports so results can be compared
 // at a glance. EXPERIMENTS.md records a reference run.
 //
-// With -serve, the engines each experiment constructs are registered in a
-// live registry and served over HTTP while the experiments run; after the
-// last experiment the server keeps running (final counter values remain
-// scrapable) until interrupted. With -watch, a reporter prints commit
-// throughput, per-cause abort counts, and p50/p99 attempt latency for every
-// active engine each interval.
+// The same experiment cells run as testing.B benches (bench_test.go, `go
+// test -bench BenchmarkE`). Live metrics come from stmkvd -serve-metrics.
 //
 // -kvload is the client half of the daemon drills: it seeds a running
 // stmkvd, drives one closed-loop load run, optionally audits the account
@@ -30,23 +24,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
 	"memtx/internal/harness"
-	"memtx/internal/obs"
 )
 
 func main() {
 	var (
-		exps      = flag.String("e", "all", "comma-separated experiments to run (e1..e7, or 'all')")
-		quick     = flag.Bool("quick", false, "use small test-scale parameters")
-		serve     = flag.String("serve", "", "serve live metrics on this address (e.g. :8080) while running")
-		pprofFlag = flag.Bool("pprof", false, "with -serve, also expose /debug/pprof/ profiling endpoints")
-		watch     = flag.Duration("watch", 0, "print live metrics to stderr at this interval (e.g. 2s)")
+		exps  = flag.String("e", "all", "comma-separated experiments to run (e1..e7, or 'all')")
+		quick = flag.Bool("quick", false, "use small test-scale parameters")
 
 		kvAddr         = flag.String("kvload", "", "drive the stmkvd load mix against the server at this host:port")
 		kvConns        = flag.Int("kv-conns", 4, "client connections per load run")
@@ -90,32 +78,6 @@ func main() {
 		return
 	}
 
-	serving := *serve != "" || *watch > 0
-	if serving {
-		reg := obs.NewRegistry()
-		harness.SetRegistry(reg)
-		if *serve != "" {
-			handler := reg.Handler()
-			what := "/metrics and /stats.json"
-			if *pprofFlag {
-				handler = obs.DebugHandler(handler)
-				what += " and /debug/pprof/"
-			}
-			srv := &http.Server{Addr: *serve, Handler: handler}
-			go func() {
-				if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-					fmt.Fprintf(os.Stderr, "stmbench: serve: %v\n", err)
-					os.Exit(1)
-				}
-			}()
-			fmt.Fprintf(os.Stderr, "stmbench: serving %s on %s\n", what, *serve)
-		}
-		if *watch > 0 {
-			stop := harness.StartWatch(os.Stderr, *watch)
-			defer stop()
-		}
-	}
-
 	ids := harness.ExperimentIDs
 	if *exps != "all" {
 		ids = strings.Split(*exps, ",")
@@ -130,12 +92,5 @@ func main() {
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 		}
-	}
-
-	if *serve != "" {
-		fmt.Fprintf(os.Stderr, "stmbench: experiments done; still serving on %s (Ctrl-C to exit)\n", *serve)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
 	}
 }

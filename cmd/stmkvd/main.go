@@ -116,19 +116,11 @@ func main() {
 	})
 
 	if *serveMetrics != "" {
-		reg := obs.NewRegistry()
-		reg.RegisterSource("kv", store)
-		reg.RegisterSource("kvd", srv)
-		if m := store.WAL(); m != nil {
-			reg.RegisterSource("wal", m)
-		}
-		handler := reg.Handler()
 		what := "/metrics and /stats.json"
 		if *pprofFlag {
-			handler = obs.DebugHandler(handler)
 			what += " and /debug/pprof/"
 		}
-		msrv := &http.Server{Addr: *serveMetrics, Handler: handler}
+		msrv := &http.Server{Addr: *serveMetrics, Handler: metricsHandler(store, srv, *pprofFlag)}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Fatalf("metrics server: %v", err)
@@ -170,4 +162,19 @@ func main() {
 	}
 	st := store.Stats()
 	fmt.Fprintf(os.Stderr, "stmkvd: drained cleanly; %d transactions committed\n", st.Commits)
+}
+
+// metricsHandler is what -serve-metrics serves: the store's, the server's
+// and, for a durable store, the log's metric sources, plus /debug/pprof/
+// when withPprof is set.
+func metricsHandler(store *kv.Store, srv *server.Server, withPprof bool) http.Handler {
+	sources := []obs.Source{{Name: "kv", Src: store}, {Name: "kvd", Src: srv}}
+	if m := store.WAL(); m != nil {
+		sources = append(sources, obs.Source{Name: "wal", Src: m})
+	}
+	h := obs.Handler(sources...)
+	if withPprof {
+		h = obs.DebugHandler(h)
+	}
+	return h
 }

@@ -12,7 +12,7 @@ import (
 //
 // The zero value is ready to use (and stays on the caller's stack — Run's
 // fast path must not allocate); the RNG is seeded on first use. Binding a CM
-// accounts every wait in the stm_cm_* counters.
+// accounts every wait in its CMStats.
 type Backoff struct {
 	attempt int
 	rng     uint64
@@ -25,8 +25,7 @@ const (
 	backoffMaxShift     = 14 // cap sleep at base << 14 ≈ 8ms
 )
 
-// Bind attaches a CM account: subsequent waits are counted in its stm_cm_*
-// metrics.
+// Bind attaches a CM account: subsequent waits are counted in its CMStats.
 func (b *Backoff) Bind(cm *CM) { b.cm = cm }
 
 func (b *Backoff) next() uint64 {

@@ -8,7 +8,8 @@ import (
 // CM is a per-engine contention-management account. Every engine embeds one
 // and exposes it via Engine.CM; the retry driver (Drive) binds its Backoff to
 // it and feeds it attempt outcomes. Pacing itself is fixed (see Backoff): the
-// CM only counts, behind the stm_cm_* metric families.
+// CM only counts. Stats reads the counts; a store exports their sum over its
+// shards as the stmkv_cm_* metric families.
 //
 // All fields are atomics: outcomes arrive from every worker goroutine and
 // snapshots are taken while transactions are in flight.

@@ -52,8 +52,8 @@ type Engine interface {
 	// for the engine's lifetime; call Snapshot on it to read.
 	Metrics() *Metrics
 
-	// CM returns the engine's contention-management account: the stm_cm_*
-	// counters of attempt outcomes and backoff waits. Like Metrics, the
+	// CM returns the engine's contention-management account: counters of
+	// attempt outcomes and backoff waits (CMStats). Like Metrics, the
 	// returned pointer is live for the engine's lifetime.
 	CM() *CM
 }

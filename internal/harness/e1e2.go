@@ -10,61 +10,99 @@ import (
 	"memtx/internal/ostm"
 	"memtx/internal/progs"
 	"memtx/internal/rawengine"
+	"memtx/internal/til"
 	"memtx/internal/til/interp"
 	"memtx/internal/til/parser"
 	"memtx/internal/til/passes"
 	"memtx/internal/wstm"
 )
 
-// kernelRun loads a kernel at an optimization level against a fresh engine,
-// executes it once, and reports the checksum, elapsed time, and dynamic
-// stats.
-func kernelRun(k progs.Kernel, level passes.Level, e engine.Engine, size uint64) (uint64, time.Duration, interp.Stats, error) {
-	m, err := parser.Parse(k.Name, k.Src)
-	if err != nil {
-		return 0, 0, interp.Stats{}, fmt.Errorf("%s: parse: %w", k.Name, err)
-	}
-	if _, err := passes.Apply(m, level); err != nil {
-		return 0, 0, interp.Stats{}, fmt.Errorf("%s: passes: %w", k.Name, err)
-	}
-	p, err := interp.Load(m, e)
-	if err != nil {
-		return 0, 0, interp.Stats{}, fmt.Errorf("%s: load: %w", k.Name, err)
-	}
-	mach := p.NewMachine()
-	if k.Init != "" {
-		if _, err := mach.Call(k.Init, interp.Word(k.InitArg)); err != nil {
-			return 0, 0, interp.Stats{}, fmt.Errorf("%s: init: %w", k.Name, err)
-		}
-	}
-	var sum interp.Value
-	var runErr error
-	runtime.GC() // isolate the timed section from earlier runs' garbage
-	d := Time(func() {
-		sum, runErr = mach.Call(k.Run, interp.Word(size))
-	})
-	if runErr != nil {
-		return 0, 0, interp.Stats{}, fmt.Errorf("%s: run: %w", k.Name, runErr)
-	}
-	return sum.W, d, mach.Stats, nil
+// EngineCell is one engine configuration of E1/E2: New returns a fresh
+// engine, so no state leaks from one kernel run into the next.
+type EngineCell struct {
+	Name string
+	New  func() engine.Engine
 }
 
-// kernelRunBest runs the kernel `reps` times on fresh engines from mk and
-// returns the minimum time (reducing single-core GC/scheduler noise), with
-// the checksum and stats of the first run.
-func kernelRunBest(k progs.Kernel, level passes.Level, mk func() engine.Engine, size uint64, reps int) (uint64, time.Duration, interp.Stats, error) {
+// Engines are E1's columns in table order: the uninstrumented baseline,
+// then the three STM designs. E2 runs the first two. wstm gets 65 536
+// stripes (4 MB), not its 1<<20 default (64 MB): every run builds a fresh
+// engine, and BenchmarkE1 builds thousands; no E1 kernel is concurrent, so
+// the table size cannot change which accesses conflict.
+var Engines = []EngineCell{
+	{"raw", func() engine.Engine { return rawengine.New() }},
+	{"direct", func() engine.Engine { return core.New() }},
+	{"wstm", func() engine.Engine { return wstm.New(wstm.WithStripes(1 << 16)) }},
+	{"ostm", func() engine.Engine { return ostm.New() }},
+}
+
+// Compiled is a kernel compiled at one optimization level. One module
+// serves any number of loads.
+type Compiled struct {
+	k   progs.Kernel
+	mod *til.Module
+}
+
+// Compile parses k and applies the passes of level.
+func Compile(k progs.Kernel, level passes.Level) (*Compiled, error) {
+	m, err := parser.Parse(k.Name, k.Src)
+	if err != nil {
+		return nil, fmt.Errorf("%s: parse: %w", k.Name, err)
+	}
+	if _, err := passes.Apply(m, level); err != nil {
+		return nil, fmt.Errorf("%s: passes: %w", k.Name, err)
+	}
+	return &Compiled{k, m}, nil
+}
+
+// Load loads the kernel on e, which should be fresh, and runs its Init. The
+// machine is ready for Run; its Stats count from here.
+func (c *Compiled) Load(e engine.Engine) (*interp.Machine, error) {
+	p, err := interp.Load(c.mod, e)
+	if err != nil {
+		return nil, fmt.Errorf("%s: load: %w", c.k.Name, err)
+	}
+	mach := p.NewMachine()
+	if c.k.Init != "" {
+		if _, err := mach.Call(c.k.Init, interp.Word(c.k.InitArg)); err != nil {
+			return nil, fmt.Errorf("%s: init: %w", c.k.Name, err)
+		}
+	}
+	return mach, nil
+}
+
+// Run is the measured step: one call of the kernel's Run function with size
+// on a loaded machine. It returns the kernel's checksum.
+func (c *Compiled) Run(mach *interp.Machine, size uint64) (uint64, error) {
+	sum, err := mach.Call(c.k.Run, interp.Word(size))
+	if err != nil {
+		return 0, fmt.Errorf("%s: run: %w", c.k.Name, err)
+	}
+	return sum.W, nil
+}
+
+// kernelRunBest loads and runs the kernel `reps` times on fresh engines from
+// mk and returns the minimum time (reducing single-core GC/scheduler
+// noise), with the checksum and stats of the first run.
+func kernelRunBest(c *Compiled, mk func() engine.Engine, size uint64, reps int) (uint64, time.Duration, interp.Stats, error) {
 	var best time.Duration
 	var sum uint64
 	var stats interp.Stats
 	for i := 0; i < reps; i++ {
-		got, d, st, err := kernelRun(k, level, mk(), size)
+		mach, err := c.Load(mk())
+		if err != nil {
+			return 0, 0, interp.Stats{}, err
+		}
+		var got uint64
+		runtime.GC() // isolate the timed section from earlier runs' garbage
+		d := Time(func() { got, err = c.Run(mach, size) })
 		if err != nil {
 			return 0, 0, interp.Stats{}, err
 		}
 		if i == 0 {
-			sum, stats, best = got, st, d
+			sum, stats, best = got, mach.Stats, d
 		} else if got != sum {
-			return 0, 0, interp.Stats{}, fmt.Errorf("%s: nondeterministic checksum %d vs %d", k.Name, got, sum)
+			return 0, 0, interp.Stats{}, fmt.Errorf("%s: nondeterministic checksum %d vs %d", c.k.Name, got, sum)
 		} else if d < best {
 			best = d
 		}
@@ -97,41 +135,32 @@ func E1(quick bool) (*Table, error) {
 	}
 	for _, k := range progs.All() {
 		size := kernelSize(k, quick)
-		want, rawT, _, err := kernelRunBest(k, passes.LevelFull, func() engine.Engine { return track("e1.raw", rawengine.New()) }, size, reps)
+		c, err := Compile(k, passes.LevelFull)
 		if err != nil {
 			return nil, err
 		}
-		type res struct {
-			name string
-			d    time.Duration
-		}
-		results := make([]res, 0, 3)
-		for _, cfg := range []struct {
-			name string
-			mk   func() engine.Engine
-		}{
-			{"direct", func() engine.Engine { return track("e1.direct", core.New()) }},
-			{"wstm", func() engine.Engine { return track("e1.wstm", wstm.New()) }},
-			{"ostm", func() engine.Engine { return track("e1.ostm", ostm.New()) }},
-		} {
-			got, d, _, err := kernelRunBest(k, passes.LevelFull, cfg.mk, size, reps)
+		var want uint64
+		times := make([]time.Duration, len(Engines))
+		for i, cell := range Engines {
+			got, d, _, err := kernelRunBest(c, cell.New, size, reps)
 			if err != nil {
 				return nil, err
 			}
-			if got != want {
-				return nil, fmt.Errorf("E1: %s on %s: checksum %d, want %d", k.Name, cfg.name, got, want)
+			if i == 0 {
+				want = got
+			} else if got != want {
+				return nil, fmt.Errorf("E1: %s on %s: checksum %d, want %d", k.Name, cell.Name, got, want)
 			}
-			results = append(results, res{cfg.name, d})
+			times[i] = d
 		}
-		t.AddRow(k.Name,
-			rawT.Round(time.Microsecond).String(),
-			results[0].d.Round(time.Microsecond).String(),
-			results[1].d.Round(time.Microsecond).String(),
-			results[2].d.Round(time.Microsecond).String(),
-			Ratio(results[0].d, rawT),
-			Ratio(results[1].d, rawT),
-			Ratio(results[2].d, rawT),
-		)
+		row := []string{k.Name}
+		for _, d := range times {
+			row = append(row, d.Round(time.Microsecond).String())
+		}
+		for _, d := range times[1:] {
+			row = append(row, Ratio(d, times[0]))
+		}
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -146,9 +175,14 @@ func E2(quick bool) ([]*Table, error) {
 		reps = 1
 	}
 	var tables []*Table
+	raw, direct := Engines[0], Engines[1]
 	for _, k := range progs.All() {
 		size := kernelSize(k, quick)
-		want, rawT, _, err := kernelRunBest(k, passes.LevelFull, func() engine.Engine { return track("e2.raw", rawengine.New()) }, size, reps)
+		full, err := Compile(k, passes.LevelFull)
+		if err != nil {
+			return nil, err
+		}
+		want, rawT, _, err := kernelRunBest(full, raw.New, size, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -159,19 +193,15 @@ func E2(quick bool) ([]*Table, error) {
 			Header: []string{"level", "static", "opensR", "opensU", "undos", "filterhit", "time", "vs raw"},
 		}
 		for _, level := range passes.Levels {
-			// Static counts need a separately compiled module.
-			m, err := parser.Parse(k.Name, k.Src)
+			c, err := Compile(k, level)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := passes.Apply(m, level); err != nil {
-				return nil, err
-			}
-			static := passes.CountBarriers(m)
+			static := passes.CountBarriers(c.mod)
 
-			var e *core.Engine
-			got, d, st, err := kernelRunBest(k, level, func() engine.Engine {
-				e = track("e2.direct", core.New())
+			var e engine.Engine
+			got, d, st, err := kernelRunBest(c, func() engine.Engine {
+				e = direct.New()
 				return e
 			}, size, reps)
 			if err != nil {
@@ -180,13 +210,12 @@ func E2(quick bool) ([]*Table, error) {
 			if got != want {
 				return nil, fmt.Errorf("E2: %s at %s: checksum %d, want %d", k.Name, level, got, want)
 			}
-			es := e.Stats()
 			t.AddRow(level.String(),
 				fmt.Sprint(static.Total()),
 				fmt.Sprint(st.OpensR),
 				fmt.Sprint(st.OpensU),
 				fmt.Sprint(st.Undos),
-				fmt.Sprint(es.FilterHits),
+				fmt.Sprint(e.Stats().FilterHits),
 				d.Round(time.Microsecond).String(),
 				Ratio(d, rawT),
 			)

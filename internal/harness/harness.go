@@ -1,11 +1,14 @@
 // Package harness runs the paper's experiments (E1..E7 in DESIGN.md) and
-// formats their results as tables. cmd/stmbench is a thin CLI over this
-// package, and bench_test.go wraps the same runners in testing.B benches.
+// formats their results as tables. Each experiment cell — a kernel on an
+// engine, a structure under a mix, a transaction body — is defined once
+// here: cmd/stmbench is a thin CLI over the tables, and bench_test.go wraps
+// the same cells in testing.B benches.
 package harness
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -36,6 +39,14 @@ func (r *Rand) Next() uint64 {
 
 // Intn returns a value in [0, n).
 func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
+
+// WorkerRand returns worker w's generator: each concurrent worker of a
+// measurement draws from its own, deterministically seeded stream.
+func WorkerRand(w int) *Rand { return NewRand(uint64(w)*0x9E3779B9 + 1) }
+
+// Op is one operation of an experiment cell. It is safe to call from many
+// workers at once, each passing its own generator.
+type Op func(rng *Rand)
 
 // Table is one result table, shaped like the corresponding paper
 // table/figure.
@@ -101,7 +112,7 @@ func Throughput(threads, opsPerThread int, op func(worker int, rng *Rand)) float
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			rng := NewRand(uint64(t)*0x9E3779B9 + 1)
+			rng := WorkerRand(t)
 			for i := 0; i < opsPerThread; i++ {
 				op(t, rng)
 			}
@@ -173,4 +184,23 @@ func Pct(num, den uint64) string {
 		return "0.0%"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(den))
+}
+
+// FormatNanos renders a nanosecond figure from the latency histograms as a
+// rounded duration string for tables ("1.2µs", "340ms").
+func FormatNanos(ns uint64) string {
+	if ns > math.MaxInt64 {
+		return "inf" // unbounded final bucket
+	}
+	d := time.Duration(ns)
+	switch {
+	case d >= time.Second:
+		return d.Round(10 * time.Millisecond).String()
+	case d >= time.Millisecond:
+		return d.Round(10 * time.Microsecond).String()
+	case d >= time.Microsecond:
+		return d.Round(10 * time.Nanosecond).String()
+	default:
+		return d.String()
+	}
 }

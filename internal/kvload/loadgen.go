@@ -107,6 +107,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// String describes the load o runs, after defaults: the server, the
+// connections and pipeline depth, and the operation mix.
+func (o Options) String() string {
+	o = o.withDefaults()
+	return fmt.Sprintf("%s: %d conns, pipeline %d, %.0f%% GET / %.0f%% TRANSFER / %.0f%% INCR / rest SET",
+		o.Addr, o.Conns, o.Pipeline, 100*o.ReadFrac, 100*o.TransferFrac, 100*o.IncrFrac)
+}
+
 // Result summarizes one load run.
 type Result struct {
 	Ops        uint64                   // operations completed

@@ -113,3 +113,17 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("mix exceeds 1: read=%v transfer=%v", o.ReadFrac, o.TransferFrac)
 	}
 }
+
+// TestOptionsStringReportsWhatRuns checks that the description prints the
+// fractions the load runs, not a preset's "off" sentinel: ycsb-a turns
+// transfers off, so its title must read 0% TRANSFER.
+func TestOptionsStringReportsWhatRuns(t *testing.T) {
+	o := Options{Addr: "127.0.0.1:7070", Conns: 8, Pipeline: 8}
+	if err := o.ApplyMix("ycsb-a"); err != nil {
+		t.Fatal(err)
+	}
+	want := "127.0.0.1:7070: 8 conns, pipeline 8, 50% GET / 0% TRANSFER / 0% INCR / rest SET"
+	if got := o.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

@@ -2,127 +2,13 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"memtx/internal/core"
-	"memtx/internal/engine"
 )
 
-// populate runs enough transactions on a fresh engine to light up commits,
-// aborts (explicit) and the latency histograms.
-func populate(t *testing.T) *core.Engine {
-	t.Helper()
-	e := core.New()
-	o := e.NewObj(1, 0)
-	for i := 0; i < 10; i++ {
-		err := engine.Run(e, func(tx engine.Txn) error {
-			tx.OpenForUpdate(o)
-			tx.LogForUndoWord(o, 0)
-			tx.StoreWord(o, 0, uint64(i))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	}
-	// One explicit abort so the cause table is non-trivial.
-	tx := e.Begin()
-	tx.OpenForRead(o)
-	tx.Abort()
-	return e
-}
-
-func TestRegistrySnapshotSortedAndReplaced(t *testing.T) {
-	r := NewRegistry()
-	r.Register("zeta", core.New())
-	r.Register("alpha", core.New())
-	replacement := core.New()
-	r.Register("zeta", replacement) // same name replaces, not duplicates
-	snaps := r.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(snaps))
-	}
-	if snaps[0].Name != "alpha" || snaps[1].Name != "zeta" {
-		t.Fatalf("not sorted: %s, %s", snaps[0].Name, snaps[1].Name)
-	}
-	replacement.NewObj(1, 0) // distinguishable? stats all zero either way — just check count above
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Register("direct", populate(t))
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`memtx_tx_starts_total{engine="direct"} 11`,
-		`memtx_tx_commits_total{engine="direct"} 10`,
-		`memtx_tx_aborts_total{engine="direct",cause="explicit"} 1`,
-		`memtx_tx_aborts_total{engine="direct",cause="validation"} 0`,
-		"# TYPE memtx_attempt_duration_ns histogram",
-		`le="+Inf"`,
-		`memtx_attempt_duration_ns_count{engine="direct"} 11`,
-		`memtx_commit_duration_ns_count{engine="direct"} 10`,
-		`memtx_retries_per_commit_count{engine="direct"} 10`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q\n---\n%s", want, out)
-		}
-	}
-	// Buckets must be cumulative: the +Inf bucket of every histogram equals
-	// its _count line, which the substring checks above already pin.
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Register("direct", populate(t))
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Engines []struct {
-			Name  string `json:"name"`
-			Stats struct {
-				Starts  uint64
-				Commits uint64
-				Aborts  uint64
-			} `json:"stats"`
-			AbortsByCause map[string]uint64 `json:"aborts_by_cause"`
-			AttemptNanos  struct {
-				Count uint64 `json:"count"`
-				P50   uint64 `json:"p50"`
-				P99   uint64 `json:"p99"`
-			} `json:"attempt_ns"`
-		} `json:"engines"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.Engines) != 1 {
-		t.Fatalf("got %d engines", len(doc.Engines))
-	}
-	e := doc.Engines[0]
-	if e.Name != "direct" || e.Stats.Starts != 11 || e.Stats.Commits != 10 || e.Stats.Aborts != 1 {
-		t.Fatalf("unexpected stats: %+v", e)
-	}
-	if e.AbortsByCause["explicit"] != 1 {
-		t.Fatalf("aborts_by_cause = %v", e.AbortsByCause)
-	}
-	if e.AttemptNanos.Count != 11 || e.AttemptNanos.P50 == 0 || e.AttemptNanos.P99 < e.AttemptNanos.P50 {
-		t.Fatalf("attempt histogram summary wrong: %+v", e.AttemptNanos)
-	}
-}
-
 func TestHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Register("direct", populate(t))
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(Handler(Source{"kvd", &fakeSource{conns: 1, ops: map[string]uint64{"get": 5}}}))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {
@@ -140,32 +26,15 @@ func TestHandler(t *testing.T) {
 	}
 
 	code, ct, body := get("/metrics")
-	if code != 200 || !strings.HasPrefix(ct, "text/plain") || !strings.Contains(body, "memtx_tx_commits_total") {
-		t.Fatalf("/metrics: code=%d ct=%q", code, ct)
+	if code != 200 || !strings.HasPrefix(ct, "text/plain") || !strings.Contains(body, `test_ops_total{source="kvd",op="get"} 5`) {
+		t.Fatalf("/metrics: code=%d ct=%q body=%s", code, ct, body)
 	}
 	code, ct, body = get("/stats.json")
-	if code != 200 || !strings.HasPrefix(ct, "application/json") || !strings.Contains(body, `"aborts_by_cause"`) {
+	if code != 200 || !strings.HasPrefix(ct, "application/json") || !strings.Contains(body, `"sources"`) {
 		t.Fatalf("/stats.json: code=%d ct=%q body=%s", code, ct, body)
 	}
 	code, _, _ = get("/nope")
 	if code != 404 {
 		t.Fatalf("/nope: code=%d, want 404", code)
-	}
-}
-
-func TestFormatNanos(t *testing.T) {
-	cases := map[uint64]string{
-		0:             "0s",
-		512:           "512ns",
-		1_500:         "1.5µs",
-		2_000_000:     "2ms",
-		3_000_000_000: "3s",
-		^uint64(0):    "inf",
-		1 << 63:       "inf",
-	}
-	for ns, want := range cases {
-		if got := FormatNanos(ns); got != want {
-			t.Errorf("FormatNanos(%d) = %q, want %q", ns, got, want)
-		}
 	}
 }

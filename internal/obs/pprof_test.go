@@ -10,10 +10,9 @@ import (
 )
 
 // TestDebugHandler checks that the pprof wrapper exposes the profiling index
-// and still routes every registry path through the wrapped handler.
+// and still routes every metrics path through the wrapped handler.
 func TestDebugHandler(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := obs.DebugHandler(reg.Handler())
+	h := obs.DebugHandler(obs.Handler())
 
 	get := func(path string) *httptest.ResponseRecorder {
 		t.Helper()

@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 )
 
 // MetricKind distinguishes monotonically non-decreasing counters from
@@ -31,7 +29,7 @@ type Label struct{ Key, Value string }
 
 // Metric is one exported sample from an application-level MetricSource:
 // a Prometheus family name plus optional labels and the current value.
-// Every sample additionally receives a source="<registered name>" label on
+// Every sample additionally receives a source="<Source.Name>" label on
 // export, so two sources may share family names.
 type Metric struct {
 	Name   string
@@ -42,9 +40,9 @@ type Metric struct {
 }
 
 // MetricSource exposes application-level metrics (server connection gauges,
-// KV op counters) alongside the engine Stats/Metrics the registry already
-// exports. Implementations must be safe for concurrent use: ObsMetrics is
-// called from HTTP scrape handlers while the application runs.
+// KV op counters, log and checkpoint counters). Implementations must be
+// safe for concurrent use: ObsMetrics is called from HTTP scrape handlers
+// while the application runs.
 //
 // Conventions (pinned by enginetest.RunMetricSource):
 //
@@ -55,50 +53,11 @@ type MetricSource interface {
 	ObsMetrics() []Metric
 }
 
-// SourceSnapshot pairs one registered source's name with a point-in-time
-// copy of its metrics.
+// SourceSnapshot pairs one source's name with a point-in-time copy of its
+// metrics.
 type SourceSnapshot struct {
 	Name    string
 	Metrics []Metric
-}
-
-type srcEntry struct {
-	name string
-	src  MetricSource
-}
-
-type sourceSet struct {
-	mu      sync.Mutex
-	entries []srcEntry
-}
-
-// RegisterSource adds an application-level metric source under name.
-// Like Register, re-registering a name replaces the previous source.
-func (r *Registry) RegisterSource(name string, src MetricSource) {
-	r.sources.mu.Lock()
-	defer r.sources.mu.Unlock()
-	for i := range r.sources.entries {
-		if r.sources.entries[i].name == name {
-			r.sources.entries[i].src = src
-			return
-		}
-	}
-	r.sources.entries = append(r.sources.entries, srcEntry{name, src})
-}
-
-// SnapshotSources captures every registered source, sorted by name.
-func (r *Registry) SnapshotSources() []SourceSnapshot {
-	r.sources.mu.Lock()
-	entries := make([]srcEntry, len(r.sources.entries))
-	copy(entries, r.sources.entries)
-	r.sources.mu.Unlock()
-
-	snaps := make([]SourceSnapshot, 0, len(entries))
-	for _, e := range entries {
-		snaps = append(snaps, SourceSnapshot{Name: e.name, Metrics: e.src.ObsMetrics()})
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Name < snaps[j].Name })
-	return snaps
 }
 
 // WriteSourcesPrometheus renders source snapshots in the Prometheus text

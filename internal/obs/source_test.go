@@ -30,29 +30,13 @@ func (f *fakeSource) ObsMetrics() []Metric {
 	return ms
 }
 
-func TestRegisterSourceReplaceAndSort(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterSource("zeta", &fakeSource{conns: 1, ops: map[string]uint64{}})
-	r.RegisterSource("alpha", &fakeSource{conns: 2, ops: map[string]uint64{}})
-	r.RegisterSource("zeta", &fakeSource{conns: 9, ops: map[string]uint64{}})
-	snaps := r.SnapshotSources()
-	if len(snaps) != 2 {
-		t.Fatalf("got %d source snapshots, want 2", len(snaps))
-	}
-	if snaps[0].Name != "alpha" || snaps[1].Name != "zeta" {
-		t.Fatalf("not sorted: %s, %s", snaps[0].Name, snaps[1].Name)
-	}
-	if snaps[1].Metrics[0].Value != 9 {
-		t.Fatalf("re-registering did not replace: %+v", snaps[1].Metrics[0])
-	}
-}
-
 func TestWriteSourcesPrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterSource("kvd", &fakeSource{conns: 3, ops: map[string]uint64{"get": 7, "set": 2}})
-	r.RegisterSource("kvd2", &fakeSource{conns: 1, ops: map[string]uint64{"get": 5}})
+	snaps := snapshot([]Source{
+		{"kvd", &fakeSource{conns: 3, ops: map[string]uint64{"get": 7, "set": 2}}},
+		{"kvd2", &fakeSource{conns: 1, ops: map[string]uint64{"get": 5}}},
+	})
 	var buf bytes.Buffer
-	if err := WriteSourcesPrometheus(&buf, r.SnapshotSources()); err != nil {
+	if err := WriteSourcesPrometheus(&buf, snaps); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,17 +61,12 @@ func TestWriteSourcesPrometheus(t *testing.T) {
 }
 
 func TestWriteJSONWithSources(t *testing.T) {
-	r := NewRegistry()
-	r.Register("direct", populate(t))
-	r.RegisterSource("kvd", &fakeSource{conns: 4, ops: map[string]uint64{"get": 11, "set": 6}})
 	var buf bytes.Buffer
-	if err := WriteJSONWithSources(&buf, r.Snapshot(), r.SnapshotSources()); err != nil {
+	snaps := snapshot([]Source{{"kvd", &fakeSource{conns: 4, ops: map[string]uint64{"get": 11, "set": 6}}}})
+	if err := writeJSON(&buf, snaps); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Engines []struct {
-			Name string `json:"name"`
-		} `json:"engines"`
 		Sources []struct {
 			Name    string            `json:"name"`
 			Metrics map[string]uint64 `json:"metrics"`
@@ -96,8 +75,8 @@ func TestWriteJSONWithSources(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.Engines) != 1 || len(doc.Sources) != 1 {
-		t.Fatalf("got %d engines, %d sources", len(doc.Engines), len(doc.Sources))
+	if len(doc.Sources) != 1 {
+		t.Fatalf("got %d sources", len(doc.Sources))
 	}
 	s := doc.Sources[0]
 	if s.Name != "kvd" {
@@ -108,16 +87,18 @@ func TestWriteJSONWithSources(t *testing.T) {
 	}
 }
 
+// TestHandlerServesSources checks that both formats carry every source, in
+// the order the handler was given them.
 func TestHandlerServesSources(t *testing.T) {
-	r := NewRegistry()
-	r.Register("direct", populate(t))
-	r.RegisterSource("kvd", &fakeSource{conns: 2, ops: map[string]uint64{"get": 3}})
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(Handler(
+		Source{"zeta", &fakeSource{conns: 9, ops: map[string]uint64{}}},
+		Source{"alpha", &fakeSource{conns: 2, ops: map[string]uint64{"get": 3}}},
+	))
 	defer srv.Close()
 
-	for path, want := range map[string]string{
-		"/metrics":    `test_ops_total{source="kvd",op="get"} 3`,
-		"/stats.json": `"sources"`,
+	for path, want := range map[string][]string{
+		"/metrics":    {`test_connections_active{source="zeta"} 9`, `test_connections_active{source="alpha"} 2`},
+		"/stats.json": {`"name": "zeta"`, `"name": "alpha"`},
 	} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -126,8 +107,10 @@ func TestHandlerServesSources(t *testing.T) {
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
 		resp.Body.Close()
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("%s missing %q\n---\n%s", path, want, buf.String())
+		body := buf.String()
+		first, second := strings.Index(body, want[0]), strings.Index(body, want[1])
+		if first < 0 || second < 0 || first > second {
+			t.Errorf("%s: want %q before %q\n---\n%s", path, want[0], want[1], body)
 		}
 	}
 }

@@ -155,8 +155,9 @@ func (tm *TM) Stats() engine.Stats { return tm.eng.Stats() }
 // snapshots with Sub for per-interval figures.
 func (tm *TM) Metrics() engine.MetricsSnapshot { return tm.eng.Metrics().Snapshot() }
 
-// CMStats returns a snapshot of the contention-management account: the
-// stm_cm_* counters of attempt outcomes and backoff waits.
+// CMStats returns a snapshot of the contention-management account: counts
+// of attempt outcomes and backoff waits. A store exports the sum over its
+// shards as the stmkv_cm_* metric families.
 func (tm *TM) CMStats() engine.CMStats { return tm.eng.CM().Stats() }
 
 // Tx is an in-flight transaction. It is only valid inside the Atomic or
