@@ -44,22 +44,9 @@ func (t *Txn) Commit() error {
 	}
 	commitStart := time.Now()
 	if in := chaos.Active(); in != nil {
-		// Before the fast-path check so read-only commits are exercised too;
-		// nothing is owned-for-release yet, so abort/panic unwinds cleanly.
+		// Before validation: nothing is released yet, so an injected abort
+		// or panic unwinds through the ordinary rollback.
 		in.Step(chaos.CommitValidate)
-	}
-	if t.readonly && !t.roSawOwner && t.eng.valSeq.Load() == t.roSeq {
-		// Read-only fast path: no object this transaction opened was owned
-		// by a writer, and no writer has dirtied or committed anything since
-		// the begin-time valSeq snapshot, so every optimistic read is still
-		// at its recorded version — commit in O(1) without walking the read
-		// log. See Engine.valSeq for why this is sound.
-		eng := t.eng
-		eng.stats.roFastCommits.Add(1)
-		now := time.Now()
-		t.finish(true, now)
-		eng.metrics.ObserveCommit(now.Sub(commitStart))
-		return nil
 	}
 	if !t.valid() {
 		t.cause = engine.CauseValidation
@@ -75,18 +62,12 @@ func (t *Txn) Commit() error {
 		o.release(o.meta.Load()>>verShift + 1)
 		t.updateLog[i] = nil // pooled transactions must not pin objects
 	}
-	if len(t.updateLog) > 0 {
-		// Invalidate concurrent read-only fast-path snapshots: the objects
-		// released above now carry committed values a pre-commit snapshot
-		// must not silently accept alongside older reads.
-		t.eng.valSeq.Add(1)
-	}
 	eng, published := t.eng, len(t.updateLog) > 0
 	now := time.Now()
 	t.finish(true, now) // recycles t; use the captured engine afterwards
 	eng.metrics.ObserveCommit(now.Sub(commitStart))
 	if published {
-		eng.signal.bump() // wake transactions blocked in WaitCommit
+		eng.signal.bump() // wake transactions blocked in WaitCommit, if any
 	}
 	return nil
 }

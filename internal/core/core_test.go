@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"memtx/internal/engine"
 )
@@ -540,5 +541,49 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if d.OpenForRead != 1 || d.OpenForUpdate != 1 || d.UndoLogged != 1 {
 		t.Fatalf("operation counters wrong: %+v", d)
+	}
+}
+
+// TestCommitSignalCostsNothingWithoutWaiter: an update commit takes the
+// commit signal's mutex only while a blocking-retry caller is registered. It
+// finishes while the mutex is held elsewhere and leaves CommitSeq alone; with
+// a waiter registered it advances CommitSeq.
+func TestCommitSignalCostsNothingWithoutWaiter(t *testing.T) {
+	e := New()
+	h := e.NewObj(1, 0)
+	incr := func() error {
+		return engine.Run(e, func(tx engine.Txn) error {
+			tx.OpenForUpdate(h)
+			tx.LogForUndoWord(h, 0)
+			tx.StoreWord(h, 0, tx.LoadWord(h, 0)+1)
+			return nil
+		})
+	}
+
+	e.signal.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- incr() }()
+	select {
+	case err := <-done:
+		e.signal.mu.Unlock()
+		if err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		e.signal.mu.Unlock()
+		<-done
+		t.Fatal("an update commit with no waiter blocked on the commit signal's mutex")
+	}
+	if got := e.CommitSeq(); got != 0 {
+		t.Fatalf("CommitSeq = %d after a commit with no waiter, want 0", got)
+	}
+
+	e.RegisterWaiter()
+	defer e.UnregisterWaiter()
+	if err := incr(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if got := e.CommitSeq(); got != 1 {
+		t.Fatalf("CommitSeq = %d after a commit with a waiter registered, want 1", got)
 	}
 }

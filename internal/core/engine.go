@@ -33,15 +33,6 @@ type Engine struct {
 	cmctl   engine.CM
 	signal  commitSignal
 
-	// valSeq advances whenever shared state may have changed: on the first
-	// in-place write to each owned object (markDirty's clean→dirty
-	// transition, before the write lands) and once per update commit before
-	// its release loop. A read-only transaction snapshots it at begin; if it
-	// is unchanged at commit and no opened object was owned by another
-	// transaction, every optimistic read is still at its recorded version and
-	// per-entry validation can be skipped (the read-only fast path).
-	valSeq atomic.Uint64
-
 	// ids is this engine's id counter (see the commentary above).
 	ids engine.IDSource
 }
@@ -61,7 +52,6 @@ type engineStats struct {
 	compactions    atomic.Uint64
 	readLogDropped atomic.Uint64
 	cmWaits        atomic.Uint64
-	roFastCommits  atomic.Uint64
 }
 
 // Option configures an Engine.
@@ -149,7 +139,6 @@ func (e *Engine) Stats() engine.Stats {
 		Compactions:    e.stats.compactions.Load(),
 		ReadLogDropped: e.stats.readLogDropped.Load(),
 		CMWaits:        e.stats.cmWaits.Load(),
-		ROFastCommits:  e.stats.roFastCommits.Load(),
 	}
 	s.Starts = e.stats.starts.Load()
 	return s

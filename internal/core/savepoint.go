@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Savepoint marks a point in a transaction's logs to which the transaction
 // can be partially rolled back — the mechanism behind composable
@@ -54,19 +57,33 @@ func (t *Txn) RollbackTo(sp Savepoint) {
 }
 
 // commitSignal is the engine-wide commit notification used by blocking
-// retry: every committed update bumps a sequence number and wakes waiters.
+// retry. A committer pays for it only while someone may wait: waiters counts
+// the registered callers (RegisterWaiter), and bump takes the mutex only
+// when the count is non-zero.
+//
+// No wakeup is lost. Go's atomics are sequentially consistent; a committer
+// loads waiters after its release loop, and a waiter registers before its
+// sequence snapshot and so before its body reads anything. If the load sees
+// no waiter, the registration follows the release and the body sees the
+// commit. If it sees one, the sequence advances under the mutex: a snapshot
+// taken before that wakes, and a snapshot taken after it also follows the
+// release.
 type commitSignal struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	seq  uint64
+	waiters atomic.Int64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	seq     uint64
 }
 
 func (s *commitSignal) init() {
 	s.cond = sync.NewCond(&s.mu)
 }
 
-// bump advances the sequence and wakes all waiters.
+// bump advances the sequence and wakes all waiters, if there are any.
 func (s *commitSignal) bump() {
+	if s.waiters.Load() == 0 {
+		return
+	}
 	s.mu.Lock()
 	s.seq++
 	s.mu.Unlock()
@@ -89,12 +106,22 @@ func (s *commitSignal) waitPast(seen uint64) {
 	s.mu.Unlock()
 }
 
-// CommitSeq returns a monotonically increasing count of commits that
-// published updates. Together with WaitCommit it implements blocking retry:
-// snapshot the sequence before running a transaction body; if the body gives
-// up, wait for the sequence to advance before re-executing.
+// RegisterWaiter announces a caller of CommitSeq and WaitCommit until the
+// matching UnregisterWaiter. Update commits advance the sequence only while
+// some caller is registered, so a caller registers before it takes the
+// snapshot it will wait on and stays registered while it waits.
+func (e *Engine) RegisterWaiter() { e.signal.waiters.Add(1) }
+
+// UnregisterWaiter withdraws one RegisterWaiter.
+func (e *Engine) UnregisterWaiter() { e.signal.waiters.Add(-1) }
+
+// CommitSeq returns a monotonically increasing count of update commits made
+// while a waiter was registered. Together with WaitCommit it implements
+// blocking retry: register, snapshot the sequence before running a
+// transaction body; if the body gives up, wait for the sequence to advance
+// before re-executing.
 func (e *Engine) CommitSeq() uint64 { return e.signal.current() }
 
 // WaitCommit blocks until some transaction has committed updates after the
-// given sequence snapshot.
+// given sequence snapshot. The caller must be registered (RegisterWaiter).
 func (e *Engine) WaitCommit(seen uint64) { e.signal.waitPast(seen) }

@@ -31,12 +31,6 @@ type Txn struct {
 	ctx      context.Context
 	deadline time.Time
 
-	// roSeq is the engine valSeq snapshot taken at begin; roSawOwner records
-	// whether any OpenForRead found the object owned by another transaction.
-	// Together they gate the read-only commit fast path (see Engine.valSeq).
-	roSeq      uint64
-	roSawOwner bool
-
 	readLog   []readEntry
 	updateLog []*Obj // objects owned by this attempt, in acquisition order
 	undoLog   []undoEntry
@@ -78,8 +72,6 @@ func (t *Txn) start(readonly bool) {
 	t.cause = engine.CauseExplicit
 	t.ctx = nil
 	t.deadline = time.Time{}
-	t.roSeq = t.eng.valSeq.Load()
-	t.roSawOwner = false
 	t.readLog = t.readLog[:0]
 	t.updateLog = t.updateLog[:0]
 	t.undoLog = t.undoLog[:0]
@@ -168,12 +160,6 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 	}
 	if in := chaos.Active(); in != nil {
 		in.Step(chaos.OpenForRead)
-	}
-	if w&ownedBit != 0 {
-		// The owner may have dirtied the object (and bumped valSeq) before
-		// this transaction's roSeq snapshot, so an unchanged valSeq at commit
-		// would not prove this read consistent. Force full validation.
-		t.roSawOwner = true
 	}
 	// An owned word still carries the displaced version.
 	t.readLog = append(t.readLog, readEntry{obj: o, seen: w >> verShift})
@@ -270,15 +256,11 @@ func (t *Txn) LogForUndoRef(h engine.Handle, i int) {
 
 // markDirty sets the owned object's dirty bit so that rollback bumps the
 // version: concurrent optimistic readers may have observed the in-place
-// writes and must fail validation even though the data was restored. The
-// clean→dirty transition also advances the engine's valSeq *before* the first
-// store lands, so any read-only transaction that can observe the in-place
-// write sees a changed valSeq at commit and takes the full validation path.
+// writes and must fail validation even though the data was restored.
 // Only the owner changes an owned word, so a plain store suffices.
 func (t *Txn) markDirty(o *Obj) {
 	w := o.meta.Load()
 	if w&dirtyBit == 0 && o.ownedBy(w, t.id) {
-		t.eng.valSeq.Add(1)
 		o.meta.Store(w | dirtyBit)
 	}
 }

@@ -160,7 +160,13 @@ type Stats struct {
 	Compactions    uint64 // log compactions performed
 	ReadLogDropped uint64 // read-log entries removed by compaction
 	CMWaits        uint64 // contention-manager waits (spins/yields on an owner)
-	ROFastCommits  uint64 // read-only commits that skipped per-entry validation
+
+	// ROFastCommits is always zero. No engine has a second read-only
+	// commit path: core and ostm validate the read log at commit, and wstm
+	// validates each read when it is made. The field stays only because the
+	// benchmark's traced run still reports it as ro_fast_commit_frac; it
+	// goes with that row.
+	ROFastCommits uint64
 }
 
 // Sub returns the difference s - t, counter by counter. It is used by the

@@ -76,7 +76,7 @@ func RunShardedStats(t *testing.T, s ShardedStats, drive func()) {
 		"UndoLogged": d.UndoLogged, "ReadLogEntries": d.ReadLogEntries,
 		"FilterHits": d.FilterHits, "LocalSkips": d.LocalSkips,
 		"Compactions": d.Compactions, "ReadLogDropped": d.ReadLogDropped,
-		"CMWaits": d.CMWaits, "ROFastCommits": d.ROFastCommits,
+		"CMWaits": d.CMWaits,
 	} {
 		if v >= backwards {
 			t.Errorf("counter %s went backwards across drive()", name)

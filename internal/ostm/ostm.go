@@ -43,15 +43,6 @@ type Engine struct {
 	metrics engine.Metrics
 	cm      engine.CM
 
-	// valSeq advances once per update commit, after validation passes and
-	// before the first shadow is copied back. A read-only transaction
-	// snapshots it at begin; if it is unchanged at commit, no write-back can
-	// have overlapped its reads (OpenForRead already abandons on a locked
-	// object, so a write-back that both locked and bumped before the snapshot
-	// is ordered entirely before every read), and per-entry validation can be
-	// skipped.
-	valSeq atomic.Uint64
-
 	// ids is this engine's id counter.
 	ids engine.IDSource
 }
@@ -60,7 +51,6 @@ type stats struct {
 	starts, commits, aborts atomic.Uint64
 	openRead, openUpdate    atomic.Uint64
 	readLog, localSkips     atomic.Uint64
-	roFastCommits           atomic.Uint64
 }
 
 // New returns an object-based buffered-update engine.
@@ -114,7 +104,6 @@ func (e *Engine) Stats() engine.Stats {
 		OpenForUpdate:  e.stats.openUpdate.Load(),
 		ReadLogEntries: e.stats.readLog.Load(),
 		LocalSkips:     e.stats.localSkips.Load(),
-		ROFastCommits:  e.stats.roFastCommits.Load(),
 	}
 	s.Starts = e.stats.starts.Load()
 	return s
@@ -152,10 +141,6 @@ type Txn struct {
 	shadows map[*Obj]*shadow
 	worder  []*Obj
 
-	// roSeq is the engine valSeq snapshot taken at begin; it gates the
-	// read-only commit fast path (see Engine.valSeq).
-	roSeq uint64
-
 	// ids is this transaction's private id block; persists across reuse.
 	ids engine.IDAlloc
 
@@ -181,7 +166,6 @@ func (t *Txn) start(readonly bool) {
 	t.done = false
 	t.began = time.Now()
 	t.cause = engine.CauseExplicit
-	t.roSeq = t.eng.valSeq.Load()
 	t.readLog = t.readLog[:0]
 	clear(t.shadows)
 	t.worder = t.worder[:0]
@@ -443,15 +427,6 @@ func (t *Txn) Commit() error {
 	}
 	eng := t.eng
 	if len(t.worder) == 0 {
-		if t.readonly && eng.valSeq.Load() == t.roSeq {
-			// Read-only fast path: no update transaction has copied shadows
-			// back since the begin-time snapshot, so every read is still at
-			// its recorded version — skip the per-entry validation walk.
-			eng.stats.roFastCommits.Add(1)
-			t.finish(true)
-			eng.metrics.ObserveCommit(time.Since(commitStart))
-			return nil
-		}
 		ok := t.validCurrent(false)
 		if !ok {
 			t.cause = engine.CauseValidation
@@ -497,10 +472,6 @@ func (t *Txn) Commit() error {
 		// the window where the object locks stay held.
 		in.Step(chaos.WriteBack)
 	}
-	// Invalidate concurrent read-only fast-path snapshots before the first
-	// shadow store lands: any read-only transaction whose reads could race
-	// the write-back below sees a changed valSeq and validates fully.
-	eng.valSeq.Add(1)
 	for _, o := range order {
 		sh := t.shadows[o]
 		for i := range sh.words {

@@ -282,6 +282,31 @@ entry:
 	if c := countOps(clone); c[til.OpUndoW] != 2 {
 		t.Fatalf("undow remaining = %d, want 2 (distinct words)", c[til.OpUndoW])
 	}
+
+	// An indexed store's undo names the index register: once the index is
+	// redefined, the second store writes a different field and keeps its
+	// undo entry.
+	src = `
+class P words=2 refs=0
+global root P
+
+atomic func g(v) {
+entry:
+  p = global root
+  i = const 0
+  one = const 1
+  storewi p i v
+  i = add i one
+  storewi p i v
+  ret
+}
+`
+	m = parser.MustParse("t", src)
+	Instrument(m)
+	clone = instrumentedClone(t, m, "g")
+	if removed := UndoElide(clone); removed != 0 {
+		t.Fatalf("undo removed = %d, want 0 (the index was redefined between the stores)\n%s", removed, til.PrintFunc(m, clone))
+	}
 }
 
 func TestHoistLoopInvariantOpen(t *testing.T) {

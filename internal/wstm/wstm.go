@@ -65,7 +65,6 @@ type stats struct {
 	starts, commits, aborts atomic.Uint64
 	openRead, openUpdate    atomic.Uint64
 	readLog, localSkips     atomic.Uint64
-	roFastCommits           atomic.Uint64
 }
 
 // Option configures the engine.
@@ -140,7 +139,6 @@ func (e *Engine) Stats() engine.Stats {
 		OpenForUpdate:  e.stats.openUpdate.Load(),
 		ReadLogEntries: e.stats.readLog.Load(),
 		LocalSkips:     e.stats.localSkips.Load(),
-		ROFastCommits:  e.stats.roFastCommits.Load(),
 	}
 	s.Starts = e.stats.starts.Load()
 	return s
@@ -410,11 +408,6 @@ func (t *Txn) Commit() error {
 	eng := t.eng
 	if len(t.writes) == 0 {
 		// Reads were validated at access time against rv; nothing to publish.
-		// For read-only transactions this *is* the O(1) fast path the other
-		// engines reach via their valSeq snapshot, so count it as such.
-		if t.readonly {
-			eng.stats.roFastCommits.Add(1)
-		}
 		t.finish(true)
 		eng.metrics.ObserveCommit(time.Since(commitStart))
 		return nil

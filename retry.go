@@ -35,6 +35,12 @@ func Retry(tx *Tx) {
 // notifications) and degrades to yield-and-poll on the baseline designs.
 func (tm *TM) AtomicWait(body func(tx *Tx) error) error {
 	waiter, precise := tm.eng.(*core.Engine)
+	if precise {
+		// Before the first snapshot: commits made while no one is
+		// registered do not advance the sequence.
+		waiter.RegisterWaiter()
+		defer waiter.UnregisterWaiter()
+	}
 	for {
 		var seen uint64
 		if precise {

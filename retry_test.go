@@ -2,6 +2,7 @@ package memtx
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,45 @@ func TestRetryQueueManyItems(t *testing.T) {
 	for i, v := range consumed {
 		if v != uint64(i+1) {
 			t.Fatalf("consumed[%d] = %d, want %d", i, v, i+1)
+		}
+	}
+}
+
+// TestRetryNoLostWakeup: the producer commits while the consumer is between
+// its read of the empty slot and its wait. The consumer registered as a
+// waiter before its sequence snapshot, so that commit advances the sequence
+// and the wait returns at once. Many rounds, so the commit lands inside the
+// window in many of them.
+func TestRetryNoLostWakeup(t *testing.T) {
+	const rounds = 500
+	tm := New()
+	for i := 0; i < rounds; i++ {
+		slot := tm.NewVar(0)
+		read := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var once sync.Once
+			_ = tm.AtomicWait(func(tx *Tx) error {
+				if slot.Get(tx) == 0 {
+					once.Do(func() { close(read) })
+					runtime.Gosched() // let the producer commit before this attempt waits
+					Retry(tx)
+				}
+				return nil
+			})
+		}()
+		<-read
+		if err := tm.Atomic(func(tx *Tx) error {
+			slot.Set(tx, 1)
+			return nil
+		}); err != nil {
+			t.Fatalf("producer: %v", err)
+		}
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: the consumer never woke after the producer committed (lost wakeup)", i)
 		}
 	}
 }
