@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-	"time"
-
 	"memtx/internal/chaos"
 	"memtx/internal/engine"
 )
@@ -42,7 +39,6 @@ func (t *Txn) Commit() error {
 	if t.done {
 		panic("core: Commit on finished transaction")
 	}
-	commitStart := time.Now()
 	if in := chaos.Active(); in != nil {
 		// Before validation: nothing is released yet, so an injected abort
 		// or panic unwinds through the ordinary rollback.
@@ -63,9 +59,7 @@ func (t *Txn) Commit() error {
 		t.updateLog[i] = nil // pooled transactions must not pin objects
 	}
 	eng, published := t.eng, len(t.updateLog) > 0
-	now := time.Now()
-	t.finish(true, now) // recycles t; use the captured engine afterwards
-	eng.metrics.ObserveCommit(now.Sub(commitStart))
+	t.finish(true) // recycles t; use the captured engine afterwards
 	if published {
 		eng.signal.bump() // wake transactions blocked in WaitCommit, if any
 	}
@@ -86,7 +80,7 @@ func (t *Txn) Abort() {
 func (t *Txn) rollback() {
 	t.undoTo(0)
 	t.releaseFrom(0)
-	t.finish(false, time.Now())
+	t.finish(false)
 }
 
 // undoTo restores the undo-logged fields beyond the first n entries, newest
@@ -143,40 +137,15 @@ func (t *Txn) Compact() {
 		seen[re.obj.id] = struct{}{}
 		kept = append(kept, re)
 	}
-	t.nReadDropped += uint64(len(t.readLog) - len(kept))
+	t.n.ReadLogDropped += uint64(len(t.readLog) - len(kept))
 	t.readLog = kept
-	t.nCompactions++
+	t.n.Compactions++
 }
 
-// finish folds the transaction's local counters into the engine and recycles
-// the Txn value; end is when the attempt ended.
-func (t *Txn) finish(committed bool, end time.Time) {
+// finish folds the attempt into the Txn's stripe and recycles the Txn.
+func (t *Txn) finish(committed bool) {
 	t.done = true
-	s := &t.eng.stats
-	m := &t.eng.metrics
-	m.ObserveAttempt(end.Sub(t.began))
-	if committed {
-		s.commits.Add(1)
-	} else {
-		m.RecordAbort(t.cause)
-		s.aborts.Add(1)
-	}
-	// Most counters are 0 on most transactions, and each shared one is a
-	// contended cache line: add only the others.
-	add := func(dst *atomic.Uint64, n uint64) {
-		if n != 0 {
-			dst.Add(n)
-		}
-	}
-	add(&s.openForRead, t.nOpenRead)
-	add(&s.openForUpdate, t.nOpenUpdate)
-	add(&s.undoLogged, t.nUndo)
-	add(&s.readLogEntries, t.nReadLog)
-	add(&s.filterHits, t.nFilterHits)
-	add(&s.localSkips, t.nLocalSkips)
-	add(&s.compactions, t.nCompactions)
-	add(&s.readLogDropped, t.nReadDropped)
-	add(&s.cmWaits, t.nCMWaits)
+	t.stripe.Finish(&t.n, t.began, committed, t.cause)
 	// Avoid pinning giant log capacity in the pool.
 	const keepCap = 1 << 14
 	if cap(t.readLog) > keepCap {

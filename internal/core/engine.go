@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"memtx/internal/engine"
 )
@@ -27,31 +26,12 @@ type Engine struct {
 	compactThreshold int  // auto-compact read log beyond this length; 0 = off
 	checked          bool // verify protocol discipline (tests)
 
-	pool    sync.Pool // *Txn
-	stats   engineStats
-	metrics engine.Metrics
-	cmctl   engine.CM
-	signal  commitSignal
+	pool   sync.Pool // *Txn
+	signal commitSignal
+	rec    engine.Recorder
 
 	// ids is this engine's id counter (see the commentary above).
 	ids engine.IDSource
-}
-
-// engineStats holds cumulative counters, updated with atomics when folding in
-// a finished transaction's local counts.
-type engineStats struct {
-	starts         atomic.Uint64
-	commits        atomic.Uint64
-	aborts         atomic.Uint64
-	openForRead    atomic.Uint64
-	openForUpdate  atomic.Uint64
-	undoLogged     atomic.Uint64
-	readLogEntries atomic.Uint64
-	filterHits     atomic.Uint64
-	localSkips     atomic.Uint64
-	compactions    atomic.Uint64
-	readLogDropped atomic.Uint64
-	cmWaits        atomic.Uint64
 }
 
 // Option configures an Engine.
@@ -119,35 +99,16 @@ func (e *Engine) BeginReadOnly() engine.Txn { return e.begin(true) }
 func (e *Engine) begin(readonly bool) *Txn {
 	tx := e.pool.Get().(*Txn)
 	tx.start(readonly)
-	e.stats.starts.Add(1)
 	return tx
 }
 
-// Stats implements engine.Engine. Starts is loaded last so that
-// Commits + Aborts <= Starts holds in every snapshot, even one taken while
-// transactions are in flight.
-func (e *Engine) Stats() engine.Stats {
-	s := engine.Stats{
-		Commits:        e.stats.commits.Load(),
-		Aborts:         e.stats.aborts.Load(),
-		OpenForRead:    e.stats.openForRead.Load(),
-		OpenForUpdate:  e.stats.openForUpdate.Load(),
-		UndoLogged:     e.stats.undoLogged.Load(),
-		ReadLogEntries: e.stats.readLogEntries.Load(),
-		FilterHits:     e.stats.filterHits.Load(),
-		LocalSkips:     e.stats.localSkips.Load(),
-		Compactions:    e.stats.compactions.Load(),
-		ReadLogDropped: e.stats.readLogDropped.Load(),
-		CMWaits:        e.stats.cmWaits.Load(),
-	}
-	s.Starts = e.stats.starts.Load()
-	return s
-}
+// Stats implements engine.Engine.
+func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
 // Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return &e.metrics }
+func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
 
 // CM implements engine.Engine.
-func (e *Engine) CM() *engine.CM { return &e.cmctl }
+func (e *Engine) CM() *engine.CM { return e.rec.CM() }
 
 var _ engine.Engine = (*Engine)(nil)

@@ -21,8 +21,9 @@ type Txn struct {
 	id       uint64
 	readonly bool
 	done     bool
-	began    time.Time         // attempt start, for the attempt-latency histogram
+	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
+	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
 	// ctx and deadline are bound by engine.RunCtx (CtxBinder); CM wait
 	// points observe them so an attempt parked behind a stalled owner
@@ -50,14 +51,12 @@ type Txn struct {
 	// opened tracks opened object ids in checked mode only.
 	opened map[uint64]bool // value: true if open for update
 
-	// local statistic counters, folded into the engine on finish.
-	nOpenRead, nOpenUpdate, nUndo, nReadLog uint64
-	nFilterHits, nLocalSkips                uint64
-	nCompactions, nReadDropped, nCMWaits    uint64
+	// n counts this attempt's operations; finish folds it into the stripe.
+	n engine.Stats
 }
 
 func newTxn(e *Engine) *Txn {
-	t := &Txn{eng: e, ids: e.ids.Block()}
+	t := &Txn{eng: e, ids: e.ids.Block(), stripe: e.rec.Stripe()}
 	if e.checked {
 		t.opened = make(map[uint64]bool)
 	}
@@ -68,7 +67,7 @@ func (t *Txn) start(readonly bool) {
 	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
-	t.began = time.Now()
+	t.began = t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.ctx = nil
 	t.deadline = time.Time{}
@@ -81,9 +80,7 @@ func (t *Txn) start(readonly bool) {
 	if t.opened != nil {
 		clear(t.opened)
 	}
-	t.nOpenRead, t.nOpenUpdate, t.nUndo, t.nReadLog = 0, 0, 0, 0
-	t.nFilterHits, t.nLocalSkips = 0, 0
-	t.nCompactions, t.nReadDropped, t.nCMWaits = 0, 0, 0
+	t.n = engine.Stats{}
 }
 
 // seen lazily creates the duplicate-log filter and records the key, reporting
@@ -100,6 +97,9 @@ func (t *Txn) seen(obj, field uint64) bool {
 
 // ReadOnly implements engine.Txn.
 func (t *Txn) ReadOnly() bool { return t.readonly }
+
+// Stripe implements engine.Striped.
+func (t *Txn) Stripe() *engine.Stripe { return t.stripe }
 
 // BindContext implements engine.CtxBinder: once bound, every CM wait checks
 // the context and deadline and abandons the attempt with CauseDeadline when
@@ -142,9 +142,9 @@ func (t *Txn) obj(h engine.Handle) *Obj {
 // read validates only if that owner rolls back without having written.
 func (t *Txn) OpenForRead(h engine.Handle) {
 	o := t.obj(h)
-	t.nOpenRead++
+	t.n.OpenForRead++
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if t.opened != nil && !t.opened[o.id] {
@@ -155,7 +155,7 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 		return // open for update subsumes open for read
 	}
 	if t.seen(o.id, readSlot) {
-		t.nFilterHits++
+		t.n.FilterHits++
 		return
 	}
 	if in := chaos.Active(); in != nil {
@@ -163,7 +163,7 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 	}
 	// An owned word still carries the displaced version.
 	t.readLog = append(t.readLog, readEntry{obj: o, seen: w >> verShift})
-	t.nReadLog++
+	t.n.ReadLogEntries++
 	if th := t.eng.compactThreshold; th > 0 && len(t.readLog) > th {
 		t.Compact()
 	}
@@ -178,9 +178,9 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		panic("core: OpenForUpdate on read-only transaction")
 	}
 	o := t.obj(h)
-	t.nOpenUpdate++
+	t.n.OpenForUpdate++
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if t.opened != nil {
@@ -215,7 +215,7 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 			engine.AbandonCause(engine.CauseCMKill,
 				"object %d owned by txn %d", o.id, owner)
 		}
-		t.nCMWaits++
+		t.n.CMWaits++
 		attempt++
 	}
 }
@@ -224,34 +224,34 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 func (t *Txn) LogForUndoWord(h engine.Handle, i int) {
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if t.seen(o.id, uint64(i)*2) {
-		t.nFilterHits++
+		t.n.FilterHits++
 		return
 	}
 	t.checkOwned(o, "LogForUndoWord")
 	t.markDirty(o)
 	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), oldWord: o.words[i].Load()})
-	t.nUndo++
+	t.n.UndoLogged++
 }
 
 // LogForUndoRef implements engine.Txn.
 func (t *Txn) LogForUndoRef(h engine.Handle, i int) {
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if t.seen(o.id, uint64(i)*2+1) {
-		t.nFilterHits++
+		t.n.FilterHits++
 		return
 	}
 	t.checkOwned(o, "LogForUndoRef")
 	t.markDirty(o)
 	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), isRef: true, oldRef: o.refs[i].Load()})
-	t.nUndo++
+	t.n.UndoLogged++
 }
 
 // markDirty sets the owned object's dirty bit so that rollback bumps the

@@ -11,12 +11,12 @@ import (
 // has conflicted repeatedly it sleeps for a bounded, jittered interval.
 //
 // The zero value is ready to use (and stays on the caller's stack — Run's
-// fast path must not allocate); the RNG is seeded on first use. Binding a CM
-// accounts every wait in its CMStats.
+// fast path must not allocate); the RNG is seeded on first use. Binding a
+// stripe accounts every wait in its CM's CMStats.
 type Backoff struct {
 	attempt int
 	rng     uint64
-	cm      *CM // optional wait accounting
+	st      *Stripe // optional wait accounting
 }
 
 const (
@@ -25,8 +25,8 @@ const (
 	backoffMaxShift     = 14 // cap sleep at base << 14 ≈ 8ms
 )
 
-// Bind attaches a CM account: subsequent waits are counted in its CMStats.
-func (b *Backoff) Bind(cm *CM) { b.cm = cm }
+// Bind attaches a stripe: subsequent waits are counted in its CMStats.
+func (b *Backoff) Bind(st *Stripe) { b.st = st }
 
 func (b *Backoff) next() uint64 {
 	if b.rng == 0 {
@@ -49,8 +49,8 @@ func (b *Backoff) next() uint64 {
 func (b *Backoff) duration() time.Duration {
 	b.attempt++
 	if b.attempt <= backoffSpinAttempts {
-		if b.cm != nil {
-			b.cm.noteSpin()
+		if b.st != nil {
+			b.st.noteSpin()
 		}
 		return 0
 	}
@@ -60,8 +60,8 @@ func (b *Backoff) duration() time.Duration {
 	}
 	window := uint64(1) << uint(shift)
 	d := backoffBaseSleep * time.Duration(1+b.next()%window)
-	if b.cm != nil {
-		b.cm.noteSleep(d)
+	if b.st != nil {
+		b.st.noteSleep(d)
 	}
 	return d
 }

@@ -1,39 +1,14 @@
 package engine
 
-import (
-	"sync/atomic"
-	"time"
-)
+// CM is the contention-management view of an engine's Recorder. The retry
+// driver (Drive) binds its Backoff to the stripe of each attempt's
+// transaction and counts the attempt's outcome there. Pacing itself is fixed
+// (see Backoff): the CM only counts. Stats sums the stripes; a store exports
+// their sum over its shards as the stmkv_cm_* metric families.
+type CM Recorder
 
-// CM is a per-engine contention-management account. Every engine embeds one
-// and exposes it via Engine.CM; the retry driver (Drive) binds its Backoff to
-// it and feeds it attempt outcomes. Pacing itself is fixed (see Backoff): the
-// CM only counts. Stats reads the counts; a store exports their sum over its
-// shards as the stmkv_cm_* metric families.
-//
-// All fields are atomics: outcomes arrive from every worker goroutine and
-// snapshots are taken while transactions are in flight.
-type CM struct {
-	outcomes   atomic.Uint64 // attempt outcomes observed (commits + aborts)
-	waits      atomic.Uint64 // backoff waits between attempts (spins + sleeps)
-	spins      atomic.Uint64 // waits satisfied by yielding the processor
-	sleeps     atomic.Uint64 // waits that slept
-	sleepNanos atomic.Uint64 // total nanoseconds of backoff sleep
-}
-
-// ObserveOutcome counts one attempt outcome, conflicted or committed.
-func (c *CM) ObserveOutcome() { c.outcomes.Add(1) }
-
-func (c *CM) noteSpin() {
-	c.waits.Add(1)
-	c.spins.Add(1)
-}
-
-func (c *CM) noteSleep(d time.Duration) {
-	c.waits.Add(1)
-	c.sleeps.Add(1)
-	c.sleepNanos.Add(uint64(d))
-}
+// stripe0 is where Drive counts an attempt whose transaction has no stripe.
+func (c *CM) stripe0() *Stripe { return &c.stripes[0] }
 
 // CMStats is a snapshot of a CM account; every field is a monotonic counter.
 type CMStats struct {
@@ -44,16 +19,19 @@ type CMStats struct {
 	SleepNanos uint64 // total backoff sleep time, ns
 }
 
-// Stats snapshots the account. Like engine Stats, a snapshot taken while
+// Stats sums the stripes. Like engine Stats, a snapshot taken while
 // transactions are in flight is approximate.
 func (c *CM) Stats() CMStats {
-	return CMStats{
-		Outcomes:   c.outcomes.Load(),
-		Waits:      c.waits.Load(),
-		Spins:      c.spins.Load(),
-		Sleeps:     c.sleeps.Load(),
-		SleepNanos: c.sleepNanos.Load(),
+	var s CMStats
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		s.Outcomes += st.outcomes.Load()
+		s.Waits += st.waits.Load()
+		s.Spins += st.spins.Load()
+		s.Sleeps += st.sleeps.Load()
+		s.SleepNanos += st.sleepNanos.Load()
 	}
+	return s
 }
 
 // Add merges t into s for sharded aggregation: every counter sums.

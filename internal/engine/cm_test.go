@@ -8,11 +8,12 @@ import (
 // TestCMFixedPolicyInert pins that observing outcomes only counts them:
 // pacing is fixed, so no wait counter moves however many attempts conflict.
 func TestCMFixedPolicyInert(t *testing.T) {
-	var c CM
+	var r Recorder
+	st := r.Stripe()
 	for i := 0; i < 512; i++ {
-		c.ObserveOutcome()
+		st.ObserveOutcome()
 	}
-	if s := c.Stats(); s != (CMStats{Outcomes: 512}) {
+	if s := r.CM().Stats(); s != (CMStats{Outcomes: 512}) {
 		t.Fatalf("after 512 outcomes: %+v, want only Outcomes 512", s)
 	}
 }
@@ -28,16 +29,16 @@ func TestCMStatsAdd(t *testing.T) {
 }
 
 // TestBackoffAccountsWaits checks the fixed pacing schedule through a bound
-// CM's counters: the first four waits spin, later ones sleep, and the n-th
-// sleep lasts at most base << n.
+// stripe's CM counters: the first four waits spin, later ones sleep, and the
+// n-th sleep lasts at most base << n.
 func TestBackoffAccountsWaits(t *testing.T) {
-	var c CM
+	var r Recorder
 	var b Backoff
-	b.Bind(&c)
+	b.Bind(r.Stripe())
 	for i := 0; i < 6; i++ {
 		b.Wait()
 	}
-	s := c.Stats()
+	s := r.CM().Stats()
 	if s.Waits != 6 || s.Spins != 4 || s.Sleeps != 2 {
 		t.Fatalf("waits/spins/sleeps = %d/%d/%d, want 6/4/2", s.Waits, s.Spins, s.Sleeps)
 	}

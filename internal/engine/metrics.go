@@ -88,7 +88,9 @@ func (h *Histogram) Observe(v uint64) {
 		i = HistogramBuckets - 1
 	}
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	if v != 0 {
+		h.sum.Add(v)
+	}
 }
 
 // ObserveDuration records a duration in nanoseconds (negative durations
@@ -105,11 +107,16 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // correspond to one instant.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = h.sum.Load()
+	s.addFrom(h)
 	return s
+}
+
+// addFrom adds h's counters into s.
+func (s *HistogramSnapshot) addFrom(h *Histogram) {
+	for i := range h.counts {
+		s.Counts[i] += h.counts[i].Load()
+	}
+	s.Sum += h.sum.Load()
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
@@ -183,66 +190,37 @@ func (s HistogramSnapshot) Sub(t HistogramSnapshot) HistogramSnapshot {
 	return d
 }
 
-// Metrics is the shared per-engine observability recorder: abort causes and
-// latency/retry histograms. All updates are atomic; one Metrics value is
-// embedded in every engine and updated from its transaction finish paths and
-// from the Run retry loop.
+// Metrics is the observability view of an engine's Recorder: abort causes
+// and latency/retry histograms. Every transaction records into its own
+// stripe (see Recorder); Snapshot sums the stripes.
 //
 // Recording conventions (the conformance suite in internal/enginetest pins
 // them):
 //
-//   - every transaction attempt observes Attempts once, at finish;
+//   - every transaction attempt observes Attempts once, at finish, with its
+//     duration from begin to commit or rollback;
 //   - every abort records exactly one cause;
-//   - every successful Commit call observes Commits once (the duration of
-//     the Commit call itself);
+//   - every commit observes Commits once, with the same duration: the
+//     committed attempt's, read off the attempt clock (no commit path reads
+//     a clock of its own);
 //   - every successful Run/RunReadOnly observes Retries once with the
-//     number of conflicted attempts that preceded the commit.
-type Metrics struct {
-	aborts [NumAbortCauses]atomic.Uint64
+//     number of conflicted attempts that preceded the commit, on the stripe
+//     of the transaction that committed.
+type Metrics Recorder
 
-	// Attempts is the wall-clock duration of each transaction attempt, from
-	// Begin to commit or rollback, in nanoseconds.
-	attempts Histogram
-	// Commits is the wall-clock duration of each successful Commit call.
-	commits Histogram
-	// Retries is the number of aborted attempts preceding each transaction
-	// that eventually committed through Run.
-	retries Histogram
-}
-
-// RecordAbort counts one abort with the given cause.
-func (m *Metrics) RecordAbort(c AbortCause) {
-	if int(c) >= NumAbortCauses {
-		c = CauseExplicit
-	}
-	m.aborts[c].Add(1)
-}
-
-// ObserveAttempt records one attempt's duration.
-func (m *Metrics) ObserveAttempt(d time.Duration) { m.attempts.ObserveDuration(d) }
-
-// ObserveCommit records one successful commit call's duration.
-func (m *Metrics) ObserveCommit(d time.Duration) { m.commits.ObserveDuration(d) }
-
-// ObserveRetries records the number of conflicted attempts a successful
-// transaction needed before committing (0 = first try).
-func (m *Metrics) ObserveRetries(aborted int) {
-	if aborted < 0 {
-		aborted = 0
-	}
-	m.retries.Observe(uint64(aborted))
-}
-
-// Snapshot copies all counters. Like Stats, a snapshot taken while
+// Snapshot sums the stripes. Like Stats, a snapshot taken while
 // transactions are in flight is approximate.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	var s MetricsSnapshot
-	for i := range m.aborts {
-		s.AbortsByCause[i] = m.aborts[i].Load()
+	for i := range m.stripes {
+		c := &m.stripes[i]
+		for j := range c.abortCauses {
+			s.AbortsByCause[j] += c.abortCauses[j].Load()
+		}
+		s.Attempts.addFrom(&c.attempts)
+		s.Commits.addFrom(&c.committed)
+		s.Retries.addFrom(&c.retries)
 	}
-	s.Attempts = m.attempts.Snapshot()
-	s.Commits = m.commits.Snapshot()
-	s.Retries = m.retries.Snapshot()
 	return s
 }
 
@@ -252,7 +230,7 @@ type MetricsSnapshot struct {
 	AbortsByCause [NumAbortCauses]uint64
 
 	Attempts HistogramSnapshot // attempt duration, ns
-	Commits  HistogramSnapshot // successful commit-call duration, ns
+	Commits  HistogramSnapshot // committed attempts' duration, ns
 	Retries  HistogramSnapshot // conflicted attempts per successful Run txn
 }
 

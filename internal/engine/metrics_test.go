@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -97,25 +96,29 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 func TestMetricsRecorder(t *testing.T) {
-	var m Metrics
-	m.RecordAbort(CauseValidation)
-	m.RecordAbort(CauseValidation)
-	m.RecordAbort(CauseCMKill)
-	m.ObserveAttempt(1500 * time.Nanosecond)
-	m.ObserveCommit(500 * time.Nanosecond)
-	m.ObserveRetries(2)
-	m.ObserveRetries(-1) // clamps to 0
+	var r Recorder
+	a, b := r.Stripe(), r.Stripe()
+	var n Stats
+	a.Finish(&n, a.Begin(), false, CauseValidation)
+	b.Finish(&n, b.Begin(), false, CauseValidation)
+	a.Finish(&n, a.Begin(), false, CauseCMKill)
+	b.Finish(&n, b.Begin(), true, CauseExplicit)
+	a.ObserveRetries(2)
+	b.ObserveRetries(-1) // clamps to 0
 
-	s := m.Snapshot()
+	s := r.Metrics().Snapshot()
 	if s.Aborts(CauseValidation) != 2 || s.Aborts(CauseCMKill) != 1 {
 		t.Fatalf("aborts by cause wrong: %v", s.AbortsByCause)
 	}
 	if s.AbortTotal() != 3 {
 		t.Fatalf("AbortTotal = %d, want 3", s.AbortTotal())
 	}
-	if s.Attempts.Count() != 1 || s.Commits.Count() != 1 {
+	if s.Attempts.Count() != 4 || s.Commits.Count() != 1 {
 		t.Fatalf("histogram counts wrong: attempts=%d commits=%d",
 			s.Attempts.Count(), s.Commits.Count())
+	}
+	if st := r.Stats(); st.Starts != 4 || st.Commits != 1 || st.Aborts != 3 {
+		t.Fatalf("Stats = %+v, want 4 starts, 1 commit, 3 aborts", st)
 	}
 	if s.Retries.Count() != 2 || s.Retries.Sum != 2 {
 		t.Fatalf("retries count=%d sum=%d, want 2/2", s.Retries.Count(), s.Retries.Sum)

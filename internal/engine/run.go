@@ -71,9 +71,13 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 //
 // Drive owns the bound checks (ctx cancellation, ctx's deadline,
 // opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
-// backoff between attempts, and the feed of every outcome into cm. attempt
-// receives the ctx and effective deadline to bind into the transactions it
-// begins (see BeginAttempt).
+// backoff between attempts, and the count of every outcome. attempt receives
+// the ctx and effective deadline to bind into the transactions it begins (see
+// BeginAttempt), and returns the stripe of the transaction it began first
+// (StripeOf), or nil if it began none. Drive counts the outcome, and the
+// backoff wait after it, on that stripe (cm's first stripe for nil), so
+// disjoint transactions share no counter. On a commit it also returns that
+// attempt's stripe, on which the caller records the commit's retries.
 // Locks an attempt needs are the attempt's own business: it takes and
 // releases them inside the callback, so a panic unwinding through Drive
 // cannot leak them.
@@ -82,7 +86,7 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 // attempt is handed a nil ctx and zero deadline. A nil ctx with non-zero opts
 // means context.Background().
 func Drive(ctx context.Context, opts RunOptions, cm *CM,
-	attempt func(ctx context.Context, deadline time.Time) (err error, conflicted bool)) (int, error) {
+	attempt func(ctx context.Context, deadline time.Time) (st *Stripe, err error, conflicted bool)) (int, *Stripe, error) {
 
 	bounded := ctx != nil || opts != (RunOptions{})
 	var start, deadline time.Time
@@ -100,7 +104,6 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 		}
 	}
 	var backoff Backoff
-	backoff.Bind(cm)
 	conflicts := 0
 	for {
 		if bounded {
@@ -109,28 +112,32 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 				if errors.Is(cerr, context.DeadlineExceeded) {
 					op = "deadline"
 				}
-				return conflicts, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cerr}
+				return conflicts, nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cerr}
 			}
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				op, cause := "deadline", error(context.DeadlineExceeded)
 				if budgetDeadline {
 					op, cause = "max-elapsed", ErrRetryBudget
 				}
-				return conflicts, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
+				return conflicts, nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
 			}
 		}
-		err, conflicted := attempt(ctx, deadline)
-		cm.ObserveOutcome()
+		st, err, conflicted := attempt(ctx, deadline)
+		if st == nil {
+			st = cm.stripe0()
+		}
+		st.ObserveOutcome()
 		if !conflicted {
-			return conflicts, err
+			return conflicts, st, err
 		}
 		conflicts++
+		backoff.Bind(st)
 		if !bounded {
 			backoff.Wait()
 			continue
 		}
 		if opts.MaxAttempts > 0 && conflicts >= opts.MaxAttempts {
-			return conflicts, &TimeoutError{Op: "max-attempts", Attempts: conflicts, Elapsed: time.Since(start), cause: ErrRetryBudget}
+			return conflicts, nil, &TimeoutError{Op: "max-attempts", Attempts: conflicts, Elapsed: time.Since(start), cause: ErrRetryBudget}
 		}
 		backoff.WaitCtx(ctx, deadline)
 	}
@@ -155,13 +162,17 @@ func BeginAttempt(ctx context.Context, deadline time.Time, e Engine, readonly bo
 }
 
 // run drives body on e: one BeginAttempt + Attempt per Drive iteration, and
-// on commit the retry histogram records how many aborted attempts it took.
+// on commit the retry histogram of the committing transaction's stripe
+// records how many aborted attempts it took.
 func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body func(tx Txn) error) error {
-	conflicts, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
-		return Attempt(BeginAttempt(ctx, deadline, e, readonly), body)
+	conflicts, st, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time) (*Stripe, error, bool) {
+		tx := BeginAttempt(ctx, deadline, e, readonly)
+		st := StripeOf(tx, e)
+		err, conflicted := Attempt(tx, body)
+		return st, err, conflicted
 	})
 	if err == nil {
-		e.Metrics().ObserveRetries(conflicts)
+		st.ObserveRetries(conflicts)
 	}
 	return err
 }

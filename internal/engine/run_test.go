@@ -36,17 +36,16 @@ func (f *fakeTxn) Commit() error {
 
 // fakeEngine hands out scripted transactions in sequence.
 type fakeEngine struct {
-	txns    []*fakeTxn
-	next    int
-	metrics Metrics
-	cm      CM
+	txns []*fakeTxn
+	next int
+	rec  Recorder
 }
 
 func (e *fakeEngine) Name() string           { return "fake" }
 func (e *fakeEngine) NewObj(int, int) Handle { return nil }
 func (e *fakeEngine) Stats() Stats           { return Stats{} }
-func (e *fakeEngine) Metrics() *Metrics      { return &e.metrics }
-func (e *fakeEngine) CM() *CM                { return &e.cm }
+func (e *fakeEngine) Metrics() *Metrics      { return e.rec.Metrics() }
+func (e *fakeEngine) CM() *CM                { return e.rec.CM() }
 func (e *fakeEngine) BeginReadOnly() Txn     { return e.Begin() }
 func (e *fakeEngine) Begin() Txn {
 	t := e.txns[e.next]
@@ -191,7 +190,7 @@ func TestRunAttributesAbortCauses(t *testing.T) {
 	}
 	// One conflicted attempt preceded the commit; the retries histogram
 	// records it against the engine.
-	r := e.metrics.Snapshot().Retries
+	r := e.Metrics().Snapshot().Retries
 	if r.Count() != 1 || r.Sum != 1 {
 		t.Fatalf("retries histogram count=%d sum=%d, want 1/1", r.Count(), r.Sum)
 	}

@@ -40,6 +40,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("MetricsQuiescent", func(t *testing.T) { testMetricsQuiescent(t, f()) })
 	t.Run("MetricsConcurrent", func(t *testing.T) { testMetricsConcurrent(t, f()) })
 	t.Run("CMStats", func(t *testing.T) { testCMStats(t, f()) })
+	t.Run("Stripes", func(t *testing.T) { testStripes(t, f()) })
 }
 
 // write is a helper that opens, undo-logs, and stores one word.

@@ -157,12 +157,21 @@ func TestCrashRecoveryPipeline(t *testing.T) {
 		t.Fatal("store lost its seed marker")
 	}
 	var sum int64
+	var off []string // accounts not at crashBalance, "key=balance"
+	var missing []string
 	err = s.View(func(tx *Tx) error {
-		sum = 0
+		sum, off, missing = 0, off[:0], missing[:0]
 		for i := 0; i < crashAccts; i++ {
-			v, err := tx.Int(crashAcctKey(i))
+			key := crashAcctKey(i)
+			if _, ok := tx.Get(key); !ok {
+				missing = append(missing, string(key))
+			}
+			v, err := tx.Int(key)
 			if err != nil {
 				return err
+			}
+			if v != crashBalance {
+				off = append(off, fmt.Sprintf("%s=%d", key, v))
 			}
 			sum += v
 		}
@@ -172,6 +181,9 @@ func TestCrashRecoveryPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum != crashAccts*crashBalance {
+		t.Logf("accounts off %d: %v", crashBalance, off)
+		t.Logf("missing keys: %v", missing)
+		t.Logf("recovery stats: %+v", *stats)
 		t.Fatalf("sum %d after crash recovery, want %d — a cross-shard transfer tore", sum, crashAccts*crashBalance)
 	}
 	t.Logf("recovery stats: %+v", *stats)

@@ -400,13 +400,21 @@ type Tx struct {
 	ctx      context.Context // non-nil on bounded paths: bound into each begun txn
 	deadline time.Time
 
-	committed []int // publish-order scratch: shards committed this attempt
+	committed []committedShard // publish-order scratch: shards committed this attempt
+	stripe    *engine.Stripe   // multi-shard: stripe of the attempt's first begun txn
 	counts    [NumOps]uint32
 
 	// WAL state (populated only when the store has a log attached).
 	effs   []walEff // captured write effects, in execution order
 	encOps []wal.Op // encode scratch, reused across appends
 	lsn    uint64   // the commit's record, to make durable before ack; 0 = none
+}
+
+// committedShard is one shard transaction a cross-shard attempt published,
+// with the stripe that shard's retries are recorded on.
+type committedShard struct {
+	sid    int
+	stripe *engine.Stripe
 }
 
 // txnFor returns the transaction for shard sid, beginning it lazily in
@@ -424,8 +432,12 @@ func (t *Tx) txnFor(sid int) engine.Txn {
 	if t.allowed != nil && !t.allowed[sid] {
 		panic(fmt.Sprintf("kv: key hashes to shard %d outside this transaction's declared shard set", sid))
 	}
-	tx := engine.BeginAttempt(t.ctx, t.deadline, t.s.shards[sid].eng, t.readonly)
+	eng := t.s.shards[sid].eng
+	tx := engine.BeginAttempt(t.ctx, t.deadline, eng, t.readonly)
 	t.txns[sid] = tx
+	if t.stripe == nil {
+		t.stripe = engine.StripeOf(tx, eng)
+	}
 	return tx
 }
 
@@ -446,6 +458,7 @@ func (t *Tx) abortFrom(from int, cause engine.AbortCause) {
 func (t *Tx) resetAttempt() {
 	t.counts = [NumOps]uint32{}
 	t.committed = t.committed[:0]
+	t.stripe = nil
 	t.effs = t.effs[:0]
 }
 
@@ -577,6 +590,7 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 		if tx == nil {
 			continue
 		}
+		st := engine.StripeOf(tx, t.s.shards[sid].eng)
 		if err := t.commitPublish(tx); err != nil {
 			t.txns[sid] = nil // Commit rolled this one back
 			if t.readonly || len(t.committed) == 0 {
@@ -586,7 +600,7 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 			}
 			panic(fmt.Sprintf("kv: shard %d commit failed after %d shard(s) published — cross-shard atomicity violated: %v", sid, len(t.committed), err))
 		}
-		t.committed = append(t.committed, sid)
+		t.committed = append(t.committed, committedShard{sid, st})
 		t.txns[sid] = nil
 	}
 	// Log the committed write-set while the exclusive gates are still held:
@@ -652,7 +666,7 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, &t, tx) }
 		ws = t.borrowWALScratch()
 	}
-	conflicts, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
+	conflicts, st, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
 		if !readonly {
 			sh.xmu.RLock()
 			defer sh.xmu.RUnlock()
@@ -660,10 +674,12 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 		t.raw = engine.BeginAttempt(ctx, deadline, sh.eng, readonly)
 		t.counts = [NumOps]uint32{}
 		t.effs = t.effs[:0]
-		return engine.AttemptWith(t.raw, wrap, commit)
+		st := engine.StripeOf(t.raw, sh.eng)
+		err, conflicted := engine.AttemptWith(t.raw, wrap, commit)
+		return st, err, conflicted
 	})
 	if err == nil {
-		sh.eng.Metrics().ObserveRetries(conflicts)
+		st.ObserveRetries(conflicts)
 		s.fold(&t)
 	}
 	if durable {
@@ -704,7 +720,8 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 		ws = t.borrowWALScratch()
 	}
 	// A cross-shard transaction's attempt outcomes and backoff waits are
-	// counted on the first involved shard's CM, so each is counted once.
+	// counted once, on the stripe of the attempt's first begun transaction,
+	// or on the first involved shard's CM if it began none.
 	cmSid := 0
 	for i := range s.shards {
 		if allowed == nil || allowed[i] {
@@ -712,7 +729,7 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 			break
 		}
 	}
-	conflicts, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (error, bool) {
+	conflicts, _, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
 		s.lockShards(allowed, exclusive)
 		defer s.unlockShards(allowed, exclusive)
 		t.ctx, t.deadline = ctx, deadline
@@ -720,11 +737,11 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 		if conflicted {
 			s.crossRetries.Add(1)
 		}
-		return err, conflicted
+		return t.stripe, err, conflicted
 	})
 	if err == nil {
-		for _, sid := range t.committed {
-			s.shards[sid].eng.Metrics().ObserveRetries(conflicts)
+		for _, c := range t.committed {
+			c.stripe.ObserveRetries(conflicts)
 		}
 		s.crossCommits.Add(1)
 		s.fold(&t)

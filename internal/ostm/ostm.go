@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"memtx/internal/chaos"
 	"memtx/internal/engine"
@@ -38,26 +37,18 @@ const lockedBit = 1
 
 // Engine is the object-based buffered-update STM.
 type Engine struct {
-	pool    sync.Pool
-	stats   stats
-	metrics engine.Metrics
-	cm      engine.CM
+	pool sync.Pool
+	rec  engine.Recorder
 
 	// ids is this engine's id counter.
 	ids engine.IDSource
-}
-
-type stats struct {
-	starts, commits, aborts atomic.Uint64
-	openRead, openUpdate    atomic.Uint64
-	readLog, localSkips     atomic.Uint64
 }
 
 // New returns an object-based buffered-update engine.
 func New() *Engine {
 	e := &Engine{}
 	e.pool.New = func() any {
-		return &Txn{eng: e, shadows: make(map[*Obj]*shadow), ids: e.ids.Block()}
+		return &Txn{eng: e, shadows: make(map[*Obj]*shadow), ids: e.ids.Block(), stripe: e.rec.Stripe()}
 	}
 	return e
 }
@@ -90,31 +81,18 @@ func (e *Engine) BeginReadOnly() engine.Txn { return e.begin(true) }
 func (e *Engine) begin(readonly bool) *Txn {
 	t := e.pool.Get().(*Txn)
 	t.start(readonly)
-	e.stats.starts.Add(1)
 	return t
 }
 
-// Stats implements engine.Engine. Starts is loaded last so that
-// Commits + Aborts <= Starts holds in every snapshot.
-func (e *Engine) Stats() engine.Stats {
-	s := engine.Stats{
-		Commits:        e.stats.commits.Load(),
-		Aborts:         e.stats.aborts.Load(),
-		OpenForRead:    e.stats.openRead.Load(),
-		OpenForUpdate:  e.stats.openUpdate.Load(),
-		ReadLogEntries: e.stats.readLog.Load(),
-		LocalSkips:     e.stats.localSkips.Load(),
-	}
-	s.Starts = e.stats.starts.Load()
-	return s
-}
+// Stats implements engine.Engine.
+func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
 // Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return &e.metrics }
+func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
 
 // CM implements engine.Engine. ostm has no in-attempt wait points — conflicts
 // abandon immediately — so the controller paces only the retry-loop backoff.
-func (e *Engine) CM() *engine.CM { return &e.cm }
+func (e *Engine) CM() *engine.CM { return e.rec.CM() }
 
 // shadow is a private copy of an object opened for update.
 type shadow struct {
@@ -134,8 +112,9 @@ type Txn struct {
 	id       uint64
 	readonly bool
 	done     bool
-	began    time.Time         // attempt start, for the attempt-latency histogram
+	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
+	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
 	readLog []readEntry
 	shadows map[*Obj]*shadow
@@ -157,23 +136,27 @@ type Txn struct {
 	// scratch is Compact's deduplication set, reused across calls.
 	scratch map[*Obj]struct{}
 
-	nOpenRead, nOpenUpdate, nReadLog, nLocalSkips uint64
+	// n counts this attempt's operations; finish folds it into the stripe.
+	n engine.Stats
 }
 
 func (t *Txn) start(readonly bool) {
 	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
-	t.began = time.Now()
+	t.began = t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.readLog = t.readLog[:0]
 	clear(t.shadows)
 	t.worder = t.worder[:0]
-	t.nOpenRead, t.nOpenUpdate, t.nReadLog, t.nLocalSkips = 0, 0, 0, 0
+	t.n = engine.Stats{}
 }
 
 // ReadOnly implements engine.Txn.
 func (t *Txn) ReadOnly() bool { return t.readonly }
+
+// Stripe implements engine.Striped.
+func (t *Txn) Stripe() *engine.Stripe { return t.stripe }
 
 // SetAbortCause implements engine.Txn.
 func (t *Txn) SetAbortCause(c engine.AbortCause) { t.cause = c }
@@ -191,9 +174,9 @@ func (t *Txn) obj(h engine.Handle) *Obj {
 // unstable; the attempt is abandoned rather than spun on.
 func (t *Txn) OpenForRead(h engine.Handle) {
 	o := t.obj(h)
-	t.nOpenRead++
+	t.n.OpenForRead++
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if _, mine := t.shadows[o]; mine {
@@ -209,7 +192,7 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 			"ostm: object %d locked during open-for-read", o.id)
 	}
 	t.readLog = append(t.readLog, readEntry{obj: o, seen: m >> 1})
-	t.nReadLog++
+	t.n.ReadLogEntries++
 }
 
 // OpenForUpdate implements engine.Txn: clone the object into a shadow. The
@@ -219,9 +202,9 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		panic("ostm: OpenForUpdate on read-only transaction")
 	}
 	o := t.obj(h)
-	t.nOpenUpdate++
+	t.n.OpenForUpdate++
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return
 	}
 	if _, mine := t.shadows[o]; mine {
@@ -321,7 +304,7 @@ func (t *Txn) StoreWord(h engine.Handle, i int, v uint64) {
 	}
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		o.words[i].Store(v)
 		return
 	}
@@ -343,7 +326,7 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 		ro = t.obj(r)
 	}
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		o.refs[i].Store(ro)
 		return
 	}
@@ -419,13 +402,11 @@ func (t *Txn) Commit() error {
 	if t.done {
 		panic("ostm: Commit on finished transaction")
 	}
-	commitStart := time.Now()
 	if in := chaos.Active(); in != nil {
 		// Before any object lock is taken, so an injected abort or panic
 		// unwinds with nothing held.
 		in.Step(chaos.CommitValidate)
 	}
-	eng := t.eng
 	if len(t.worder) == 0 {
 		ok := t.validCurrent(false)
 		if !ok {
@@ -435,7 +416,6 @@ func (t *Txn) Commit() error {
 		if !ok {
 			return engine.ErrConflict
 		}
-		eng.metrics.ObserveCommit(time.Since(commitStart))
 		return nil
 	}
 
@@ -483,7 +463,6 @@ func (t *Txn) Commit() error {
 	}
 	t.releaseLocked(order, true)
 	t.finish(true)
-	eng.metrics.ObserveCommit(time.Since(commitStart))
 	return nil
 }
 
@@ -511,19 +490,7 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(committed bool) {
 	t.done = true
-	s := &t.eng.stats
-	m := &t.eng.metrics
-	m.ObserveAttempt(time.Since(t.began))
-	if committed {
-		s.commits.Add(1)
-	} else {
-		m.RecordAbort(t.cause)
-		s.aborts.Add(1)
-	}
-	s.openRead.Add(t.nOpenRead)
-	s.openUpdate.Add(t.nOpenUpdate)
-	s.readLog.Add(t.nReadLog)
-	s.localSkips.Add(t.nLocalSkips)
+	t.stripe.Finish(&t.n, t.began, committed, t.cause)
 	const keepCap = 1 << 14
 	// keepShadows bounds the recycled-shadow free list so a single wide
 	// transaction doesn't pin shadow capacity in the pool forever.

@@ -19,8 +19,7 @@ type Obj struct {
 // Engine is the no-op engine. The zero value is ready to use.
 type Engine struct {
 	starts, commits uint64
-	metrics         engine.Metrics
-	cm              engine.CM
+	rec             engine.Recorder
 }
 
 // New returns a raw engine.
@@ -68,11 +67,11 @@ func (e *Engine) Stats() engine.Stats {
 // Metrics implements engine.Engine. The raw engine records nothing into it
 // (no timing on the uninstrumented baseline); the recorder exists only so
 // the engine satisfies the interface.
-func (e *Engine) Metrics() *engine.Metrics { return &e.metrics }
+func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
 
 // CM implements engine.Engine. The raw engine never conflicts, so the
 // controller only ever observes committed outcomes.
-func (e *Engine) CM() *engine.CM { return &e.cm }
+func (e *Engine) CM() *engine.CM { return e.rec.CM() }
 
 type rawTxn struct{ e *Engine }
 

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"memtx/internal/chaos"
 	"memtx/internal/engine"
@@ -47,9 +46,7 @@ type Engine struct {
 	stripes []paddedStripe
 	mask    uint64
 	pool    sync.Pool
-	stats   stats
-	metrics engine.Metrics
-	cm      engine.CM
+	rec     engine.Recorder
 
 	// ids is this engine's id counter.
 	ids engine.IDSource
@@ -59,12 +56,6 @@ type Engine struct {
 type paddedStripe struct {
 	v atomic.Uint64
 	_ [7]uint64
-}
-
-type stats struct {
-	starts, commits, aborts atomic.Uint64
-	openRead, openUpdate    atomic.Uint64
-	readLog, localSkips     atomic.Uint64
 }
 
 // Option configures the engine.
@@ -94,7 +85,7 @@ func New(opts ...Option) *Engine {
 		e.mask = DefaultStripes - 1
 	}
 	e.pool.New = func() any {
-		return &Txn{eng: e, writes: make(map[wkey]wval), ids: e.ids.Block()}
+		return &Txn{eng: e, writes: make(map[wkey]wval), ids: e.ids.Block(), stripe: e.rec.Stripe()}
 	}
 	return e
 }
@@ -125,31 +116,18 @@ func (e *Engine) BeginReadOnly() engine.Txn { return e.begin(true) }
 func (e *Engine) begin(readonly bool) *Txn {
 	t := e.pool.Get().(*Txn)
 	t.start(readonly)
-	e.stats.starts.Add(1)
 	return t
 }
 
-// Stats implements engine.Engine. Starts is loaded last so that
-// Commits + Aborts <= Starts holds in every snapshot.
-func (e *Engine) Stats() engine.Stats {
-	s := engine.Stats{
-		Commits:        e.stats.commits.Load(),
-		Aborts:         e.stats.aborts.Load(),
-		OpenForRead:    e.stats.openRead.Load(),
-		OpenForUpdate:  e.stats.openUpdate.Load(),
-		ReadLogEntries: e.stats.readLog.Load(),
-		LocalSkips:     e.stats.localSkips.Load(),
-	}
-	s.Starts = e.stats.starts.Load()
-	return s
-}
+// Stats implements engine.Engine.
+func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
 // Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return &e.metrics }
+func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
 
 // CM implements engine.Engine. wstm has no in-attempt wait points — conflicts
 // abandon immediately — so the controller paces only the retry-loop backoff.
-func (e *Engine) CM() *engine.CM { return &e.cm }
+func (e *Engine) CM() *engine.CM { return e.rec.CM() }
 
 // stripeFor hashes an object field to the index of its versioned lock.
 func (e *Engine) stripeFor(o *Obj, slot uint64) uint64 {
@@ -180,8 +158,9 @@ type Txn struct {
 	rv       uint64 // read version: global clock at start
 	readonly bool
 	done     bool
-	began    time.Time         // attempt start, for the attempt-latency histogram
+	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
+	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
 	reads  []readEntry // stripe pointers and versions observed
 	writes map[wkey]wval
@@ -194,7 +173,8 @@ type Txn struct {
 	// commit performs no allocation.
 	lockScratch []lockedStripe
 
-	nOpenRead, nOpenUpdate, nReadLog, nLocalSkips uint64
+	// n counts this attempt's operations; finish folds it into the stripe.
+	n engine.Stats
 }
 
 type readEntry struct {
@@ -207,16 +187,19 @@ func (t *Txn) start(readonly bool) {
 	t.rv = t.eng.clock.Load()
 	t.readonly = readonly
 	t.done = false
-	t.began = time.Now()
+	t.began = t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.reads = t.reads[:0]
 	clear(t.writes)
 	t.worder = t.worder[:0]
-	t.nOpenRead, t.nOpenUpdate, t.nReadLog, t.nLocalSkips = 0, 0, 0, 0
+	t.n = engine.Stats{}
 }
 
 // ReadOnly implements engine.Txn.
 func (t *Txn) ReadOnly() bool { return t.readonly }
+
+// Stripe implements engine.Striped.
+func (t *Txn) Stripe() *engine.Stripe { return t.stripe }
 
 // SetAbortCause implements engine.Txn.
 func (t *Txn) SetAbortCause(c engine.AbortCause) { t.cause = c }
@@ -231,14 +214,14 @@ func (t *Txn) obj(h engine.Handle) *Obj {
 
 // OpenForRead implements engine.Txn. Word-based designs have no object-level
 // open; the cost sits on each access.
-func (t *Txn) OpenForRead(h engine.Handle) { t.nOpenRead++ }
+func (t *Txn) OpenForRead(h engine.Handle) { t.n.OpenForRead++ }
 
 // OpenForUpdate implements engine.Txn (a no-op for this design).
 func (t *Txn) OpenForUpdate(h engine.Handle) {
 	if t.readonly {
 		panic("wstm: OpenForUpdate on read-only transaction")
 	}
-	t.nOpenUpdate++
+	t.n.OpenForUpdate++
 }
 
 // LogForUndoWord implements engine.Txn. Buffered updates need no undo log.
@@ -253,7 +236,7 @@ func (t *Txn) LogForUndoRef(engine.Handle, int) {}
 func (t *Txn) LoadWord(h engine.Handle, i int) uint64 {
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return o.words[i].Load()
 	}
 	slot := uint64(i) * 2
@@ -282,7 +265,7 @@ func (t *Txn) LoadWord(h engine.Handle, i int) uint64 {
 				"wstm: read too new (stripe %d > rv %d)", v1>>1, t.rv)
 		}
 		t.reads = append(t.reads, readEntry{stripe: si, seen: v1})
-		t.nReadLog++
+		t.n.ReadLogEntries++
 		return val
 	}
 }
@@ -291,7 +274,7 @@ func (t *Txn) LoadWord(h engine.Handle, i int) uint64 {
 func (t *Txn) LoadRef(h engine.Handle, i int) engine.Handle {
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		return refHandle(o.refs[i].Load())
 	}
 	slot := uint64(i)*2 + 1
@@ -319,7 +302,7 @@ func (t *Txn) LoadRef(h engine.Handle, i int) engine.Handle {
 			engine.AbandonCause(engine.CauseValidation, "wstm: read too new")
 		}
 		t.reads = append(t.reads, readEntry{stripe: si, seen: v1})
-		t.nReadLog++
+		t.n.ReadLogEntries++
 		return refHandle(val)
 	}
 }
@@ -338,7 +321,7 @@ func (t *Txn) StoreWord(h engine.Handle, i int, v uint64) {
 	}
 	o := t.obj(h)
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		o.words[i].Store(v)
 		return
 	}
@@ -356,7 +339,7 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 		ro = t.obj(r)
 	}
 	if o.creator == t.id {
-		t.nLocalSkips++
+		t.n.LocalSkips++
 		o.refs[i].Store(ro)
 		return
 	}
@@ -399,17 +382,14 @@ func (t *Txn) Commit() error {
 	if t.done {
 		panic("wstm: Commit on finished transaction")
 	}
-	commitStart := time.Now()
 	if in := chaos.Active(); in != nil {
 		// Before any stripe is locked, so an injected abort or panic unwinds
 		// with nothing held.
 		in.Step(chaos.CommitValidate)
 	}
-	eng := t.eng
 	if len(t.writes) == 0 {
 		// Reads were validated at access time against rv; nothing to publish.
 		t.finish(true)
-		eng.metrics.ObserveCommit(time.Since(commitStart))
 		return nil
 	}
 
@@ -441,7 +421,6 @@ func (t *Txn) Commit() error {
 	}
 	t.release(locked, wv)
 	t.finish(true)
-	eng.metrics.ObserveCommit(time.Since(commitStart))
 	return nil
 }
 
@@ -545,19 +524,7 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(committed bool) {
 	t.done = true
-	s := &t.eng.stats
-	m := &t.eng.metrics
-	m.ObserveAttempt(time.Since(t.began))
-	if committed {
-		s.commits.Add(1)
-	} else {
-		m.RecordAbort(t.cause)
-		s.aborts.Add(1)
-	}
-	s.openRead.Add(t.nOpenRead)
-	s.openUpdate.Add(t.nOpenUpdate)
-	s.readLog.Add(t.nReadLog)
-	s.localSkips.Add(t.nLocalSkips)
+	t.stripe.Finish(&t.n, t.began, committed, t.cause)
 	const keepCap = 1 << 14
 	if cap(t.reads) > keepCap {
 		t.reads = nil

@@ -151,7 +151,8 @@ func (tm *TM) Stats() engine.Stats { return tm.eng.Stats() }
 
 // Metrics returns a snapshot of the engine's observability recorder: abort
 // counts by cause (engine.AbortCauses), and log-scaled histograms of attempt
-// duration, commit duration, and retries per committed transaction. Diff two
+// duration, committed-attempt duration, and retries per committed
+// transaction. Diff two
 // snapshots with Sub for per-interval figures.
 func (tm *TM) Metrics() engine.MetricsSnapshot { return tm.eng.Metrics().Snapshot() }
 

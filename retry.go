@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"memtx/internal/core"
+	"memtx/internal/engine"
 )
 
 // retryWait is the panic value raised by Retry. It never escapes AtomicWait
@@ -24,7 +25,17 @@ type retryWait struct{}
 //	})
 //
 // Inside Tx.OrElse, Retry instead passes control to the next alternative.
+//
+// Retry first validates the attempt. The engines are not opaque, so the
+// condition that led the body to Retry may have been read from an
+// inconsistent snapshot: on the direct-update engine, a value another
+// transaction wrote in place and may yet roll back. Waiting for a commit
+// then could wait forever, because a rollback publishes none. An
+// inconsistent attempt is therefore abandoned as doomed and re-run at once.
 func Retry(tx *Tx) {
+	if tx.tx.Validate() != nil {
+		engine.AbandonCause(engine.CauseDoomed, "memtx: retry on an inconsistent snapshot")
+	}
 	panic(retryWait{})
 }
 

@@ -141,6 +141,54 @@ func TestRetryNoLostWakeup(t *testing.T) {
 	}
 }
 
+// TestRetryAfterZombieReadWakes: the body reads a value that an uncommitted
+// owner wrote in place and retries on it; the owner then rolls back, which
+// publishes no commit. Waiting for a commit would sleep forever. Retry must
+// see that the attempt's snapshot is inconsistent and re-run it instead, so
+// the body reads the restored value and AtomicWait returns.
+func TestRetryAfterZombieReadWakes(t *testing.T) {
+	tm := New()
+	slot := tm.NewVar(0)
+	errAbort := errors.New("owner aborts")
+
+	written, release, ownerDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		ownerDone <- tm.Atomic(func(tx *Tx) error {
+			slot.Set(tx, 1) // in place, owned, uncommitted
+			close(written)
+			<-release
+			return errAbort
+		})
+	}()
+	<-written
+
+	saw, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var once sync.Once
+		done <- tm.AtomicWait(func(tx *Tx) error {
+			if slot.Get(tx) == 1 {
+				once.Do(func() { close(saw) })
+				Retry(tx)
+			}
+			return nil
+		})
+	}()
+	<-saw
+	time.Sleep(10 * time.Millisecond) // let the waiter reach its wait
+	close(release)
+	if err := <-ownerDone; err != errAbort {
+		t.Fatalf("owner: %v, want its own abort", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("AtomicWait: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AtomicWait still asleep 2s after the zombie read's owner rolled back")
+	}
+}
+
 // TestAtomicWaitPlainBody: bodies that never retry behave exactly like
 // Atomic, including error passthrough.
 func TestAtomicWaitPlainBody(t *testing.T) {
