@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"memtx/internal/engine"
 	"memtx/internal/race"
@@ -100,6 +101,65 @@ func TestNewObjIsOneAllocation(t *testing.T) {
 				t.Errorf("%s(%d, %d) has shape (%d, %d)", name, nw, nr, o.NumWords(), o.NumRefs())
 			}
 		}
+	}
+}
+
+// TestSmallObjectIsOneCacheLine pins the object layout: a small object
+// (at most 2 words and 2 refs) is the 32-byte header and its fields in 64
+// bytes, a large one is the header and two slice headers in at most 80, and
+// an index beyond an object's shape panics on every field access, whichever
+// layout holds the fields.
+func TestSmallObjectIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Obj{}); got != 32 {
+		t.Errorf("header is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(smallObj{}); got != 64 {
+		t.Errorf("small object is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(largeObj{}); got > 80 {
+		t.Errorf("large object header is %d bytes, want at most 80", got)
+	}
+
+	e := New()
+	first := e.NewObj(1, 1).(*Obj)
+	if next := e.NewObj(3, 0).(*Obj); next.ID() != first.ID()+1 {
+		t.Errorf("ids %d then %d: the shape leaked into ID", first.ID(), next.ID())
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, shape := range [][2]int{{0, 0}, {1, 1}, {2, 1}, {1, 2}, {3, 0}, {0, 3}} {
+		nw, nr := shape[0], shape[1]
+		h := e.NewObj(nw, nr)
+		tx := e.Begin()
+		tx.OpenForUpdate(h)
+		for i := 0; i <= max(nw, 2); i++ {
+			out := i >= nw
+			for name, f := range map[string]func(){
+				"LoadWord":       func() { tx.LoadWord(h, i) },
+				"StoreWord":      func() { tx.StoreWord(h, i, 1) },
+				"LogForUndoWord": func() { tx.LogForUndoWord(h, i) },
+			} {
+				if got := panics(f); got != out {
+					t.Errorf("(%d, %d): %s(%d) panics %v, want %v", nw, nr, name, i, got, out)
+				}
+			}
+		}
+		for i := 0; i <= max(nr, 2); i++ {
+			out := i >= nr
+			for name, f := range map[string]func(){
+				"LoadRef":       func() { tx.LoadRef(h, i) },
+				"StoreRef":      func() { tx.StoreRef(h, i, nil) },
+				"LogForUndoRef": func() { tx.LogForUndoRef(h, i) },
+			} {
+				if got := panics(f); got != out {
+					t.Errorf("(%d, %d): %s(%d) panics %v, want %v", nw, nr, name, i, got, out)
+				}
+			}
+		}
+		tx.Abort()
 	}
 }
 

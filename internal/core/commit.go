@@ -89,9 +89,9 @@ func (t *Txn) undoTo(n int) {
 	for i := len(t.undoLog) - 1; i >= n; i-- {
 		u := &t.undoLog[i]
 		if u.isRef {
-			u.obj.refs[u.idx].Store(u.oldRef)
+			u.obj.refs()[u.idx].Store(u.oldRef)
 		} else {
-			u.obj.words[u.idx].Store(u.oldWord)
+			u.obj.words()[u.idx].Store(u.oldWord)
 		}
 	}
 	t.undoLog = t.undoLog[:n]
@@ -131,10 +131,10 @@ func (t *Txn) Compact() {
 	seen := t.scratch
 	kept := t.readLog[:0]
 	for _, re := range t.readLog {
-		if _, dup := seen[re.obj.id]; dup {
+		if _, dup := seen[re.obj.ID()]; dup {
 			continue
 		}
-		seen[re.obj.id] = struct{}{}
+		seen[re.obj.ID()] = struct{}{}
 		kept = append(kept, re)
 	}
 	t.n.ReadLogDropped += uint64(len(t.readLog) - len(kept))

@@ -376,6 +376,50 @@ func TestFilterSuppressesDuplicateLogs(t *testing.T) {
 	}
 }
 
+// TestReadOnlyFilterFromThreshold: a read-only transaction consults the
+// duplicate filter only once its read log holds roFilterFrom entries. Below
+// that, k opens of one object log k entries and hit nothing; past it, a
+// re-open of one object hits again.
+func TestReadOnlyFilterFromThreshold(t *testing.T) {
+	e := New(WithFilterSize(256))
+	h := e.NewObj(1, 0)
+	others := make([]engine.Handle, roFilterFrom)
+	for i := range others {
+		others[i] = e.NewObj(1, 0)
+	}
+	before := e.Stats()
+
+	tx := e.BeginReadOnly()
+	const k = 10
+	for i := 0; i < k; i++ {
+		tx.OpenForRead(h)
+	}
+	if got := tx.(*Txn).ReadLogLen(); got != k {
+		t.Fatalf("after %d opens below the threshold: read log = %d, want %d", k, got, k)
+	}
+	for _, o := range others[:roFilterFrom-k] {
+		tx.OpenForRead(o)
+	}
+	// The log now holds roFilterFrom entries: the first re-open of an object
+	// records it in the filter, and every later one hits.
+	for i := 0; i < k; i++ {
+		tx.OpenForRead(others[0])
+	}
+	if got := tx.(*Txn).ReadLogLen(); got != roFilterFrom+1 {
+		t.Fatalf("read log = %d, want %d", got, roFilterFrom+1)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	// Every hit is a re-open of others[0] past the threshold: h's opens
+	// below it hit nothing.
+	d := e.Stats().Sub(before)
+	if d.ReadLogEntries != roFilterFrom+1 || d.FilterHits != k-1 {
+		t.Fatalf("ReadLogEntries = %d, FilterHits = %d; want %d and %d",
+			d.ReadLogEntries, d.FilterHits, roFilterFrom+1, k-1)
+	}
+}
+
 func TestNoFilterLogsEveryOpen(t *testing.T) {
 	e := New(WithFilterSize(0))
 	h := e.NewObj(1, 0)

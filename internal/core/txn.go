@@ -15,6 +15,13 @@ import (
 // cannot collide with any undo key.
 const readSlot = ^uint64(0)
 
+// roFilterFrom is the read-log length from which a read-only transaction
+// consults the duplicate filter. A shorter one logs a duplicate open again:
+// validation tolerates it, and it costs less than a probe per open of a
+// table that lookups, which rarely repeat an object, almost never hit.
+// Update transactions consult the filter from their first open.
+const roFilterFrom = 64
+
 // Txn is one attempt of a transaction against the direct-update engine.
 type Txn struct {
 	eng      *Engine
@@ -147,14 +154,14 @@ func (t *Txn) OpenForRead(h engine.Handle) {
 		t.n.LocalSkips++
 		return
 	}
-	if t.opened != nil && !t.opened[o.id] {
-		t.opened[o.id] = false
+	if t.opened != nil && !t.opened[o.ID()] {
+		t.opened[o.ID()] = false
 	}
 	w := o.meta.Load()
 	if o.ownedBy(w, t.id) {
 		return // open for update subsumes open for read
 	}
-	if t.seen(o.id, readSlot) {
+	if (!t.readonly || len(t.readLog) >= roFilterFrom) && t.seen(o.ID(), readSlot) {
 		t.n.FilterHits++
 		return
 	}
@@ -184,7 +191,7 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		return
 	}
 	if t.opened != nil {
-		t.opened[o.id] = true
+		t.opened[o.ID()] = true
 	}
 	if in := chaos.Active(); in != nil {
 		in.Step(chaos.OpenForUpdate)
@@ -206,14 +213,14 @@ func (t *Txn) OpenForUpdate(h engine.Handle) {
 		}
 		// owner may read 0: the winner of the CAS has not tagged the object
 		// yet. It is owned all the same.
-		t.expireAtWait(o.id, owner)
+		t.expireAtWait(o.ID(), owner)
 		if in := chaos.Active(); in != nil {
 			in.Step(chaos.CMWait)
 		}
 		if !t.eng.cm.Wait(attempt) {
 			t.cause = engine.CauseCMKill
 			engine.AbandonCause(engine.CauseCMKill,
-				"object %d owned by txn %d", o.id, owner)
+				"object %d owned by txn %d", o.ID(), owner)
 		}
 		t.n.CMWaits++
 		attempt++
@@ -227,13 +234,13 @@ func (t *Txn) LogForUndoWord(h engine.Handle, i int) {
 		t.n.LocalSkips++
 		return
 	}
-	if t.seen(o.id, uint64(i)*2) {
+	if t.seen(o.ID(), uint64(i)*2) {
 		t.n.FilterHits++
 		return
 	}
 	t.checkOwned(o, "LogForUndoWord")
 	t.markDirty(o)
-	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), oldWord: o.words[i].Load()})
+	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), oldWord: o.words()[i].Load()})
 	t.n.UndoLogged++
 }
 
@@ -244,13 +251,13 @@ func (t *Txn) LogForUndoRef(h engine.Handle, i int) {
 		t.n.LocalSkips++
 		return
 	}
-	if t.seen(o.id, uint64(i)*2+1) {
+	if t.seen(o.ID(), uint64(i)*2+1) {
 		t.n.FilterHits++
 		return
 	}
 	t.checkOwned(o, "LogForUndoRef")
 	t.markDirty(o)
-	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), isRef: true, oldRef: o.refs[i].Load()})
+	t.undoLog = append(t.undoLog, undoEntry{obj: o, idx: int32(i), isRef: true, oldRef: o.refs()[i].Load()})
 	t.n.UndoLogged++
 }
 
@@ -272,7 +279,7 @@ func (t *Txn) checkOwned(o *Obj, op string) {
 		return
 	}
 	if !o.ownedBy(o.meta.Load(), t.id) {
-		panic(fmt.Sprintf("core: %s on object %d not open for update", op, o.id))
+		panic(fmt.Sprintf("core: %s on object %d not open for update", op, o.ID()))
 	}
 }
 
@@ -281,11 +288,11 @@ func (t *Txn) checkOwned(o *Obj, op string) {
 func (t *Txn) LoadWord(h engine.Handle, i int) uint64 {
 	o := t.obj(h)
 	if t.opened != nil && o.creator != t.id {
-		if _, ok := t.opened[o.id]; !ok {
-			panic(fmt.Sprintf("core: LoadWord on object %d that was never opened", o.id))
+		if _, ok := t.opened[o.ID()]; !ok {
+			panic(fmt.Sprintf("core: LoadWord on object %d that was never opened", o.ID()))
 		}
 	}
-	return o.words[i].Load()
+	return o.words()[i].Load()
 }
 
 // StoreWord implements engine.Txn. The object must be open for update and the
@@ -298,18 +305,18 @@ func (t *Txn) StoreWord(h engine.Handle, i int, v uint64) {
 	if o.creator != t.id {
 		t.checkOwned(o, "StoreWord")
 	}
-	o.words[i].Store(v)
+	o.words()[i].Store(v)
 }
 
 // LoadRef implements engine.Txn.
 func (t *Txn) LoadRef(h engine.Handle, i int) engine.Handle {
 	o := t.obj(h)
 	if t.opened != nil && o.creator != t.id {
-		if _, ok := t.opened[o.id]; !ok {
-			panic(fmt.Sprintf("core: LoadRef on object %d that was never opened", o.id))
+		if _, ok := t.opened[o.ID()]; !ok {
+			panic(fmt.Sprintf("core: LoadRef on object %d that was never opened", o.ID()))
 		}
 	}
-	r := o.refs[i].Load()
+	r := o.refs()[i].Load()
 	if r == nil {
 		return nil
 	}
@@ -329,7 +336,7 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 	if r != nil {
 		ro = t.obj(r)
 	}
-	o.refs[i].Store(ro)
+	o.refs()[i].Store(ro)
 }
 
 // Alloc implements engine.Txn: the allocated object is tagged with this

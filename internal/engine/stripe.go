@@ -52,6 +52,10 @@ type stripeCounters struct {
 
 	// CM.
 	outcomes, waits, spins, sleeps, sleepNanos atomic.Uint64
+
+	// index is the stripe's position in its Recorder, stored when the
+	// stripe is handed out (stripe 0 needs no store).
+	index atomic.Uint32
 }
 
 // Stripe is one cache-line-padded share of a Recorder. Its size is a
@@ -65,8 +69,16 @@ type Stripe struct {
 // Stripe hands out the recorder's stripes round-robin. Engines call it once
 // per transaction their pool builds, not per transaction begun.
 func (r *Recorder) Stripe() *Stripe {
-	return &r.stripes[(r.next.Add(1)-1)%NumStripes]
+	i := (r.next.Add(1) - 1) % NumStripes
+	s := &r.stripes[i]
+	s.index.Store(i)
+	return s
 }
+
+// Index returns the stripe's position in its Recorder, in [0, NumStripes).
+// Callers that keep counters of their own beside the engine's stripe them by
+// it, so a transaction's counts land where no concurrent one's do.
+func (s *Stripe) Index() int { return int(s.index.Load()) }
 
 // Striped is implemented by transactions that record into one stripe of
 // their engine's Recorder. Drive uses it to count an attempt's outcome, and

@@ -70,6 +70,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"memtx"
 	"memtx/internal/chaos"
@@ -192,10 +193,14 @@ type Store struct {
 	shards  []shard
 	mask    uint64 // len(shards)-1; key hash low bits select the shard
 	buckets int
-	ops     [NumOps]atomic.Uint64 // committed primitive ops by type
+
+	// counts holds the committed-op and cross-commit counters, striped by
+	// the committing attempt's engine stripe (engine.Stripe.Index) so that
+	// concurrent commits do not write one shared line; readers sum them.
+	_      [cacheLine]byte // keeps stripe 0 off the line of the fields before it
+	counts [engine.NumStripes]countStripe
 
 	// Cross-shard path counters (see ObsMetrics).
-	crossCommits    atomic.Uint64 // committed cross-shard transactions
 	crossRetries    atomic.Uint64 // cross-shard attempts retried after conflict
 	publishRedos    atomic.Uint64 // publish-phase commits re-issued after injected faults
 	readerFallbacks atomic.Uint64 // Reader.RunOnce gate acquisitions abandoned
@@ -300,11 +305,46 @@ func (s *Store) CMStats() engine.CMStats {
 	return agg
 }
 
+// countStripe is one cache-line-padded share of Store.counts. Its padding is
+// at least one line, so no line holds counters of two stripes.
+type countStripe struct {
+	countStripeFields
+	_ [cacheLine + (cacheLine-unsafe.Sizeof(countStripeFields{})%cacheLine)%cacheLine]byte
+}
+
+type countStripeFields struct {
+	ops          [NumOps]atomic.Uint64 // committed primitive ops by type
+	crossCommits atomic.Uint64         // committed cross-shard transactions
+}
+
+const cacheLine = 64
+
+// stripeIndex is the index into Store.counts for an attempt that recorded
+// into st, which is nil when it began no engine transaction.
+func stripeIndex(st *engine.Stripe) int {
+	if st == nil {
+		return 0
+	}
+	return st.Index()
+}
+
 // OpCount returns the number of committed primitive operations of one type.
-func (s *Store) OpCount(o Op) uint64 { return s.ops[o].Load() }
+func (s *Store) OpCount(o Op) uint64 {
+	var n uint64
+	for i := range s.counts {
+		n += s.counts[i].ops[o].Load()
+	}
+	return n
+}
 
 // CrossCommits returns the number of committed cross-shard transactions.
-func (s *Store) CrossCommits() uint64 { return s.crossCommits.Load() }
+func (s *Store) CrossCommits() uint64 {
+	var n uint64
+	for i := range s.counts {
+		n += s.counts[i].crossCommits.Load()
+	}
+	return n
+}
 
 // ObsMetrics exports the store's shape, its committed op counters, the
 // cross-shard path counters, and per-shard transaction counters aggregated
@@ -320,11 +360,11 @@ func (s *Store) ObsMetrics() []obs.Metric {
 			Help:   "Committed primitive store operations, by type.",
 			Kind:   obs.Counter,
 			Labels: []obs.Label{{Key: "op", Value: o.String()}},
-			Value:  s.ops[o].Load(),
+			Value:  s.OpCount(o),
 		})
 	}
 	ms = append(ms,
-		obs.Metric{Name: "stmkv_cross_commits_total", Help: "Committed cross-shard transactions.", Kind: obs.Counter, Value: s.crossCommits.Load()},
+		obs.Metric{Name: "stmkv_cross_commits_total", Help: "Committed cross-shard transactions.", Kind: obs.Counter, Value: s.CrossCommits()},
 		obs.Metric{Name: "stmkv_cross_retries_total", Help: "Cross-shard transaction attempts retried after conflict.", Kind: obs.Counter, Value: s.crossRetries.Load()},
 		obs.Metric{Name: "stmkv_cross_publish_redos_total", Help: "Publish-phase commits re-issued after injected faults.", Kind: obs.Counter, Value: s.publishRedos.Load()},
 		obs.Metric{Name: "stmkv_reader_fallbacks_total", Help: "Batched snapshot attempts abandoned at the cross-shard gate.", Kind: obs.Counter, Value: s.readerFallbacks.Load()},
@@ -680,7 +720,7 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 	})
 	if err == nil {
 		st.ObserveRetries(conflicts)
-		s.fold(&t)
+		s.fold(&t, st)
 	}
 	if durable {
 		err = s.walSettle(&t, ws, sb, err)
@@ -729,7 +769,7 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 			break
 		}
 	}
-	conflicts, _, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
+	conflicts, st, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
 		s.lockShards(allowed, exclusive)
 		defer s.unlockShards(allowed, exclusive)
 		t.ctx, t.deadline = ctx, deadline
@@ -743,8 +783,8 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 		for _, c := range t.committed {
 			c.stripe.ObserveRetries(conflicts)
 		}
-		s.crossCommits.Add(1)
-		s.fold(&t)
+		s.counts[stripeIndex(st)].crossCommits.Add(1)
+		s.fold(&t, st)
 	}
 	if durable {
 		err = s.walSettle(&t, ws, sb, err)
@@ -910,14 +950,17 @@ func (r *Reader) RunOnce() (committed bool, err error) {
 	if err != nil || conflicted {
 		return false, err
 	}
-	s.fold(&r.t)
+	s.fold(&r.t, r.t.stripe)
 	return true, nil
 }
 
-func (s *Store) fold(t *Tx) {
+// fold adds a committed transaction's op counts to the stripe of st, the
+// stripe its committing attempt recorded into.
+func (s *Store) fold(t *Tx, st *engine.Stripe) {
+	ops := &s.counts[stripeIndex(st)].ops
 	for i, c := range t.counts {
 		if c > 0 {
-			s.ops[i].Add(uint64(c))
+			ops[i].Add(uint64(c))
 		}
 	}
 }

@@ -278,6 +278,37 @@ func TestOpCounters(t *testing.T) {
 	if got := s.OpCount(OpSet); got != 1 {
 		t.Errorf("aborted Set counted: OpCount(set) = %d, want 1", got)
 	}
+
+	// Concurrent commits on both shards, single-shard and cross-shard,
+	// fold into the striped counters; the sums stay exact.
+	const workers, rounds = 4, 300
+	k0, k1 := keyOn(t, s, 0, 0), keyOn(t, s, 1, 0)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := [][]byte{k0, k1}[w%2]
+			for range rounds {
+				s.Set(own, []byte("v"))
+				if err := s.AtomicKeys([][]byte{k0, k1}, func(tx *Tx) error {
+					tx.Set(k0, []byte("a"))
+					tx.Set(k1, []byte("b"))
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := s.OpCount(OpSet), uint64(1+workers*rounds*3); got != want {
+		t.Errorf("after concurrent commits: OpCount(set) = %d, want %d", got, want)
+	}
+	if got, want := s.CrossCommits(), uint64(workers*rounds); got != want {
+		t.Errorf("after concurrent commits: CrossCommits = %d, want %d", got, want)
+	}
 }
 
 // TestMetricSourceConformance runs the obs source conformance suite against

@@ -8,12 +8,56 @@
 // than interpreter dispatch. It is NOT safe for concurrent transactions.
 package rawengine
 
-import "memtx/internal/engine"
+import (
+	"unsafe"
 
-// Obj is a plain object: no STM word, no atomics.
+	"memtx/internal/engine"
+)
+
+// Obj is the header of a plain object: no STM word, no atomics, only the
+// shape word the field accessors need. The fields follow it in the same
+// allocation, laid out as the direct-update engine lays out its objects
+// (core.Obj), so that comparisons against it measure the STM and not the
+// allocator or the cache lines an object spans: an object of at most 2
+// words and 2 refs is the header and its fields inline (smallObj, 40
+// bytes), any other shape the header and two slices (largeObj).
 type Obj struct {
-	words []uint64
-	refs  []*Obj
+	shape uint64 // largeBit, or a small object's words<<2 | refs
+}
+
+const largeBit = 1 << 63
+
+type smallObj struct {
+	Obj
+	w [2]uint64
+	r [2]*Obj
+}
+
+type largeObj struct {
+	Obj
+	w []uint64
+	r []*Obj
+}
+
+// small and large view the allocation behind the header; the caller has
+// checked largeBit.
+func (o *Obj) small() *smallObj { return (*smallObj)(unsafe.Pointer(o)) }
+func (o *Obj) large() *largeObj { return (*largeObj)(unsafe.Pointer(o)) }
+
+// words and refs return the fields; a small object's inline array is cut to
+// its shape, so an index beyond it panics with the runtime's index error.
+func (o *Obj) words() []uint64 {
+	if o.shape&largeBit != 0 {
+		return o.large().w
+	}
+	return o.small().w[:o.shape>>2&3]
+}
+
+func (o *Obj) refs() []*Obj {
+	if o.shape&largeBit != 0 {
+		return o.large().r
+	}
+	return o.small().r[:o.shape&3]
 }
 
 // Engine is the no-op engine. The zero value is ready to use.
@@ -28,23 +72,16 @@ func New() *Engine { return &Engine{} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "raw" }
 
-// smallObj holds an object of at most 2 words and 2 refs in one
-// allocation, as the direct-update engine does, so that comparisons against
-// it measure the STM and not the allocator.
-type smallObj struct {
-	Obj
-	w [2]uint64
-	r [2]*Obj
-}
-
 // NewObj implements engine.Engine.
 func (e *Engine) NewObj(nwords, nrefs int) engine.Handle {
 	if nwords <= len(smallObj{}.w) && nrefs <= len(smallObj{}.r) {
 		s := new(smallObj)
-		s.words, s.refs = s.w[:nwords], s.r[:nrefs]
+		s.shape = uint64(nwords)<<2 | uint64(nrefs)
 		return &s.Obj
 	}
-	return &Obj{words: make([]uint64, nwords), refs: make([]*Obj, nrefs)}
+	l := &largeObj{w: make([]uint64, nwords), r: make([]*Obj, nrefs)}
+	l.shape = largeBit
+	return &l.Obj
 }
 
 // Begin implements engine.Engine.
@@ -86,12 +123,12 @@ func (t rawTxn) Compact()                          {}
 func (t rawTxn) ReadOnly() bool                    { return false }
 func (t rawTxn) SetAbortCause(engine.AbortCause)   {}
 
-func (t rawTxn) LoadWord(h engine.Handle, i int) uint64 { return t.obj(h).words[i] }
+func (t rawTxn) LoadWord(h engine.Handle, i int) uint64 { return t.obj(h).words()[i] }
 
-func (t rawTxn) StoreWord(h engine.Handle, i int, v uint64) { t.obj(h).words[i] = v }
+func (t rawTxn) StoreWord(h engine.Handle, i int, v uint64) { t.obj(h).words()[i] = v }
 
 func (t rawTxn) LoadRef(h engine.Handle, i int) engine.Handle {
-	r := t.obj(h).refs[i]
+	r := t.obj(h).refs()[i]
 	if r == nil {
 		return nil
 	}
@@ -103,7 +140,7 @@ func (t rawTxn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 	if r != nil {
 		ro = t.obj(r)
 	}
-	t.obj(h).refs[i] = ro
+	t.obj(h).refs()[i] = ro
 }
 
 func (t rawTxn) Alloc(nwords, nrefs int) engine.Handle { return t.e.NewObj(nwords, nrefs) }
