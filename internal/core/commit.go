@@ -145,7 +145,7 @@ func (t *Txn) Compact() {
 // finish folds the attempt into the Txn's stripe and recycles the Txn.
 func (t *Txn) finish(committed bool) {
 	t.done = true
-	t.stripe.Finish(&t.n, t.began, committed, t.cause)
+	t.stripe.Finish(&t.n, committed, t.cause)
 	// Avoid pinning giant log capacity in the pool.
 	const keepCap = 1 << 14
 	if cap(t.readLog) > keepCap {

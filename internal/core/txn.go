@@ -28,7 +28,6 @@ type Txn struct {
 	id       uint64
 	readonly bool
 	done     bool
-	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
 	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
@@ -74,7 +73,7 @@ func (t *Txn) start(readonly bool) {
 	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
-	t.began = t.stripe.Begin()
+	t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.ctx = nil
 	t.deadline = time.Time{}

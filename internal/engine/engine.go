@@ -48,7 +48,7 @@ type Engine interface {
 	Stats() Stats
 
 	// Metrics returns the engine's observability recorder: abort-cause
-	// counters and latency/retry histograms. The returned pointer is live
+	// counters and the retry histogram. The returned pointer is live
 	// for the engine's lifetime; call Snapshot on it to read.
 	Metrics() *Metrics
 

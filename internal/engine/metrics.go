@@ -191,18 +191,14 @@ func (s HistogramSnapshot) Sub(t HistogramSnapshot) HistogramSnapshot {
 }
 
 // Metrics is the observability view of an engine's Recorder: abort causes
-// and latency/retry histograms. Every transaction records into its own
-// stripe (see Recorder); Snapshot sums the stripes.
+// and the retry histogram. Every transaction records into its own stripe
+// (see Recorder); Snapshot sums the stripes. It holds counts only: no engine
+// reads a clock to record an attempt.
 //
 // Recording conventions (the conformance suite in internal/enginetest pins
 // them):
 //
-//   - every transaction attempt observes Attempts once, at finish, with its
-//     duration from begin to commit or rollback;
 //   - every abort records exactly one cause;
-//   - every commit observes Commits once, with the same duration: the
-//     committed attempt's, read off the attempt clock (no commit path reads
-//     a clock of its own);
 //   - every successful Run/RunReadOnly observes Retries once with the
 //     number of conflicted attempts that preceded the commit, on the stripe
 //     of the transaction that committed.
@@ -217,8 +213,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		for j := range c.abortCauses {
 			s.AbortsByCause[j] += c.abortCauses[j].Load()
 		}
-		s.Attempts.addFrom(&c.attempts)
-		s.Commits.addFrom(&c.committed)
 		s.Retries.addFrom(&c.retries)
 	}
 	return s
@@ -229,9 +223,7 @@ type MetricsSnapshot struct {
 	// AbortsByCause is indexed by AbortCause.
 	AbortsByCause [NumAbortCauses]uint64
 
-	Attempts HistogramSnapshot // attempt duration, ns
-	Commits  HistogramSnapshot // committed attempts' duration, ns
-	Retries  HistogramSnapshot // conflicted attempts per successful Run txn
+	Retries HistogramSnapshot // conflicted attempts per successful Run txn
 }
 
 // AbortTotal sums the per-cause abort counters.
@@ -258,8 +250,6 @@ func (s MetricsSnapshot) Sub(t MetricsSnapshot) MetricsSnapshot {
 	for i := range s.AbortsByCause {
 		d.AbortsByCause[i] = s.AbortsByCause[i] - t.AbortsByCause[i]
 	}
-	d.Attempts = s.Attempts.Sub(t.Attempts)
-	d.Commits = s.Commits.Sub(t.Commits)
 	d.Retries = s.Retries.Sub(t.Retries)
 	return d
 }

@@ -73,8 +73,8 @@ func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted b
 // opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
 // backoff between attempts, and the count of every outcome. attempt receives
 // the ctx and effective deadline to bind into the transactions it begins (see
-// BeginAttempt), and returns the stripe of the transaction it began first
-// (StripeOf), or nil if it began none. Drive counts the outcome, and the
+// BeginAttempt), and returns the stripe of the first transaction it started
+// (StripeOf), or nil if it started none. Drive counts the outcome, and the
 // backoff wait after it, on that stripe (cm's first stripe for nil), so
 // disjoint transactions share no counter. On a commit it also returns that
 // attempt's stripe, on which the caller records the commit's retries.

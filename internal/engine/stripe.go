@@ -14,22 +14,13 @@ const cacheLine = 64
 // record without writing a cache line another of them writes.
 const NumStripes = 16
 
-// epoch anchors Nanotime. time.Since on a value that carries a monotonic
-// reading reads only the monotonic clock, not the wall clock.
-var epoch = time.Now()
-
-// Nanotime returns monotonic nanoseconds since process start. Engines read it
-// twice per attempt: at begin (Stripe.Begin) and at commit or rollback
-// (Stripe.Finish).
-func Nanotime() int64 { return int64(time.Since(epoch)) }
-
 // Recorder is an engine's statistics recorder: its Stats counters, the
-// abort causes and histograms behind Metrics, and the contention-management
-// account behind CM. It is striped so that disjoint transactions write no
-// shared cache line: every pooled transaction records into the stripe the
-// pool gave it (Stripe), and the readers (Stats, Metrics().Snapshot,
-// CM().Stats) sum the stripes. The zero value is ready to use; a Recorder
-// must not be copied after first use.
+// abort causes and retry histogram behind Metrics, and the
+// contention-management account behind CM. It is striped so that disjoint
+// transactions write no shared cache line: every pooled transaction records
+// into the stripe the pool gave it (Stripe), and the readers (Stats,
+// Metrics().Snapshot, CM().Stats) sum the stripes. The zero value is ready
+// to use; a Recorder must not be copied after first use.
 type Recorder struct {
 	_       [cacheLine]byte // keeps stripe 0 off the line of the fields before it
 	stripes [NumStripes]Stripe
@@ -46,8 +37,6 @@ type stripeCounters struct {
 
 	// Metrics.
 	abortCauses [NumAbortCauses]atomic.Uint64
-	attempts    Histogram // attempt duration, begin to commit or rollback, ns
-	committed   Histogram // duration of each committed attempt, ns
 	retries     Histogram // conflicted attempts before each Run that committed
 
 	// CM.
@@ -96,26 +85,16 @@ func StripeOf(tx Txn, e Engine) *Stripe {
 	return e.CM().stripe0()
 }
 
-// Begin counts one transaction start and returns the attempt clock's first
-// reading, for Finish.
-func (s *Stripe) Begin() int64 {
-	s.starts.Add(1)
-	return Nanotime()
-}
+// Begin counts one transaction start.
+func (s *Stripe) Begin() { s.starts.Add(1) }
 
-// Finish folds one finished attempt into the stripe: its duration since
-// began (Begin's reading), its commit or its abort with cause, and its
-// operation counters n (whose Starts, Commits and Aborts are not read).
-// Counters that are 0, as most are on most transactions, are not written.
-func (s *Stripe) Finish(n *Stats, began int64, committed bool, cause AbortCause) {
-	d := Nanotime() - began
-	if d < 0 {
-		d = 0
-	}
-	s.attempts.Observe(uint64(d))
+// Finish folds one finished attempt into the stripe: its commit or its abort
+// with cause, and its operation counters n (whose Starts, Commits and Aborts
+// are not read). Counters that are 0, as most are on most transactions, are
+// not written.
+func (s *Stripe) Finish(n *Stats, committed bool, cause AbortCause) {
 	if committed {
 		s.commits.Add(1)
-		s.committed.Observe(uint64(d))
 	} else {
 		if int(cause) >= NumAbortCauses {
 			cause = CauseExplicit

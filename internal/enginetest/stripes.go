@@ -10,9 +10,9 @@ import (
 
 // testStripes checks the striped recorder end to end. NumStripes
 // transactions live at once on a fresh engine land on NumStripes different
-// stripes, and Stats and Metrics count every one of them; then as many Run
-// transactions, all live at once, are counted exactly by Stats, Metrics and
-// CMStats. A reader that left a stripe out of its sum fails both halves.
+// stripes and abort, and Stats and Metrics count every one of them; then as
+// many Run transactions, all live at once, are counted exactly by Stats,
+// Metrics and CMStats. A reader that left a stripe out of its sum fails.
 func testStripes(t *testing.T, e engine.Engine) {
 	const n = engine.NumStripes
 	objs := make([]engine.Handle, n)
@@ -34,18 +34,15 @@ func testStripes(t *testing.T, e engine.Engine) {
 	}
 	for i, tx := range txs {
 		write(tx, objs[i], 0, uint64(i+1))
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("disjoint commit %d: %v", i, err)
-		}
+		tx.Abort()
 	}
 	s1, m1 := e.Stats(), e.Metrics().Snapshot()
 	ds, dm := s1.Sub(s0), m1.Sub(m0)
-	if ds.Starts != n || ds.Commits != n || ds.Aborts != 0 || ds.OpenForUpdate != n {
-		t.Errorf("live transactions: Stats delta %+v, want %d starts, commits and opens for update", ds, n)
+	if ds.Starts != n || ds.Commits != 0 || ds.Aborts != n || ds.OpenForUpdate != n {
+		t.Errorf("live transactions: Stats delta %+v, want %d starts, aborts and opens for update", ds, n)
 	}
-	if dm.Attempts.Count() != n || dm.Commits.Count() != n || dm.AbortTotal() != 0 {
-		t.Errorf("live transactions: Metrics counted %d attempts, %d commits, %d aborts, want %d, %d, 0",
-			dm.Attempts.Count(), dm.Commits.Count(), dm.AbortTotal(), n, n)
+	if got := dm.Aborts(engine.CauseExplicit); got != n || dm.AbortTotal() != n {
+		t.Errorf("live transactions: Metrics counted %d explicit aborts of %d, want %d", got, dm.AbortTotal(), n)
 	}
 
 	// The same through Run, every body parked until all n are live.
@@ -77,8 +74,8 @@ func testStripes(t *testing.T, e engine.Engine) {
 	}
 	wg.Wait()
 	for i, h := range objs {
-		if got := mustRead(t, e, h, 0); got != uint64(i+2) {
-			t.Errorf("object %d = %d, want %d", i, got, i+2)
+		if got := mustRead(t, e, h, 0); got != 1 {
+			t.Errorf("object %d = %d, want 1", i, got)
 		}
 	}
 	// n Runs plus the n reads above, each committed; conflicted attempts
@@ -93,9 +90,8 @@ func testStripes(t *testing.T, e engine.Engine) {
 	if outcomes != ds.Starts {
 		t.Errorf("CMStats counted %d outcomes, want one per attempt = %d", outcomes, ds.Starts)
 	}
-	if dm.Attempts.Count() != ds.Starts || dm.Commits.Count() != ds.Commits || dm.AbortTotal() != ds.Aborts {
-		t.Errorf("Runs: Metrics counted %d attempts, %d commits, %d aborts, want %d, %d, %d",
-			dm.Attempts.Count(), dm.Commits.Count(), dm.AbortTotal(), ds.Starts, ds.Commits, ds.Aborts)
+	if dm.AbortTotal() != ds.Aborts {
+		t.Errorf("Runs: Metrics counted %d aborts, want %d", dm.AbortTotal(), ds.Aborts)
 	}
 	if dm.Retries.Count() != 2*n || dm.Retries.Sum != ds.Aborts {
 		t.Errorf("Runs: Retries count %d sum %d, want %d and %d", dm.Retries.Count(), dm.Retries.Sum, 2*n, ds.Aborts)

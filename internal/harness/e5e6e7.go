@@ -218,14 +218,11 @@ func contended(e *core.Engine, op Op, threads, opsPerThread int) (float64, engin
 	return ops, e.Stats().Sub(before), e.Metrics().Snapshot().Sub(mBefore)
 }
 
-// causeCells renders the validation and CM-kill abort counts and the p50
-// and p99 attempt latencies.
+// causeCells renders the validation and CM-kill abort counts.
 func causeCells(m engine.MetricsSnapshot) []string {
 	return []string{
 		fmt.Sprint(m.Aborts(engine.CauseValidation)),
 		fmt.Sprint(m.Aborts(engine.CauseCMKill)),
-		FormatNanos(m.Attempts.Quantile(0.50)),
-		FormatNanos(m.Attempts.Quantile(0.99)),
 	}
 }
 
@@ -244,7 +241,7 @@ func E7(quick bool) ([]*Table, error) {
 		ID:     "E7/counter",
 		Title:  "shared counter under full contention",
 		Note:   "throughput flat or falling with threads; abort rate grows; policies differ modestly",
-		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
+		Header: []string{"threads", "cm", "ops/s", "aborts", "abortrate", "validation", "cm-kill"},
 	}
 	long := &Table{
 		ID:     "E7/long",
@@ -271,7 +268,7 @@ func E7(quick bool) ([]*Table, error) {
 		ID:     "E7/bank",
 		Title:  "bank transfers: abort rate vs sharing degree (polite CM)",
 		Note:   "fewer accounts => more conflicts => more aborts, lower throughput",
-		Header: []string{"accounts", "threads", "ops/s", "abortrate", "validation", "cm-kill", "p50att", "p99att"},
+		Header: []string{"accounts", "threads", "ops/s", "abortrate", "validation", "cm-kill"},
 	}
 	for _, n := range BankAccounts {
 		e, op := BankCell(n)

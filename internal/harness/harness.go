@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -184,23 +183,4 @@ func Pct(num, den uint64) string {
 		return "0.0%"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(den))
-}
-
-// FormatNanos renders a nanosecond figure from the latency histograms as a
-// rounded duration string for tables ("1.2µs", "340ms").
-func FormatNanos(ns uint64) string {
-	if ns > math.MaxInt64 {
-		return "inf" // unbounded final bucket
-	}
-	d := time.Duration(ns)
-	switch {
-	case d >= time.Second:
-		return d.Round(10 * time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(10 * time.Microsecond).String()
-	case d >= time.Microsecond:
-		return d.Round(10 * time.Nanosecond).String()
-	default:
-		return d.String()
-	}
 }

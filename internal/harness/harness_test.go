@@ -123,20 +123,3 @@ func TestThroughputRunsAllOps(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatNanos(t *testing.T) {
-	cases := map[uint64]string{
-		0:             "0s",
-		512:           "512ns",
-		1_500:         "1.5µs",
-		2_000_000:     "2ms",
-		3_000_000_000: "3s",
-		^uint64(0):    "inf",
-		1 << 63:       "inf",
-	}
-	for ns, want := range cases {
-		if got := FormatNanos(ns); got != want {
-			t.Errorf("FormatNanos(%d) = %q, want %q", ns, got, want)
-		}
-	}
-}

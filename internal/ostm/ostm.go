@@ -112,7 +112,6 @@ type Txn struct {
 	id       uint64
 	readonly bool
 	done     bool
-	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
 	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
@@ -144,7 +143,7 @@ func (t *Txn) start(readonly bool) {
 	t.id = t.ids.Take()
 	t.readonly = readonly
 	t.done = false
-	t.began = t.stripe.Begin()
+	t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.readLog = t.readLog[:0]
 	clear(t.shadows)
@@ -490,7 +489,7 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(committed bool) {
 	t.done = true
-	t.stripe.Finish(&t.n, t.began, committed, t.cause)
+	t.stripe.Finish(&t.n, committed, t.cause)
 	const keepCap = 1 << 14
 	// keepShadows bounds the recycled-shadow free list so a single wide
 	// transaction doesn't pin shadow capacity in the pool forever.

@@ -158,7 +158,6 @@ type Txn struct {
 	rv       uint64 // read version: global clock at start
 	readonly bool
 	done     bool
-	began    int64             // attempt clock at begin (engine.Nanotime)
 	cause    engine.AbortCause // attributed abort cause if this attempt aborts
 	stripe   *engine.Stripe    // where this Txn records, fixed when the pool builds it
 
@@ -187,7 +186,7 @@ func (t *Txn) start(readonly bool) {
 	t.rv = t.eng.clock.Load()
 	t.readonly = readonly
 	t.done = false
-	t.began = t.stripe.Begin()
+	t.stripe.Begin()
 	t.cause = engine.CauseExplicit
 	t.reads = t.reads[:0]
 	clear(t.writes)
@@ -524,7 +523,7 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(committed bool) {
 	t.done = true
-	t.stripe.Finish(&t.n, t.began, committed, t.cause)
+	t.stripe.Finish(&t.n, committed, t.cause)
 	const keepCap = 1 << 14
 	if cap(t.reads) > keepCap {
 		t.reads = nil

@@ -150,10 +150,10 @@ func (tm *TM) Engine() engine.Engine { return tm.eng }
 func (tm *TM) Stats() engine.Stats { return tm.eng.Stats() }
 
 // Metrics returns a snapshot of the engine's observability recorder: abort
-// counts by cause (engine.AbortCauses), and log-scaled histograms of attempt
-// duration, committed-attempt duration, and retries per committed
-// transaction. Diff two
-// snapshots with Sub for per-interval figures.
+// counts by cause (engine.AbortCauses) and a log-scaled histogram of retries
+// per committed transaction. It holds counts, not times: no engine reads a
+// clock to record an attempt. Diff two snapshots with Sub for per-interval
+// figures.
 func (tm *TM) Metrics() engine.MetricsSnapshot { return tm.eng.Metrics().Snapshot() }
 
 // CMStats returns a snapshot of the contention-management account: counts
