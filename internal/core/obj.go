@@ -23,6 +23,14 @@
 //     and a small object's word and ref counts), so a barrier reaches a
 //     field from the handle with no slice header in between, and an index
 //     beyond the shape panics.
+//   - The third shape is an immutable byte record (bytesObj): the header,
+//     the payload's length and the payload in one pointer-free allocation
+//     that the garbage collector does not scan. AllocBytes fills it before
+//     any other transaction can reach it and nothing writes it afterwards,
+//     so LoadBytes reads it with no open and no read-log entry. Its shape
+//     bits claim 3 words and 3 refs, a count the small shape cannot hold,
+//     so a word or ref access on a record panics in words/refs' own slice
+//     bound, with no branch of its own on that path.
 //   - OpenForRead records the version seen; the read log is validated at
 //     commit (and optionally mid-transaction, since the design is not
 //     opaque). A read-only transaction consults the duplicate filter only
@@ -36,6 +44,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -85,6 +94,10 @@ const (
 	refsShift  = idBits     // smallObj: refs in use, 0..2
 	wordsShift = idBits + 2 // smallObj: words in use, 0..2
 	largeBit   = 1 << 63
+
+	// bytesShape marks a byte record: small-object counts that exceed the
+	// inline arrays.
+	bytesShape = 3<<wordsShift | 3<<refsShift
 )
 
 // smallObj is an object of at most 2 words and 2 refs: the header and its
@@ -121,6 +134,50 @@ func newObj(id, creator uint64, nwords, nrefs int) *Obj {
 	o.tag, o.creator = id, creator
 	o.meta.Store(1 << verShift)
 	return o
+}
+
+// bytesObj is a byte record: the header and the payload's length, with the
+// payload in the bytes that follow them in the same allocation.
+type bytesObj struct {
+	Obj
+	n uint64
+}
+
+// newBytes allocates a byte record holding the concatenation of parts. The
+// allocation is a []uint64, so it is 8-byte aligned for the header's atomics
+// and holds no pointers. It is at least as large as a smallObj, so the view
+// that words and refs take of any header stays inside it (checkptr checks
+// that in -race builds) before their slice bound panics.
+func newBytes(id, creator uint64, parts [][]byte) *Obj {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	size := max(unsafe.Sizeof(smallObj{}), unsafe.Sizeof(bytesObj{})+uintptr(n))
+	mem := make([]uint64, (size+7)/8)
+	b := (*bytesObj)(unsafe.Pointer(&mem[0]))
+	b.n = uint64(n)
+	dst := unsafe.Slice(b.payload(), n)[:0]
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	b.tag, b.creator = id|bytesShape, creator
+	b.meta.Store(1 << verShift)
+	return &b.Obj
+}
+
+// payload points at the first byte after the record's length.
+func (b *bytesObj) payload() *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(b), unsafe.Sizeof(*b)))
+}
+
+// bytes returns a byte record's payload; o must be one.
+func (o *Obj) bytes() string {
+	if o.tag&^idMask != bytesShape {
+		panic(fmt.Sprintf("core: LoadBytes on object %d, which is not a byte record", o.ID()))
+	}
+	b := (*bytesObj)(unsafe.Pointer(o))
+	return unsafe.String(b.payload(), b.n)
 }
 
 // small and large view the allocation behind the header; the caller has

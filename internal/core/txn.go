@@ -346,4 +346,14 @@ func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
 	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
 
+// AllocBytes implements engine.Txn. The record is complete before it is
+// returned and never written again, so it takes no ownership and no undo.
+func (t *Txn) AllocBytes(parts ...[]byte) engine.Handle {
+	return newBytes(t.ids.Take(), t.id, parts)
+}
+
+// LoadBytes implements engine.Txn: no open, no read-log entry and no filter
+// probe, since the record cannot change under the reader.
+func (t *Txn) LoadBytes(h engine.Handle) string { return t.obj(h).bytes() }
+
 var _ engine.Txn = (*Txn)(nil)

@@ -11,7 +11,10 @@
 // as CSE, code motion, and dataflow-based strengthening.
 package engine
 
-import "errors"
+import (
+	"errors"
+	"strings"
+)
 
 // ErrConflict is returned by Txn.Commit and Txn.Validate when the
 // transaction's read set is no longer consistent and the transaction must be
@@ -109,6 +112,22 @@ type Txn interface {
 	// and if the transaction aborts the object is simply garbage.
 	Alloc(nwords, nrefs int) Handle
 
+	// AllocBytes allocates an immutable byte record holding the
+	// concatenation of parts. The engine copies the parts, so no writable
+	// alias of a record ever leaves it. A record is complete when
+	// AllocBytes returns and is never written again: it is published by
+	// storing a reference to it (StoreRef) and read with LoadBytes. A word
+	// or reference access on a record panics.
+	AllocBytes(parts ...[]byte) Handle
+
+	// LoadBytes returns the payload of byte record h. It needs no open and
+	// adds no read-log entry, the paper's elision of barriers on immutable
+	// data: the record never changes, and a transaction reaches it only
+	// through a reference loaded from an object it opened, whose
+	// validation covers the read. The string type keeps the payload
+	// read-only.
+	LoadBytes(h Handle) string
+
 	// Validate re-checks the read log mid-transaction. The paper's STM is
 	// not opaque: a doomed transaction can observe an inconsistent snapshot
 	// until it validates. Long-running transactions call Validate
@@ -139,6 +158,21 @@ type Txn interface {
 
 	// ReadOnly reports whether the transaction was started read-only.
 	ReadOnly() bool
+}
+
+// JoinBytes returns the concatenation of parts as a new string, for
+// engines whose byte records hold their payload as one (Txn.AllocBytes).
+func JoinBytes(parts [][]byte) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range parts {
+		b.Write(p)
+	}
+	return b.String()
 }
 
 // Stats is a snapshot of cumulative engine counters. Counters are maintained

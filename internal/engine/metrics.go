@@ -125,10 +125,10 @@ type HistogramSnapshot struct {
 	Sum    uint64 // sum of all observed values
 }
 
-// BucketBound returns the inclusive upper bound of bucket i (the largest
+// bucketBound returns the inclusive upper bound of bucket i (the largest
 // value the bucket can hold); the final bucket is unbounded and reports
 // MaxUint64.
-func BucketBound(i int) uint64 {
+func bucketBound(i int) uint64 {
 	if i <= 0 {
 		return 0
 	}
@@ -145,15 +145,6 @@ func (s HistogramSnapshot) Count() uint64 {
 		n += c
 	}
 	return n
-}
-
-// Mean returns the average observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
@@ -173,10 +164,10 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	for i, c := range s.Counts {
 		cum += c
 		if cum >= target {
-			return BucketBound(i)
+			return bucketBound(i)
 		}
 	}
-	return BucketBound(HistogramBuckets - 1)
+	return bucketBound(HistogramBuckets - 1)
 }
 
 // Sub returns the bucket-by-bucket difference s - t, for per-interval

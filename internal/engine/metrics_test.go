@@ -52,9 +52,6 @@ func TestHistogramQuantile(t *testing.T) {
 	if p100 := s.Quantile(1.0); p100 < 1_000_000 {
 		t.Fatalf("p100 = %d, want >= 1000000", p100)
 	}
-	if mean := s.Mean(); mean < 1000 || mean > 20000 {
-		t.Fatalf("mean = %f out of range", mean)
-	}
 }
 
 func TestHistogramSubAndBounds(t *testing.T) {
@@ -67,10 +64,10 @@ func TestHistogramSubAndBounds(t *testing.T) {
 	if d.Count() != 2 || d.Sum != 12 {
 		t.Fatalf("delta count=%d sum=%d, want 2/12", d.Count(), d.Sum)
 	}
-	if BucketBound(0) != 0 || BucketBound(3) != 7 {
-		t.Fatalf("BucketBound wrong: %d %d", BucketBound(0), BucketBound(3))
+	if bucketBound(0) != 0 || bucketBound(3) != 7 {
+		t.Fatalf("bucketBound wrong: %d %d", bucketBound(0), bucketBound(3))
 	}
-	if BucketBound(HistogramBuckets-1) != math.MaxUint64 {
+	if bucketBound(HistogramBuckets-1) != math.MaxUint64 {
 		t.Fatal("last bucket must be unbounded")
 	}
 }

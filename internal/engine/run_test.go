@@ -24,6 +24,8 @@ func (f *fakeTxn) StoreWord(Handle, int, uint64) {}
 func (f *fakeTxn) LoadRef(Handle, int) Handle    { return nil }
 func (f *fakeTxn) StoreRef(Handle, int, Handle)  {}
 func (f *fakeTxn) Alloc(nw, nr int) Handle       { return nil }
+func (f *fakeTxn) AllocBytes(...[]byte) Handle   { return nil }
+func (f *fakeTxn) LoadBytes(Handle) string       { return "" }
 func (f *fakeTxn) Validate() error               { return f.validateErr }
 func (f *fakeTxn) Compact()                      {}
 func (f *fakeTxn) ReadOnly() bool                { return false }

@@ -5,8 +5,8 @@
 // The suite covers the transactional contract that the paper's experiments
 // rely on: committed effects are visible and durable, aborted effects are
 // invisible, conflicting transactions cannot both commit, transaction-local
-// allocation is exempt from barriers, and concurrent histories preserve data
-// structure invariants.
+// allocation is exempt from barriers, immutable byte records are read with
+// none, and concurrent histories preserve data structure invariants.
 package enginetest
 
 import (
@@ -41,6 +41,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("MetricsConcurrent", func(t *testing.T) { testMetricsConcurrent(t, f()) })
 	t.Run("CMStats", func(t *testing.T) { testCMStats(t, f()) })
 	t.Run("Stripes", func(t *testing.T) { testStripes(t, f()) })
+	t.Run("ByteRecords", func(t *testing.T) { testByteRecords(t, f()) })
 }
 
 // write is a helper that opens, undo-logs, and stores one word.

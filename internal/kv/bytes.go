@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"memtx/internal/engine"
 )
@@ -22,99 +24,51 @@ func hashKey(k []byte) uint64 {
 	return h
 }
 
-// Packed byte records: word 0 holds the byte length, words 1.. hold the
-// payload in little-endian 8-byte chunks. They are written only while
-// transaction-local and never mutated after publication.
+// Entries: a key and its value live in one immutable byte record
+// (engine.Txn.AllocBytes), the key's length as a uvarint, the key, then the
+// value. An entry is complete before the StoreRef that publishes it and is
+// never written again, so a lookup reads it with LoadBytes, with no open and
+// no read-log entry, and an overwrite publishes a new entry.
 
-// allocBytes packs b into a fresh transaction-local record. All stores are
-// barrier-free (the record is private until commit).
-func allocBytes(raw engine.Txn, b []byte) engine.Handle {
-	r := raw.Alloc(1+(len(b)+7)/8, 0)
-	raw.LogForUndoWord(r, 0)
-	raw.StoreWord(r, 0, uint64(len(b)))
-	for i := 0; i < len(b); i += 8 {
-		var w uint64
-		for j := 0; j < 8 && i+j < len(b); j++ {
-			w |= uint64(b[i+j]) << (8 * uint(j))
-		}
-		raw.LogForUndoWord(r, 1+i/8)
-		raw.StoreWord(r, 1+i/8, w)
-	}
-	return r
+// allocEntry allocates the entry for key and val in raw's engine. The parts
+// are assembled in the Tx, which lives on the heap already, so passing them
+// through the interface call allocates nothing more than the record.
+func (t *Tx) allocEntry(raw engine.Txn, key, val []byte) engine.Handle {
+	n := binary.PutUvarint(t.klen[:], uint64(len(key)))
+	t.parts = [3][]byte{t.klen[:n], key, val}
+	e := raw.AllocBytes(t.parts[:]...)
+	t.parts = [3][]byte{} // do not pin the caller's buffers
+	return e
 }
 
-// openRec opens byte record r and returns its payload length.
-func openRec(raw engine.Txn, r engine.Handle) int {
-	raw.OpenForRead(r)
-	return int(raw.LoadWord(r, 0))
-}
-
-// appendRec is the one byte-record decoder: it appends the n payload bytes of
-// record r, already opened, to dst.
-func appendRec(raw engine.Txn, dst []byte, r engine.Handle, n int) []byte {
-	for i := 0; i < n; i += 8 {
-		w := raw.LoadWord(r, 1+i/8)
-		for j := 0; j < 8 && i+j < n; j++ {
-			dst = append(dst, byte(w>>(8*uint(j))))
+// splitEntry splits an entry's payload into its key and value.
+func splitEntry(e string) (key, val string) {
+	var n uint64
+	i := 0
+	for shift := 0; ; shift += 7 {
+		c := e[i]
+		i++
+		n |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			break
 		}
 	}
-	return dst
-}
-
-// readBytes unpacks a byte record into a fresh slice.
-func readBytes(raw engine.Txn, r engine.Handle) []byte {
-	n := openRec(raw, r)
-	return appendRec(raw, make([]byte, 0, n), r, n)
-}
-
-// appendRecBlob appends a byte record to dst in the wire blob form
-// "$<len>:<bytes>" without any intermediate buffer: the length is read from
-// word 0 first, so the prefix can be emitted before the payload words are
-// decoded straight into dst.
-func appendRecBlob(raw engine.Txn, dst []byte, r engine.Handle) []byte {
-	n := openRec(raw, r)
-	dst = append(dst, '$')
-	dst = strconv.AppendUint(dst, uint64(n), 10)
-	dst = append(dst, ':')
-	return appendRec(raw, dst, r, n)
-}
-
-// recInt parses a byte record as a decimal integer. The record is decoded
-// into a stack buffer that fits any int64; only a longer value (leading
-// zeros, say) spills to the heap.
-func recInt(raw engine.Txn, r engine.Handle) (int64, error) {
-	var buf [20]byte
-	n := openRec(raw, r)
-	return ParseInt(appendRec(raw, buf[:0], r, n))
-}
-
-// recEqual compares a byte record against b without unpacking into a slice.
-func recEqual(raw engine.Txn, r engine.Handle, b []byte) bool {
-	if openRec(raw, r) != len(b) {
-		return false
-	}
-	for i := 0; i < len(b); i += 8 {
-		var w uint64
-		for j := 0; j < 8 && i+j < len(b); j++ {
-			w |= uint64(b[i+j]) << (8 * uint(j))
-		}
-		if raw.LoadWord(r, 1+i/8) != w {
-			return false
-		}
-	}
-	return true
+	return e[i : i+int(n)], e[i+int(n):]
 }
 
 // ParseInt parses a value as decimal text, the integer convention shared by
 // Tx.Int/Add and the server's INCR and TRANSFER commands.
-func ParseInt(b []byte) (int64, error) {
-	v, err := strconv.ParseInt(string(b), 10, 64)
+func ParseInt(b []byte) (int64, error) { return parseValue(string(b)) }
+
+// parseValue is ParseInt for a value read from an entry.
+func parseValue(v string) (int64, error) {
+	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		// Formatting a copy keeps b from escaping, so recInt's stack
-		// buffer stays on the stack.
-		return 0, fmt.Errorf("kv: value %q is not an integer", string(b))
+		// Formatting a copy keeps v from escaping, so ParseInt's
+		// conversion of its argument can stay on the stack.
+		return 0, fmt.Errorf("kv: value %q is not an integer", strings.Clone(v))
 	}
-	return v, nil
+	return n, nil
 }
 
 // FormatInt renders v in the decimal text convention.

@@ -48,16 +48,19 @@
 //
 //	directory (immutable refs) → bucket header (1 ref) → slot vector
 //	slot vector words: [count, capacity, hash_0 … hash_{capacity−1}]
-//	slot vector refs:  [key_0, val_0, key_1, val_1, …]
+//	slot vector refs:  [entry_0, entry_1, …]
+//	entry (immutable byte record): [uvarint len(key)][key][value]
 //
-// The header points at nil while its bucket is empty. Keys and values are
-// packed byte records that are written only while transaction-local and
-// never mutated after publication. A lookup compares hashes inside the
-// vector, so it opens the directory, the header, the vector and the matching
-// key and value records: five opens whatever the bucket's load. Updates
-// allocate a fresh value record (barrier-free, the paper's
-// newly-allocated-object optimization) and swap one reference, and readers
-// of a published byte record can never observe a torn length/payload pair,
+// The header points at nil while its bucket is empty. An entry holds a key
+// and its value in one engine byte record (engine.Txn.AllocBytes), complete
+// before the reference that publishes it is stored and never written again.
+// A lookup compares hashes inside the vector and reads the matching entry
+// with LoadBytes, which needs no open and adds no read-log entry (the
+// paper's barrier elision on immutable data), so a GET opens the directory,
+// the header and the vector: three opens whatever the bucket's load. The
+// vector's validation covers the entry, since the entry is reached only
+// through it. Updates allocate a fresh entry and swap one reference, and a
+// reader that sees the vector mid-update still reads only complete entries,
 // in any engine. The price is conflict granularity: every write update-opens
 // its bucket's vector, so an overwrite conflicts with readers of every key
 // in that bucket, not only with readers of its own key.
@@ -65,8 +68,10 @@ package kv
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +84,7 @@ import (
 	"memtx/internal/wal"
 )
 
-// Slot vector layout: slot i's hash is word vecHash0+i, its key record ref
-// 2i and its value record ref 2i+1.
+// Slot vector layout: slot i's hash is word vecHash0+i and its entry ref i.
 const (
 	vecCount = 0 // word: slots in use
 	vecCap   = 1 // word: slots allocated, fixed when the vector is built
@@ -443,6 +447,10 @@ type Tx struct {
 	committed []committedShard // publish-order scratch: shards committed this attempt
 	stripe    *engine.Stripe   // multi-shard: stripe of the attempt's first begun txn
 	counts    [NumOps]uint32
+
+	// allocEntry's scratch: the key-length prefix and the record's parts.
+	klen  [binary.MaxVarintLen64]byte
+	parts [3][]byte
 
 	// WAL state (populated only when the store has a log attached).
 	effs   []walEff // captured write effects, in execution order
@@ -972,17 +980,17 @@ type slot struct {
 	hdr engine.Handle // bucket header
 	vec engine.Handle // slot vector; nil while the bucket is empty
 	n   int           // slots in use, bounded by the vector's capacity
-	i   int           // the key's slot; meaningful only when val != nil
-	key engine.Handle // the key's record; nil when the key is absent
-	val engine.Handle // the key's value record; nil when the key is absent
+	i   int           // the key's slot; meaningful only when ent != nil
+	ent engine.Handle // the key's entry; nil when the key is absent
+	val string        // the value in ent
 }
 
 // lookup finds key, whose hash is h, in the bucket the hash selects.
 //
 // The engine is not opaque, so the vector may be seen mid-update: a slot
-// whose key or value ref is nil is skipped, and any other mixed view reads
-// only immutable records. Every write dirties the vector, so such a view
-// fails validation.
+// whose entry ref is nil is skipped, and any other mixed view reads only
+// complete, immutable entries. Every write dirties the vector, so such a
+// view fails validation.
 func (t *Tx) lookup(h uint64, key []byte) slot {
 	sid := int(h & t.s.mask)
 	raw := t.txnFor(sid)
@@ -1000,24 +1008,23 @@ func (t *Tx) lookup(h uint64, key []byte) slot {
 		if raw.LoadWord(s.vec, vecHash0+i) != h {
 			continue
 		}
-		k, v := raw.LoadRef(s.vec, 2*i), raw.LoadRef(s.vec, 2*i+1)
-		if k != nil && v != nil && recEqual(raw, k, key) {
-			s.i, s.key, s.val = i, k, v
-			return s
+		if e := raw.LoadRef(s.vec, i); e != nil {
+			if k, v := splitEntry(raw.LoadBytes(e)); k == string(key) {
+				s.i, s.ent, s.val = i, e, v
+				return s
+			}
 		}
 	}
 	return s
 }
 
-// setSlot stores hash h and records k and v into slot i of vec, which is
-// open for update or transaction-local.
-func setSlot(raw engine.Txn, vec engine.Handle, i int, h uint64, k, v engine.Handle) {
+// setSlot stores hash h and entry e into slot i of vec, which is open for
+// update or transaction-local.
+func setSlot(raw engine.Txn, vec engine.Handle, i int, h uint64, e engine.Handle) {
 	raw.LogForUndoWord(vec, vecHash0+i)
 	raw.StoreWord(vec, vecHash0+i, h)
-	raw.LogForUndoRef(vec, 2*i)
-	raw.StoreRef(vec, 2*i, k)
-	raw.LogForUndoRef(vec, 2*i+1)
-	raw.StoreRef(vec, 2*i+1, v)
+	raw.LogForUndoRef(vec, i)
+	raw.StoreRef(vec, i, e)
 }
 
 // setCount stores vec's count: inserts call it after filling the new slot,
@@ -1027,18 +1034,18 @@ func setCount(raw engine.Txn, vec engine.Handle, n int) {
 	raw.StoreWord(vec, vecCount, uint64(n))
 }
 
-// overwrite points the found slot s at value record v.
-func overwrite(s slot, v engine.Handle) {
+// overwrite points the found slot s at entry e.
+func overwrite(s slot, e engine.Handle) {
 	s.raw.OpenForUpdate(s.vec)
-	s.raw.LogForUndoRef(s.vec, 2*s.i+1)
-	s.raw.StoreRef(s.vec, 2*s.i+1, v)
+	s.raw.LogForUndoRef(s.vec, s.i)
+	s.raw.StoreRef(s.vec, s.i, e)
 }
 
-// insert adds records k and v under the absent key lookup returned s for.
+// insert adds entry e under the absent key lookup returned s for.
 // A vector with room takes the slot in place; a full one (or none) is
 // replaced by a transaction-local copy of twice the capacity, so only then
 // is the header updated.
-func (t *Tx) insert(s slot, k, v engine.Handle) {
+func (t *Tx) insert(s slot, e engine.Handle) {
 	raw, vec := s.raw, s.vec
 	c := 0
 	if vec != nil {
@@ -1048,14 +1055,14 @@ func (t *Tx) insert(s slot, k, v engine.Handle) {
 		raw.OpenForUpdate(vec)
 	} else {
 		c = max(2, 2*c)
-		vec = raw.Alloc(vecHash0+c, 2*c)
+		vec = raw.Alloc(vecHash0+c, c)
 		raw.LogForUndoWord(vec, vecCap)
 		raw.StoreWord(vec, vecCap, uint64(c))
 		for i := 0; i < s.n; i++ {
-			setSlot(raw, vec, i, raw.LoadWord(s.vec, vecHash0+i), raw.LoadRef(s.vec, 2*i), raw.LoadRef(s.vec, 2*i+1))
+			setSlot(raw, vec, i, raw.LoadWord(s.vec, vecHash0+i), raw.LoadRef(s.vec, i))
 		}
 	}
-	setSlot(raw, vec, s.n, s.h, k, v)
+	setSlot(raw, vec, s.n, s.h, e)
 	setCount(raw, vec, s.n+1)
 	if vec != s.vec {
 		raw.OpenForUpdate(s.hdr)
@@ -1069,24 +1076,27 @@ func (t *Tx) insert(s slot, k, v engine.Handle) {
 func (t *Tx) Get(key []byte) ([]byte, bool) {
 	t.counts[OpGet]++
 	s := t.lookup(hashKey(key), key)
-	if s.val == nil {
+	if s.ent == nil {
 		return nil, false
 	}
-	return readBytes(s.raw, s.val), true
+	return []byte(s.val), true
 }
 
 // AppendGetBlob appends the value stored under key to dst in the wire
 // protocol's blob form "$<len>:<bytes>" and reports whether the key was
-// present (dst is returned unchanged when it is not). The packed value
-// record is decoded straight into dst, so a sufficiently large dst makes the
+// present (dst is returned unchanged when it is not). The value is copied
+// straight from its entry into dst, so a sufficiently large dst makes the
 // whole read allocation-free.
 func (t *Tx) AppendGetBlob(dst []byte, key []byte) ([]byte, bool) {
 	t.counts[OpGet]++
 	s := t.lookup(hashKey(key), key)
-	if s.val == nil {
+	if s.ent == nil {
 		return dst, false
 	}
-	return appendRecBlob(s.raw, dst, s.val), true
+	dst = append(dst, '$')
+	dst = strconv.AppendUint(dst, uint64(len(s.val)), 10)
+	dst = append(dst, ':')
+	return append(dst, s.val...), true
 }
 
 // Set stores val under key, inserting or overwriting.
@@ -1098,12 +1108,12 @@ func (t *Tx) Set(key, val []byte) {
 // put stores val under key, for which lookup returned s.
 func (t *Tx) put(s slot, key, val []byte) {
 	t.logEffect(int(s.h&t.s.mask), false, key, val)
-	v := allocBytes(s.raw, val)
-	if s.val != nil {
-		overwrite(s, v)
+	e := t.allocEntry(s.raw, key, val)
+	if s.ent != nil {
+		overwrite(s, e)
 		return
 	}
-	t.insert(s, allocBytes(s.raw, key), v)
+	t.insert(s, e)
 }
 
 // Delete removes key, reporting whether it was present. The bucket's last
@@ -1112,19 +1122,17 @@ func (t *Tx) Delete(key []byte) bool {
 	t.counts[OpDelete]++
 	h := hashKey(key)
 	s := t.lookup(h, key)
-	if s.val == nil {
+	if s.ent == nil {
 		return false
 	}
 	t.logEffect(int(h&t.s.mask), true, key, nil)
 	raw, vec, last := s.raw, s.vec, s.n-1
 	raw.OpenForUpdate(vec)
 	if s.i != last {
-		setSlot(raw, vec, s.i, raw.LoadWord(vec, vecHash0+last), raw.LoadRef(vec, 2*last), raw.LoadRef(vec, 2*last+1))
+		setSlot(raw, vec, s.i, raw.LoadWord(vec, vecHash0+last), raw.LoadRef(vec, last))
 	}
-	raw.LogForUndoRef(vec, 2*last)
-	raw.StoreRef(vec, 2*last, nil)
-	raw.LogForUndoRef(vec, 2*last+1)
-	raw.StoreRef(vec, 2*last+1, nil)
+	raw.LogForUndoRef(vec, last)
+	raw.StoreRef(vec, last, nil)
 	setCount(raw, vec, last)
 	return true
 }
@@ -1136,12 +1144,12 @@ func (t *Tx) CompareAndSet(key, old, new []byte) bool {
 	t.counts[OpCAS]++
 	h := hashKey(key)
 	s := t.lookup(h, key)
-	if s.val == nil || !recEqual(s.raw, s.val, old) {
+	if s.ent == nil || s.val != string(old) {
 		return false
 	}
 	// A successful swap logs as an absolute set of the new value.
 	t.logEffect(int(h&t.s.mask), false, key, new)
-	overwrite(s, allocBytes(s.raw, new))
+	overwrite(s, t.allocEntry(s.raw, key, new))
 	return true
 }
 
@@ -1155,10 +1163,10 @@ func (t *Tx) Int(key []byte) (int64, error) {
 
 // slotInt parses the value lookup found as Int does.
 func slotInt(s slot) (int64, error) {
-	if s.val == nil {
+	if s.ent == nil {
 		return 0, nil
 	}
-	return recInt(s.raw, s.val)
+	return parseValue(s.val)
 }
 
 // SetInt stores v as decimal text under key.
@@ -1199,8 +1207,9 @@ func (t *Tx) Len() int {
 func (t *Tx) scanShard(sid int, fn func(key, val []byte)) {
 	t.eachVec(sid, func(raw engine.Txn, vec engine.Handle, n int) {
 		for i := 0; i < n; i++ {
-			if k, v := raw.LoadRef(vec, 2*i), raw.LoadRef(vec, 2*i+1); k != nil && v != nil {
-				fn(readBytes(raw, k), readBytes(raw, v))
+			if e := raw.LoadRef(vec, i); e != nil {
+				k, v := splitEntry(raw.LoadBytes(e))
+				fn([]byte(k), []byte(v))
 			}
 		}
 	})

@@ -28,7 +28,7 @@ func TestBasicOps(t *testing.T) {
 		if _, ok := s.Get([]byte("missing")); ok {
 			t.Fatal("Get on empty store reported a value")
 		}
-		// Value sizes straddling the 8-byte word packing boundaries.
+		// Value sizes around the word and cache-line sizes.
 		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 255} {
 			key := []byte(fmt.Sprintf("key-%d", n))
 			val := bytes.Repeat([]byte{byte(n + 1)}, n)
@@ -72,6 +72,61 @@ func TestBasicOps(t *testing.T) {
 		}
 		if s.CompareAndSet([]byte("nope"), []byte(""), []byte("x")) {
 			t.Fatal("CAS matched a missing key")
+		}
+	})
+}
+
+// TestEntryKeyLengths pins the entry layout, one record holding the key's
+// length, the key and the value: key lengths straddle each byte boundary of
+// the length prefix, and every read path splits the entry back into the key
+// and value it was built from.
+func TestEntryKeyLengths(t *testing.T) {
+	designs(t, func(t *testing.T, s *Store) {
+		model := map[string]string{}
+		for _, kn := range []int{0, 1, 127, 128, 129, 16383, 16384} {
+			for _, vn := range []int{0, 1, 100, 5000} {
+				key := bytes.Repeat([]byte{'k'}, kn)
+				val := bytes.Repeat([]byte{byte('a' + vn%26)}, vn)
+				s.Set(key, val)
+				model[string(key)] = string(val)
+				got, ok := s.Get(key)
+				if !ok || !bytes.Equal(got, val) {
+					t.Fatalf("key of %d bytes: Get read %d bytes (ok=%v), want %d", kn, len(got), ok, vn)
+				}
+				var blob []byte
+				if err := s.ViewKey(key, func(tx *Tx) error {
+					blob, ok = tx.AppendGetBlob([]byte("+"), key)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if want := fmt.Sprintf("+$%d:%s", vn, val); !ok || string(blob) != want {
+					t.Fatalf("key of %d bytes: AppendGetBlob gave %d bytes, want %d", kn, len(blob), len(want))
+				}
+			}
+			key := bytes.Repeat([]byte{'k'}, kn)
+			if !s.CompareAndSet(key, []byte(model[string(key)]), []byte("41")) {
+				t.Fatalf("key of %d bytes: CAS missed the current value", kn)
+			}
+			if err := s.AtomicKey(key, func(tx *Tx) error {
+				_, err := tx.Add(key, 1)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			model[string(key)] = "42"
+		}
+		scanned := map[string]string{}
+		if err := s.View(func(tx *Tx) error {
+			for sid := range s.shards {
+				tx.scanShard(sid, func(k, v []byte) { scanned[string(k)] = string(v) })
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(scanned) != fmt.Sprint(model) {
+			t.Fatalf("scan found %d keys that differ from the %d set", len(scanned), len(model))
 		}
 	})
 }

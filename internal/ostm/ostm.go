@@ -31,6 +31,7 @@ type Obj struct {
 	meta    atomic.Uint64
 	words   []atomic.Uint64
 	refs    []atomic.Pointer[Obj]
+	bytes   string // a byte record's payload (Txn.AllocBytes); no words or refs
 }
 
 const lockedBit = 1
@@ -340,6 +341,18 @@ func (t *Txn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
 	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
+
+// AllocBytes implements engine.Txn: a record has no words and no refs, so a
+// field access on it panics with the runtime's index error.
+func (t *Txn) AllocBytes(parts ...[]byte) engine.Handle {
+	o := &Obj{id: t.ids.Take(), creator: t.id, bytes: engine.JoinBytes(parts)}
+	o.meta.Store(1 << 1)
+	return o
+}
+
+// LoadBytes implements engine.Txn: the payload never changes, so reading it
+// takes no stripe or version check.
+func (t *Txn) LoadBytes(h engine.Handle) string { return t.obj(h).bytes }
 
 // Validate implements engine.Txn.
 func (t *Txn) Validate() error {

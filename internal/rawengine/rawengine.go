@@ -27,6 +27,19 @@ type Obj struct {
 
 const largeBit = 1 << 63
 
+// bytesShape marks a byte record (Txn.AllocBytes): small-object counts that
+// exceed the inline arrays, so a field access on a record panics.
+const bytesShape = 3<<2 | 3
+
+// bytesObj is a byte record. The padding makes it as large as a smallObj,
+// so the view words and refs take of any header stays inside the
+// allocation before their slice bound panics.
+type bytesObj struct {
+	Obj
+	b string
+	_ [unsafe.Sizeof(smallObj{}) - unsafe.Sizeof(Obj{}) - unsafe.Sizeof("")]byte
+}
+
 type smallObj struct {
 	Obj
 	w [2]uint64
@@ -144,6 +157,20 @@ func (t rawTxn) StoreRef(h engine.Handle, i int, r engine.Handle) {
 }
 
 func (t rawTxn) Alloc(nwords, nrefs int) engine.Handle { return t.e.NewObj(nwords, nrefs) }
+
+func (t rawTxn) AllocBytes(parts ...[]byte) engine.Handle {
+	b := &bytesObj{b: engine.JoinBytes(parts)}
+	b.shape = bytesShape
+	return &b.Obj
+}
+
+func (t rawTxn) LoadBytes(h engine.Handle) string {
+	o := t.obj(h)
+	if o.shape != bytesShape {
+		panic("rawengine: LoadBytes on an object that is not a byte record")
+	}
+	return (*bytesObj)(unsafe.Pointer(o)).b
+}
 
 func (t rawTxn) Commit() error {
 	t.e.commits++

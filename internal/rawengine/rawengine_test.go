@@ -50,3 +50,30 @@ func TestObjectShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestByteRecords pins the raw engine's byte record: as large as a small
+// object, a copy of its parts, and a field access on it panics.
+func TestByteRecords(t *testing.T) {
+	if got := unsafe.Sizeof(bytesObj{}); got != unsafe.Sizeof(smallObj{}) {
+		t.Errorf("byte record is %d bytes, want a small object's %d", got, unsafe.Sizeof(smallObj{}))
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	tx := New().Begin()
+	src := []byte("value")
+	h := tx.AllocBytes([]byte("key="), src)
+	copy(src, "XXXXX")
+	if got := tx.LoadBytes(h); got != "key=value" {
+		t.Errorf("record reads %q, want %q", got, "key=value")
+	}
+	if !panics(func() { tx.LoadWord(h, 0) }) || !panics(func() { tx.StoreWord(h, 0, 1) }) ||
+		!panics(func() { tx.LoadRef(h, 0) }) || !panics(func() { tx.StoreRef(h, 0, nil) }) {
+		t.Error("a field access on a byte record does not panic")
+	}
+	if !panics(func() { tx.LoadBytes(New().NewObj(0, 0)) }) {
+		t.Error("LoadBytes on a plain object does not panic")
+	}
+}

@@ -38,6 +38,7 @@ type Obj struct {
 	creator uint64
 	words   []atomic.Uint64
 	refs    []atomic.Pointer[Obj]
+	bytes   string // a byte record's payload (Txn.AllocBytes); no words or refs
 }
 
 // Engine is the word-based buffered-update STM.
@@ -359,6 +360,16 @@ func (t *Txn) bufferWrite(k wkey, v wval) {
 func (t *Txn) Alloc(nwords, nrefs int) engine.Handle {
 	return newObj(t.ids.Take(), t.id, nwords, nrefs)
 }
+
+// AllocBytes implements engine.Txn: a record has no words and no refs, so a
+// field access on it panics with the runtime's index error.
+func (t *Txn) AllocBytes(parts ...[]byte) engine.Handle {
+	return &Obj{id: t.ids.Take(), creator: t.id, bytes: engine.JoinBytes(parts)}
+}
+
+// LoadBytes implements engine.Txn: the payload never changes, so reading it
+// takes no stripe or version check.
+func (t *Txn) LoadBytes(h engine.Handle) string { return t.obj(h).bytes }
 
 // Validate implements engine.Txn: every read stripe must still be unlocked at
 // the version observed.
