@@ -52,22 +52,13 @@ func RunReadOnly(e Engine, body func(tx Txn) error) error {
 	return run(nil, RunOptions{}, e, true, body)
 }
 
-// RunReadOnlyOnce executes body as a single read-only transaction attempt
-// with no retry loop: on conflict it reports conflicted=true and returns,
-// leaving the retry policy to the caller. Serving layers use it to attempt a
-// batched read snapshot and fall back to per-command execution instead of
-// spinning. Like Run, a non-nil body error aborts the attempt — unless the
-// attempt was doomed (failed validation), which is reported as a conflict.
-func RunReadOnlyOnce(e Engine, body func(tx Txn) error) (err error, conflicted bool) {
-	return Attempt(e.BeginReadOnly(), body)
-}
-
-// Drive is the one re-execution loop in this repository: every retrying
-// entry point (Run, RunReadOnly, RunCtx, RunReadOnlyCtx, and the kv store's
-// single-shard and cross-shard runners) is a thin caller, so every engine and
-// every layer retries under the identical policy. It calls attempt until one
-// does not conflict and returns that attempt's error together with the number
-// of conflicted attempts before it; err == nil means the attempt committed.
+// Drive is the one re-execution loop in this repository. It has three
+// callers: run (behind Run, RunReadOnly, RunCtx and RunReadOnlyCtx) and the kv
+// store's single-shard and cross-shard runners (behind kv.Store.Run), so
+// every engine and every layer retries under the identical policy. It calls
+// attempt until one does not conflict and returns that attempt's error
+// together with the number of conflicted attempts before it; err == nil means
+// the attempt committed.
 //
 // Drive owns the bound checks (ctx cancellation, ctx's deadline,
 // opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
@@ -161,14 +152,14 @@ func BeginAttempt(ctx context.Context, deadline time.Time, e Engine, readonly bo
 	return tx
 }
 
-// run drives body on e: one BeginAttempt + Attempt per Drive iteration, and
-// on commit the retry histogram of the committing transaction's stripe
+// run drives body on e: one BeginAttempt + AttemptWith per Drive iteration,
+// and on commit the retry histogram of the committing transaction's stripe
 // records how many aborted attempts it took.
 func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body func(tx Txn) error) error {
 	conflicts, st, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time) (*Stripe, error, bool) {
 		tx := BeginAttempt(ctx, deadline, e, readonly)
 		st := StripeOf(tx, e)
-		err, conflicted := Attempt(tx, body)
+		err, conflicted := AttemptWith(tx, body, nil)
 		return st, err, conflicted
 	})
 	if err == nil {
@@ -177,20 +168,15 @@ func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body fun
 	return err
 }
 
-// Attempt runs one execution of the body on an already-begun transaction,
-// translating Retry panics and commit conflicts into conflicted=true. Any
-// other panic propagates after the transaction is rolled back. It is
-// exported for layers that manage their own begin/retry policy around the
-// standard attempt semantics — the kv store's runners hold shard gates
-// across exactly one attempt, inside the callback they hand Drive.
-func Attempt(tx Txn, body func(tx Txn) error) (err error, conflicted bool) {
-	return AttemptWith(tx, body, nil)
-}
-
-// AttemptWith is Attempt with the commit step swapped out: when commit is
-// non-nil it runs in place of tx.Commit() and must call it. The kv store's
-// durable commit path uses this to couple the engine commit with the
-// write-ahead-log append under one shard-local mutex, so log order matches
+// AttemptWith runs one execution of the body on an already-begun
+// transaction, translating Retry panics and commit conflicts into
+// conflicted=true. Any other panic propagates after the transaction is rolled
+// back. It is exported for the kv store's single-shard runner, which holds its
+// shard's gate across exactly one attempt, inside the callback it hands Drive.
+//
+// When commit is non-nil it runs in place of tx.Commit() and must call it. The
+// kv store's durable commit path uses this to couple the engine commit with
+// the write-ahead-log append under one shard-local mutex, so log order matches
 // commit order. The hook observes the same contract as tx.Commit — returning
 // ErrConflict counts as a conflicted attempt.
 func AttemptWith(tx Txn, body func(tx Txn) error, commit func(tx Txn) error) (err error, conflicted bool) {

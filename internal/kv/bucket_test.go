@@ -58,7 +58,7 @@ func TestGetCostIndependentOfBucketLoad(t *testing.T) {
 				}
 			}
 			incr := opens(func() {
-				if err := s.AtomicKey(keys[0], func(tx *Tx) error {
+				if err := s.Run(nil, memtx.TxOptions{}, [][]byte{keys[0]}, false, nil, func(tx *Tx) error {
 					_, err := tx.Add(keys[0], 1)
 					return err
 				}); err != nil {
@@ -89,7 +89,7 @@ func TestWriteAfterConcurrentDeleteMovedItsSlot(t *testing.T) {
 			}
 			mine, other := keys[7], keys[0]
 			attempts := 0
-			err := s.AtomicKey(mine, func(tx *Tx) error {
+			err := s.Run(nil, memtx.TxOptions{}, [][]byte{mine}, false, nil, func(tx *Tx) error {
 				attempts++
 				if _, ok := tx.Get(mine); !ok {
 					return fmt.Errorf("attempt %d: %s missing before the write", attempts, mine)
@@ -271,7 +271,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 					c := wk.Begin()
 					var out []byte
 					var ok bool
-					if err := s.ViewKey(a, func(tx *Tx) error { out, ok = tx.Get(a); return nil }); err != nil {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{a}, true, nil, func(tx *Tx) error { out, ok = tx.Get(a); return nil }); err != nil {
 						t.Errorf("get: %v", err)
 						return
 					}
@@ -281,7 +281,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 				c := wk.Begin()
 				var outA, outB []byte
 				var okA, okB bool
-				if err := s.ViewKeys([][]byte{a, b}, func(tx *Tx) error {
+				if err := s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, true, nil, func(tx *Tx) error {
 					outA, okA = tx.Get(a)
 					outB, okB = tx.Get(b)
 					return nil
@@ -306,7 +306,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 			val := fmt.Sprintf("w%d-r%d-%d", w, round, seq)
 			seq++
 			c := wk.Begin()
-			if err := s.AtomicKey(k, func(tx *Tx) error { tx.Set(k, []byte(val)); return nil }); err != nil {
+			if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *Tx) error { tx.Set(k, []byte(val)); return nil }); err != nil {
 				t.Errorf("set: %v", err)
 			}
 			wk.End(histcheck.Op{Kind: histcheck.Set, Key: string(k), Arg: val, Call: c})
@@ -315,7 +315,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 		del := func(k []byte) {
 			c := wk.Begin()
 			var removed bool
-			if err := s.AtomicKey(k, func(tx *Tx) error { removed = tx.Delete(k); return nil }); err != nil {
+			if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *Tx) error { removed = tx.Delete(k); return nil }); err != nil {
 				t.Errorf("del: %v", err)
 			}
 			wk.End(histcheck.Op{Kind: histcheck.Del, Key: string(k), OK: removed, Call: c})
@@ -340,7 +340,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 				c := wk.Begin()
 				var old []byte
 				var had bool
-				if err := s.AtomicKey(k, func(tx *Tx) error {
+				if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *Tx) error {
 					old, had = tx.Get(k)
 					tx.Set(k, []byte(val))
 					return nil
@@ -413,7 +413,7 @@ func oneBucketStorm(t *testing.T, d memtx.Design) {
 		t.Errorf("Len = %d, want %d", n, want)
 	}
 	var capacity uint64
-	if err := s.View(func(tx *Tx) error {
+	if err := s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 		tx.eachVec(0, func(raw engine.Txn, vec engine.Handle, _ int) { capacity = raw.LoadWord(vec, vecCap) })
 		return nil
 	}); err != nil {

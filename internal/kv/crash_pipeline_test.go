@@ -7,6 +7,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"memtx"
 )
 
 // runCrashCycles re-executes this test binary as daemonTest with env set to
@@ -114,7 +116,7 @@ func TestCrashRecoveryPipelineDaemon(t *testing.T) {
 				if from == to {
 					continue
 				}
-				err := s.AtomicKeys([][]byte{crashAcctKey(from), crashAcctKey(to)}, func(t *Tx) error {
+				err := s.Run(nil, memtx.TxOptions{}, [][]byte{crashAcctKey(from), crashAcctKey(to)}, false, nil, func(t *Tx) error {
 					if _, err := t.Add(crashAcctKey(from), -1); err != nil {
 						return err
 					}
@@ -159,7 +161,7 @@ func TestCrashRecoveryPipeline(t *testing.T) {
 	var sum int64
 	var off []string // accounts not at crashBalance, "key=balance"
 	var missing []string
-	err = s.View(func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 		sum, off, missing = 0, off[:0], missing[:0]
 		for i := 0; i < crashAccts; i++ {
 			key := crashAcctKey(i)

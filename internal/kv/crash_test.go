@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"memtx"
 )
 
 // Crash drill: a child process (this test binary re-executed) hammers the
@@ -52,7 +54,7 @@ func TestCrashRecoveryDaemon(t *testing.T) {
 				if from == to {
 					continue
 				}
-				err := s.AtomicKeys([][]byte{crashAcctKey(from), crashAcctKey(to)}, func(t *Tx) error {
+				err := s.Run(nil, memtx.TxOptions{}, [][]byte{crashAcctKey(from), crashAcctKey(to)}, false, nil, func(t *Tx) error {
 					if _, err := t.Add(crashAcctKey(from), -1); err != nil {
 						return err
 					}
@@ -99,7 +101,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal("store lost its seed marker")
 	}
 	var sum int64
-	err = s.View(func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 		sum = 0
 		for i := 0; i < crashAccts; i++ {
 			v, err := tx.Int(crashAcctKey(i))

@@ -6,6 +6,7 @@ import (
 	"syscall"
 	"testing"
 
+	"memtx"
 	"memtx/internal/enginetest"
 	"memtx/internal/obs"
 	"memtx/internal/wal"
@@ -23,7 +24,7 @@ func openFaultStore(t *testing.T, flt walfs.FS) *Store {
 }
 
 func trySet(s *Store, key, val string) error {
-	return s.AtomicKey([]byte(key), func(t *Tx) error {
+	return s.Run(nil, memtx.TxOptions{}, [][]byte{[]byte(key)}, false, nil, func(t *Tx) error {
 		t.Set([]byte(key), []byte(val))
 		return nil
 	})
@@ -71,7 +72,7 @@ func TestDiskFullDegradesReadOnly(t *testing.T) {
 	}
 	// Cross-shard writes are refused at the same gate.
 	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("k2")}
-	err = s.AtomicKeys(keys, func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(tx *Tx) error {
 		for _, k := range keys {
 			tx.Set(k, []byte("w"))
 		}
@@ -166,7 +167,7 @@ func TestFsyncFailureQuarantinesStore(t *testing.T) {
 		}
 	}
 	keys := [][]byte{[]byte("probe-0"), []byte("probe-1"), []byte("probe-2")}
-	err = s.AtomicKeys(keys, func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(tx *Tx) error {
 		for _, k := range keys {
 			tx.Set(k, []byte("w"))
 		}

@@ -12,8 +12,10 @@ import (
 
 // The retry-driver conformance suite: engine.Drive is the repository's one
 // re-execution loop, and this test pushes one table of cases through its
-// three callers — engine.Run*/Run*Ctx, the kv single-shard runner, and the kv
-// cross-shard runner — on every engine, asserting that all of them bound,
+// three callers — engine's run (behind Run, RunReadOnly, RunCtx and
+// RunReadOnlyCtx), the kv single-shard runner, and the kv cross-shard runner,
+// reached through Store.Run with keys on one shard, keys on two, and none
+// (the whole store) — on every engine, asserting that all of them bound,
 // pace, and account attempts identically.
 
 // countingEngine wraps a shard's real engine so the test can count the
@@ -153,10 +155,7 @@ func TestRetryDriverConformance(t *testing.T) {
 				begins: 1,
 				run: func(ctx context.Context, opts engine.RunOptions, readonly bool, body func(func()) error) error {
 					wrap := func(tx *Tx) error { return body(func() { tx.Get(keyA) }) }
-					if readonly {
-						return s.ViewKeysCtx(ctx, opts, [][]byte{keyA}, wrap)
-					}
-					return s.AtomicKeyDefer(ctx, opts, keyA, nil, wrap)
+					return s.Run(ctx, opts, [][]byte{keyA}, readonly, nil, wrap)
 				},
 				bump: bumpKey,
 			},
@@ -170,11 +169,23 @@ func TestRetryDriverConformance(t *testing.T) {
 							tx.Get(keyB)
 						})
 					}
-					keys := [][]byte{keyA, keyB}
-					if readonly {
-						return s.ViewKeysCtx(ctx, opts, keys, wrap)
+					return s.Run(ctx, opts, [][]byte{keyA, keyB}, readonly, nil, wrap)
+				},
+				bump: bumpKey,
+			},
+			{
+				// No declared keys: the whole store, its shards' transactions
+				// begun as the body touches them.
+				name:   "kv-store-wide",
+				begins: 2,
+				run: func(ctx context.Context, opts engine.RunOptions, readonly bool, body func(func()) error) error {
+					wrap := func(tx *Tx) error {
+						return body(func() {
+							tx.Get(keyA)
+							tx.Get(keyB)
+						})
 					}
-					return s.AtomicKeysDefer(ctx, opts, keys, nil, wrap)
+					return s.Run(ctx, opts, nil, readonly, nil, wrap)
 				},
 				bump: bumpKey,
 			},

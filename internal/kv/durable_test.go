@@ -91,7 +91,7 @@ func TestDurableCrossShardReopen(t *testing.T) {
 	s.Set(b, []byte("100"))
 	// Cross-shard transfers: the pair's sum must survive any reboot.
 	for i := 0; i < 50; i++ {
-		err := s.AtomicKeys([][]byte{a, b}, func(t *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, false, nil, func(t *Tx) error {
 			if _, err := t.Add(a, -1); err != nil {
 				return err
 			}
@@ -278,7 +278,7 @@ func TestDeferredSyncBatch(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		key := []byte(fmt.Sprintf("d%04d", i))
-		err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, key, sb, func(tx *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, sb, func(tx *Tx) error {
 			tx.Set(key, []byte("v"))
 			return nil
 		})
@@ -287,7 +287,7 @@ func TestDeferredSyncBatch(t *testing.T) {
 		}
 	}
 	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, false, sb, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil
@@ -333,7 +333,7 @@ func TestDeferredSyncNilStore(t *testing.T) {
 	if err := sb.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, []byte("k"), sb, func(tx *Tx) error {
+	err := s.Run(nil, memtx.TxOptions{}, [][]byte{[]byte("k")}, false, sb, func(tx *Tx) error {
 		tx.Set([]byte("k"), []byte("v"))
 		return nil
 	})
@@ -366,7 +366,7 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 	sb := s.NewSyncBatch()
 	for i := 0; i < 32; i++ {
 		key := []byte(fmt.Sprintf("cp%04d", i))
-		err := s.AtomicKeyDefer(nil, memtx.TxOptions{}, key, sb, func(tx *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, sb, func(tx *Tx) error {
 			tx.Set(key, []byte("v"))
 			return nil
 		})
@@ -375,7 +375,7 @@ func TestCheckpointSyncsLogBeforeSnapshot(t *testing.T) {
 		}
 	}
 	a, b := crossPair(t, s)
-	err = s.AtomicKeysDefer(nil, memtx.TxOptions{}, [][]byte{a, b}, sb, func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, false, sb, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		return nil

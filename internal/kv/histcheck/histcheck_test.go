@@ -126,7 +126,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					c := wk.Begin()
 					var out string
 					var ok bool
-					if err := s.ViewKey(k, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, true, nil, func(tx *kv.Tx) error {
 						v, o := tx.Get(k)
 						out, ok = string(v), o
 						return nil
@@ -137,7 +137,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					wk.End(histcheck.Op{Kind: histcheck.Get, Key: ks, Out: out, OK: ok, Call: c})
 				case kindRoll < 65: // SET
 					c := wk.Begin()
-					if err := s.AtomicKey(k, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *kv.Tx) error {
 						tx.Set(k, []byte(val))
 						return nil
 					}); err != nil {
@@ -148,7 +148,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 				case kindRoll < 75: // DEL
 					c := wk.Begin()
 					var removed bool
-					if err := s.AtomicKey(k, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *kv.Tx) error {
 						removed = tx.Delete(k)
 						return nil
 					}); err != nil {
@@ -163,7 +163,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					}
 					c := wk.Begin()
 					var swapped bool
-					if err := s.AtomicKey(k, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *kv.Tx) error {
 						swapped = tx.CompareAndSet(k, old, []byte(val))
 						return nil
 					}); err != nil {
@@ -178,7 +178,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					}
 					pair := [][]byte{k, k2}
 					c := wk.Begin()
-					if err := s.AtomicKeys(pair, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, pair, false, nil, func(tx *kv.Tx) error {
 						tx.Set(k, []byte(val))
 						tx.Set(k2, []byte(val))
 						return nil
@@ -199,7 +199,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					c := wk.Begin()
 					var out1, out2 string
 					var ok1, ok2 bool
-					if err := s.ViewKeys(pair, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, pair, true, nil, func(tx *kv.Tx) error {
 						v1, o1 := tx.Get(k)
 						v2, o2 := tx.Get(k2)
 						out1, ok1 = string(v1), o1
@@ -213,7 +213,7 @@ func runWorkers(t *testing.T, s *kv.Store, keys [][]byte, workers, iters int, cr
 					wk.End(histcheck.Op{Kind: histcheck.Get, Key: string(k2), Out: out2, OK: ok2, Call: c})
 				default: // cross mix disabled: fall back to a plain set
 					c := wk.Begin()
-					if err := s.AtomicKey(k, func(tx *kv.Tx) error {
+					if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *kv.Tx) error {
 						tx.Set(k, []byte(val))
 						return nil
 					}); err != nil {

@@ -8,17 +8,16 @@
 // complete, independent transactional memory — its own engine, version
 // space, id space, and statistics — rooted in an immutable directory record,
 // so single-shard commands never touch shared state outside their shard.
-// Sharding is therefore a real consistency boundary, and transactions come
-// in two flavours:
+// Sharding is therefore a real consistency boundary. Every transaction is
+// one Store.Run call, and the keys it declares pick one of two flavours:
 //
-//   - Single-shard (AtomicKey/ViewKey, and AtomicKeys/ViewKeys whose keys
-//     co-locate): one transaction on the key's shard engine, committing
-//     entirely locally. Reads need no cross-shard coordination at all;
-//     writes additionally hold the shard's cross-shard gate in shared mode
-//     (see below).
+//   - Single-shard (one key, or keys that all co-locate): one transaction on
+//     the key's shard engine, committing entirely locally. Reads need no
+//     cross-shard coordination at all; writes additionally hold the shard's
+//     cross-shard gate in shared mode (see below).
 //
-//   - Cross-shard (AtomicKeys/ViewKeys spanning shards, and the store-wide
-//     Atomic/View): one transaction per involved shard, driven through a
+//   - Cross-shard (keys spanning shards, or none declared: the whole store):
+//     one transaction per involved shard, driven through a
 //     deterministic-order two-phase commit. The involved shards' gates are
 //     acquired in ascending shard-id order (writers exclusively, readers
 //     shared), the body runs against lazily-begun per-shard transactions,
@@ -423,8 +422,8 @@ func (s *Store) ObsMetrics() []obs.Metric {
 	return ms
 }
 
-// Tx is one key-value transaction attempt. It is only valid inside the
-// Atomic, View, or Reader body that received it.
+// Tx is one key-value transaction attempt. It is only valid inside the Run
+// or Reader body that received it.
 //
 // A Tx runs in one of two modes. In single-shard mode (sid >= 0) every key
 // must hash to the pinned shard; a key outside it panics, because the core
@@ -800,10 +799,30 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 	return err
 }
 
-// runKeys routes a declared key set: the single-shard fast path when every
-// key co-locates, the cross-shard protocol over exactly the declared shards
-// otherwise.
-func (s *Store) runKeys(ctx context.Context, opts engine.RunOptions, keys [][]byte, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
+// Run is the store's transaction: it runs body as one transaction over the
+// shards the declared keys hash to, re-executing it on conflict until it
+// commits or body returns a non-nil error, which aborts the transaction and
+// is returned unchanged. The keys route it:
+//
+//   - one key, or keys that all hash to one shard: the single-shard path, one
+//     transaction on that shard's engine, committing locally;
+//   - keys spanning shards: the cross-shard protocol over exactly the shards
+//     they declare;
+//   - nil or empty keys: the whole store, every shard's gate taken (writers
+//     exclusively, so a store-wide write serializes against all writers).
+//
+// Body may touch any key whose shard is declared; a key that hashes to a
+// shard outside the declared set panics. readonly runs body read-only
+// (mutating operations panic). ctx and opts bound the retries as in
+// memtx.TM.AtomicCtx: on cancellation, deadline expiry or an exhausted budget
+// it gives up with an *engine.TimeoutError, the store unchanged; a nil ctx
+// with zero opts retries without bound. A non-nil sb defers a durable
+// write's fsync wait: the call returns once the commit's log record is
+// appended, and the caller must call sb.Wait before acknowledging the write.
+// A nil sb waits for durability before returning; read-only calls ignore sb.
+// Per-type op counters fold in only after a successful commit, so retried
+// attempts are not double-counted.
+func (s *Store) Run(ctx context.Context, opts memtx.TxOptions, keys [][]byte, readonly bool, sb *SyncBatch, body func(*Tx) error) error {
 	sid, set := s.shardSetOf(keys)
 	if sid >= 0 {
 		return s.runSingle(ctx, opts, sid, readonly, sb, body)
@@ -835,78 +854,29 @@ func (s *Store) shardSetOf(keys [][]byte) (int, []bool) {
 	return -1, set
 }
 
-// Atomic runs body as one transaction over the whole store: every Get, Set,
-// Delete, and CompareAndSet inside body commits or aborts together,
-// regardless of how many shards the keys hit. It acquires every shard's
-// gate exclusively, so it serializes against all writers — prefer AtomicKey
-// or AtomicKeys when the key set is known. A non-nil error from body aborts
-// and is returned unchanged. Per-type op counters fold in only after a
-// successful commit, so retried attempts are not double-counted.
-func (s *Store) Atomic(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, false, nil, body)
-}
-
-// View runs body as a read-only transaction over the whole store (cheaper
-// protocol; mutating operations panic).
-func (s *Store) View(body func(t *Tx) error) error {
-	return s.runCross(nil, engine.RunOptions{}, nil, true, nil, body)
-}
-
-// AtomicKey runs body as a transaction pinned to key's shard — the
-// single-shard fast path. Every key body touches must hash to the same
-// shard; a key outside it panics.
-func (s *Store) AtomicKey(key []byte, body func(t *Tx) error) error {
-	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), false, nil, body)
-}
-
-// ViewKey is AtomicKey's read-only counterpart. It needs no cross-shard
-// coordination at all: a shard's publish is one atomic engine commit, so a
-// single-shard snapshot can never observe a torn cross-shard write.
+// ViewKey is Run(nil, memtx.TxOptions{}, [][]byte{key}, true, nil, body).
+//
+// Deprecated: call Run; kept until bench/ moves.
 func (s *Store) ViewKey(key []byte, body func(t *Tx) error) error {
 	return s.runSingle(nil, engine.RunOptions{}, s.KeyShard(key), true, nil, body)
 }
 
-// AtomicKeys runs body as one atomic transaction over the shards the given
-// keys hash to. When every key co-locates it takes the single-shard fast
-// path; otherwise it runs the cross-shard two-phase protocol over exactly
-// the declared shards. Body may touch any key whose shard is declared.
-func (s *Store) AtomicKeys(keys [][]byte, body func(t *Tx) error) error {
-	return s.runKeys(nil, engine.RunOptions{}, keys, false, nil, body)
-}
-
-// ViewKeys is AtomicKeys' read-only counterpart.
-func (s *Store) ViewKeys(keys [][]byte, body func(t *Tx) error) error {
-	return s.runKeys(nil, engine.RunOptions{}, keys, true, nil, body)
-}
-
-// ViewKeysCtx is ViewKeys bounded by ctx and opts (see memtx.TM.AtomicCtx): on
-// cancellation, deadline expiry, or retry-budget exhaustion it gives up with
-// an *engine.TimeoutError instead of retrying forever. A nil ctx with zero
-// opts is ViewKeys.
-func (s *Store) ViewKeysCtx(ctx context.Context, opts memtx.TxOptions, keys [][]byte, body func(t *Tx) error) error {
-	return s.runKeys(ctx, opts, keys, true, nil, body)
-}
-
-// AtomicKeyDefer is AtomicKey bounded by ctx and opts like ViewKeysCtx — the
-// store is unchanged when it gives up, the failed attempts all rolled back —
-// and with the commit's durability wait deferred into sb: the transaction
-// commits and its log record is appended, but the call returns without
-// waiting for the fsync. The caller MUST call sb.Wait before acknowledging the
-// write to anyone. A nil ctx with zero opts takes the unbounded path; a nil sb
-// (a store without a WAL has no other kind) waits for durability before
-// returning, as AtomicKey does.
+// AtomicKeyDefer is Run(ctx, opts, [][]byte{key}, false, sb, body).
+//
+// Deprecated: call Run; kept until bench/ moves.
 func (s *Store) AtomicKeyDefer(ctx context.Context, opts memtx.TxOptions, key []byte, sb *SyncBatch, body func(t *Tx) error) error {
 	return s.runSingle(ctx, opts, s.KeyShard(key), false, sb, body)
 }
 
-// AtomicKeysDefer is AtomicKeys bounded by ctx and opts with the commit's
-// durability wait deferred into sb (see AtomicKeyDefer).
+// AtomicKeysDefer is Run(ctx, opts, keys, false, sb, body).
+//
+// Deprecated: call Run; kept until bench/ moves.
 func (s *Store) AtomicKeysDefer(ctx context.Context, opts memtx.TxOptions, keys [][]byte, sb *SyncBatch, body func(t *Tx) error) error {
-	return s.runKeys(ctx, opts, keys, false, sb, body)
+	return s.Run(ctx, opts, keys, false, sb, body)
 }
 
 // Reader is a reusable single-attempt read-only runner bound to one body.
-// Unlike View it never retries — RunOnce reports a conflict and leaves the
+// Unlike Run it never retries — RunOnce reports a conflict and leaves the
 // fallback policy to the caller — and it holds all per-attempt state inside
 // itself, so a warmed Reader executes with zero heap allocations. The server
 // keeps one per connection to run batched read snapshots.
@@ -1190,8 +1160,8 @@ func (t *Tx) Add(key []byte, delta int64) (int64, error) {
 
 // Len counts all keys by scanning every shard inside the transaction. It is
 // a test/diagnostic helper: it reads every slot vector, so it conflicts with
-// every concurrent write. It requires a store-wide transaction
-// (Atomic/View); a shard-pinned transaction panics.
+// every concurrent write. It requires a store-wide transaction (Run with
+// nil keys); a shard-pinned transaction panics.
 func (t *Tx) Len() int {
 	total := 0
 	for sid := range t.s.shards {
@@ -1233,7 +1203,7 @@ func (t *Tx) eachVec(sid int, fn func(raw engine.Txn, vec engine.Handle, n int))
 
 // Get is Tx.Get in its own single-shard read-only transaction.
 func (s *Store) Get(key []byte) (val []byte, ok bool) {
-	_ = s.ViewKey(key, func(t *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{key}, true, nil, func(t *Tx) error {
 		val, ok = t.Get(key)
 		return nil
 	})
@@ -1242,7 +1212,7 @@ func (s *Store) Get(key []byte) (val []byte, ok bool) {
 
 // Set is Tx.Set in its own single-shard transaction.
 func (s *Store) Set(key, val []byte) {
-	_ = s.AtomicKey(key, func(t *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, nil, func(t *Tx) error {
 		t.Set(key, val)
 		return nil
 	})
@@ -1250,7 +1220,7 @@ func (s *Store) Set(key, val []byte) {
 
 // Delete is Tx.Delete in its own single-shard transaction.
 func (s *Store) Delete(key []byte) (removed bool) {
-	_ = s.AtomicKey(key, func(t *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, nil, func(t *Tx) error {
 		removed = t.Delete(key)
 		return nil
 	})
@@ -1259,7 +1229,7 @@ func (s *Store) Delete(key []byte) (removed bool) {
 
 // CompareAndSet is Tx.CompareAndSet in its own single-shard transaction.
 func (s *Store) CompareAndSet(key, old, new []byte) (swapped bool) {
-	_ = s.AtomicKey(key, func(t *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, nil, func(t *Tx) error {
 		swapped = t.CompareAndSet(key, old, new)
 		return nil
 	})
@@ -1268,7 +1238,7 @@ func (s *Store) CompareAndSet(key, old, new []byte) (swapped bool) {
 
 // Len is Tx.Len in its own store-wide read-only transaction.
 func (s *Store) Len() (n int) {
-	_ = s.View(func(t *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(t *Tx) error {
 		n = t.Len()
 		return nil
 	})

@@ -94,7 +94,7 @@ func TestEntryKeyLengths(t *testing.T) {
 					t.Fatalf("key of %d bytes: Get read %d bytes (ok=%v), want %d", kn, len(got), ok, vn)
 				}
 				var blob []byte
-				if err := s.ViewKey(key, func(tx *Tx) error {
+				if err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, true, nil, func(tx *Tx) error {
 					blob, ok = tx.AppendGetBlob([]byte("+"), key)
 					return nil
 				}); err != nil {
@@ -108,7 +108,7 @@ func TestEntryKeyLengths(t *testing.T) {
 			if !s.CompareAndSet(key, []byte(model[string(key)]), []byte("41")) {
 				t.Fatalf("key of %d bytes: CAS missed the current value", kn)
 			}
-			if err := s.AtomicKey(key, func(tx *Tx) error {
+			if err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, nil, func(tx *Tx) error {
 				_, err := tx.Add(key, 1)
 				return err
 			}); err != nil {
@@ -117,7 +117,7 @@ func TestEntryKeyLengths(t *testing.T) {
 			model[string(key)] = "42"
 		}
 		scanned := map[string]string{}
-		if err := s.View(func(tx *Tx) error {
+		if err := s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 			for sid := range s.shards {
 				tx.scanShard(sid, func(k, v []byte) { scanned[string(k)] = string(v) })
 			}
@@ -209,7 +209,7 @@ func TestMultiKeyAtomicity(t *testing.T) {
 				for i := 0; i < transfers; i++ {
 					src, dst := next(accounts), next(accounts)
 					amount := int64(next(50))
-					err := s.Atomic(func(tx *Tx) error {
+					err := s.Run(nil, memtx.TxOptions{}, nil, false, nil, func(tx *Tx) error {
 						sv, err := tx.Int(acct(src))
 						if err != nil {
 							return err
@@ -235,7 +235,7 @@ func TestMultiKeyAtomicity(t *testing.T) {
 		wg.Wait()
 
 		var total int64
-		err := s.View(func(tx *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 			total = 0
 			for i := 0; i < accounts; i++ {
 				v, err := tx.Int(acct(i))
@@ -275,7 +275,7 @@ func TestShardSpread(t *testing.T) {
 
 func TestIntHelpers(t *testing.T) {
 	s := New(Config{Shards: 1, Buckets: 2})
-	err := s.Atomic(func(tx *Tx) error {
+	err := s.Run(nil, memtx.TxOptions{}, nil, false, nil, func(tx *Tx) error {
 		if v, err := tx.Int([]byte("n")); err != nil || v != 0 {
 			t.Errorf("missing key Int = %d,%v; want 0,nil", v, err)
 		}
@@ -297,7 +297,7 @@ func TestIntHelpers(t *testing.T) {
 	if _, err := ParseInt([]byte("not-a-number")); err == nil {
 		t.Fatal("ParseInt accepted junk")
 	}
-	err = s.Atomic(func(tx *Tx) error {
+	err = s.Run(nil, memtx.TxOptions{}, nil, false, nil, func(tx *Tx) error {
 		_, err := tx.Int([]byte("junk"))
 		return err
 	})
@@ -324,7 +324,7 @@ func TestOpCounters(t *testing.T) {
 
 	// An aborted transaction must not count.
 	wantErr := fmt.Errorf("boom")
-	if err := s.Atomic(func(tx *Tx) error {
+	if err := s.Run(nil, memtx.TxOptions{}, nil, false, nil, func(tx *Tx) error {
 		tx.Set([]byte("x"), []byte("y"))
 		return wantErr
 	}); err != wantErr {
@@ -346,7 +346,7 @@ func TestOpCounters(t *testing.T) {
 			own := [][]byte{k0, k1}[w%2]
 			for range rounds {
 				s.Set(own, []byte("v"))
-				if err := s.AtomicKeys([][]byte{k0, k1}, func(tx *Tx) error {
+				if err := s.Run(nil, memtx.TxOptions{}, [][]byte{k0, k1}, false, nil, func(tx *Tx) error {
 					tx.Set(k0, []byte("a"))
 					tx.Set(k1, []byte("b"))
 					return nil

@@ -91,7 +91,7 @@ func TestCrossShardSumConservation(t *testing.T) {
 		for i := 0; i < accounts; i++ {
 			for {
 				if _, ok := call(func() error {
-					return s.AtomicKey(acct(i), func(tx *Tx) error {
+					return s.Run(nil, memtx.TxOptions{}, [][]byte{acct(i)}, false, nil, func(tx *Tx) error {
 						tx.SetInt(acct(i), initial)
 						return nil
 					})
@@ -119,7 +119,7 @@ func TestCrossShardSumConservation(t *testing.T) {
 					amount := int64(next(20))
 					keys := [][]byte{acct(src), acct(dst)}
 					err, ok := call(func() error {
-						return s.AtomicKeys(keys, func(tx *Tx) error {
+						return s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(tx *Tx) error {
 							sv, err := tx.Int(acct(src))
 							if err != nil {
 								return err
@@ -152,7 +152,7 @@ func TestCrossShardSumConservation(t *testing.T) {
 		var total int64
 		for {
 			_, ok := call(func() error {
-				return s.View(func(tx *Tx) error {
+				return s.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *Tx) error {
 					total = 0
 					for i := 0; i < accounts; i++ {
 						v, err := tx.Int(acct(i))
@@ -195,7 +195,7 @@ func TestNoTornMSet(t *testing.T) {
 		}
 		write := func(gen int64) (error, bool) {
 			return call(func() error {
-				return s.AtomicKeys(keys, func(tx *Tx) error {
+				return s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(tx *Tx) error {
 					for _, k := range keys {
 						tx.SetInt(k, gen)
 					}
@@ -242,7 +242,9 @@ func TestNoTornMSet(t *testing.T) {
 				default:
 				}
 				k := keyOn(t, s, i%s.Shards(), 1)
-				_, _ = call(func() error { return s.AtomicKey(k, func(tx *Tx) error { tx.SetInt(k, int64(i)); return nil }) })
+				_, _ = call(func() error {
+					return s.Run(nil, memtx.TxOptions{}, [][]byte{k}, false, nil, func(tx *Tx) error { tx.SetInt(k, int64(i)); return nil })
+				})
 				i++
 			}
 		}()
@@ -259,7 +261,7 @@ func TestNoTornMSet(t *testing.T) {
 					}
 					var gens []int64
 					err, ok := call(func() error {
-						return s.ViewKeys(keys, func(tx *Tx) error {
+						return s.Run(nil, memtx.TxOptions{}, keys, true, nil, func(tx *Tx) error {
 							gens = gens[:0]
 							for _, k := range keys {
 								v, err := tx.Int(k)
@@ -311,7 +313,7 @@ func TestDeadlockCanary(t *testing.T) {
 			iters = 400
 		}
 		transfer := func(src, dst []byte) error {
-			return s.AtomicKeys([][]byte{src, dst}, func(tx *Tx) error {
+			return s.Run(nil, memtx.TxOptions{}, [][]byte{src, dst}, false, nil, func(tx *Tx) error {
 				sv, err := tx.Int(src)
 				if err != nil {
 					return err
@@ -359,7 +361,7 @@ func TestDeadlockCanary(t *testing.T) {
 			}
 		}
 		var av, bv int64
-		err := s.ViewKeys([][]byte{a, b}, func(tx *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, true, nil, func(tx *Tx) error {
 			var err error
 			if av, err = tx.Int(a); err != nil {
 				return err
@@ -401,7 +403,7 @@ func TestChaosMSetVisibility(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				val := []byte(fmt.Sprintf("g%d-%d", w, i))
 				_, ok := call(func() error {
-					return s.AtomicKeys(keys, func(tx *Tx) error {
+					return s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(tx *Tx) error {
 						for _, k := range keys {
 							tx.Set(k, val)
 						}
@@ -418,7 +420,7 @@ func TestChaosMSetVisibility(t *testing.T) {
 	chaos.Disable()
 
 	var vals [][]byte
-	err := s.ViewKeys(keys, func(tx *Tx) error {
+	err := s.Run(nil, memtx.TxOptions{}, keys, true, nil, func(tx *Tx) error {
 		vals = vals[:0]
 		for _, k := range keys {
 			v, ok := tx.Get(k)

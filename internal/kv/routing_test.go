@@ -38,14 +38,14 @@ func TestSingleShardRouting(t *testing.T) {
 		for i := range before {
 			before[i] = s.ShardStats(i).Starts
 		}
-		if err := s.AtomicKey(key, func(tx *Tx) error {
+		if err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, false, nil, func(tx *Tx) error {
 			tx.Set(key, []byte("v"))
 			return nil
 		}); err != nil {
 			t.Fatalf("AtomicKey: %v", err)
 		}
 		var hit []byte
-		if err := s.ViewKey(key, func(tx *Tx) error {
+		if err := s.Run(nil, memtx.TxOptions{}, [][]byte{key}, true, nil, func(tx *Tx) error {
 			hit, _ = tx.Get(key)
 			return nil
 		}); err != nil {
@@ -71,7 +71,7 @@ func TestSingleShardRouting(t *testing.T) {
 
 // TestSingleShardWritersDoNotWaitOnOtherShards is the structural half of
 // the sharding claim: single-shard writers on different shards share no
-// lock. Writer A parks inside its AtomicKey body after a Set, with its
+// lock. Writer A parks inside its single-key Run body after a Set, with its
 // attempt open, its shard's gate held shared and its bucket owned. Writer B,
 // on another shard, must still commit. Only a lock outside A's shard — a
 // store-wide one — could hold B up, so the check needs no timing ratio.
@@ -97,7 +97,7 @@ func TestSingleShardWritersDoNotWaitOnOtherShards(t *testing.T) {
 			var once sync.Once
 			aDone := make(chan error, 1)
 			go func() {
-				aDone <- s.AtomicKey(kx, func(tx *Tx) error {
+				aDone <- s.Run(nil, memtx.TxOptions{}, [][]byte{kx}, false, nil, func(tx *Tx) error {
 					tx.Set(kx, []byte("a"))
 					once.Do(func() { close(parked) })
 					<-release
@@ -108,7 +108,7 @@ func TestSingleShardWritersDoNotWaitOnOtherShards(t *testing.T) {
 
 			bDone := make(chan error, 1)
 			go func() {
-				bDone <- s.AtomicKey(ky, func(tx *Tx) error {
+				bDone <- s.Run(nil, memtx.TxOptions{}, [][]byte{ky}, false, nil, func(tx *Tx) error {
 					tx.Set(ky, []byte("b"))
 					return nil
 				})
@@ -150,13 +150,13 @@ func TestSingleShardBoundary(t *testing.T) {
 			t.Fatal("foreign-shard access inside AtomicKey did not panic")
 		}
 	}()
-	_ = s.AtomicKey(local, func(tx *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{local}, false, nil, func(tx *Tx) error {
 		tx.Set(foreign, []byte("x")) // wrong shard: must panic, not misroute
 		return nil
 	})
 }
 
-// TestDeclaredShardSet checks the multi-key analogue: AtomicKeys pins the
+// TestDeclaredShardSet checks the multi-key analogue: Run pins the
 // shard set to the declared keys, and touching a key outside it panics.
 func TestDeclaredShardSet(t *testing.T) {
 	s := New(Config{Shards: 4, Buckets: 8})
@@ -167,7 +167,7 @@ func TestDeclaredShardSet(t *testing.T) {
 			t.Fatal("undeclared-shard access inside AtomicKeys did not panic")
 		}
 	}()
-	_ = s.AtomicKeys([][]byte{a, b}, func(tx *Tx) error {
+	_ = s.Run(nil, memtx.TxOptions{}, [][]byte{a, b}, false, nil, func(tx *Tx) error {
 		tx.Set(a, []byte("1"))
 		tx.Set(b, []byte("2"))
 		tx.Set(undeclared, []byte("3"))
@@ -175,14 +175,14 @@ func TestDeclaredShardSet(t *testing.T) {
 	})
 }
 
-// TestMultiKeyRouting checks that AtomicKeys picks the commit path by the
+// TestMultiKeyRouting checks that Run picks the commit path by the
 // keys' actual shard spread: co-located keys commit on the single-shard
 // path, spanning keys take the cross-shard path.
 func TestMultiKeyRouting(t *testing.T) {
 	designs(t, func(t *testing.T, s *Store) {
 		// Co-located: two distinct keys on the same shard.
 		a0, a1 := keyOn(t, s, 1, 0), keyOn(t, s, 1, 1)
-		if err := s.AtomicKeys([][]byte{a0, a1}, func(tx *Tx) error {
+		if err := s.Run(nil, memtx.TxOptions{}, [][]byte{a0, a1}, false, nil, func(tx *Tx) error {
 			tx.Set(a0, []byte("x"))
 			tx.Set(a1, []byte("y"))
 			return nil
@@ -195,7 +195,7 @@ func TestMultiKeyRouting(t *testing.T) {
 
 		// Spanning: keys on different shards.
 		b0, b1 := keyOn(t, s, 0, 0), keyOn(t, s, 3, 0)
-		if err := s.AtomicKeys([][]byte{b0, b1}, func(tx *Tx) error {
+		if err := s.Run(nil, memtx.TxOptions{}, [][]byte{b0, b1}, false, nil, func(tx *Tx) error {
 			tx.Set(b0, []byte("x"))
 			tx.Set(b1, []byte("y"))
 			return nil
@@ -212,8 +212,8 @@ func TestMultiKeyRouting(t *testing.T) {
 			}
 		}
 
-		// ViewKeys across shards reads a consistent cut without panicking.
-		err := s.ViewKeys([][]byte{b0, b1}, func(tx *Tx) error {
+		// A read-only Run across shards reads a consistent cut without panicking.
+		err := s.Run(nil, memtx.TxOptions{}, [][]byte{b0, b1}, true, nil, func(tx *Tx) error {
 			tx.Get(b0)
 			tx.Get(b1)
 			return nil
@@ -244,7 +244,7 @@ func TestShardedStatsConformance(t *testing.T) {
 							s.Get(k)
 							if i%5 == 0 {
 								k2 := []byte(fmt.Sprintf("w%d-%d", (w+1)%4, (i+7)%16))
-								_ = s.AtomicKeys([][]byte{k, k2}, func(tx *Tx) error {
+								_ = s.Run(nil, memtx.TxOptions{}, [][]byte{k, k2}, false, nil, func(tx *Tx) error {
 									tx.Set(k, []byte("a"))
 									tx.Set(k2, []byte("b"))
 									return nil

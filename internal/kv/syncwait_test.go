@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"memtx"
 	"memtx/internal/wal"
 	"memtx/internal/wal/walfs"
 )
@@ -31,7 +32,7 @@ func TestCrossShardCommitAppendsOneRecord(t *testing.T) {
 	const commits = 3
 	before := walMetric(t, s, "stmkvd_wal_appends_total")
 	for i := 0; i < commits; i++ {
-		err := s.AtomicKeys(keys, func(t *Tx) error {
+		err := s.Run(nil, memtx.TxOptions{}, keys, false, nil, func(t *Tx) error {
 			for _, k := range keys {
 				t.Set(k, []byte(fmt.Sprint(i)))
 			}

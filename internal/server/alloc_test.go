@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/race"
 	"memtx/internal/server"
@@ -86,7 +87,7 @@ func TestDispatchAllocs(t *testing.T) {
 	// batch of one; holding a store-wide transaction open fails every
 	// Reader.RunOnce at the gates, while the single-shard fallback needs none.
 	hold, held := make(chan struct{}), make(chan struct{})
-	go store.Atomic(func(*kv.Tx) error {
+	go store.Run(nil, memtx.TxOptions{}, nil, false, nil, func(*kv.Tx) error {
 		close(held)
 		<-hold
 		return nil

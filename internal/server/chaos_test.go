@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memtx"
 	"memtx/internal/chaos"
 	"memtx/internal/kv"
 	"memtx/internal/kvload"
@@ -199,7 +200,7 @@ func runServerChaos(t *testing.T, iters int, cfg server.Config, ccfg chaos.Confi
 
 	// Conservation, read in one server-side snapshot.
 	var sum int64
-	if err := store.View(func(tx *kv.Tx) error {
+	if err := store.Run(nil, memtx.TxOptions{}, nil, true, nil, func(tx *kv.Tx) error {
 		sum = 0
 		for i := 0; i < accounts; i++ {
 			v, ok := tx.Get(chaosAcct(i))

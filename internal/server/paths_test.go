@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/server/wire"
 )
@@ -239,7 +240,7 @@ func TestCommandPathsAgree(t *testing.T) {
 					release := make(chan struct{})
 					if holdGates {
 						held := make(chan struct{})
-						go store.Atomic(func(*kv.Tx) error {
+						go store.Run(nil, memtx.TxOptions{}, nil, false, nil, func(*kv.Tx) error {
 							close(held)
 							<-release
 							return nil

@@ -838,17 +838,13 @@ func (s *Server) runTxn(c *conn, run []batchEntry, batched bool) (err error) {
 	if !s.acquire(c) {
 		return errShed
 	}
-	switch {
-	case batched && readonly:
+	if batched && readonly {
 		if committed, _ := c.reader.RunOnce(); !committed {
 			return errSnapshot
 		}
 		return nil
-	case readonly:
-		return s.store.ViewKeysCtx(nil, s.txOpts, c.keys, c.txBody)
-	default:
-		return s.store.AtomicKeysDefer(nil, s.txOpts, c.keys, c.sb, c.txBody)
 	}
+	return s.store.Run(nil, s.txOpts, c.keys, readonly, c.sb, c.txBody)
 }
 
 // applyRun is the transaction body of every execution form: it applies each

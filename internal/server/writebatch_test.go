@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memtx"
 	"memtx/internal/chaos"
 	"memtx/internal/kv"
 	"memtx/internal/kvload"
@@ -246,7 +247,7 @@ func TestWriteBatchAtomicToSnapshotReader(t *testing.T) {
 			default:
 			}
 			var a, b int64
-			err := store.ViewKeys(keys, func(t *kv.Tx) error {
+			err := store.Run(nil, memtx.TxOptions{}, keys, true, nil, func(t *kv.Tx) error {
 				var err error
 				if a, err = t.Int(keyA); err != nil {
 					return err

@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 
+	"memtx"
 	"memtx/internal/kv"
 	"memtx/internal/wal/walfs"
 )
@@ -202,7 +203,7 @@ func record(cfg Config) (*trace, error) {
 	set := func(key string) error {
 		seqs[key]++
 		op := ackedOp{jStart: fsys.JournalLen(), key: key, seq: seqs[key]}
-		if err := store.AtomicKey([]byte(key), func(t *kv.Tx) error {
+		if err := store.Run(nil, memtx.TxOptions{}, [][]byte{[]byte(key)}, false, nil, func(t *kv.Tx) error {
 			t.Set([]byte(key), seqVal(op.seq))
 			return nil
 		}); err != nil {
@@ -214,7 +215,7 @@ func record(cfg Config) (*trace, error) {
 	}
 	del := func(key string) error {
 		op := ackedOp{jStart: fsys.JournalLen(), key: key, seq: -1}
-		if err := store.AtomicKey([]byte(key), func(t *kv.Tx) error {
+		if err := store.Run(nil, memtx.TxOptions{}, [][]byte{[]byte(key)}, false, nil, func(t *kv.Tx) error {
 			t.Delete([]byte(key))
 			return nil
 		}); err != nil {
@@ -228,7 +229,7 @@ func record(cfg Config) (*trace, error) {
 	// transaction and records the resulting balance vector.
 	transfer := func(a, b, amt int) error {
 		start := fsys.JournalLen()
-		err := store.AtomicKeys([][]byte{bankKey(a), bankKey(b)}, func(t *kv.Tx) error {
+		err := store.Run(nil, memtx.TxOptions{}, [][]byte{bankKey(a), bankKey(b)}, false, nil, func(t *kv.Tx) error {
 			av, _ := t.Get(bankKey(a))
 			bv, _ := t.Get(bankKey(b))
 			an, _ := strconv.Atoi(string(av))
@@ -268,7 +269,7 @@ func record(cfg Config) (*trace, error) {
 
 	// Phase B: fund the bank keys; conservation is checked from jFund on.
 	for i := 0; i < nbanks; i++ {
-		if err := store.AtomicKey(bankKey(i), func(t *kv.Tx) error {
+		if err := store.Run(nil, memtx.TxOptions{}, [][]byte{bankKey(i)}, false, nil, func(t *kv.Tx) error {
 			t.Set(bankKey(i), []byte(strconv.Itoa(bankInitial)))
 			return nil
 		}); err != nil {
@@ -409,7 +410,7 @@ func verifyState(cfg Config, tr *trace, n int, fsys *walfs.Mem) (uint64, error) 
 
 	// The recovered store must still accept and serve writes.
 	probe := []byte("crashpoint-probe")
-	if err := store.AtomicKey(probe, func(t *kv.Tx) error {
+	if err := store.Run(nil, memtx.TxOptions{}, [][]byte{probe}, false, nil, func(t *kv.Tx) error {
 		t.Set(probe, []byte("ok"))
 		return nil
 	}); err != nil {
