@@ -147,25 +147,18 @@ func TestChaosTransferInvariants(t *testing.T) {
 		t.Fatalf("balance sum %d, want %d: a fault tore a transfer", sum, want)
 	}
 
-	// Accounting: the engine must agree with itself once quiescent.
+	// Accounting: the engine must agree with itself once quiescent. Aborts
+	// is the sum of the abort causes, so every injected abort must have
+	// recorded exactly one.
 	s := e.Stats()
 	if s.Starts != s.Commits+s.Aborts {
-		t.Fatalf("starts %d != commits %d + aborts %d", s.Starts, s.Commits, s.Aborts)
-	}
-	ms := e.Metrics().Snapshot()
-	var byCause uint64
-	for _, c := range engine.AbortCauses {
-		byCause += ms.Aborts(c)
-	}
-	if byCause != s.Aborts {
-		t.Fatalf("per-cause abort total %d != stats aborts %d", byCause, s.Aborts)
+		t.Fatalf("starts %d != commits %d + aborts %d (causes %v)", s.Starts, s.Commits, s.Aborts, s.AbortsByCause)
 	}
 
-	// The contention manager saw every attempt that ran to an outcome: an
-	// injected panic unwinds through the retry driver before its attempt is
-	// observed.
-	if cs := e.CM().Stats(); cs.Outcomes+uint64(panics) != s.Starts {
-		t.Fatalf("CM outcomes %d + recovered panics %d != starts %d", cs.Outcomes, panics, s.Starts)
+	// The retry driver saw every attempt that ran to an outcome: an injected
+	// panic unwinds through it before its attempt is observed.
+	if s.Outcomes+uint64(panics) != s.Starts {
+		t.Fatalf("outcomes %d + recovered panics %d != starts %d", s.Outcomes, panics, s.Starts)
 	}
 }
 
@@ -205,7 +198,7 @@ func TestDeadlineAbortsAtCMWait(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("gave up after %v: the CM wait ignored the deadline", elapsed)
 	}
-	if got := e.Metrics().Snapshot().Aborts(engine.CauseDeadline); got == 0 {
+	if got := e.Stats().AbortsByCause[engine.CauseDeadline]; got == 0 {
 		t.Fatal("no CauseDeadline abort recorded for the expired wait")
 	}
 }
@@ -234,7 +227,7 @@ func TestCancelAbortsAtCMWait(t *testing.T) {
 	if te.Op != "canceled" || !errors.Is(err, context.Canceled) {
 		t.Fatalf("op=%q unwrap=%v, want canceled/context.Canceled", te.Op, errors.Unwrap(te))
 	}
-	if got := e.Metrics().Snapshot().Aborts(engine.CauseDeadline); got == 0 {
+	if got := e.Stats().AbortsByCause[engine.CauseDeadline]; got == 0 {
 		t.Fatal("no CauseDeadline abort recorded for the canceled wait")
 	}
 }

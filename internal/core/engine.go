@@ -108,10 +108,4 @@ func (e *Engine) begin(readonly bool) *Txn {
 // Stats implements engine.Engine.
 func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
-// Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
-
-// CM implements engine.Engine.
-func (e *Engine) CM() *engine.CM { return e.rec.CM() }
-
 var _ engine.Engine = (*Engine)(nil)

@@ -12,7 +12,8 @@ import (
 //
 // The zero value is ready to use (and stays on the caller's stack — Run's
 // fast path must not allocate); the RNG is seeded on first use. Binding a
-// stripe accounts every wait in its CM's CMStats.
+// stripe counts every wait in its Recorder's Stats (BackoffSpins and
+// BackoffSleeps).
 type Backoff struct {
 	attempt int
 	rng     uint64
@@ -25,7 +26,7 @@ const (
 	backoffMaxShift     = 14 // cap sleep at base << 14 ≈ 8ms
 )
 
-// Bind attaches a stripe: subsequent waits are counted in its CMStats.
+// Bind attaches a stripe (nil detaches): subsequent waits are counted on it.
 func (b *Backoff) Bind(st *Stripe) { b.st = st }
 
 func (b *Backoff) next() uint64 {

@@ -13,24 +13,14 @@ func TestCMFixedPolicyInert(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		st.ObserveOutcome()
 	}
-	if s := r.CM().Stats(); s != (CMStats{Outcomes: 512}) {
+	if s := r.Stats(); s != (Stats{Outcomes: 512}) {
 		t.Fatalf("after 512 outcomes: %+v, want only Outcomes 512", s)
 	}
 }
 
-// TestCMStatsAdd pins the sharded-aggregation merge rule: every counter sums.
-func TestCMStatsAdd(t *testing.T) {
-	a := CMStats{Outcomes: 10, Waits: 3, Spins: 2, Sleeps: 1, SleepNanos: 100}
-	b := CMStats{Outcomes: 20, Waits: 7, Spins: 4, Sleeps: 3, SleepNanos: 50}
-	want := CMStats{Outcomes: 30, Waits: 10, Spins: 6, Sleeps: 4, SleepNanos: 150}
-	if got := a.Add(b); got != want {
-		t.Errorf("Add = %+v, want %+v", got, want)
-	}
-}
-
 // TestBackoffAccountsWaits checks the fixed pacing schedule through a bound
-// stripe's CM counters: the first four waits spin, later ones sleep, and the
-// n-th sleep lasts at most base << n.
+// stripe's backoff counters: the first four waits spin, later ones sleep,
+// and the n-th sleep lasts at most base << n.
 func TestBackoffAccountsWaits(t *testing.T) {
 	var r Recorder
 	var b Backoff
@@ -38,14 +28,14 @@ func TestBackoffAccountsWaits(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Wait()
 	}
-	s := r.CM().Stats()
-	if s.Waits != 6 || s.Spins != 4 || s.Sleeps != 2 {
-		t.Fatalf("waits/spins/sleeps = %d/%d/%d, want 6/4/2", s.Waits, s.Spins, s.Sleeps)
+	s := r.Stats()
+	if s.BackoffSpins != 4 || s.BackoffSleeps != 2 {
+		t.Fatalf("spins/sleeps = %d/%d, want 4/2", s.BackoffSpins, s.BackoffSleeps)
 	}
-	if s.SleepNanos == 0 {
+	if s.BackoffSleepNanos == 0 {
 		t.Fatal("sleeps recorded no time")
 	}
-	if max := uint64((2 + 4) * backoffBaseSleep / time.Nanosecond); s.SleepNanos > max {
-		t.Fatalf("sleep nanos %d exceed (2+4)*base = %d", s.SleepNanos, max)
+	if max := uint64((2 + 4) * backoffBaseSleep / time.Nanosecond); s.BackoffSleepNanos > max {
+		t.Fatalf("sleep nanos %d exceed (2+4)*base = %d", s.BackoffSleepNanos, max)
 	}
 }

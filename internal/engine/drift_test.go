@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -36,7 +37,7 @@ func checkUint64(t *testing.T, val reflect.Value, path string, want uint64) {
 	switch val.Kind() {
 	case reflect.Uint64:
 		if got := val.Uint(); got != want {
-			t.Errorf("%s = %d, want %d (field not handled by Sub?)", path, got, want)
+			t.Errorf("%s = %d, want %d (field not handled?)", path, got, want)
 		}
 	case reflect.Struct:
 		for i := 0; i < val.NumField(); i++ {
@@ -44,17 +45,16 @@ func checkUint64(t *testing.T, val reflect.Value, path string, want uint64) {
 		}
 	case reflect.Array:
 		for i := 0; i < val.Len(); i++ {
-			checkUint64(t, val.Index(i), path, want)
+			checkUint64(t, val.Index(i), fmt.Sprintf("%s[%d]", path, i), want)
 		}
 	}
 }
 
-// subDrift fills two values of the same struct type with distinct constants,
-// applies sub, and asserts every uint64 leaf of the result is the difference.
-// A counter field added to the struct but forgotten in Sub stays 0 (= 5-5
-// would be fine, but 5 and 2 give 3, while a forgotten field keeps the a-copy
-// value or zero) and trips the check.
-func subDrift[T any](t *testing.T, sub func(a, b T) T) {
+// drift fills two values of the same struct type with the distinct
+// constants 5 and 2, applies op, and asserts every uint64 leaf of the result
+// is want (3 for a difference, 7 for a sum). A counter field added to the
+// struct but forgotten in op keeps 0 and trips the check.
+func drift[T any](t *testing.T, op func(a, b T) T, want uint64) {
 	t.Helper()
 	var a, b T
 	na := fillUint64(reflect.ValueOf(&a).Elem(), 5)
@@ -65,19 +65,24 @@ func subDrift[T any](t *testing.T, sub func(a, b T) T) {
 	if na != nb {
 		t.Fatalf("leaf count mismatch: %d vs %d", na, nb)
 	}
-	d := sub(a, b)
-	checkUint64(t, reflect.ValueOf(d), reflect.TypeOf(d).Name(), 3)
+	d := op(a, b)
+	checkUint64(t, reflect.ValueOf(d), reflect.TypeOf(d).Name(), want)
 }
 
 // TestStatsSubCoversEveryField guards against counter drift: adding a field
 // to Stats without updating Stats.Sub fails here, not silently in a report.
 func TestStatsSubCoversEveryField(t *testing.T) {
-	subDrift(t, func(a, b Stats) Stats { return a.Sub(b) })
+	drift(t, func(a, b Stats) Stats { return a.Sub(b) }, 3)
 }
 
-// TestMetricsSnapshotSubCoversEveryField does the same for the metrics
-// snapshot, including the nested histogram bucket arrays.
+// TestStatsAddCoversEveryField does the same for Stats.Add, the merge a
+// sharded store sums its shards' snapshots with.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	drift(t, func(a, b Stats) Stats { return a.Add(b) }, 7)
+}
+
+// TestMetricsSnapshotSubCoversEveryField does the same for the abort-cause
+// snapshot's array.
 func TestMetricsSnapshotSubCoversEveryField(t *testing.T) {
-	subDrift(t, func(a, b MetricsSnapshot) MetricsSnapshot { return a.Sub(b) })
-	subDrift(t, func(a, b HistogramSnapshot) HistogramSnapshot { return a.Sub(b) })
+	drift(t, func(a, b MetricsSnapshot) MetricsSnapshot { return a.Sub(b) }, 3)
 }

@@ -49,16 +49,6 @@ type Engine interface {
 
 	// Stats returns a snapshot of the engine's cumulative counters.
 	Stats() Stats
-
-	// Metrics returns the engine's observability recorder: abort-cause
-	// counters and the retry histogram. The returned pointer is live
-	// for the engine's lifetime; call Snapshot on it to read.
-	Metrics() *Metrics
-
-	// CM returns the engine's contention-management account: counters of
-	// attempt outcomes and backoff waits (CMStats). Like Metrics, the
-	// returned pointer is live for the engine's lifetime.
-	CM() *CM
 }
 
 // Txn is a single transaction attempt. A Txn must be used by one goroutine at
@@ -150,10 +140,10 @@ type Txn interface {
 	Abort()
 
 	// SetAbortCause attributes the transaction's abort, if it aborts, to
-	// the given cause in the engine's Metrics. The Run loop calls it before
-	// Abort when it knows why an attempt failed (the cause carried by a
-	// Retry panic, or a doomed-error retry); engines set it internally on
-	// their own conflict paths.
+	// the given cause in the engine's Stats.AbortsByCause. The Run loop
+	// calls it before Abort when it knows why an attempt failed (the cause
+	// carried by a Retry panic, or a doomed-error retry); engines set it
+	// internally on their own conflict paths.
 	SetAbortCause(c AbortCause)
 
 	// ReadOnly reports whether the transaction was started read-only.
@@ -175,16 +165,21 @@ func JoinBytes(parts [][]byte) string {
 	return b.String()
 }
 
-// Stats is a snapshot of cumulative engine counters. Counters are maintained
-// with atomics and folded in at commit/abort, so a snapshot taken while
-// transactions are in flight is approximate. Engines load Starts last when
-// snapshotting, so Commits + Aborts <= Starts holds in every snapshot (the
-// remainder is a lower bound on in-flight transactions); the conformance
-// suite relies on this.
+// Stats is a snapshot of an engine's cumulative counters, the one view of
+// its Recorder. Counters are maintained with atomics and folded in at
+// commit/abort, so a snapshot taken while transactions are in flight is
+// approximate. Engines load Starts last when snapshotting, so Commits +
+// Aborts <= Starts holds in every snapshot (the remainder is a lower bound on
+// in-flight transactions); the conformance suite relies on this.
+//
+// Aborts is not a counter of its own: it is the sum of AbortsByCause, since
+// every abort records exactly one cause. The retry driver (Drive) counts
+// Outcomes and the Backoff* fields; a transaction outside Drive, or one
+// with no stripe, adds nothing to them.
 type Stats struct {
 	Starts         uint64 // transactions started
 	Commits        uint64 // transactions committed
-	Aborts         uint64 // transactions rolled back (conflict or Abort)
+	Aborts         uint64 // transactions rolled back (conflict or Abort): the sum of AbortsByCause
 	OpenForRead    uint64 // OpenForRead operations executed
 	OpenForUpdate  uint64 // OpenForUpdate operations executed
 	UndoLogged     uint64 // undo-log entries recorded
@@ -201,44 +196,68 @@ type Stats struct {
 	// benchmark's traced run still reports it as ro_fast_commit_frac; it
 	// goes with that row.
 	ROFastCommits uint64
+
+	// AbortsByCause is indexed by AbortCause.
+	AbortsByCause [NumAbortCauses]uint64
+
+	Outcomes          uint64 // attempt outcomes Drive observed, conflicted or committed
+	BackoffSpins      uint64 // backoff waits between attempts satisfied by yielding
+	BackoffSleeps     uint64 // backoff waits that slept
+	BackoffSleepNanos uint64 // total backoff sleep time, ns
 }
 
 // Sub returns the difference s - t, counter by counter. It is used by the
 // harness to report per-interval statistics.
 func (s Stats) Sub(t Stats) Stats {
-	return Stats{
-		Starts:         s.Starts - t.Starts,
-		Commits:        s.Commits - t.Commits,
-		Aborts:         s.Aborts - t.Aborts,
-		OpenForRead:    s.OpenForRead - t.OpenForRead,
-		OpenForUpdate:  s.OpenForUpdate - t.OpenForUpdate,
-		UndoLogged:     s.UndoLogged - t.UndoLogged,
-		ReadLogEntries: s.ReadLogEntries - t.ReadLogEntries,
-		FilterHits:     s.FilterHits - t.FilterHits,
-		LocalSkips:     s.LocalSkips - t.LocalSkips,
-		Compactions:    s.Compactions - t.Compactions,
-		ReadLogDropped: s.ReadLogDropped - t.ReadLogDropped,
-		CMWaits:        s.CMWaits - t.CMWaits,
-		ROFastCommits:  s.ROFastCommits - t.ROFastCommits,
+	d := Stats{
+		Starts:            s.Starts - t.Starts,
+		Commits:           s.Commits - t.Commits,
+		Aborts:            s.Aborts - t.Aborts,
+		OpenForRead:       s.OpenForRead - t.OpenForRead,
+		OpenForUpdate:     s.OpenForUpdate - t.OpenForUpdate,
+		UndoLogged:        s.UndoLogged - t.UndoLogged,
+		ReadLogEntries:    s.ReadLogEntries - t.ReadLogEntries,
+		FilterHits:        s.FilterHits - t.FilterHits,
+		LocalSkips:        s.LocalSkips - t.LocalSkips,
+		Compactions:       s.Compactions - t.Compactions,
+		ReadLogDropped:    s.ReadLogDropped - t.ReadLogDropped,
+		CMWaits:           s.CMWaits - t.CMWaits,
+		ROFastCommits:     s.ROFastCommits - t.ROFastCommits,
+		Outcomes:          s.Outcomes - t.Outcomes,
+		BackoffSpins:      s.BackoffSpins - t.BackoffSpins,
+		BackoffSleeps:     s.BackoffSleeps - t.BackoffSleeps,
+		BackoffSleepNanos: s.BackoffSleepNanos - t.BackoffSleepNanos,
 	}
+	for i := range d.AbortsByCause {
+		d.AbortsByCause[i] = s.AbortsByCause[i] - t.AbortsByCause[i]
+	}
+	return d
 }
 
 // Add returns the sum s + t, counter by counter. Sharded stores use it to
 // aggregate per-shard engine statistics into one store-wide view.
 func (s Stats) Add(t Stats) Stats {
-	return Stats{
-		Starts:         s.Starts + t.Starts,
-		Commits:        s.Commits + t.Commits,
-		Aborts:         s.Aborts + t.Aborts,
-		OpenForRead:    s.OpenForRead + t.OpenForRead,
-		OpenForUpdate:  s.OpenForUpdate + t.OpenForUpdate,
-		UndoLogged:     s.UndoLogged + t.UndoLogged,
-		ReadLogEntries: s.ReadLogEntries + t.ReadLogEntries,
-		FilterHits:     s.FilterHits + t.FilterHits,
-		LocalSkips:     s.LocalSkips + t.LocalSkips,
-		Compactions:    s.Compactions + t.Compactions,
-		ReadLogDropped: s.ReadLogDropped + t.ReadLogDropped,
-		CMWaits:        s.CMWaits + t.CMWaits,
-		ROFastCommits:  s.ROFastCommits + t.ROFastCommits,
+	d := Stats{
+		Starts:            s.Starts + t.Starts,
+		Commits:           s.Commits + t.Commits,
+		Aborts:            s.Aborts + t.Aborts,
+		OpenForRead:       s.OpenForRead + t.OpenForRead,
+		OpenForUpdate:     s.OpenForUpdate + t.OpenForUpdate,
+		UndoLogged:        s.UndoLogged + t.UndoLogged,
+		ReadLogEntries:    s.ReadLogEntries + t.ReadLogEntries,
+		FilterHits:        s.FilterHits + t.FilterHits,
+		LocalSkips:        s.LocalSkips + t.LocalSkips,
+		Compactions:       s.Compactions + t.Compactions,
+		ReadLogDropped:    s.ReadLogDropped + t.ReadLogDropped,
+		CMWaits:           s.CMWaits + t.CMWaits,
+		ROFastCommits:     s.ROFastCommits + t.ROFastCommits,
+		Outcomes:          s.Outcomes + t.Outcomes,
+		BackoffSpins:      s.BackoffSpins + t.BackoffSpins,
+		BackoffSleeps:     s.BackoffSleeps + t.BackoffSleeps,
+		BackoffSleepNanos: s.BackoffSleepNanos + t.BackoffSleepNanos,
 	}
+	for i := range d.AbortsByCause {
+		d.AbortsByCause[i] = s.AbortsByCause[i] + t.AbortsByCause[i]
+	}
+	return d
 }

@@ -74,8 +74,9 @@ var AbortCauses = [NumAbortCauses]AbortCause{
 const HistogramBuckets = 40
 
 // Histogram is a bounded log-scaled histogram maintained entirely with
-// atomic counters, so the engines' hot paths can record into it without
-// locks and snapshots can be taken while transactions are in flight.
+// atomic counters, so concurrent goroutines (the load generator's
+// connections) record into it without locks and snapshots can be taken
+// while they run.
 type Histogram struct {
 	counts [HistogramBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -107,16 +108,11 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // correspond to one instant.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.addFrom(h)
-	return s
-}
-
-// addFrom adds h's counters into s.
-func (s *HistogramSnapshot) addFrom(h *Histogram) {
 	for i := range h.counts {
-		s.Counts[i] += h.counts[i].Load()
+		s.Counts[i] = h.counts[i].Load()
 	}
-	s.Sum += h.sum.Load()
+	s.Sum = h.sum.Load()
+	return s
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
@@ -170,60 +166,13 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	return bucketBound(HistogramBuckets - 1)
 }
 
-// Sub returns the bucket-by-bucket difference s - t, for per-interval
-// reporting.
-func (s HistogramSnapshot) Sub(t HistogramSnapshot) HistogramSnapshot {
-	var d HistogramSnapshot
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i] - t.Counts[i]
-	}
-	d.Sum = s.Sum - t.Sum
-	return d
-}
-
-// Metrics is the observability view of an engine's Recorder: abort causes
-// and the retry histogram. Every transaction records into its own stripe
-// (see Recorder); Snapshot sums the stripes. It holds counts only: no engine
-// reads a clock to record an attempt.
+// MetricsSnapshot is the abort-cause share of a Stats snapshot.
 //
-// Recording conventions (the conformance suite in internal/enginetest pins
-// them):
-//
-//   - every abort records exactly one cause;
-//   - every successful Run/RunReadOnly observes Retries once with the
-//     number of conflicted attempts that preceded the commit, on the stripe
-//     of the transaction that committed.
-type Metrics Recorder
-
-// Snapshot sums the stripes. Like Stats, a snapshot taken while
-// transactions are in flight is approximate.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	var s MetricsSnapshot
-	for i := range m.stripes {
-		c := &m.stripes[i]
-		for j := range c.abortCauses {
-			s.AbortsByCause[j] += c.abortCauses[j].Load()
-		}
-		s.Retries.addFrom(&c.retries)
-	}
-	return s
-}
-
-// MetricsSnapshot is a point-in-time copy of a Metrics recorder.
+// Deprecated: read Stats.AbortsByCause; kept until bench/ moves off
+// memtx.TM.Metrics.
 type MetricsSnapshot struct {
 	// AbortsByCause is indexed by AbortCause.
 	AbortsByCause [NumAbortCauses]uint64
-
-	Retries HistogramSnapshot // conflicted attempts per successful Run txn
-}
-
-// AbortTotal sums the per-cause abort counters.
-func (s MetricsSnapshot) AbortTotal() uint64 {
-	var n uint64
-	for _, v := range s.AbortsByCause {
-		n += v
-	}
-	return n
 }
 
 // Aborts returns the count for one cause.
@@ -241,6 +190,5 @@ func (s MetricsSnapshot) Sub(t MetricsSnapshot) MetricsSnapshot {
 	for i := range s.AbortsByCause {
 		d.AbortsByCause[i] = s.AbortsByCause[i] - t.AbortsByCause[i]
 	}
-	d.Retries = s.Retries.Sub(t.Retries)
 	return d
 }

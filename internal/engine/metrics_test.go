@@ -54,16 +54,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramSubAndBounds(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	before := h.Snapshot()
-	h.Observe(5)
-	h.Observe(7)
-	d := h.Snapshot().Sub(before)
-	if d.Count() != 2 || d.Sum != 12 {
-		t.Fatalf("delta count=%d sum=%d, want 2/12", d.Count(), d.Sum)
-	}
+func TestHistogramBucketBounds(t *testing.T) {
 	if bucketBound(0) != 0 || bucketBound(3) != 7 {
 		t.Fatalf("bucketBound wrong: %d %d", bucketBound(0), bucketBound(3))
 	}
@@ -104,21 +95,14 @@ func TestMetricsRecorder(t *testing.T) {
 	attempt(b, false, CauseValidation)
 	attempt(a, false, CauseCMKill)
 	attempt(b, true, CauseExplicit)
-	a.ObserveRetries(2)
-	b.ObserveRetries(-1) // clamps to 0
+	attempt(a, false, AbortCause(200)) // out of range: recorded as explicit
 
-	s := r.Metrics().Snapshot()
-	if s.Aborts(CauseValidation) != 2 || s.Aborts(CauseCMKill) != 1 {
-		t.Fatalf("aborts by cause wrong: %v", s.AbortsByCause)
+	s := r.Stats()
+	if want := [NumAbortCauses]uint64{CauseValidation: 2, CauseCMKill: 1, CauseExplicit: 1}; s.AbortsByCause != want {
+		t.Fatalf("aborts by cause = %v, want %v", s.AbortsByCause, want)
 	}
-	if s.AbortTotal() != 3 {
-		t.Fatalf("AbortTotal = %d, want 3", s.AbortTotal())
-	}
-	if st := r.Stats(); st.Starts != 4 || st.Commits != 1 || st.Aborts != 3 {
-		t.Fatalf("Stats = %+v, want 4 starts, 1 commit, 3 aborts", st)
-	}
-	if s.Retries.Count() != 2 || s.Retries.Sum != 2 {
-		t.Fatalf("retries count=%d sum=%d, want 2/2", s.Retries.Count(), s.Retries.Sum)
+	if s.Starts != 5 || s.Commits != 1 || s.Aborts != 4 {
+		t.Fatalf("Stats = %+v, want 5 starts, 1 commit, 4 aborts", s)
 	}
 }
 

@@ -56,19 +56,19 @@ func RunReadOnly(e Engine, body func(tx Txn) error) error {
 // callers: run (behind Run, RunReadOnly, RunCtx and RunReadOnlyCtx) and the kv
 // store's single-shard and cross-shard runners (behind kv.Store.Run), so
 // every engine and every layer retries under the identical policy. It calls
-// attempt until one does not conflict and returns that attempt's error
-// together with the number of conflicted attempts before it; err == nil means
-// the attempt committed.
+// attempt until one does not conflict and returns that attempt's error;
+// err == nil means the attempt committed.
 //
 // Drive owns the bound checks (ctx cancellation, ctx's deadline,
 // opts.MaxElapsed, opts.MaxAttempts — each reported as a *TimeoutError), the
 // backoff between attempts, and the count of every outcome. attempt receives
 // the ctx and effective deadline to bind into the transactions it begins (see
 // BeginAttempt), and returns the stripe of the first transaction it started
-// (StripeOf), or nil if it started none. Drive counts the outcome, and the
-// backoff wait after it, on that stripe (cm's first stripe for nil), so
-// disjoint transactions share no counter. On a commit it also returns that
-// attempt's stripe, on which the caller records the commit's retries.
+// (StripeOf), or nil if it started none or the transaction has no stripe.
+// Drive counts the outcome, and the backoff wait after it, on that stripe,
+// so disjoint transactions share no counter; for a nil stripe it counts
+// nothing. On a commit it also returns that attempt's stripe, by which the
+// kv store stripes its own per-commit counters.
 // Locks an attempt needs are the attempt's own business: it takes and
 // releases them inside the callback, so a panic unwinding through Drive
 // cannot leak them.
@@ -76,8 +76,8 @@ func RunReadOnly(e Engine, body func(tx Txn) error) error {
 // A nil ctx with zero opts is the unbounded fast path: no clock reads, and
 // attempt is handed a nil ctx and zero deadline. A nil ctx with non-zero opts
 // means context.Background().
-func Drive(ctx context.Context, opts RunOptions, cm *CM,
-	attempt func(ctx context.Context, deadline time.Time) (st *Stripe, err error, conflicted bool)) (int, *Stripe, error) {
+func Drive(ctx context.Context, opts RunOptions,
+	attempt func(ctx context.Context, deadline time.Time) (st *Stripe, err error, conflicted bool)) (*Stripe, error) {
 
 	bounded := ctx != nil || opts != (RunOptions{})
 	var start, deadline time.Time
@@ -103,23 +103,22 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 				if errors.Is(cerr, context.DeadlineExceeded) {
 					op = "deadline"
 				}
-				return conflicts, nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cerr}
+				return nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cerr}
 			}
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				op, cause := "deadline", error(context.DeadlineExceeded)
 				if budgetDeadline {
 					op, cause = "max-elapsed", ErrRetryBudget
 				}
-				return conflicts, nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
+				return nil, &TimeoutError{Op: op, Attempts: conflicts, Elapsed: time.Since(start), cause: cause}
 			}
 		}
 		st, err, conflicted := attempt(ctx, deadline)
-		if st == nil {
-			st = cm.stripe0()
+		if st != nil {
+			st.ObserveOutcome()
 		}
-		st.ObserveOutcome()
 		if !conflicted {
-			return conflicts, st, err
+			return st, err
 		}
 		conflicts++
 		backoff.Bind(st)
@@ -128,7 +127,7 @@ func Drive(ctx context.Context, opts RunOptions, cm *CM,
 			continue
 		}
 		if opts.MaxAttempts > 0 && conflicts >= opts.MaxAttempts {
-			return conflicts, nil, &TimeoutError{Op: "max-attempts", Attempts: conflicts, Elapsed: time.Since(start), cause: ErrRetryBudget}
+			return nil, &TimeoutError{Op: "max-attempts", Attempts: conflicts, Elapsed: time.Since(start), cause: ErrRetryBudget}
 		}
 		backoff.WaitCtx(ctx, deadline)
 	}
@@ -152,19 +151,14 @@ func BeginAttempt(ctx context.Context, deadline time.Time, e Engine, readonly bo
 	return tx
 }
 
-// run drives body on e: one BeginAttempt + AttemptWith per Drive iteration,
-// and on commit the retry histogram of the committing transaction's stripe
-// records how many aborted attempts it took.
+// run drives body on e: one BeginAttempt + AttemptWith per Drive iteration.
 func run(ctx context.Context, opts RunOptions, e Engine, readonly bool, body func(tx Txn) error) error {
-	conflicts, st, err := Drive(ctx, opts, e.CM(), func(ctx context.Context, deadline time.Time) (*Stripe, error, bool) {
+	_, err := Drive(ctx, opts, func(ctx context.Context, deadline time.Time) (*Stripe, error, bool) {
 		tx := BeginAttempt(ctx, deadline, e, readonly)
-		st := StripeOf(tx, e)
+		st := StripeOf(tx)
 		err, conflicted := AttemptWith(tx, body, nil)
 		return st, err, conflicted
 	})
-	if err == nil {
-		st.ObserveRetries(conflicts)
-	}
 	return err
 }
 

@@ -40,14 +40,11 @@ func (f *fakeTxn) Commit() error {
 type fakeEngine struct {
 	txns []*fakeTxn
 	next int
-	rec  Recorder
 }
 
 func (e *fakeEngine) Name() string           { return "fake" }
 func (e *fakeEngine) NewObj(int, int) Handle { return nil }
 func (e *fakeEngine) Stats() Stats           { return Stats{} }
-func (e *fakeEngine) Metrics() *Metrics      { return e.rec.Metrics() }
-func (e *fakeEngine) CM() *CM                { return e.rec.CM() }
 func (e *fakeEngine) BeginReadOnly() Txn     { return e.Begin() }
 func (e *fakeEngine) Begin() Txn {
 	t := e.txns[e.next]
@@ -190,11 +187,8 @@ func TestRunAttributesAbortCauses(t *testing.T) {
 	if t1.cause != CauseCMKill {
 		t.Fatalf("abandoned attempt cause = %v, want cm-kill", t1.cause)
 	}
-	// One conflicted attempt preceded the commit; the retries histogram
-	// records it against the engine.
-	r := e.Metrics().Snapshot().Retries
-	if r.Count() != 1 || r.Sum != 1 {
-		t.Fatalf("retries histogram count=%d sum=%d, want 1/1", r.Count(), r.Sum)
+	if calls != 2 || !t1.aborted || !t2.committed {
+		t.Fatalf("calls=%d, first aborted=%v, second committed=%v; want one retry", calls, t1.aborted, t2.committed)
 	}
 
 	// A doomed body error is attributed to CauseDoomed.

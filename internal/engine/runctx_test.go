@@ -121,11 +121,10 @@ func TestRunCtxDeadlineExpiresMidBackoff(t *testing.T) {
 }
 
 func TestRunCtxBindsContextAndDeadline(t *testing.T) {
+	// A shim engine hands out the one transaction, so its CtxBinder
+	// implementation is what RunCtx sees.
 	tx := &bindFakeTxn{}
-	e := &fakeEngine{txns: []*fakeTxn{&tx.fakeTxn}}
-	// fakeEngine hands out *fakeTxn; wrap Begin via a tiny shim engine so the
-	// CtxBinder implementation is what RunCtx sees.
-	be := &binderEngine{inner: e, tx: tx}
+	be := &binderEngine{tx: tx}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	if err := RunCtx(ctx, be, RunOptions{MaxElapsed: time.Minute}, func(Txn) error { return nil }); err != nil {
@@ -143,14 +142,11 @@ func TestRunCtxBindsContextAndDeadline(t *testing.T) {
 
 // binderEngine returns one CtxBinder-capable transaction.
 type binderEngine struct {
-	inner *fakeEngine
-	tx    *bindFakeTxn
+	tx *bindFakeTxn
 }
 
 func (e *binderEngine) Name() string           { return "binder-fake" }
 func (e *binderEngine) NewObj(int, int) Handle { return nil }
 func (e *binderEngine) Stats() Stats           { return Stats{} }
-func (e *binderEngine) Metrics() *Metrics      { return e.inner.Metrics() }
-func (e *binderEngine) CM() *CM                { return e.inner.CM() }
 func (e *binderEngine) Begin() Txn             { return e.tx }
 func (e *binderEngine) BeginReadOnly() Txn     { return e.tx }

@@ -14,13 +14,12 @@ const cacheLine = 64
 // record without writing a cache line another of them writes.
 const NumStripes = 16
 
-// Recorder is an engine's statistics recorder: its Stats counters, the
-// abort causes and retry histogram behind Metrics, and the
-// contention-management account behind CM. It is striped so that disjoint
-// transactions write no shared cache line: every pooled transaction records
-// into the stripe the pool gave it (Stripe), and the readers (Stats,
-// Metrics().Snapshot, CM().Stats) sum the stripes. The zero value is ready
-// to use; a Recorder must not be copied after first use.
+// Recorder is an engine's statistics recorder, read as one Stats snapshot.
+// It is striped so that disjoint transactions write no shared cache line:
+// every pooled transaction records into the stripe the pool gave it
+// (Stripe), and Stats sums the stripes. A stripe counts only what cannot be
+// derived: aborts are the sum of their causes. The zero value is ready to
+// use; a Recorder must not be copied after first use.
 type Recorder struct {
 	_       [cacheLine]byte // keeps stripe 0 off the line of the fields before it
 	stripes [NumStripes]Stripe
@@ -29,18 +28,14 @@ type Recorder struct {
 
 // stripeCounters is what one stripe records.
 type stripeCounters struct {
-	// Stats.
-	starts, commits, aborts                atomic.Uint64
+	starts, commits                        atomic.Uint64
+	abortCauses                            [NumAbortCauses]atomic.Uint64
 	openForRead, openForUpdate, undoLogged atomic.Uint64
 	readLogEntries, filterHits, localSkips atomic.Uint64
 	compactions, readLogDropped, cmWaits   atomic.Uint64
 
-	// Metrics.
-	abortCauses [NumAbortCauses]atomic.Uint64
-	retries     Histogram // conflicted attempts before each Run that committed
-
-	// CM.
-	outcomes, waits, spins, sleeps, sleepNanos atomic.Uint64
+	// Counted by Drive and its Backoff.
+	outcomes, spins, sleeps, sleepNanos atomic.Uint64
 
 	// index is the stripe's position in its Recorder, stored when the
 	// stripe is handed out (stripe 0 needs no store).
@@ -70,28 +65,28 @@ func (r *Recorder) Stripe() *Stripe {
 func (s *Stripe) Index() int { return int(s.index.Load()) }
 
 // Striped is implemented by transactions that record into one stripe of
-// their engine's Recorder. Drive uses it to count an attempt's outcome, and
-// the runners its retries, on that stripe.
+// their engine's Recorder. Drive uses it to count an attempt's outcome and
+// backoff on that stripe.
 type Striped interface {
 	Stripe() *Stripe
 }
 
-// StripeOf returns the stripe tx records into, or e's first stripe when tx
-// has none (a wrapper or an engine without stripes); e is tx's engine.
-func StripeOf(tx Txn, e Engine) *Stripe {
+// StripeOf returns the stripe tx records into, or nil when tx has none (a
+// wrapper, or an engine without a Recorder).
+func StripeOf(tx Txn) *Stripe {
 	if s, ok := tx.(Striped); ok {
 		return s.Stripe()
 	}
-	return e.CM().stripe0()
+	return nil
 }
 
 // Begin counts one transaction start.
 func (s *Stripe) Begin() { s.starts.Add(1) }
 
 // Finish folds one finished attempt into the stripe: its commit or its abort
-// with cause, and its operation counters n (whose Starts, Commits and Aborts
-// are not read). Counters that are 0, as most are on most transactions, are
-// not written.
+// with cause, and its operation counters n (OpenForRead through CMWaits; no
+// other field of n is read). Counters that are 0, as most are on most
+// transactions, are not written.
 func (s *Stripe) Finish(n *Stats, committed bool, cause AbortCause) {
 	if committed {
 		s.commits.Add(1)
@@ -100,7 +95,6 @@ func (s *Stripe) Finish(n *Stats, committed bool, cause AbortCause) {
 			cause = CauseExplicit
 		}
 		s.abortCauses[cause].Add(1)
-		s.aborts.Add(1)
 	}
 	add := func(dst *atomic.Uint64, v uint64) {
 		if v != 0 {
@@ -118,39 +112,29 @@ func (s *Stripe) Finish(n *Stats, committed bool, cause AbortCause) {
 	add(&s.cmWaits, n.CMWaits)
 }
 
-// ObserveRetries records the number of conflicted attempts a successful
-// transaction needed before committing (0 = first try).
-func (s *Stripe) ObserveRetries(aborted int) {
-	if aborted < 0 {
-		aborted = 0
-	}
-	s.retries.Observe(uint64(aborted))
-}
-
 // ObserveOutcome counts one attempt outcome, conflicted or committed.
 func (s *Stripe) ObserveOutcome() { s.outcomes.Add(1) }
 
-func (s *Stripe) noteSpin() {
-	s.waits.Add(1)
-	s.spins.Add(1)
-}
+func (s *Stripe) noteSpin() { s.spins.Add(1) }
 
 func (s *Stripe) noteSleep(d time.Duration) {
-	s.waits.Add(1)
 	s.sleeps.Add(1)
 	s.sleepNanos.Add(uint64(d))
 }
 
-// Stats sums the stripes' counters. Starts is loaded last, after every other
-// counter of every stripe: a transaction's start and its commit or abort land
-// on the same stripe, start first, so Commits + Aborts <= Starts holds in
-// every snapshot, even one taken while transactions are in flight.
+// Stats sums the stripes' counters, and the abort causes into Aborts.
+// Starts is loaded last, after every other counter of every stripe: a
+// transaction's start and its commit or abort land on the same stripe, start
+// first, so Commits + Aborts <= Starts holds in every snapshot, even one
+// taken while transactions are in flight.
 func (r *Recorder) Stats() Stats {
 	var s Stats
 	for i := range r.stripes {
 		c := &r.stripes[i]
 		s.Commits += c.commits.Load()
-		s.Aborts += c.aborts.Load()
+		for j := range c.abortCauses {
+			s.AbortsByCause[j] += c.abortCauses[j].Load()
+		}
 		s.OpenForRead += c.openForRead.Load()
 		s.OpenForUpdate += c.openForUpdate.Load()
 		s.UndoLogged += c.undoLogged.Load()
@@ -160,15 +144,16 @@ func (r *Recorder) Stats() Stats {
 		s.Compactions += c.compactions.Load()
 		s.ReadLogDropped += c.readLogDropped.Load()
 		s.CMWaits += c.cmWaits.Load()
+		s.Outcomes += c.outcomes.Load()
+		s.BackoffSpins += c.spins.Load()
+		s.BackoffSleeps += c.sleeps.Load()
+		s.BackoffSleepNanos += c.sleepNanos.Load()
+	}
+	for _, n := range s.AbortsByCause {
+		s.Aborts += n
 	}
 	for i := range r.stripes {
 		s.Starts += r.stripes[i].starts.Load()
 	}
 	return s
 }
-
-// Metrics returns the recorder's Metrics view.
-func (r *Recorder) Metrics() *Metrics { return (*Metrics)(r) }
-
-// CM returns the recorder's contention-management view.
-func (r *Recorder) CM() *CM { return (*CM)(r) }

@@ -31,7 +31,7 @@ func TestStripesDoNotShareCacheLines(t *testing.T) {
 
 	for _, e := range []engine.Engine{core.New(), wstm.New(wstm.WithStripes(1 << 10)), ostm.New()} {
 		a, b := e.Begin(), e.BeginReadOnly()
-		sa, sb := engine.StripeOf(a, e), engine.StripeOf(b, e)
+		sa, sb := engine.StripeOf(a), engine.StripeOf(b)
 		if _, ok := a.(engine.Striped); !ok {
 			t.Errorf("%s: transactions have no stripe", e.Name())
 		}

@@ -7,15 +7,12 @@ import (
 	"memtx/internal/engine"
 )
 
-// testCMStats drives a contended hot-key workload and checks the
-// contention-management account: every attempt is observed exactly once and
-// the wait counters are internally consistent.
+// testCMStats drives a contended hot-key workload and checks the retry
+// driver's share of Stats: every committed Run is observed, every finished
+// attempt records exactly one commit or one abort cause, and sleeps take
+// time.
 func testCMStats(t *testing.T, e engine.Engine) {
-	cm := e.CM()
-	if cm == nil {
-		t.Fatal("Engine.CM() = nil; every engine must expose its controller")
-	}
-	before := cm.Stats()
+	before := e.Stats()
 
 	h := e.NewObj(1, 0)
 	const goroutines = 8
@@ -46,25 +43,24 @@ func testCMStats(t *testing.T, e engine.Engine) {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
 
-	after := cm.Stats()
+	after := e.Stats()
 	// engine.Run feeds ObserveOutcome once per attempt, so the outcome count
 	// grows by at least one per committed transaction (more if any retried).
 	if delta := after.Outcomes - before.Outcomes; delta < goroutines*perG {
 		t.Errorf("outcomes grew by %d, want >= %d (one per attempt)", delta, goroutines*perG)
 	}
-	if after.Waits != after.Spins+after.Sleeps {
-		t.Errorf("waits %d != spins %d + sleeps %d", after.Waits, after.Spins, after.Sleeps)
+	// Aborts is the sum of the abort causes, so at quiescence this holds
+	// only if every abort recorded its cause exactly once.
+	if after.Commits+after.Aborts != after.Starts {
+		t.Errorf("quiescent Commits %d + Aborts %d != Starts %d: some abort lost or double-counted its cause (causes %v)",
+			after.Commits, after.Aborts, after.Starts, after.AbortsByCause)
 	}
-	if after.Sleeps > 0 && after.SleepNanos == 0 {
+	if after.BackoffSleeps > 0 && after.BackoffSleepNanos == 0 {
 		t.Error("sleeps recorded but total sleep time is zero")
 	}
 
-	// Add is the sharded-aggregation merge: every counter sums.
-	sum := before.Add(after)
-	if sum.Outcomes != before.Outcomes+after.Outcomes {
-		t.Errorf("Add: outcomes = %d, want %d", sum.Outcomes, before.Outcomes+after.Outcomes)
-	}
-	if sum.Waits != before.Waits+after.Waits {
-		t.Errorf("Add: waits = %d, want %d", sum.Waits, before.Waits+after.Waits)
+	// Add is the sharded-aggregation merge and Sub its inverse.
+	if sum := before.Add(after.Sub(before)); sum != after {
+		t.Errorf("before.Add(after.Sub(before)) = %+v, want %+v", sum, after)
 	}
 }

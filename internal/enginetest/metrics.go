@@ -9,13 +9,13 @@ import (
 )
 
 // testMetricsQuiescent drives a contended workload to completion and checks
-// the recording conventions the Metrics doc comment promises, cross-checked
-// against Stats:
+// the recording conventions the Stats doc comment promises:
 //
-//   - Starts == Commits + Aborts once quiescent;
-//   - every abort carries exactly one cause (AbortTotal == Aborts);
-//   - the retries histogram has one entry per successful Run, and its sum
-//     counts exactly the conflicted attempts of those runs.
+//   - Starts == Commits + Aborts once quiescent, where Aborts is the sum of
+//     the abort causes: every finished attempt records exactly one commit or
+//     one cause;
+//   - an explicit abort is attributed to CauseExplicit;
+//   - the retry driver observes one outcome per attempt it ran.
 func testMetricsQuiescent(t *testing.T, e engine.Engine) {
 	const goroutines = 4
 	const perG = 50
@@ -51,32 +51,25 @@ func testMetricsQuiescent(t *testing.T, e engine.Engine) {
 
 	const runs = goroutines * perG
 	s := e.Stats()
-	m := e.Metrics().Snapshot()
 
 	if s.Starts != s.Commits+s.Aborts {
-		t.Errorf("quiescent Starts=%d != Commits+Aborts=%d", s.Starts, s.Commits+s.Aborts)
+		t.Errorf("quiescent Starts=%d != Commits+Aborts=%d: some abort lost or double-counted its cause (causes %v)",
+			s.Starts, s.Commits+s.Aborts, s.AbortsByCause)
 	}
 	if s.Commits != runs {
 		t.Errorf("Commits = %d, want %d", s.Commits, runs)
 	}
-	if got := m.AbortTotal(); got != s.Aborts {
-		t.Errorf("AbortTotal = %d, Stats.Aborts = %d: some abort lost or double-counted its cause", got, s.Aborts)
+	if s.AbortsByCause[engine.CauseExplicit] < 1 {
+		t.Errorf("explicit abort not attributed: causes = %v", s.AbortsByCause)
 	}
-	if m.Aborts(engine.CauseExplicit) < 1 {
-		t.Errorf("explicit abort not attributed: causes = %v", m.AbortsByCause)
-	}
-	if got := m.Retries.Count(); got != runs {
-		t.Errorf("Retries.Count = %d, want one entry per successful Run = %d", got, runs)
-	}
-	// Every abort except the hand-rolled one was a conflicted attempt of some
-	// successful Run, and each such attempt contributes 1 to the retries sum.
-	if m.Retries.Sum != s.Aborts-1 {
-		t.Errorf("Retries.Sum = %d, want Aborts-1 = %d", m.Retries.Sum, s.Aborts-1)
+	// Every attempt except the hand-rolled one ran under engine.Run.
+	if s.Outcomes != s.Starts-1 {
+		t.Errorf("Outcomes = %d, want one per Run attempt = Starts-1 = %d", s.Outcomes, s.Starts-1)
 	}
 }
 
 // testMetricsConcurrent hammers the engine from writer goroutines while
-// reader goroutines snapshot Stats and Metrics, checking the invariants that
+// reader goroutines snapshot Stats, checking the invariants that
 // must hold in any mid-flight snapshot: Commits + Aborts <= Starts within one
 // Stats call, and monotonically non-decreasing counters between successive
 // snapshots. Under -race this also proves snapshots are safe against
@@ -94,10 +87,8 @@ func testMetricsConcurrent(t *testing.T, e engine.Engine) {
 		go func() {
 			defer wg.Done()
 			var prevS engine.Stats
-			var prevM engine.MetricsSnapshot
 			for !stop.Load() {
 				s := e.Stats()
-				m := e.Metrics().Snapshot()
 				if s.Commits+s.Aborts > s.Starts {
 					t.Errorf("snapshot: Commits+Aborts=%d > Starts=%d", s.Commits+s.Aborts, s.Starts)
 					return
@@ -106,11 +97,11 @@ func testMetricsConcurrent(t *testing.T, e engine.Engine) {
 					t.Errorf("Stats went backwards: %+v then %+v", prevS, s)
 					return
 				}
-				if m.AbortTotal() < prevM.AbortTotal() || m.Retries.Count() < prevM.Retries.Count() {
-					t.Error("Metrics went backwards between snapshots")
+				if s.Outcomes < prevS.Outcomes {
+					t.Errorf("Outcomes went backwards: %d then %d", prevS.Outcomes, s.Outcomes)
 					return
 				}
-				prevS, prevM = s, m
+				prevS = s
 			}
 		}()
 	}

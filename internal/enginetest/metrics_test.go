@@ -49,21 +49,19 @@ func TestCauseAttribution(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := cfg.mk()
 			testMetricsQuiescent(t, e) // reuse the contended workload
-			m := e.Metrics().Snapshot()
-			conflict := m.Aborts(engine.CauseValidation) +
-				m.Aborts(engine.CauseOwnership) +
-				m.Aborts(engine.CauseCMKill) +
-				m.Aborts(engine.CauseDoomed)
+			s := e.Stats()
+			c := s.AbortsByCause
+			conflict := c[engine.CauseValidation] + c[engine.CauseOwnership] +
+				c[engine.CauseCMKill] + c[engine.CauseDoomed]
 			// The workload's only explicit abort is the hand-rolled one in
 			// testMetricsQuiescent; every other abort must carry a conflict
 			// cause.
-			if m.Aborts(engine.CauseExplicit) != 1 {
+			if c[engine.CauseExplicit] != 1 {
 				t.Errorf("explicit aborts = %d, want exactly 1 (conflicts misattributed): %v",
-					m.Aborts(engine.CauseExplicit), m.AbortsByCause)
+					c[engine.CauseExplicit], c)
 			}
-			if m.AbortTotal() != conflict+1 {
-				t.Errorf("cause sum mismatch: total=%d conflict=%d: %v",
-					m.AbortTotal(), conflict, m.AbortsByCause)
+			if s.Aborts != conflict+1 {
+				t.Errorf("cause sum mismatch: total=%d conflict=%d: %v", s.Aborts, conflict, c)
 			}
 		})
 	}

@@ -210,19 +210,18 @@ func BankCell(accounts int) (*core.Engine, Op) {
 }
 
 // contended measures op on threads workers and returns the throughput with
-// the engine's stats and metrics over the run.
-func contended(e *core.Engine, op Op, threads, opsPerThread int) (float64, engine.Stats, engine.MetricsSnapshot) {
+// the engine's stats over the run.
+func contended(e *core.Engine, op Op, threads, opsPerThread int) (float64, engine.Stats) {
 	before := e.Stats()
-	mBefore := e.Metrics().Snapshot()
 	ops := Throughput(threads, opsPerThread, func(_ int, rng *Rand) { op(rng) })
-	return ops, e.Stats().Sub(before), e.Metrics().Snapshot().Sub(mBefore)
+	return ops, e.Stats().Sub(before)
 }
 
 // causeCells renders the validation and CM-kill abort counts.
-func causeCells(m engine.MetricsSnapshot) []string {
+func causeCells(s engine.Stats) []string {
 	return []string{
-		fmt.Sprint(m.Aborts(engine.CauseValidation)),
-		fmt.Sprint(m.Aborts(engine.CauseCMKill)),
+		fmt.Sprint(s.AbortsByCause[engine.CauseValidation]),
+		fmt.Sprint(s.AbortsByCause[engine.CauseCMKill]),
 	}
 }
 
@@ -257,9 +256,9 @@ func E7(quick bool) ([]*Table, error) {
 		for _, threads := range ThreadCounts(maxThreads) {
 			for _, cm := range ContentionManagers {
 				e, op := tc.cell(cm)
-				ops, s, m := contended(e, op, threads, tc.ops)
+				ops, s := contended(e, op, threads, tc.ops)
 				tc.t.AddRow(append([]string{fmt.Sprint(threads), cm.Name(), Ops(ops),
-					fmt.Sprint(s.Aborts), Pct(s.Aborts, s.Starts)}, causeCells(m)...)...)
+					fmt.Sprint(s.Aborts), Pct(s.Aborts, s.Starts)}, causeCells(s)...)...)
 			}
 		}
 	}
@@ -272,9 +271,9 @@ func E7(quick bool) ([]*Table, error) {
 	}
 	for _, n := range BankAccounts {
 		e, op := BankCell(n)
-		ops, s, m := contended(e, op, maxThreads, opsPerThread)
+		ops, s := contended(e, op, maxThreads, opsPerThread)
 		bank.AddRow(append([]string{fmt.Sprint(n), fmt.Sprint(maxThreads), Ops(ops),
-			Pct(s.Aborts, s.Starts)}, causeCells(m)...)...)
+			Pct(s.Aborts, s.Starts)}, causeCells(s)...)...)
 	}
 	return []*Table{counter, long, bank}, nil
 }

@@ -50,6 +50,14 @@ type driverPath struct {
 
 var errBoom = errors.New("conformance: body error")
 
+// attemptCeiling ends a run whose retry bound was lost: no case needs more
+// than a few dozen attempts (the time-bounded ones stop after 15 ms of
+// backoff), so a body that runs this often reports errRunaway instead of
+// letting the run retry forever.
+const attemptCeiling = 1000
+
+var errRunaway = errors.New("conformance: attempt ceiling reached, retry bound lost")
+
 func TestRetryDriverConformance(t *testing.T) {
 	type driverCase struct {
 		name      string
@@ -202,10 +210,13 @@ func TestRetryDriverConformance(t *testing.T) {
 					defer cancel()
 
 					begins = 0
-					outcomes := s.CMStats().Outcomes
+					outcomes := s.Stats().Outcomes
 					attempts := 0
 					err := p.run(ctx, c.opts, c.readonly, func(touch func()) error {
 						attempts++
+						if attempts > attemptCeiling {
+							return errRunaway // before touch: nothing read, so it validates and escapes
+						}
 						touch()
 						if c.cancelAt == attempts {
 							cancel()
@@ -213,10 +224,10 @@ func TestRetryDriverConformance(t *testing.T) {
 						if c.doomFirst && attempts == 1 {
 							// The interfering writer is a transaction of its
 							// own; keep it out of this run's accounting.
-							nb, no := begins, s.CMStats().Outcomes
+							nb, no := begins, s.Stats().Outcomes
 							p.bump()
 							begins = nb
-							outcomes += s.CMStats().Outcomes - no
+							outcomes += s.Stats().Outcomes - no
 							return errBoom
 						}
 						if c.conflicts < 0 || attempts <= c.conflicts {
@@ -225,6 +236,9 @@ func TestRetryDriverConformance(t *testing.T) {
 						return c.bodyErr
 					})
 
+					if errors.Is(err, errRunaway) {
+						t.Fatalf("body ran %d times without the run giving up: %v", attempts, err)
+					}
 					switch {
 					case c.wantOp != "":
 						var te *engine.TimeoutError
@@ -250,8 +264,8 @@ func TestRetryDriverConformance(t *testing.T) {
 						t.Fatalf("%d transactions begun over %d attempts, want %d per attempt", begins, attempts, p.begins)
 					}
 					// Exactly one ObserveOutcome per attempt.
-					if got := s.CMStats().Outcomes - outcomes; got != uint64(attempts) {
-						t.Fatalf("CM observed %d outcomes over %d attempts", got, attempts)
+					if got := s.Stats().Outcomes - outcomes; got != uint64(attempts) {
+						t.Fatalf("Stats counted %d outcomes over %d attempts", got, attempts)
 					}
 				})
 			}

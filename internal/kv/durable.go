@@ -253,8 +253,8 @@ func (t *Tx) walAppendCross() error {
 	for _, e := range t.effs {
 		s.shards[e.sid].lastLSN.Store(lsn)
 	}
-	for _, c := range t.committed {
-		s.markDirty(c.sid, t)
+	for _, sid := range t.committed {
+		s.markDirty(sid, t)
 	}
 	t.lsn = lsn
 	return nil

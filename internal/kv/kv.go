@@ -281,7 +281,7 @@ func (s *Store) Buckets() int { return s.buckets }
 func (s *Store) KeyShard(key []byte) int { return int(hashKey(key) & s.mask) }
 
 // ShardTM returns shard i's transactional memory, whose engine carries that
-// shard's transaction-level Stats/Metrics.
+// shard's transaction-level Stats.
 func (s *Store) ShardTM(i int) *memtx.TM { return s.shards[i].tm }
 
 // ShardStats returns shard i's cumulative engine counters.
@@ -294,16 +294,6 @@ func (s *Store) Stats() engine.Stats {
 	var agg engine.Stats
 	for i := range s.shards {
 		agg = agg.Add(s.shards[i].eng.Stats())
-	}
-	return agg
-}
-
-// CMStats returns the contention-management controller stats aggregated
-// across every shard (counters sum; gauges keep the maximum).
-func (s *Store) CMStats() engine.CMStats {
-	var agg engine.CMStats
-	for i := range s.shards {
-		agg = agg.Add(s.shards[i].eng.CM().Stats())
 	}
 	return agg
 }
@@ -375,9 +365,7 @@ func (s *Store) ObsMetrics() []obs.Metric {
 	var agg engine.Stats
 	for i := range s.shards {
 		st := s.shards[i].eng.Stats()
-		agg.Starts += st.Starts
-		agg.Commits += st.Commits
-		agg.Aborts += st.Aborts
+		agg = agg.Add(st)
 		shardLbl := []obs.Label{{Key: "shard", Value: fmt.Sprint(i)}}
 		ms = append(ms,
 			obs.Metric{Name: "stmkv_shard_tx_starts_total", Help: "Transaction attempts started, by shard.", Kind: obs.Counter, Labels: shardLbl, Value: st.Starts},
@@ -399,13 +387,12 @@ func (s *Store) ObsMetrics() []obs.Metric {
 		obs.Metric{Name: "stmkv_tx_commits_total", Help: "Transaction attempts committed, all shards.", Kind: obs.Counter, Value: agg.Commits},
 		obs.Metric{Name: "stmkv_tx_aborts_total", Help: "Transaction attempts rolled back, all shards.", Kind: obs.Counter, Value: agg.Aborts},
 	)
-	cm := s.CMStats()
 	ms = append(ms,
-		obs.Metric{Name: "stmkv_cm_outcomes_total", Help: "Attempt outcomes observed by the contention managers, all shards.", Kind: obs.Counter, Value: cm.Outcomes},
-		obs.Metric{Name: "stmkv_cm_waits_total", Help: "Backoff waits between transaction attempts, all shards.", Kind: obs.Counter, Value: cm.Waits},
-		obs.Metric{Name: "stmkv_cm_spins_total", Help: "Backoff waits satisfied by yielding, all shards.", Kind: obs.Counter, Value: cm.Spins},
-		obs.Metric{Name: "stmkv_cm_sleeps_total", Help: "Backoff waits that slept, all shards.", Kind: obs.Counter, Value: cm.Sleeps},
-		obs.Metric{Name: "stmkv_cm_sleep_ns_total", Help: "Total backoff sleep time, ns, all shards.", Kind: obs.Counter, Value: cm.SleepNanos},
+		obs.Metric{Name: "stmkv_cm_outcomes_total", Help: "Attempt outcomes observed by the retry driver, all shards.", Kind: obs.Counter, Value: agg.Outcomes},
+		obs.Metric{Name: "stmkv_cm_waits_total", Help: "Backoff waits between transaction attempts, all shards.", Kind: obs.Counter, Value: agg.BackoffSpins + agg.BackoffSleeps},
+		obs.Metric{Name: "stmkv_cm_spins_total", Help: "Backoff waits satisfied by yielding, all shards.", Kind: obs.Counter, Value: agg.BackoffSpins},
+		obs.Metric{Name: "stmkv_cm_sleeps_total", Help: "Backoff waits that slept, all shards.", Kind: obs.Counter, Value: agg.BackoffSleeps},
+		obs.Metric{Name: "stmkv_cm_sleep_ns_total", Help: "Total backoff sleep time, ns, all shards.", Kind: obs.Counter, Value: agg.BackoffSleepNanos},
 	)
 	if s.wal != nil {
 		degraded := uint64(0)
@@ -443,8 +430,8 @@ type Tx struct {
 	ctx      context.Context // non-nil on bounded paths: bound into each begun txn
 	deadline time.Time
 
-	committed []committedShard // publish-order scratch: shards committed this attempt
-	stripe    *engine.Stripe   // multi-shard: stripe of the attempt's first begun txn
+	committed []int          // publish-order scratch: shards committed this attempt
+	stripe    *engine.Stripe // multi-shard: stripe of the attempt's first begun txn
 	counts    [NumOps]uint32
 
 	// allocEntry's scratch: the key-length prefix and the record's parts.
@@ -455,13 +442,6 @@ type Tx struct {
 	effs   []walEff // captured write effects, in execution order
 	encOps []wal.Op // encode scratch, reused across appends
 	lsn    uint64   // the commit's record, to make durable before ack; 0 = none
-}
-
-// committedShard is one shard transaction a cross-shard attempt published,
-// with the stripe that shard's retries are recorded on.
-type committedShard struct {
-	sid    int
-	stripe *engine.Stripe
 }
 
 // txnFor returns the transaction for shard sid, beginning it lazily in
@@ -483,7 +463,7 @@ func (t *Tx) txnFor(sid int) engine.Txn {
 	tx := engine.BeginAttempt(t.ctx, t.deadline, eng, t.readonly)
 	t.txns[sid] = tx
 	if t.stripe == nil {
-		t.stripe = engine.StripeOf(tx, eng)
+		t.stripe = engine.StripeOf(tx)
 	}
 	return tx
 }
@@ -637,7 +617,6 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 		if tx == nil {
 			continue
 		}
-		st := engine.StripeOf(tx, t.s.shards[sid].eng)
 		if err := t.commitPublish(tx); err != nil {
 			t.txns[sid] = nil // Commit rolled this one back
 			if t.readonly || len(t.committed) == 0 {
@@ -647,7 +626,7 @@ func (t *Tx) crossAttempt(body func(*Tx) error) (err error, conflicted bool) {
 			}
 			panic(fmt.Sprintf("kv: shard %d commit failed after %d shard(s) published — cross-shard atomicity violated: %v", sid, len(t.committed), err))
 		}
-		t.committed = append(t.committed, committedShard{sid, st})
+		t.committed = append(t.committed, sid)
 		t.txns[sid] = nil
 	}
 	// Log the committed write-set while the exclusive gates are still held:
@@ -713,7 +692,7 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 		commit = func(tx engine.Txn) error { return s.durableCommitSingle(sid, &t, tx) }
 		ws = t.borrowWALScratch()
 	}
-	conflicts, st, err := engine.Drive(ctx, opts, sh.eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
+	st, err := engine.Drive(ctx, opts, func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
 		if !readonly {
 			sh.xmu.RLock()
 			defer sh.xmu.RUnlock()
@@ -721,12 +700,11 @@ func (s *Store) runSingle(ctx context.Context, opts engine.RunOptions, sid int, 
 		t.raw = engine.BeginAttempt(ctx, deadline, sh.eng, readonly)
 		t.counts = [NumOps]uint32{}
 		t.effs = t.effs[:0]
-		st := engine.StripeOf(t.raw, sh.eng)
+		st := engine.StripeOf(t.raw)
 		err, conflicted := engine.AttemptWith(t.raw, wrap, commit)
 		return st, err, conflicted
 	})
 	if err == nil {
-		st.ObserveRetries(conflicts)
 		s.fold(&t, st)
 	}
 	if durable {
@@ -767,16 +745,9 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 		ws = t.borrowWALScratch()
 	}
 	// A cross-shard transaction's attempt outcomes and backoff waits are
-	// counted once, on the stripe of the attempt's first begun transaction,
-	// or on the first involved shard's CM if it began none.
-	cmSid := 0
-	for i := range s.shards {
-		if allowed == nil || allowed[i] {
-			cmSid = i
-			break
-		}
-	}
-	conflicts, st, err := engine.Drive(ctx, opts, s.shards[cmSid].eng.CM(), func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
+	// counted once, on the stripe of the attempt's first begun transaction;
+	// an attempt that began none counts nothing.
+	st, err := engine.Drive(ctx, opts, func(ctx context.Context, deadline time.Time) (*engine.Stripe, error, bool) {
 		s.lockShards(allowed, exclusive)
 		defer s.unlockShards(allowed, exclusive)
 		t.ctx, t.deadline = ctx, deadline
@@ -787,9 +758,6 @@ func (s *Store) runCross(ctx context.Context, opts engine.RunOptions, allowed []
 		return t.stripe, err, conflicted
 	})
 	if err == nil {
-		for _, c := range t.committed {
-			c.stripe.ObserveRetries(conflicts)
-		}
 		s.counts[stripeIndex(st)].crossCommits.Add(1)
 		s.fold(&t, st)
 	}

@@ -88,13 +88,6 @@ func (e *Engine) begin(readonly bool) *Txn {
 // Stats implements engine.Engine.
 func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
-// Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
-
-// CM implements engine.Engine. ostm has no in-attempt wait points — conflicts
-// abandon immediately — so the controller paces only the retry-loop backoff.
-func (e *Engine) CM() *engine.CM { return e.rec.CM() }
-
 // shadow is a private copy of an object opened for update.
 type shadow struct {
 	versionAtOpen uint64 // version (unshifted) when the shadow was taken

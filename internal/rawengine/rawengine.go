@@ -76,7 +76,6 @@ func (o *Obj) refs() []*Obj {
 // Engine is the no-op engine. The zero value is ready to use.
 type Engine struct {
 	starts, commits uint64
-	rec             engine.Recorder
 }
 
 // New returns a raw engine.
@@ -113,15 +112,6 @@ func (e *Engine) BeginReadOnly() engine.Txn {
 func (e *Engine) Stats() engine.Stats {
 	return engine.Stats{Starts: e.starts, Commits: e.commits}
 }
-
-// Metrics implements engine.Engine. The raw engine records nothing into it
-// (no timing on the uninstrumented baseline); the recorder exists only so
-// the engine satisfies the interface.
-func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
-
-// CM implements engine.Engine. The raw engine never conflicts, so the
-// controller only ever observes committed outcomes.
-func (e *Engine) CM() *engine.CM { return e.rec.CM() }
 
 type rawTxn struct{ e *Engine }
 

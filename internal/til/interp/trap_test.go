@@ -171,7 +171,7 @@ func TestBoundsFaultInDoomedTransactionRetries(t *testing.T) {
 	if m.Stats.Txns != 2 {
 		t.Fatalf("Txns = %d, want 2 (one doomed attempt, one retry)", m.Stats.Txns)
 	}
-	if n := e.Metrics().Snapshot().Aborts(engine.CauseValidation); n != 1 {
+	if n := e.Stats().AbortsByCause[engine.CauseValidation]; n != 1 {
 		t.Fatalf("validation aborts = %d, want 1", n)
 	}
 

@@ -123,13 +123,6 @@ func (e *Engine) begin(readonly bool) *Txn {
 // Stats implements engine.Engine.
 func (e *Engine) Stats() engine.Stats { return e.rec.Stats() }
 
-// Metrics implements engine.Engine.
-func (e *Engine) Metrics() *engine.Metrics { return e.rec.Metrics() }
-
-// CM implements engine.Engine. wstm has no in-attempt wait points — conflicts
-// abandon immediately — so the controller paces only the retry-loop backoff.
-func (e *Engine) CM() *engine.CM { return e.rec.CM() }
-
 // stripeFor hashes an object field to the index of its versioned lock.
 func (e *Engine) stripeFor(o *Obj, slot uint64) uint64 {
 	x := o.id*0x9E3779B97F4A7C15 ^ (slot+1)*0xBF58476D1CE4E5B9

@@ -146,20 +146,18 @@ func New(opts ...Option) *TM {
 // Engine exposes the underlying engine for benchmark harnesses.
 func (tm *TM) Engine() engine.Engine { return tm.eng }
 
-// Stats returns cumulative engine counters.
+// Stats returns a snapshot of the engine's cumulative counters: commits,
+// aborts by cause (engine.AbortCauses), barrier and log counts, and the retry
+// driver's outcomes and backoff waits. Diff two snapshots with Sub for
+// per-interval figures.
 func (tm *TM) Stats() engine.Stats { return tm.eng.Stats() }
 
-// Metrics returns a snapshot of the engine's observability recorder: abort
-// counts by cause (engine.AbortCauses) and a log-scaled histogram of retries
-// per committed transaction. It holds counts, not times: no engine reads a
-// clock to record an attempt. Diff two snapshots with Sub for per-interval
-// figures.
-func (tm *TM) Metrics() engine.MetricsSnapshot { return tm.eng.Metrics().Snapshot() }
-
-// CMStats returns a snapshot of the contention-management account: counts
-// of attempt outcomes and backoff waits. A store exports the sum over its
-// shards as the stmkv_cm_* metric families.
-func (tm *TM) CMStats() engine.CMStats { return tm.eng.CM().Stats() }
+// Metrics returns the abort-cause share of Stats.
+//
+// Deprecated: read Stats().AbortsByCause; kept until bench/ moves.
+func (tm *TM) Metrics() engine.MetricsSnapshot {
+	return engine.MetricsSnapshot{AbortsByCause: tm.eng.Stats().AbortsByCause}
+}
 
 // Tx is an in-flight transaction. It is only valid inside the Atomic or
 // ReadOnly body that received it.
