@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"memtx/internal/engine"
 	"memtx/internal/kv"
 	"memtx/internal/server/wire"
 )
@@ -117,13 +116,13 @@ func (o Options) String() string {
 
 // Result summarizes one load run.
 type Result struct {
-	Ops        uint64                   // operations completed
-	Errors     uint64                   // ERR responses (a bug unless a command deadline is active)
-	Busy       uint64                   // BUSY responses: commands shed by the server under overload
-	Reconnects uint64                   // connections re-dialed after a transport failure mid-run
-	Elapsed    time.Duration            // wall-clock measurement window
-	Throughput float64                  // operations per second
-	RTT        engine.HistogramSnapshot // per round-trip latency, ns (one round trip = Pipeline ops)
+	Ops        uint64            // operations completed
+	Errors     uint64            // ERR responses (a bug unless a command deadline is active)
+	Busy       uint64            // BUSY responses: commands shed by the server under overload
+	Reconnects uint64            // connections re-dialed after a transport failure mid-run
+	Elapsed    time.Duration     // wall-clock measurement window
+	Throughput float64           // operations per second
+	RTT        HistogramSnapshot // per round-trip latency, ns (one round trip = Pipeline ops)
 }
 
 // ApplyMix installs a YCSB-style operation-mix preset: "ycsb-a" is 50/50
@@ -303,7 +302,7 @@ func Run(o Options) (*Result, error) {
 		errs       atomic.Uint64
 		busy       atomic.Uint64
 		reconnects atomic.Uint64
-		rtt        engine.Histogram
+		rtt        Histogram
 		wg         sync.WaitGroup
 		runErr     atomic.Value
 	)

@@ -6,10 +6,11 @@
 //
 // Load lowers each verified function once into a flat array of compact
 // instructions (code) shared read-only by the Program's Machines: blocks laid
-// end to end with jump targets resolved to pcs, int32 register operands, and
-// one instruction for each immediate/indexed memory pair. exec runs that
-// array in one loop on a Machine-owned value stack, each call's register
-// window stacked on its caller's, so calls allocate nothing.
+// end to end with jump targets resolved to pcs, int32 register operands, one
+// opcode for each immediate/indexed memory pair and one for each binary
+// operator. exec runs that array in one loop on a Machine-owned value stack
+// with one dispatch per instruction, each call's register window stacked on
+// its caller's, so calls allocate nothing.
 //
 // Transaction semantics mirror the paper's runtime:
 //
@@ -25,11 +26,12 @@
 //     watchdog — a countdown to the next step that must validate or enforce
 //     MaxSteps — validates periodically inside long transactions.
 //
-// Inside a transaction, barriers and memory accesses call the engine's Txn
-// directly. An engine panic that is neither a conflict nor a trap (a bounds
-// panic on a zombie-computed index) is caught by the one recover of the
-// transaction body, which validates, then retries or traps; outside any
-// transaction, Call's recover reports it as a trap.
+// Inside a transaction, a barrier or memory access on a non-nil object
+// calls the engine's Txn directly from its own case in exec. An engine panic
+// that is neither a conflict nor a trap (a bounds panic on a zombie-computed
+// index) is caught by the one recover of the transaction body, which
+// validates, then retries or traps; outside any transaction, Call's recover
+// reports it as a trap.
 //
 // Barrier instructions on nil references are no-ops (so speculative code
 // motion is always safe); data accesses through nil are faults.
@@ -89,22 +91,43 @@ type fn struct {
 	size int          // register window: NRegs plus the zero slot
 }
 
-// code is one lowered instruction. It keeps the til.Op of its source, except
-// that an indexed memory op takes the op of its immediate form: the field
+// code is one lowered instruction. Its op is the til.Op of its source, except
+// that an indexed memory op takes the op of its immediate form — the field
 // index is always imm plus register idx, which is the zero slot for the
-// immediate form. Register operands are offsets into the frame's window; an
-// absent operand (-1 in til.Instr, except a call's Dst) names the zero slot,
-// whose value is always Value{}. x and y hold New's class, Global's global,
-// Call's callee and the offset of its first argument in fn.args, Jmp's pc,
-// and Br's pcs for A != 0 and A == 0 — blocks are laid end to end.
+// immediate form — and an OpBin takes the opcode of its BinKind. Register
+// operands are offsets into the frame's window; an absent operand (-1 in
+// til.Instr, except a call's Dst) names the zero slot, whose value is always
+// Value{}. x and y hold New's class, Global's global, Call's callee and the
+// offset of its first argument in fn.args, Jmp's pc, and Br's pcs for A != 0
+// and A == 0 — blocks are laid end to end.
 type code struct {
 	op        til.Op
-	bin       til.BinKind
 	dst, a, b int32
 	obj, idx  int32 // object and field-index registers of memory ops
 	x, y      int32
 	imm       uint64 // ConstW: the word; memory ops: the immediate field index
 }
+
+// The opcodes of the binary operators, one per til.BinKind in its order,
+// numbered after til.OpRet.
+const (
+	opAdd = til.OpRet + 1 + til.Op(iota)
+	opSub
+	opMul
+	opDiv
+	opMod
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opLt
+	opLe
+	opEq
+	opNe
+	opGt
+	opGe
+)
 
 // indexed maps each indexed memory op to the immediate form it is lowered to.
 var indexed = map[til.Op]til.Op{
@@ -149,11 +172,13 @@ func lower(f *til.Func) fn {
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
-			c := code{op: in.Op, bin: in.Bin, dst: int32(in.Dst), a: reg(in.A), b: reg(in.B),
+			c := code{op: in.Op, dst: int32(in.Dst), a: reg(in.A), b: reg(in.B),
 				obj: reg(in.Obj), idx: zero, imm: uint64(in.Idx)}
 			switch in.Op {
 			case til.OpConstW:
 				c.imm = in.Imm
+			case til.OpBin:
+				c.op = opAdd + til.Op(in.Bin)
 			case til.OpNew:
 				c.x = int32(in.Class)
 			case til.OpGlobal:
@@ -393,52 +418,44 @@ func (m *Machine) exec(f *fn, base int) Value {
 			regs[c.dst] = Ref(nil)
 		case til.OpMov:
 			regs[c.dst] = regs[c.a]
-		case til.OpBin:
-			a, b := regs[c.a].W, regs[c.b].W
-			var r uint64
-			switch c.bin {
-			case til.BinAdd:
-				r = a + b
-			case til.BinSub:
-				r = a - b
-			case til.BinMul:
-				r = a * b
-			case til.BinDiv:
-				if b == 0 {
-					m.fault("division by zero")
-				}
-				r = a / b
-			case til.BinMod:
-				if b == 0 {
-					m.fault("modulo by zero")
-				}
-				r = a % b
-			case til.BinAnd:
-				r = a & b
-			case til.BinOr:
-				r = a | b
-			case til.BinXor:
-				r = a ^ b
-			case til.BinShl:
-				r = a << (b & 63)
-			case til.BinShr:
-				r = a >> (b & 63)
-			case til.BinLt:
-				r = b2w(a < b)
-			case til.BinLe:
-				r = b2w(a <= b)
-			case til.BinEq:
-				r = b2w(a == b)
-			case til.BinNe:
-				r = b2w(a != b)
-			case til.BinGt:
-				r = b2w(a > b)
-			case til.BinGe:
-				r = b2w(a >= b)
-			default:
-				m.fault("invalid binop %d", c.bin)
+		case opAdd:
+			regs[c.dst] = Word(regs[c.a].W + regs[c.b].W)
+		case opSub:
+			regs[c.dst] = Word(regs[c.a].W - regs[c.b].W)
+		case opMul:
+			regs[c.dst] = Word(regs[c.a].W * regs[c.b].W)
+		case opDiv:
+			if regs[c.b].W == 0 {
+				m.fault("division by zero")
 			}
-			regs[c.dst] = Word(r)
+			regs[c.dst] = Word(regs[c.a].W / regs[c.b].W)
+		case opMod:
+			if regs[c.b].W == 0 {
+				m.fault("modulo by zero")
+			}
+			regs[c.dst] = Word(regs[c.a].W % regs[c.b].W)
+		case opAnd:
+			regs[c.dst] = Word(regs[c.a].W & regs[c.b].W)
+		case opOr:
+			regs[c.dst] = Word(regs[c.a].W | regs[c.b].W)
+		case opXor:
+			regs[c.dst] = Word(regs[c.a].W ^ regs[c.b].W)
+		case opShl:
+			regs[c.dst] = Word(regs[c.a].W << (regs[c.b].W & 63))
+		case opShr:
+			regs[c.dst] = Word(regs[c.a].W >> (regs[c.b].W & 63))
+		case opLt:
+			regs[c.dst] = Word(b2w(regs[c.a].W < regs[c.b].W))
+		case opLe:
+			regs[c.dst] = Word(b2w(regs[c.a].W <= regs[c.b].W))
+		case opEq:
+			regs[c.dst] = Word(b2w(regs[c.a].W == regs[c.b].W))
+		case opNe:
+			regs[c.dst] = Word(b2w(regs[c.a].W != regs[c.b].W))
+		case opGt:
+			regs[c.dst] = Word(b2w(regs[c.a].W > regs[c.b].W))
+		case opGe:
+			regs[c.dst] = Word(b2w(regs[c.a].W >= regs[c.b].W))
 		case til.OpIsNil:
 			regs[c.dst] = Word(b2w(regs[c.a].R == nil))
 		case til.OpRefEq:
@@ -454,26 +471,64 @@ func (m *Machine) exec(f *fn, base int) Value {
 		case til.OpGlobal:
 			regs[c.dst] = Ref(m.prog.Globals[c.x])
 
-		case til.OpLoadW, til.OpStoreW, til.OpLoadR, til.OpStoreR, til.OpOpenR, til.OpOpenU, til.OpUndoW, til.OpUndoR:
-			if regs[c.obj].R == nil {
-				if f.src[pc].IsBarrier() {
-					break // barrier on nil is a no-op (speculative motion safety)
-				}
-				m.fault("nil reference in %s: %s", f.f.Name, til.FormatInstr(m.prog.Mod, f.f, f.src[pc]))
-			}
-			switch c.op {
-			case til.OpLoadW, til.OpLoadR:
+		// A memory op or barrier on a non-nil object inside a transaction
+		// counts itself and calls the engine; access handles the rest.
+		case til.OpLoadW:
+			if h := regs[c.obj].R; h != nil && tx != nil {
 				m.Stats.Loads++
-			case til.OpStoreW, til.OpStoreR:
-				m.Stats.Stores++
-			case til.OpOpenR:
-				m.Stats.OpensR++
-			case til.OpOpenU:
-				m.Stats.OpensU++
-			default:
-				m.Stats.Undos++
+				regs[c.dst] = Word(tx.LoadWord(h, int(c.imm+regs[c.idx].W)))
+			} else {
+				m.access(f, pc, regs)
 			}
-			m.access(tx, c, regs)
+		case til.OpStoreW:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.Stores++
+				tx.StoreWord(h, int(c.imm+regs[c.idx].W), regs[c.a].W)
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpLoadR:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.Loads++
+				regs[c.dst] = Ref(tx.LoadRef(h, int(c.imm+regs[c.idx].W)))
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpStoreR:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.Stores++
+				tx.StoreRef(h, int(c.imm+regs[c.idx].W), regs[c.a].R)
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpOpenR:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.OpensR++
+				tx.OpenForRead(h)
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpOpenU:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.OpensU++
+				tx.OpenForUpdate(h)
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpUndoW:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.Undos++
+				tx.LogForUndoWord(h, int(c.imm+regs[c.idx].W))
+			} else {
+				m.access(f, pc, regs)
+			}
+		case til.OpUndoR:
+			if h := regs[c.obj].R; h != nil && tx != nil {
+				m.Stats.Undos++
+				tx.LogForUndoRef(h, int(c.imm+regs[c.idx].W))
+			} else {
+				m.access(f, pc, regs)
+			}
 		case til.OpValidate:
 			if tx != nil && tx.Validate() != nil {
 				engine.AbandonCause(engine.CauseValidation, "explicit validate failed")
@@ -505,37 +560,54 @@ func (m *Machine) exec(f *fn, base int) Value {
 	}
 }
 
-// access runs memory instruction or barrier c on tx; non-atomic code (tx
-// nil) runs it as a transaction of its own.
-func (m *Machine) access(tx engine.Txn, c *code, regs []Value) {
-	if tx == nil {
-		m.Stats.ImplicitTxns++
-		if err := engine.Run(m.prog.Eng, func(tx engine.Txn) error {
-			m.access(tx, c, regs)
-			return nil
-		}); err != nil {
-			m.fault("implicit transaction: %v", err)
+// access is the slow path of the memory op or barrier at pc: on a nil
+// object a barrier is a no-op (so speculative code motion is always safe) and
+// a data access faults; outside a transaction the op counts, then runs as a
+// transaction of its own.
+func (m *Machine) access(f *fn, pc int, regs []Value) {
+	c := &f.code[pc]
+	if regs[c.obj].R == nil {
+		if f.src[pc].IsBarrier() {
+			return
 		}
-		return
+		m.fault("nil reference in %s: %s", f.f.Name, til.FormatInstr(m.prog.Mod, f.f, f.src[pc]))
 	}
-	h, i := regs[c.obj].R, int(c.imm+regs[c.idx].W)
 	switch c.op {
-	case til.OpLoadW:
-		regs[c.dst] = Word(tx.LoadWord(h, i))
-	case til.OpStoreW:
-		tx.StoreWord(h, i, regs[c.a].W)
-	case til.OpLoadR:
-		regs[c.dst] = Ref(tx.LoadRef(h, i))
-	case til.OpStoreR:
-		tx.StoreRef(h, i, regs[c.a].R)
+	case til.OpLoadW, til.OpLoadR:
+		m.Stats.Loads++
+	case til.OpStoreW, til.OpStoreR:
+		m.Stats.Stores++
 	case til.OpOpenR:
-		tx.OpenForRead(h)
+		m.Stats.OpensR++
 	case til.OpOpenU:
-		tx.OpenForUpdate(h)
-	case til.OpUndoW:
-		tx.LogForUndoWord(h, i)
-	case til.OpUndoR:
-		tx.LogForUndoRef(h, i)
+		m.Stats.OpensU++
+	default:
+		m.Stats.Undos++
+	}
+	m.Stats.ImplicitTxns++
+	if err := engine.Run(m.prog.Eng, func(tx engine.Txn) error {
+		h, i := regs[c.obj].R, int(c.imm+regs[c.idx].W)
+		switch c.op {
+		case til.OpLoadW:
+			regs[c.dst] = Word(tx.LoadWord(h, i))
+		case til.OpStoreW:
+			tx.StoreWord(h, i, regs[c.a].W)
+		case til.OpLoadR:
+			regs[c.dst] = Ref(tx.LoadRef(h, i))
+		case til.OpStoreR:
+			tx.StoreRef(h, i, regs[c.a].R)
+		case til.OpOpenR:
+			tx.OpenForRead(h)
+		case til.OpOpenU:
+			tx.OpenForUpdate(h)
+		case til.OpUndoW:
+			tx.LogForUndoWord(h, i)
+		case til.OpUndoR:
+			tx.LogForUndoRef(h, i)
+		}
+		return nil
+	}); err != nil {
+		m.fault("implicit transaction: %v", err)
 	}
 }
 

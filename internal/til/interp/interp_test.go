@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -381,12 +382,28 @@ exit:
 	}
 }
 
+// TestVerifyRejectsBadModule: Load refuses what Verify refuses, including
+// an operator past the last BinKind, which the parser cannot express and
+// which would otherwise lower to an opcode exec has no case for.
 func TestVerifyRejectsBadModule(t *testing.T) {
-	m := til.NewModule("bad")
+	empty := til.NewModule("bad")
 	f := &til.Func{Name: "f", NRegs: 1, Instrumented: -1}
 	f.Blocks = []*til.Block{{Name: "entry"}} // empty block
-	m.AddFunc(f)
-	if _, err := Load(m, rawengine.New()); err == nil {
-		t.Fatal("Load accepted an invalid module")
+	empty.AddFunc(f)
+
+	binop := til.NewModule("bad")
+	b := til.NewFuncBuilder("f", false, "a")
+	b.Block("entry")
+	b.Bin(til.BinGe+1, "r", "a", "a")
+	b.Ret("r")
+	binop.AddFunc(b.Done())
+
+	for _, tc := range []struct {
+		m    *til.Module
+		want string
+	}{{empty, "empty"}, {binop, "invalid binop"}} {
+		if _, err := Load(tc.m, rawengine.New()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Load = %v, want an error naming %q", err, tc.want)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import "fmt"
 
 // Verify checks structural well-formedness of a module:
 //
-//   - class, global, function, block, and register references are in range;
+//   - class, global, function, block, and register references are in range,
+//     and so is every binary operator;
 //   - every block is non-empty and ends in exactly one terminator;
 //   - immediate field indices are within the class bounds wherever the class
 //     is statically evident (OpNew results are not tracked here; the
@@ -126,7 +127,11 @@ func verifyInstr(m *Module, f *Func, in *Instr) error {
 	}
 
 	switch in.Op {
-	case OpConstW, OpConstNil, OpMov, OpBin, OpIsNil, OpRefEq, OpValidate:
+	case OpConstW, OpConstNil, OpMov, OpIsNil, OpRefEq, OpValidate:
+	case OpBin:
+		if int(in.Bin) >= len(binNames) {
+			return fmt.Errorf("invalid binop %d", in.Bin)
+		}
 	case OpNew:
 		if in.Class < 0 || in.Class >= len(m.Classes) {
 			return fmt.Errorf("new: class %d out of range", in.Class)
