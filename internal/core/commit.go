@@ -84,14 +84,21 @@ func (t *Txn) rollback() {
 }
 
 // undoTo restores the undo-logged fields beyond the first n entries, newest
-// first, and truncates the undo log to n.
+// first, and truncates the undo log to n. It clears each restored field's
+// mark on a large object, so that a savepoint rollback leaves marked exactly
+// the fields whose entries remain.
 func (t *Txn) undoTo(n int) {
 	for i := len(t.undoLog) - 1; i >= n; i-- {
 		u := &t.undoLog[i]
+		key := uint64(u.idx) * 2
 		if u.isRef {
 			u.obj.refs()[u.idx].Store(u.oldRef)
+			key++
 		} else {
 			u.obj.words()[u.idx].Store(u.oldWord)
+		}
+		if u.obj.tag&largeBit != 0 {
+			u.obj.large().unmark(key)
 		}
 	}
 	t.undoLog = t.undoLog[:n]

@@ -45,10 +45,12 @@ func WithContentionManager(cm ContentionManager) Option {
 
 // WithFilterSize sets the per-transaction duplicate-log filter capacity in
 // slots (rounded up to a power of two). Zero disables the filter. The
-// default of 4096 covers the hot-field working sets of the E1/E2 kernels; E5
-// sweeps the size. Update transactions consult the filter on every read open
-// and undo log; a read-only transaction only once its read log holds 64
-// entries (roFilterFrom), so short read-only transactions never touch it.
+// default is 4096; E5 sweeps the size. Update transactions consult the
+// filter on every read open and on every undo log of a small object; a
+// read-only transaction only once its read log holds 64 entries
+// (roFilterFrom), so short read-only transactions never touch it. A large
+// object's undo entries never reach the filter, whatever its size: the
+// object's own marks drop the duplicates exactly.
 // The table (~100 KiB at the default size) is allocated lazily on a
 // transaction's first duplicate check, so transactions that never log pay
 // nothing, and tables larger than keepFilterSlots are released when the

@@ -1,7 +1,8 @@
 // Package core implements the paper's software transactional memory: a
 // direct-update, object-based STM with eager ownership acquisition for
 // updates, optimistic version-validated reads, per-word undo logging, a
-// runtime duplicate-log filter, and GC-style log compaction.
+// runtime duplicate-log filter, exact per-owner undo marks on large objects,
+// and GC-style log compaction.
 //
 // Layout of the design (mirroring the PLDI 2006 system):
 //
@@ -31,6 +32,12 @@
 //     bits claim 3 words and 3 refs, a count the small shape cannot hold,
 //     so a word or ref access on a record panics in words/refs' own slice
 //     bound, with no branch of its own on that path.
+//   - LogForUndoWord and LogForUndoRef drop an entry for a field the
+//     transaction has already logged. On a large object the test is exact:
+//     the words array's spare capacity holds a stamp and one bit per field
+//     (largeObj.mark), so an array written all over logs each field once.
+//     Small objects use the duplicate-log filter, a direct-mapped table
+//     that may forget a key and log it again.
 //   - OpenForRead records the version seen; the read log is validated at
 //     commit (and optionally mid-transaction, since the design is not
 //     opaque). A read-only transaction consults the duplicate filter only
@@ -110,11 +117,47 @@ type smallObj struct {
 }
 
 // largeObj is any other shape: the header and two slice headers (80 bytes),
-// with the fields in separately allocated arrays.
+// with the fields in separately allocated arrays. The words array's spare
+// capacity holds the owner's undo marks (marks).
 type largeObj struct {
 	Obj
 	w []atomic.Uint64
 	r []atomic.Pointer[Obj]
+}
+
+// marks returns a large object's undo marks, kept in the words array beyond
+// its length: a stamp, then one bit per field, 2i for word i and 2i+1 for ref
+// i. The bits belong to the transaction whose mark stamp (Txn.mark) the stamp
+// holds; stamps are ids and never reused, so any other stamp means "no field
+// marked", and neither commit nor release clears them. Only the object's
+// owner reads or writes the marks, with plain loads and stores: the next
+// owner's CAS on the STM word follows the last owner's release of it, which
+// orders the hand-off.
+func (l *largeObj) marks() []uint64 {
+	spare := l.w[len(l.w):cap(l.w)]
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(spare))), len(spare))
+}
+
+// mark records field key (2i or 2i+1) as undo-logged under stamp and reports
+// whether it already was.
+func (l *largeObj) mark(stamp, key uint64) bool {
+	m := l.marks()
+	if m[0] != stamp {
+		clear(m[1:])
+		m[0] = stamp
+	}
+	b, bit := &m[1+key/64], uint64(1)<<(key%64)
+	if *b&bit != 0 {
+		return true
+	}
+	*b |= bit
+	return false
+}
+
+// unmark forgets field key's mark, whatever the stamp: a bit under another
+// stamp is cleared with the rest when a transaction takes the marks.
+func (l *largeObj) unmark(key uint64) {
+	l.marks()[1+key/64] &^= uint64(1) << (key % 64)
 }
 
 // newObj allocates an object at version 1.
@@ -125,7 +168,9 @@ func newObj(id, creator uint64, nwords, nrefs int) *Obj {
 		id |= uint64(nwords)<<wordsShift | uint64(nrefs)<<refsShift
 	} else {
 		l := &largeObj{
-			w: make([]atomic.Uint64, nwords),
+			// The spare capacity holds the undo marks: the stamp, then
+			// bits 2i and 2i+1 for i below max(nwords, nrefs).
+			w: make([]atomic.Uint64, nwords, nwords+1+(2*max(nwords, nrefs)+63)/64),
 			r: make([]atomic.Pointer[Obj], nrefs),
 		}
 		o = &l.Obj

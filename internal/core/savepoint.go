@@ -17,8 +17,15 @@ type Savepoint struct {
 	readLen   int
 }
 
-// Save captures the current log state.
+// Save captures the current log state. It also starts the duplicate-log
+// filter and the large-object marks afresh: a field undo-logged before the
+// savepoint must be logged again on its first write after it, or RollbackTo
+// would have no entry to restore that field's value at the savepoint from.
 func (t *Txn) Save() Savepoint {
+	if t.filter != nil {
+		t.filter.Reset()
+	}
+	t.mark = t.ids.Take()
 	return Savepoint{
 		owner:     t,
 		id:        t.id,
@@ -38,7 +45,8 @@ func (t *Txn) Save() Savepoint {
 //
 // The duplicate-log filter is reset because it may assert that fields rolled
 // back here are "already logged"; resetting restores the invariant that
-// every first post-rollback write is undo-logged again.
+// every first post-rollback write is undo-logged again. Large objects need
+// no reset: undoTo clears the mark of every field it restores.
 func (t *Txn) RollbackTo(sp Savepoint) {
 	if sp.owner != t || sp.id != t.id {
 		panic("core: RollbackTo with a savepoint from another transaction")

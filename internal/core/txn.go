@@ -10,9 +10,11 @@ import (
 	"memtx/internal/filter"
 )
 
-// readSlot is the filter key used for object-level read-log entries; word and
-// reference undo entries use 2*idx and 2*idx+1 respectively, so the read key
-// cannot collide with any undo key.
+// readSlot is the filter key used for object-level read-log entries. Undo
+// entries of a small object use 2*idx for word idx and 2*idx+1 for ref idx,
+// so the read key cannot collide with any undo key; a large object's undo
+// entries are deduplicated exactly by its own marks (largeObj.mark) under the
+// same keys and never reach the filter.
 const readSlot = ^uint64(0)
 
 // roFilterFrom is the read-log length from which a read-only transaction
@@ -47,6 +49,12 @@ type Txn struct {
 	// nothing and pooled transactions don't pin an unused table.
 	filter *filter.Filter
 
+	// mark is the stamp under which this attempt marks the fields it has
+	// undo-logged on large objects: the transaction id, and a fresh id from
+	// each Save on, so that a field logged before a savepoint is logged
+	// again after it.
+	mark uint64
+
 	// ids is this transaction's private block of pre-reserved object ids;
 	// it persists across pool reuse.
 	ids engine.IDAlloc
@@ -71,6 +79,7 @@ func newTxn(e *Engine) *Txn {
 
 func (t *Txn) start(readonly bool) {
 	t.id = t.ids.Take()
+	t.mark = t.id
 	t.readonly = readonly
 	t.done = false
 	t.stripe.Begin()
@@ -87,6 +96,16 @@ func (t *Txn) start(readonly bool) {
 		clear(t.opened)
 	}
 	t.n = engine.Stats{}
+}
+
+// logged records that field key (2i for word i, 2i+1 for ref i) of o is
+// undo-logged and reports whether it already was: exactly, by o's own marks,
+// for a large object, and by the duplicate-log filter for any other.
+func (t *Txn) logged(o *Obj, key uint64) bool {
+	if o.tag&largeBit != 0 {
+		return o.large().mark(t.mark, key)
+	}
+	return t.seen(o.ID(), key)
 }
 
 // seen lazily creates the duplicate-log filter and records the key, reporting
@@ -233,7 +252,7 @@ func (t *Txn) LogForUndoWord(h engine.Handle, i int) {
 		t.n.LocalSkips++
 		return
 	}
-	if t.seen(o.ID(), uint64(i)*2) {
+	if t.logged(o, uint64(i)*2) {
 		t.n.FilterHits++
 		return
 	}
@@ -250,7 +269,7 @@ func (t *Txn) LogForUndoRef(h engine.Handle, i int) {
 		t.n.LocalSkips++
 		return
 	}
-	if t.seen(o.ID(), uint64(i)*2+1) {
+	if t.logged(o, uint64(i)*2+1) {
 		t.n.FilterHits++
 		return
 	}

@@ -184,7 +184,7 @@ type Stats struct {
 	OpenForUpdate  uint64 // OpenForUpdate operations executed
 	UndoLogged     uint64 // undo-log entries recorded
 	ReadLogEntries uint64 // read-log entries recorded (post-filtering)
-	FilterHits     uint64 // log operations suppressed by the runtime filter
+	FilterHits     uint64 // duplicate log operations suppressed: by the runtime filter, or a large object's undo marks
 	LocalSkips     uint64 // barriers skipped on transaction-local objects
 	Compactions    uint64 // log compactions performed
 	ReadLogDropped uint64 // read-log entries removed by compaction

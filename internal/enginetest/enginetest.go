@@ -42,6 +42,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("CMStats", func(t *testing.T) { testCMStats(t, f()) })
 	t.Run("Stripes", func(t *testing.T) { testStripes(t, f()) })
 	t.Run("ByteRecords", func(t *testing.T) { testByteRecords(t, f()) })
+	t.Run("UndoLog", func(t *testing.T) { testUndoLog(t, f()) })
 }
 
 // write is a helper that opens, undo-logs, and stores one word.

@@ -151,6 +151,32 @@ func TestKernelStatsExact(t *testing.T) {
 	}
 }
 
+// TestKernelUndoLoggedExact pins the undo entries each kernel's init and run
+// log on the direct engine at full and TestSize. A field of a large object
+// (an array) is logged once per transaction, by the object's own marks:
+// sort's fill and its sort are one transaction each, and each logs the
+// TestSize words it writes once, 400 in all, where the direct-mapped filter
+// kept evicting and re-logging them (635); sieve logs each composite below
+// TestSize once (1 695, 1 993 with the filter). The other kernels log no
+// field twice in a transaction, so their counts are the filter's.
+func TestKernelUndoLoggedExact(t *testing.T) {
+	want := map[string]uint64{
+		"sieve":  1695,
+		"bst":    398,
+		"hash":   500,
+		"sort":   400,
+		"matmul": 192,
+		"list":   145,
+	}
+	for _, k := range All() {
+		e := core.New()
+		runKernel(t, k, passes.LevelFull, e, k.TestSize)
+		if got := e.Stats().UndoLogged; got != want[k.Name] {
+			t.Errorf("%s: UndoLogged = %d, want %d", k.Name, got, want[k.Name])
+		}
+	}
+}
+
 // TestSievePrimeCount pins the sieve's semantics with a known value:
 // there are 303 primes below 2000.
 func TestSievePrimeCount(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memtx/internal/core"
+	"memtx/internal/engine"
 )
 
 // TestRetryBlocksUntilCommit: the classic producer/consumer handoff. The
@@ -349,32 +350,138 @@ func TestSavepointPartialRollback(t *testing.T) {
 	_ = r.Commit()
 }
 
-// TestSavepointRefilterAfterRollback: after a partial rollback the filter
-// must not suppress re-logging of fields whose undo entries were discarded.
+// savepointShapes are the object shapes the savepoint tests write: a small
+// one, whose undo log the duplicate-log filter deduplicates, and a large one,
+// whose undo log its own marks deduplicate.
+var savepointShapes = []struct {
+	name        string
+	words, refs int
+}{{"small", 1, 1}, {"large", 3, 3}}
+
+// spField is one field of h, a word or a ref, written and read as a number:
+// a ref holds targets[v], where targets[0] is nil.
+type spField struct {
+	name    string
+	h       engine.Handle
+	ref     bool
+	i       int
+	targets [3]engine.Handle
+}
+
+// savepointFields returns a word and a ref field, each the last of its kind,
+// of a fresh object of every shape in savepointShapes.
+func savepointFields(e *core.Engine) []spField {
+	var fields []spField
+	for _, s := range savepointShapes {
+		h := e.NewObj(s.words, s.refs)
+		targets := [3]engine.Handle{nil, e.NewObj(1, 0), e.NewObj(1, 0)}
+		fields = append(fields,
+			spField{name: s.name + "/word", h: h, i: s.words - 1, targets: targets},
+			spField{name: s.name + "/ref", h: h, ref: true, i: s.refs - 1, targets: targets})
+	}
+	return fields
+}
+
+// write opens the field's object for update, undo-logs the field and stores v.
+func (f spField) write(tx engine.Txn, v int) {
+	tx.OpenForUpdate(f.h)
+	if f.ref {
+		tx.LogForUndoRef(f.h, f.i)
+		tx.StoreRef(f.h, f.i, f.targets[v])
+	} else {
+		tx.LogForUndoWord(f.h, f.i)
+		tx.StoreWord(f.h, f.i, uint64(v))
+	}
+}
+
+// read opens the field's object for read and loads the field.
+func (f spField) read(tx engine.Txn) int {
+	tx.OpenForRead(f.h)
+	if !f.ref {
+		return int(tx.LoadWord(f.h, f.i))
+	}
+	r := tx.LoadRef(f.h, f.i)
+	for v, g := range f.targets {
+		if r == g {
+			return v
+		}
+	}
+	return -1
+}
+
+// committed reads the field in a transaction of its own.
+func (f spField) committed(e *core.Engine) int {
+	r := e.BeginReadOnly()
+	defer r.Commit()
+	return f.read(r)
+}
+
+// TestSavepointRefilterAfterRollback: after a partial rollback, neither the
+// filter nor a large object's marks may suppress re-logging of fields whose
+// undo entries were discarded.
 func TestSavepointRefilterAfterRollback(t *testing.T) {
 	e := core.New()
-	h := e.NewObj(1, 0)
+	for _, f := range savepointFields(e) {
+		t.Run(f.name, func(t *testing.T) {
+			tx := e.Begin().(*core.Txn)
+			sp := tx.Save()
+			f.write(tx, 1)
+			tx.RollbackTo(sp)
 
-	tx := e.Begin().(*core.Txn)
-	sp := tx.Save()
-	tx.OpenForUpdate(h)
-	tx.LogForUndoWord(h, 0)
-	tx.StoreWord(h, 0, 5)
-	tx.RollbackTo(sp)
-
-	// Write again; if the filter wrongly suppressed the undo log, a full
-	// abort would leave the value 6 in place.
-	tx.OpenForUpdate(h)
-	tx.LogForUndoWord(h, 0)
-	tx.StoreWord(h, 0, 6)
-	tx.Abort()
-
-	r := e.BeginReadOnly()
-	r.OpenForRead(h)
-	if got := r.LoadWord(h, 0); got != 0 {
-		t.Fatalf("value after abort = %d, want 0", got)
+			// Write again; if the undo log were wrongly suppressed, a full
+			// abort would leave the value 2 in place.
+			f.write(tx, 2)
+			tx.Abort()
+			if got := f.committed(e); got != 0 {
+				t.Fatalf("value after abort = %d, want 0", got)
+			}
+		})
 	}
-	_ = r.Commit()
+}
+
+// TestSavepointRelogsFieldsLoggedBeforeIt: a field undo-logged before a
+// savepoint and written again after it gets the value it had at the
+// savepoint back from RollbackTo, and its original one from an abort.
+func TestSavepointRelogsFieldsLoggedBeforeIt(t *testing.T) {
+	e := core.New()
+	for _, f := range savepointFields(e) {
+		t.Run(f.name, func(t *testing.T) {
+			tx := e.Begin().(*core.Txn)
+			f.write(tx, 1)
+			sp := tx.Save()
+			f.write(tx, 2)
+			tx.RollbackTo(sp)
+			if got := f.read(tx); got != 1 {
+				t.Fatalf("value after RollbackTo = %d, want 1, the value at the savepoint", got)
+			}
+			tx.Abort()
+			if got := f.committed(e); got != 0 {
+				t.Fatalf("value after abort = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestOrElseRestoresValueSetBeforeIt: an alternative that retries gives a
+// variable the body set before OrElse its value back, for the next
+// alternative to read.
+func TestOrElseRestoresValueSetBeforeIt(t *testing.T) {
+	tm := New()
+	v := tm.NewVar(0)
+	var got uint64
+	err := tm.AtomicWait(func(tx *Tx) error {
+		v.Set(tx, 1)
+		return tx.OrElse(
+			func(tx *Tx) error { v.Set(tx, 2); Retry(tx); return nil },
+			func(tx *Tx) error { got = v.Get(tx); return nil },
+		)
+	})
+	if err != nil {
+		t.Fatalf("AtomicWait: %v", err)
+	}
+	if got != 1 {
+		t.Fatalf("second alternative read %d, want 1", got)
+	}
 }
 
 func TestSavepointCrossTransactionPanics(t *testing.T) {
